@@ -18,15 +18,13 @@ from .rng import (
     substream,
     unit_block,
 )
-from .transforms import Compose, Reflect, RescaleWindow, RotateHalf, rejection_rescale
+from .transforms import Compose, Reflect, RescaleWindow, RotateHalf
 from .process import (
     ParallelConfig,
     SerialConfig,
     StreamMode,
     Trajectory,
-    exp_increment,
     make_mapping,
-    merge,
     simulate_parallel,
     simulate_serial,
 )
@@ -57,10 +55,9 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneratorState", "Ideal", "IDEAL", "LowThinning", "PowerBias",
     "derived_seeds", "mix64", "next_unit", "substream", "unit_block",
-    "Compose", "Reflect", "RescaleWindow", "RotateHalf", "rejection_rescale",
+    "Compose", "Reflect", "RescaleWindow", "RotateHalf",
     "ParallelConfig", "SerialConfig", "StreamMode", "Trajectory",
-    "exp_increment", "make_mapping", "merge", "simulate_parallel",
-    "simulate_serial",
+    "make_mapping", "simulate_parallel", "simulate_serial",
     "chi_square_uniform", "clock_drift", "ks_one_sample", "ks_two_sample",
     "summarize", "welch_t",
     "ComparisonReport", "ExperimentPlan", "Verdict", "cross_parallel_compare",

@@ -36,7 +36,6 @@ from .process import (
     SerialConfig,
     StreamMode,
     Trajectory,
-    build_pipeline,
     make_mapping,
     pipeline_block,
     simulate_parallel,
@@ -170,7 +169,7 @@ def transform_ab_test(
     if n < _MIN_AB_SAMPLES:
         raise ValueError(f"transform_ab_test requires n >= {_MIN_AB_SAMPLES}, got {n}")
     gs = substream(seed, SERIAL_STREAM)
-    samples, _ = pipeline_block(fault, None, None, gs, 2 * n)
+    samples, _, _, _ = pipeline_block(fault, None, None, gs, 2 * n)
     arm_raw = -np.log(samples[:n])
     arm_transformed = -np.log(transform_block(transform, samples[n:]))
     return _ab_verdict(arm_raw, arm_transformed, alpha)
@@ -307,7 +306,7 @@ def fix_evaluation(
 ) -> FixReport:
     """Evaluate the window repair: uniformity KS + A/B, before vs after.
 
-    Each phase consumes 3n scalar pipeline draws from stream id 0: n for the
+    Each phase takes 3n pipeline draws from stream id 0: n for the
     uniformity check and n per A/B arm (the A/B transform is fixed to the
     reflection, the canonical involution).  The discard rate is measured on
     the repaired pipeline: rejected candidates (fault retries plus window
@@ -329,15 +328,14 @@ def _fix_phase(
     alpha: float,
     seed: int,
 ) -> tuple[Verdict, float]:
-    reflect = Reflect()
-    pipe = build_pipeline(seed, SERIAL_STREAM, fault, None, window)
-    uniform_draws = np.array([pipe.next() for _ in range(n)])
-    arm_raw = -np.log(np.array([pipe.next() for _ in range(n)]))
-    arm_reflected = -np.log(np.array([reflect(pipe.next()) for _ in range(n)]))
-    ks = ks_one_sample(uniform_draws, uniform_cdf)
+    gs = substream(seed, SERIAL_STREAM)
+    samples, _, fault_discards, window_discards = pipeline_block(fault, None, window, gs, 3 * n)
+    arm_raw = -np.log(samples[n:2 * n])
+    arm_reflected = -np.log(transform_block(Reflect(), samples[2 * n:]))
+    ks = ks_one_sample(samples[:n], uniform_cdf)
     ab = _ab_verdict(arm_raw, arm_reflected, alpha)
     evidence = (Evidence("uniform_ks", ks.statistic, ks.p_value),) + ab.evidence
-    discards = pipe.fault_discards + pipe.window_discards
+    discards = fault_discards + window_discards
     rate = discards / (discards + 3 * n)
     return Verdict.from_evidence(evidence, alpha), rate
 

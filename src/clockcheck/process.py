@@ -13,10 +13,10 @@ the two sides differently.
 
 Draws pass through a three-stage pipeline: fault model (the injected
 defect), optional measure-preserving transform, optional window
-rejection-rescale repair.  Serial and per-clock-parallel runs have both a
-scalar path and a vectorised block path that are bit-identical; the block
-path is the default, and the scalar path doubles as the seam for injecting
-degenerate test sources.
+rejection-rescale repair.  ``pipeline_block`` is the one implementation of
+that pipeline; every simulator and every detector stage draws through it in
+numpy blocks.  The tests keep a one-draw-at-a-time twin of the pipeline and
+the simulators as an oracle and require bit-identical results.
 
 Horizon rule: an event whose time would exceed the horizon is suppressed
 (its time draw is still consumed), and the trajectory ends at the last
@@ -39,14 +39,14 @@ from .rng import (
     FaultModel,
     GeneratorState,
     IDEAL,
-    SourceStream,
     clock_stream,
     fault_block,
+    fault_rejections,
     next_unit,
     substream,
     worker_stream,
 )
-from .transforms import RescaleWindow, Transform, rejection_rescale, transform_block
+from .transforms import RescaleWindow, Transform, transform_block
 
 __all__ = [
     "Event",
@@ -54,12 +54,8 @@ __all__ = [
     "StreamMode",
     "SerialConfig",
     "ParallelConfig",
-    "exp_increment",
     "simulate_serial",
     "simulate_parallel",
-    "merge",
-    "PipelineSource",
-    "build_pipeline",
     "pipeline_block",
     "block_mapping",
     "round_robin_mapping",
@@ -69,7 +65,9 @@ __all__ = [
 ]
 
 _TOP = 1.0 - 2.0**-53
-_STARVATION_DRAWS = 524_288  # zero window hits in this many draws = config bug
+_STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
+_MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
+_MAX_EPOCH_SAMPLES = 1 << 20  # per-worker draws per pipeline_block call, at most
 
 
 class Event(NamedTuple):
@@ -183,67 +181,8 @@ class ParallelConfig:
             raise ValueError(f"mapping worker ids must lie in [0, {self.workers})")
 
 
-def exp_increment(u: float, rate: float) -> float:
-    """Exponential waiting time ``-log(u) / rate``; finite and positive.
-
-    Uses the numpy log kernel so the scalar and block simulation paths agree
-    bitwise.
-    """
-    if not (0.0 < u < 1.0):
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    if not (np.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-    return float(-np.log(np.float64(u)) / np.float64(rate))
-
-
 # --------------------------------------------------------------------------
 # the draw pipeline: fault -> transform -> window rescale
-
-
-class PipelineSource:
-    """Scalar draw cursor through the full fault/transform/fix pipeline."""
-
-    __slots__ = ("stream", "transform", "window", "window_discards")
-
-    def __init__(
-        self,
-        stream: SourceStream,
-        transform: Optional[Transform] = None,
-        window: Optional[RescaleWindow] = None,
-    ):
-        self.stream = stream
-        self.transform = transform
-        self.window = window
-        self.window_discards = 0
-
-    def _pre_window(self) -> float:
-        u = self.stream.next()
-        return self.transform(u) if self.transform is not None else u
-
-    def next(self) -> float:
-        if self.window is None:
-            return self._pre_window()
-        y, discarded = rejection_rescale(self.window, self._pre_window)
-        self.window_discards += discarded
-        return y
-
-    @property
-    def raw_draws(self) -> int:
-        return self.stream.raw_draws
-
-    @property
-    def fault_discards(self) -> int:
-        return self.stream.fault_discards
-
-
-def build_pipeline(
-    seed: int,
-    stream_id: int,
-    fault: FaultModel = IDEAL,
-    transform: Optional[Transform] = None,
-    window: Optional[RescaleWindow] = None,
-) -> PipelineSource:
-    return PipelineSource(SourceStream(seed, stream_id, fault), transform, window)
 
 
 def pipeline_block(
@@ -252,66 +191,67 @@ def pipeline_block(
     window: Optional[RescaleWindow],
     gs: GeneratorState,
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First ``n`` pipeline samples from ``gs`` with absolute raw-draw counts.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """First ``n`` pipeline samples from ``gs`` with their draw accounting.
 
-    Bit-identical to ``n`` scalar :class:`PipelineSource` draws from the
-    same state (the scalar/block agreement of every stage composes).
+    Returns ``(samples, at_draw, fault_rejections, window_rejections)``:
+    ``at_draw[i]`` is the absolute raw-draw count right after sample ``i``,
+    and the two counts are the candidates the fault model and the window
+    threw away on the way to the ``n``-th sample.  The window keeps samples
+    strictly inside ``(a, b)`` and maps them to ``(x - a) / (b - a)``.
+
+    A window the pipeline lands in with odds below 1e-4 (one aimed where a
+    transform moved the mass away, or one only 1e-7 wide) is not supported:
+    it raises once ``_STARVATION_DRAWS`` pipeline draws have been made,
+    instead of doubling its draw count until memory runs out.
     """
     if window is None:
-        samples, at_draw, _ = fault_block(fault, gs, n)
+        samples, at_draw, _, rejected = fault_block(fault, gs, n)
         if transform is not None:
             samples = transform_block(transform, samples)
-        return samples, at_draw
+        return samples, at_draw, rejected, 0
     keep_rate = max(window.width, 1e-3)
     m = max(64, int(1.5 * n / keep_rate) + 16)
     while True:
-        samples, at_draw, _ = fault_block(fault, gs, m)
+        samples, at_draw, _, _ = fault_block(fault, gs, m)
         if transform is not None:
             samples = transform_block(transform, samples)
         inside = (samples > window.a) & (samples < window.b)
-        accepted = int(inside.sum())
-        if accepted == 0 and m >= _STARVATION_DRAWS:
-            # zero hits in this many draws means the window and the pipeline
-            # are disjoint (any width above ~1e-4 would have landed by now);
-            # doubling further would only spin until the machine gives out.
+        accepted = int(np.count_nonzero(inside))
+        if accepted >= n:
+            break
+        if m >= _STARVATION_DRAWS and accepted < _MIN_ACCEPTANCE * m:
             raise RuntimeError(
-                f"window ({window.a}, {window.b}) rejected {m} pipeline draws "
-                "without a single acceptance; the pipeline never lands inside it"
+                f"window ({window.a}, {window.b}) accepted {accepted} of {m} pipeline "
+                "draws: the pipeline never lands inside it, or with odds below "
+                f"{_MIN_ACCEPTANCE:g}, which is not supported"
             )
-        if accepted < n:
-            m *= 2
-            continue
-        kept = samples[inside]
-        y = (kept - window.a) / window.width
-        y[y >= 1.0] = _TOP
-        y[y <= 0.0] = 5e-324
-        return y[:n], at_draw[inside][:n]
+        m *= 2
+    used = np.flatnonzero(inside)[:n]
+    y = (samples[used] - window.a) / window.width
+    y[y >= 1.0] = _TOP
+    y[y <= 0.0] = 5e-324
+    drawn = int(used[-1]) + 1 if n else 0  # pipeline draws up to the n-th kept
+    return y, at_draw[used], fault_rejections(at_draw[:drawn], gs.draw_count), drawn - n
 
 
 # --------------------------------------------------------------------------
 # simulators
 
 
-def simulate_serial(cfg: SerialConfig, source=None) -> Trajectory:
+def simulate_serial(cfg: SerialConfig) -> Trajectory:
     """Run the merged clock to the horizon.
 
     Each event consumes two pipeline draws: u1 sets the time increment
-    ``exp_increment(u1, N)``, u2 sets the mark ``min(floor(u2*N), N-1)``.
-    The loop stops at the first event whose time would exceed the horizon
-    (that event's u1 is consumed, its u2 is not).
-
-    ``source`` (scalar draw object with ``.next()`` and ``.raw_draws``)
-    replaces the whole fault/transform/fix pipeline when given — the seam
-    for degenerate test streams and scalar/block equality checks.
+    ``-log(u1) / N``, u2 sets the mark ``min(floor(u2*N), N-1)``.  The loop
+    stops at the first event whose time would exceed the horizon (that
+    event's u1 is consumed, its u2 is not).
     """
-    if source is not None:
-        return _simulate_serial_scalar(cfg, source)
     n = cfg.n_clocks
     gs = substream(cfg.seed, SERIAL_STREAM)
     m = 2 * (int(2.5 * n * cfg.horizon) + 32)
     while True:
-        samples, at_draw = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
+        samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
         u1 = samples[0::2]
         u2 = samples[1::2]
         times = np.cumsum(-np.log(u1) / n)
@@ -329,46 +269,18 @@ def simulate_serial(cfg: SerialConfig, source=None) -> Trajectory:
         )
 
 
-def _simulate_serial_scalar(cfg: SerialConfig, source) -> Trajectory:
-    n = cfg.n_clocks
-    times, marks, draw_indices = [], [], []
-    t = 0.0
-    while True:
-        u1 = source.next()
-        t_next = t + exp_increment(u1, float(n))
-        if t_next > cfg.horizon:
-            break
-        u2 = source.next()
-        times.append(t_next)
-        marks.append(min(int(u2 * n), n - 1))
-        draw_indices.append(source.raw_draws)
-        t = t_next
-    return Trajectory(
-        times=np.asarray(times, dtype=np.float64),
-        marks=np.asarray(marks, dtype=np.int64),
-        draw_indices=np.asarray(draw_indices, dtype=np.int64),
-        total_draws=source.raw_draws,
-        n_clocks=n,
-    )
-
-
-def simulate_parallel(cfg: ParallelConfig, source_factory=None) -> Trajectory:
-    """Run N independent rate-1 clocks and merge their event lists.
-
-    ``source_factory`` (stream-owner id -> scalar draw object) replaces the
-    pipeline when given; the owner id is the clock index in per-clock mode
-    and the worker index in per-worker mode.
-    """
+def simulate_parallel(cfg: ParallelConfig) -> Trajectory:
+    """Run N independent rate-1 clocks and merge their event lists."""
     if cfg.stream_mode is StreamMode.PER_CLOCK:
-        return _simulate_per_clock(cfg, source_factory)
-    return _simulate_per_worker(cfg, source_factory)
+        return _simulate_per_clock(cfg)
+    return _simulate_per_worker(cfg)
 
 
 def _clock_events_block(cfg: ParallelConfig, clock: int) -> tuple[np.ndarray, np.ndarray, int]:
     gs = substream(cfg.seed, clock_stream(clock))
     m = int(2.5 * cfg.horizon) + 32
     while True:
-        samples, at_draw = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
+        samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
         times = np.cumsum(-np.log(samples) / 1.0)
         k = int(np.searchsorted(times, cfg.horizon, side="right"))
         if k >= samples.size:
@@ -377,30 +289,11 @@ def _clock_events_block(cfg: ParallelConfig, clock: int) -> tuple[np.ndarray, np
         return times[:k], at_draw[:k].astype(np.int64), int(at_draw[k])
 
 
-def _clock_events_scalar(cfg: ParallelConfig, source) -> tuple[np.ndarray, np.ndarray, int]:
-    times, draws = [], []
-    t = 0.0
-    while True:
-        u = source.next()
-        t_next = t + exp_increment(u, 1.0)
-        if t_next > cfg.horizon:
-            break
-        times.append(t_next)
-        draws.append(source.raw_draws)
-        t = t_next
-    return (np.asarray(times, dtype=np.float64),
-            np.asarray(draws, dtype=np.int64),
-            source.raw_draws)
-
-
-def _simulate_per_clock(cfg: ParallelConfig, source_factory) -> Trajectory:
+def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
     parts_t, parts_m, parts_d = [], [], []
     total = 0
     for clock in range(cfg.n_clocks):
-        if source_factory is None:
-            t, d, consumed = _clock_events_block(cfg, clock)
-        else:
-            t, d, consumed = _clock_events_scalar(cfg, source_factory(clock))
+        t, d, consumed = _clock_events_block(cfg, clock)
         parts_t.append(t)
         parts_m.append(np.full(t.size, clock, dtype=np.int64))
         parts_d.append(d)
@@ -408,36 +301,47 @@ def _simulate_per_clock(cfg: ParallelConfig, source_factory) -> Trajectory:
     return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=cfg.n_clocks, total_draws=total)
 
 
-def _simulate_per_worker(cfg: ParallelConfig, source_factory) -> Trajectory:
+def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
+    """Each worker's live clocks take one tick each per round, ascending id.
+
+    While the set of live clocks stays the same, a worker's draws form a
+    (rounds x live clocks) matrix: each column, summed from that clock's
+    current time, gives its tick times.  An epoch is cut at the first round
+    in which some clock passes the horizon (every live clock still draws in
+    that round); the next epoch repeats with the clocks still alive.
+    """
     parts_t = [[] for _ in range(cfg.n_clocks)]
     parts_d = [[] for _ in range(cfg.n_clocks)]
+    mapping = np.asarray(cfg.mapping)
     total = 0
     for w in range(cfg.workers):
-        clocks = [i for i in range(cfg.n_clocks) if cfg.mapping[i] == w]
-        if not clocks:
-            continue
-        if source_factory is None:
-            source = build_pipeline(cfg.seed, worker_stream(w), cfg.fault,
-                                    cfg.transform, cfg.fix_window)
-        else:
-            source = source_factory(w)
-        clock_time = {i: 0.0 for i in clocks}
-        alive = list(clocks)  # already ascending
-        while alive:
-            for i in tuple(alive):  # one tick per live clock, ascending id
-                u = source.next()
-                t_next = clock_time[i] + exp_increment(u, 1.0)
-                if t_next > cfg.horizon:
-                    alive.remove(i)
-                    continue
-                clock_time[i] = t_next
-                parts_t[i].append(t_next)
-                parts_d[i].append(source.raw_draws)
-        total += source.raw_draws
+        clocks = np.flatnonzero(mapping == w)
+        gs = substream(cfg.seed, worker_stream(w))
+        now = np.zeros(clocks.size)
+        while clocks.size:
+            k = clocks.size
+            rounds = min(int(cfg.horizon - now.max()) + 8, max(1, _MAX_EPOCH_SAMPLES // k))
+            samples, at_draw, _, _ = pipeline_block(
+                cfg.fault, cfg.transform, cfg.fix_window, gs, rounds * k
+            )
+            gaps = -np.log(samples).reshape(rounds, k)
+            times = np.cumsum(np.vstack([now, gaps]), axis=0)[1:]
+            passed = (times > cfg.horizon).any(axis=1)
+            cut = int(passed.argmax()) + 1 if passed.any() else rounds
+            times, draws = times[:cut], at_draw[: cut * k].reshape(cut, k)
+            alive = times[-1] <= cfg.horizon
+            kept = cut - 1 + alive  # ticks per clock in this epoch
+            for j, clock in enumerate(clocks):
+                parts_t[clock].append(times[: kept[j], j])
+                parts_d[clock].append(draws[: kept[j], j])
+            gs = gs.advanced(int(draws[-1, -1]) - gs.draw_count)
+            clocks, now = clocks[alive], times[-1, alive]
+        total += gs.draw_count
+    times = [np.concatenate(t) for t in parts_t]  # every clock saw at least one epoch
     return _merge_arrays(
-        [np.asarray(t, dtype=np.float64) for t in parts_t],
-        [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(parts_t)],
-        [np.asarray(d, dtype=np.int64) for d in parts_d],
+        times,
+        [np.full(t.size, i, dtype=np.int64) for i, t in enumerate(times)],
+        [np.concatenate(d) for d in parts_d],
         n_clocks=cfg.n_clocks,
         total_draws=total,
     )
@@ -469,30 +373,6 @@ def _merge_arrays(
         total_draws=total_draws,
         n_clocks=n_clocks,
     )
-
-
-def merge(
-    parts: Sequence[Sequence[Event]],
-    *,
-    n_clocks: Optional[int] = None,
-    total_draws: Optional[int] = None,
-) -> Trajectory:
-    """Time-sorted merge of per-clock event lists, ties broken by ascending mark.
-
-    Each part must be individually time-sorted (violations raise
-    RuntimeError: they indicate a simulator bug, not bad user input).  When
-    ``total_draws`` is omitted it is estimated as the sum of each part's
-    final draw index, which undercounts the draws behind suppressed events —
-    the simulators always pass the exact figure.
-    """
-    parts_t = [np.asarray([e.time for e in p], dtype=np.float64) for p in parts]
-    parts_m = [np.asarray([e.mark for e in p], dtype=np.int64) for p in parts]
-    parts_d = [np.asarray([e.draw_index for e in p], dtype=np.int64) for p in parts]
-    if n_clocks is None:
-        n_clocks = max((int(m.max()) + 1 for m in parts_m if m.size), default=1)
-    if total_draws is None:
-        total_draws = sum(int(d[-1]) for d in parts_d if d.size)
-    return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=n_clocks, total_draws=total_draws)
 
 
 # --------------------------------------------------------------------------

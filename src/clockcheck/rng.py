@@ -3,9 +3,10 @@
 The generator is a 64-bit Weyl-sequence scrambler: the state advances by a
 fixed odd increment and each output word is produced by a xor/multiply
 cascade over the advanced state.  Because the state after ``k`` draws is
-``state0 + k * GOLDEN (mod 2**64)``, any prefix of a stream can be
-regenerated from its starting state alone, which is what makes the block
-(vectorised) generation path below bit-identical to the scalar path.
+``state0 + k * GOLDEN (mod 2**64)``, any stretch of a stream can be
+generated from its starting state alone: ``unit_block`` makes it in one
+vectorised call, bit-identical to repeated ``next_unit`` draws, and a block
+consumer can stop anywhere and resume from the advanced state.
 
 Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed:
 
@@ -33,7 +34,7 @@ Three sample defects ("fault models") can be wired in front of a consumer:
 
 ``draw_count`` on :class:`GeneratorState` counts *raw* draws, including
 candidates a fault model rejected, so consumers can account for every word
-pulled off a stream.
+pulled off a stream; :func:`fault_block` reports the rejections as well.
 """
 
 from __future__ import annotations
@@ -59,13 +60,12 @@ __all__ = [
     "next_unit",
     "unit_block",
     "raw_block",
-    "draw_with_fault",
     "fault_block",
+    "fault_rejections",
     "derived_seeds",
     "clock_stream",
     "worker_stream",
     "fault_label",
-    "SourceStream",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -82,6 +82,8 @@ _SNAP_ABOVE_HALF = 0.5 + 2.0**-53
 _SNAP_BELOW_ONE = 1.0 - 2.0**-53
 # Positive floor for extreme PowerBias underflow (smallest subnormal).
 _TINY = 5e-324
+# Raw draws per LowThinning pass in fault_block.
+_CHUNK = 8192
 
 _U64 = np.uint64
 _V_GOLDEN = _U64(GOLDEN)
@@ -182,7 +184,7 @@ def raw_block(gs: GeneratorState, n: int) -> np.ndarray:
 def unit_block(gs: GeneratorState, n: int) -> tuple[np.ndarray, GeneratorState]:
     """Vectorised :func:`next_unit`: ``n`` samples plus the advanced state.
 
-    Bit-identical to ``n`` sequential scalar draws from the same state.
+    Bit-identical to ``n`` sequential :func:`next_unit` draws from the same state.
     """
     w = raw_block(gs, n) >> _SH11
     u = (w.astype(np.float64) + 0.5) * _SCALE
@@ -247,55 +249,15 @@ def fault_label(model: FaultModel) -> str:
     return f"low_thinning(c={model.c:g}, q={model.q:g})"
 
 
-def _power_scalar(x: float, inv_gamma: float) -> float:
-    # np.power (the array kernel) rather than math.pow: the scalar and block
-    # paths must agree bitwise, and the two libraries differ in the last ulp.
-    y = float(np.power(np.float64(x), np.float64(inv_gamma)))
-    if y >= 1.0:
-        return _SNAP_BELOW_ONE
-    if y <= 0.0:
-        return _TINY
-    return y
-
-
-def _draw_with_fault_counted(
-    model: FaultModel, gs: GeneratorState
-) -> tuple[float, GeneratorState, int]:
-    """Like :func:`draw_with_fault` but also reports rejected candidates."""
-    if isinstance(model, Ideal):
-        u, gs = next_unit(gs)
-        return u, gs, 0
-    if isinstance(model, PowerBias):
-        x, gs = next_unit(gs)
-        return _power_scalar(x, 1.0 / model.gamma), gs, 0
-    if isinstance(model, LowThinning):
-        rejected = 0
-        while True:
-            x, gs = next_unit(gs)
-            if x >= model.c:
-                return x, gs, rejected
-            r, gs = next_unit(gs)
-            if r >= model.q:
-                return x, gs, rejected
-            rejected += 1
-    raise TypeError(f"unknown fault model: {model!r}")
-
-
-def draw_with_fault(model: FaultModel, gs: GeneratorState) -> tuple[float, GeneratorState]:
-    """One sample through ``model``; ``draw_count`` advances by every raw draw taken."""
-    u, gs, _ = _draw_with_fault_counted(model, gs)
-    return u, gs
-
-
 def fault_block(
     model: FaultModel, gs: GeneratorState, n: int
-) -> tuple[np.ndarray, np.ndarray, GeneratorState]:
-    """``n`` samples through ``model`` plus per-sample raw-draw accounting.
+) -> tuple[np.ndarray, np.ndarray, GeneratorState, int]:
+    """``n`` samples through ``model`` plus raw-draw and rejection accounting.
 
-    Returns ``(samples, at_draw, new_state)`` where ``at_draw[i]`` is the
-    stream's absolute ``draw_count`` immediately after sample ``i`` was
-    produced.  Bit-identical to ``n`` sequential :func:`draw_with_fault`
-    calls from the same state.
+    Returns ``(samples, at_draw, new_state, rejected)`` where ``at_draw[i]``
+    is the stream's absolute ``draw_count`` immediately after sample ``i``
+    was produced and ``rejected`` counts the candidates the model threw away
+    on the way to sample ``n``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -306,65 +268,47 @@ def fault_block(
             u[u >= 1.0] = _SNAP_BELOW_ONE
             u[u <= 0.0] = _TINY
         at_draw = gs.draw_count + np.arange(1, n + 1, dtype=np.int64)
-        return u, at_draw, new
+        return u, at_draw, new, 0
     if not isinstance(model, LowThinning):
         raise TypeError(f"unknown fault model: {model!r}")
 
-    # Thinning consumes a data-dependent number of raw draws; walk buffered
-    # blocks so the values come off the same vectorised kernel.
+    # A raw draw is a candidate unless it is the auxiliary draw of a
+    # candidate below c.  So a draw right after one at or above c is always a
+    # candidate, and inside a run of draws below c the candidates alternate
+    # from the start of the run.  Chunks end on a candidate boundary, so each
+    # one starts on a candidate, and the temporaries stay chunk-sized.
     c, q = model.c, model.q
+    start = gs.draw_count
     out = np.empty(n, dtype=np.float64)
     at_draw = np.empty(n, dtype=np.int64)
-    consumed = 0
-    buf = np.empty(0, dtype=np.float64)
-    pos = 0
+    pos = np.arange(_CHUNK)
     filled = 0
-    keep_rate = max(1.0 - c * q, 1e-3)
     while filled < n:
-        if pos >= buf.size - 1:  # keep one slot of lookahead for the auxiliary draw
-            remaining = buf.size - pos
-            want = max(4096, int(2.2 * (n - filled) / keep_rate) + 8)
-            fresh, _ = unit_block(gs.advanced(consumed + remaining), want)
-            buf = np.concatenate([buf[pos:], fresh]) if remaining else fresh
-            pos = 0
-        x = float(buf[pos])
-        pos += 1
-        consumed += 1
-        if x < c:
-            r = float(buf[pos])
-            pos += 1
-            consumed += 1
-            if r < q:
-                continue
-        out[filled] = x
-        at_draw[filled] = gs.draw_count + consumed
-        filled += 1
-    return out, at_draw, gs.advanced(consumed)
+        u, _ = unit_block(gs, _CHUNK)
+        below = u < c
+        # run_start[p]: where the run of draws below c through p starts
+        # (p + 1 when draw p is not below c)
+        run_start = np.maximum.accumulate(np.where(below, 0, pos + 1))
+        candidate = ((pos - np.concatenate(([0], run_start[:-1]))) & 1) == 0
+        usable = _CHUNK - int(candidate[-1] and below[-1])  # keep a pending aux draw
+        kept = candidate & ~below
+        kept[:-1] |= candidate[:-1] & below[:-1] & (u[1:] >= q)
+        taken = np.flatnonzero(kept[:usable])[: n - filled]
+        ends = taken + 1 + below[taken]  # draws used through each kept sample
+        out[filled:filled + taken.size] = u[taken]
+        at_draw[filled:filled + taken.size] = gs.draw_count + ends
+        filled += taken.size
+        gs = gs.advanced(int(ends[-1]) if filled == n else usable)
+    return out, at_draw, gs, fault_rejections(at_draw, start)
 
 
-class SourceStream:
-    """Mutable draw cursor: one ``(seed, stream_id)`` substream behind a fault model.
+def fault_rejections(at_draw: np.ndarray, start: int) -> int:
+    """Candidates rejected on the way to samples whose draw counts are ``at_draw``.
 
-    Tracks raw draws and fault-level rejections so downstream consumers can
-    report discard rates.
+    A delivered sample takes one raw draw, or two when an auxiliary draw
+    decided it, and each rejection burns a candidate plus its auxiliary
+    draw: so every gap between consecutive draw counts (the first measured
+    from ``start``) is 1 or 2 plus twice the rejections in between.
     """
-
-    __slots__ = ("model", "_gs", "fault_discards")
-
-    def __init__(self, seed: int, stream_id: int, model: FaultModel = IDEAL):
-        self.model = model
-        self._gs = substream(seed, stream_id)
-        self.fault_discards = 0
-
-    def next(self) -> float:
-        u, self._gs, rejected = _draw_with_fault_counted(self.model, self._gs)
-        self.fault_discards += rejected
-        return u
-
-    @property
-    def raw_draws(self) -> int:
-        return self._gs.draw_count
-
-    @property
-    def window_discards(self) -> int:
-        return 0
+    gaps = np.diff(at_draw, prepend=start)
+    return int(((gaps - 1) >> 1).sum())

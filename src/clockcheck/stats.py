@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaincc, stdtr
+from scipy.special import bdtrc, gammaincc, stdtr
 
 __all__ = [
     "SampleSummary",
@@ -236,14 +236,13 @@ def binomial_upper_band(n: int, p: float, tail: float = 1e-6) -> int:
     """Smallest B with P(Binomial(n, p) > B) < tail.
 
     Used to turn "false-alarm rate ~= p over n independent seeds" into a
-    hard ceiling on flag counts: e.g. B = 8 at (n=100, p=0.01).
+    hard ceiling on flag counts: e.g. B = 8 at (n=100, p=0.01).  The tail
+    comes from the regularized incomplete beta function, so any n works.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pmf = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
-    for band in range(n + 1):
-        if sum(pmf[band + 1:]) < tail:
-            return band
-    return n
+    survival = bdtrc(np.arange(n + 1), n, p)  # P(Binomial(n, p) > B) for each B
+    below = np.flatnonzero(survival < tail)
+    return int(below[0]) if below.size else n

@@ -19,17 +19,21 @@ extremes — reflecting a value just below 2**-53 even rounds to 1.0 — so
 outputs are snapped back inside (0, 1) \\ {1/2}, and the exact identities
 are promised on the grid only.
 
-``rejection_rescale`` is the repair step: keep only samples falling in a
-window ``(a, b)`` and stretch the window affinely back onto (0, 1).  For a
+``RescaleWindow`` describes the repair step: keep only samples falling in
+a window ``(a, b)`` and stretch the window affinely back onto (0, 1).  For a
 uniform source the output is again uniform; for a source whose defect lives
 outside the window, the defect is cut away at the price of discarding a
-``1 - (b - a)`` fraction of ideal input.
+``1 - (b - a)`` fraction of ideal input.  The draw pipeline in
+``clockcheck.process`` applies it.
+
+Each primitive is callable on a single float; ``transform_block`` is the
+vectorised form the pipeline runs, bit-identical per element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -38,12 +42,9 @@ __all__ = [
     "RotateHalf",
     "Compose",
     "Transform",
-    "apply_transform",
     "transform_block",
     "transform_label",
     "RescaleWindow",
-    "rejection_rescale",
-    "RescaledStream",
 ]
 
 _EPS = 2.0**-53
@@ -101,17 +102,12 @@ class Compose:
 Transform = Union[Reflect, RotateHalf, Compose]
 
 
-def apply_transform(transform: Transform, x: float) -> float:
-    """Functional alias: ``transform(x)``."""
-    return transform(x)
-
-
 def transform_block(transform: Transform, xs: np.ndarray) -> np.ndarray:
-    """Vectorised application, bit-identical to the scalar path per element.
+    """Vectorised application, bit-identical to ``transform(x)`` per element.
 
     Both primitives are pure float arithmetic (no transcendentals), so the
-    scalar map over each element is already reproducible; this exists so the
-    block pipelines stay in numpy end to end.
+    per-element map is already reproducible; this exists so the draw
+    pipeline stays in numpy end to end.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size and not ((xs > 0.0).all() and (xs < 1.0).all()):
@@ -161,52 +157,3 @@ class RescaleWindow:
     @property
     def width(self) -> float:
         return self.b - self.a
-
-
-_MAX_CONSECUTIVE_REJECTS = 1_000_000
-
-
-def rejection_rescale(
-    window: RescaleWindow, draw: Callable[[], float]
-) -> tuple[float, int]:
-    """Draw until a sample lands strictly inside ``window``; rescale onto (0, 1).
-
-    Returns ``(y, discards)`` where ``discards`` counts the samples thrown
-    away by the window (draws outside ``(a, b)`` or exactly on an endpoint).
-    The accepted sample maps to ``(x - a) / (b - a)``.
-
-    A window the upstream pipeline can never land in (e.g. one aimed at the
-    raw fault range after a transform moved the mass elsewhere) would loop
-    forever; after a million consecutive rejections this raises instead.
-    Windows with acceptance odds worse than about 1e-4 are not supported.
-    """
-    discards = 0
-    while True:
-        x = draw()
-        if window.a < x < window.b:
-            y = (x - window.a) / window.width
-            if y >= 1.0:  # rounding of the affine map; keep strictly inside
-                y = _TOP
-            elif y <= 0.0:
-                y = 5e-324
-            return y, discards
-        discards += 1
-        if discards >= _MAX_CONSECUTIVE_REJECTS:
-            raise RuntimeError(
-                f"window ({window.a}, {window.b}) rejected {discards} consecutive "
-                "draws; the upstream pipeline never lands inside it"
-            )
-
-
-@dataclass
-class RescaledStream:
-    """Wrap a draw source with :func:`rejection_rescale`, accumulating discards."""
-
-    window: RescaleWindow
-    draw: Callable[[], float]
-    window_discards: int = field(default=0)
-
-    def next(self) -> float:
-        y, discarded = rejection_rescale(self.window, self.draw)
-        self.window_discards += discarded
-        return y

@@ -19,13 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clockcheck.cli import main
+from clockcheck import cli, detector, process, stats
 from clockcheck.detector import (
     CONSISTENT,
     fitted_exponential_check,
-    fix_evaluation,
-    serial_parallel_compare,
-    transform_ab_test,
 )
 from clockcheck.process import (
     MAPPING_KINDS,
@@ -33,11 +30,9 @@ from clockcheck.process import (
     SerialConfig,
     Trajectory,
     make_mapping,
-    simulate_parallel,
-    simulate_serial,
 )
 from clockcheck.rng import IDEAL, LowThinning, PowerBias, derived_seeds
-from clockcheck.stats import chi_square_uniform, clock_drift, ks_one_sample, summarize, uniform_cdf, welch_t
+from clockcheck.stats import uniform_cdf
 from clockcheck.transforms import Reflect, RescaleWindow
 
 _PB2 = PowerBias(2.0)
@@ -63,7 +58,7 @@ def test_criterion_01_bit_identical_under_remapping():
                 workers=workers,
                 mapping=make_mapping(kind, 64, workers, seed=_SEEDS_100[0]),
             )
-            traj = simulate_parallel(cfg)
+            traj = process.simulate_parallel(cfg)
             runs += 1
             if base is None:
                 base = traj
@@ -84,13 +79,13 @@ def test_criterion_02_type_one_calibration():
     flags = {}
     ab_flags = 0
     for seed in _SEEDS_100:
-        serial = simulate_serial(SerialConfig(16, 100.0, seed))
-        parallel = simulate_parallel(ParallelConfig(16, 100.0, seed))
-        verdict = serial_parallel_compare(serial, parallel, alpha=0.01)
+        serial = process.simulate_serial(SerialConfig(16, 100.0, seed))
+        parallel = process.simulate_parallel(ParallelConfig(16, 100.0, seed))
+        verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01)
         for e in verdict.evidence:
             if e.p_value is not None and e.p_value < 0.01:
                 flags[e.test] = flags.get(e.test, 0) + 1
-        ab = transform_ab_test(IDEAL, Reflect(), 100_000, alpha=0.01, seed=seed)
+        ab = detector.transform_ab_test(IDEAL, Reflect(), 100_000, alpha=0.01, seed=seed)
         ab_flags += ab.diverged
     elapsed = time.perf_counter() - start
     worst = max(flags.values(), default=0)
@@ -108,10 +103,10 @@ def test_criterion_03_detection_power():
     start = time.perf_counter()
     detected = 0
     for seed in _SEEDS_100:
-        serial = simulate_serial(SerialConfig(16, 3200.0, seed, _PB2))
-        parallel = simulate_parallel(ParallelConfig(16, 3200.0, seed, _PB2))
+        serial = process.simulate_serial(SerialConfig(16, 3200.0, seed, _PB2))
+        parallel = process.simulate_parallel(ParallelConfig(16, 3200.0, seed, _PB2))
         assert len(serial) >= 100_000 and len(parallel) >= 100_000
-        verdict = serial_parallel_compare(serial, parallel, alpha=0.01)
+        verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01)
         p_values = [e.p_value for e in verdict.evidence if e.p_value is not None]
         if verdict.diverged and min(p_values) < 1e-3:
             detected += 1
@@ -126,7 +121,7 @@ def test_criterion_04_slow_clock_law():
     k = 100_000
     passes = 0
     for seed in _SEEDS_100:
-        traj = simulate_serial(SerialConfig(1, 51_000.0, seed, _PB2))
+        traj = process.simulate_serial(SerialConfig(1, 51_000.0, seed, _PB2))
         if len(traj) < k:
             continue
 
@@ -140,8 +135,8 @@ def test_criterion_04_slow_clock_law():
             )
 
         mean_inc = float(traj.times[k - 1]) / k
-        lag_full = clock_drift(head(k), 1.0).lag
-        lag_half = clock_drift(head(k // 2), 1.0).lag
+        lag_full = stats.clock_drift(head(k), 1.0).lag
+        lag_half = stats.clock_drift(head(k // 2), 1.0).lag
         if abs(mean_inc - 0.5) <= 0.005 and lag_full > lag_half:
             passes += 1
     assert passes >= 99, f"passed {passes}/100"
@@ -151,11 +146,11 @@ def test_criterion_04_slow_clock_law():
 def test_criterion_05_ab_oracle_means():
     """A/B means: biased 0.5/1.5 within 2%; ideal 1.0 within 2%, consistent."""
     biased = _evidence(
-        transform_ab_test(_PB2, Reflect(), 100_000, alpha=0.01, seed=_SEEDS_100[0])
+        detector.transform_ab_test(_PB2, Reflect(), 100_000, alpha=0.01, seed=_SEEDS_100[0])
     )
     assert biased["raw_mean"].statistic == pytest.approx(0.5, rel=0.02)
     assert biased["transformed_mean"].statistic == pytest.approx(1.5, rel=0.02)
-    ideal = transform_ab_test(IDEAL, Reflect(), 100_000, alpha=0.01, seed=_SEEDS_100[0])
+    ideal = detector.transform_ab_test(IDEAL, Reflect(), 100_000, alpha=0.01, seed=_SEEDS_100[0])
     rows = _evidence(ideal)
     assert rows["raw_mean"].statistic == pytest.approx(1.0, rel=0.02)
     assert rows["transformed_mean"].statistic == pytest.approx(1.0, rel=0.02)
@@ -170,7 +165,7 @@ def test_criterion_05_ab_oracle_means():
 def test_criterion_06_exact_fix():
     """low_thinning(0.5,1) + window (0.5,1): broken before, uniform after."""
     n = 10_000
-    report = fix_evaluation(
+    report = detector.fix_evaluation(
         LowThinning(0.5, 1.0), RescaleWindow(0.5, 1.0), n, alpha=0.01,
         seed=_SEEDS_100[0],
     )
@@ -191,7 +186,7 @@ def test_criterion_06_exact_fix():
 def test_criterion_07_serial_mark_skew():
     """power_bias(2), N=4: mark law {1,3,5,7}/16 at 3 SE; parallel marks clean."""
     n = 100_000
-    serial = simulate_serial(SerialConfig(4, 13_000.0, _SEEDS_100[0], _PB2))
+    serial = process.simulate_serial(SerialConfig(4, 13_000.0, _SEEDS_100[0], _PB2))
     assert len(serial) >= n
     marks = serial.marks[:n]
     counts = np.bincount(marks, minlength=4)
@@ -199,8 +194,8 @@ def test_criterion_07_serial_mark_skew():
         p = (2 * k + 1) / 16.0
         se = math.sqrt(n * p * (1.0 - p))
         assert abs(counts[k] - n * p) <= 3.0 * se, (k, counts[k], n * p)
-    parallel = simulate_parallel(ParallelConfig(4, 13_000.0, _SEEDS_100[0], _PB2))
-    chi = chi_square_uniform(parallel.per_clock_ticks)
+    parallel = process.simulate_parallel(ParallelConfig(4, 13_000.0, _SEEDS_100[0], _PB2))
+    chi = stats.chi_square_uniform(parallel.per_clock_ticks)
     assert chi.p_value > 0.01
     freqs = ", ".join(f"{c / n:.4f}" for c in counts)
     print(f"criterion 7: PASS — serial mark freqs [{freqs}], parallel chi2 p={chi.p_value:.3f}")
@@ -210,7 +205,7 @@ def test_criterion_08_serial_blind_spot():
     """power_bias(2) serial alone passes its own fitted-exponential KS >=90/100."""
     passes = 0
     for seed in _SEEDS_100:
-        traj = simulate_serial(SerialConfig(16, 100.0, seed, _PB2))
+        traj = process.simulate_serial(SerialConfig(16, 100.0, seed, _PB2))
         verdict = fitted_exponential_check(traj, alpha=0.01)
         passes += verdict.outcome == CONSISTENT
     assert passes >= 90, f"passed {passes}/100"
@@ -219,20 +214,20 @@ def test_criterion_08_serial_blind_spot():
 
 def test_criterion_09_stats_unit_oracles():
     """Hand-worked exact values for the three statistics kernels."""
-    res = ks_one_sample([0.1, 0.2, 0.3], uniform_cdf)
+    res = stats.ks_one_sample([0.1, 0.2, 0.3], uniform_cdf)
     assert res.statistic == pytest.approx(0.7, abs=1e-15)
-    chi = chi_square_uniform([25, 25, 25, 25])
+    chi = stats.chi_square_uniform([25, 25, 25, 25])
     assert chi.statistic == 0.0 and chi.p_value == 1.0
-    s = summarize([1.0, 2.0, 3.0])
-    assert welch_t(s, s) == 1.0
+    s = stats.summarize([1.0, 2.0, 3.0])
+    assert stats.welch_t(s, s) == 1.0
     print("criterion 9: PASS — KS D=0.7, chi2=0 balanced, Welch p=1 identical")
 
 
 def test_criterion_10_cli_contract(tmp_path, capsys):
     """Byte-identical report.json per config; exit codes 0/1/2/3 exercised."""
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["detect", "--config", str(_CONFIGS / "breach_demo.ini"), "--out", str(a)]) == 3
-    assert main(["detect", "--config", str(_CONFIGS / "breach_demo.ini"), "--out", str(b)]) == 3
+    assert cli.main(["detect", "--config", str(_CONFIGS / "breach_demo.ini"), "--out", str(a)]) == 3
+    assert cli.main(["detect", "--config", str(_CONFIGS / "breach_demo.ini"), "--out", str(b)]) == 3
 
     def stripped(path: Path) -> str:
         return re.sub(r'^\s*"generated_at": "[^"]*",?\n', "",
@@ -250,7 +245,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     seen = set()
     for name, (command, expected) in codes.items():
         out = tmp_path / name.replace(".ini", "")
-        code = main([command, "--config", str(_CONFIGS / name), "--out", str(out)])
+        code = cli.main([command, "--config", str(_CONFIGS / name), "--out", str(out)])
         assert code == expected, f"{name}: expected {expected}, got {code}"
         seen.add(code)
     capsys.readouterr()

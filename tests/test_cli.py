@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from clockcheck.cli import main
+from clockcheck import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _run(*args):
-    return main([str(a) for a in args])
+    return cli.main([str(a) for a in args])
 
 
 def _strip_generated(text: str) -> str:

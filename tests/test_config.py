@@ -2,7 +2,8 @@
 
 import pytest
 
-from clockcheck.config import ConfigError, load_config
+from clockcheck import config
+from clockcheck.config import ConfigError
 from clockcheck.process import StreamMode
 from clockcheck.rng import Ideal, LowThinning, PowerBias, derived_seeds
 from clockcheck.transforms import Compose, Reflect, RotateHalf
@@ -15,7 +16,7 @@ def _write(tmp_path, text, name="exp.ini"):
 
 
 def test_empty_config_gets_full_defaults(tmp_path):
-    plan, out = load_config(_write(tmp_path, ""))
+    plan, out = config.load_config(_write(tmp_path, ""))
     assert plan.seeds == derived_seeds(20)
     assert plan.n_clocks == 16
     assert plan.horizon == 250.0
@@ -64,7 +65,7 @@ formats = json
 [debug]
 corrupt_per_clock_run = true
 """
-    plan, out = load_config(_write(tmp_path, text))
+    plan, out = config.load_config(_write(tmp_path, text))
     assert plan.seeds == derived_seeds(3)
     assert plan.n_clocks == 8
     assert plan.horizon == 125.5
@@ -83,57 +84,57 @@ corrupt_per_clock_run = true
 
 
 def test_explicit_seed_list(tmp_path):
-    plan, _ = load_config(_write(tmp_path, "[experiment]\nseed = 5 6, 7\n"))
+    plan, _ = config.load_config(_write(tmp_path, "[experiment]\nseed = 5 6, 7\n"))
     assert plan.seeds == (5, 6, 7)
 
 
 def test_seed_and_seed_count_conflict(tmp_path):
     with pytest.raises(ConfigError, match="mutually exclusive"):
-        load_config(_write(tmp_path, "[experiment]\nseed = 1\nseed_count = 2\n"))
+        config.load_config(_write(tmp_path, "[experiment]\nseed = 1\nseed_count = 2\n"))
 
 
 def test_seed_override_wins(tmp_path):
     path = _write(tmp_path, "[experiment]\nseed = 5 6 7\n")
-    plan, _ = load_config(path, seed_override=42)
+    plan, _ = config.load_config(path, seed_override=42)
     assert plan.seeds == (42,)
 
 
 def test_seed_override_validated(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(ConfigError, match="64 bits"):
-        load_config(path, seed_override=-1)
+        config.load_config(path, seed_override=-1)
     with pytest.raises(ConfigError, match="64 bits"):
-        load_config(path, seed_override=1 << 64)
+        config.load_config(path, seed_override=1 << 64)
 
 
 def test_unknown_section_is_named(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown section \[faults\]"):
-        load_config(_write(tmp_path, "[faults]\nkind = ideal\n"))
+        config.load_config(_write(tmp_path, "[faults]\nkind = ideal\n"))
 
 
 def test_unknown_key_is_named(tmp_path):
     with pytest.raises(ConfigError, match="'horizons'"):
-        load_config(_write(tmp_path, "[experiment]\nhorizons = 10\n"))
+        config.load_config(_write(tmp_path, "[experiment]\nhorizons = 10\n"))
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(tmp_path / "nope.ini")
+        config.load_config(tmp_path / "nope.ini")
 
 
 def test_malformed_file(tmp_path):
     with pytest.raises(ConfigError, match="malformed"):
-        load_config(_write(tmp_path, "n_clocks = 4\n"))  # key before any section
+        config.load_config(_write(tmp_path, "n_clocks = 4\n"))  # key before any section
 
 
 def test_alpha_out_of_range_carries_name(tmp_path):
     with pytest.raises(ConfigError, match="alpha"):
-        load_config(_write(tmp_path, "[experiment]\nalpha = 1.5\n"))
+        config.load_config(_write(tmp_path, "[experiment]\nalpha = 1.5\n"))
 
 
 def test_non_numeric_value_is_typed_error(tmp_path):
     with pytest.raises(ConfigError, match=r"\[experiment\] n_clocks"):
-        load_config(_write(tmp_path, "[experiment]\nn_clocks = many\n"))
+        config.load_config(_write(tmp_path, "[experiment]\nn_clocks = many\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -142,33 +143,33 @@ def test_non_numeric_value_is_typed_error(tmp_path):
 
 
 def test_fault_kinds(tmp_path):
-    plan, _ = load_config(_write(tmp_path, "[fault]\nkind = ideal\n"))
+    plan, _ = config.load_config(_write(tmp_path, "[fault]\nkind = ideal\n"))
     assert isinstance(plan.fault, Ideal)
-    plan, _ = load_config(_write(tmp_path, "[fault]\nkind = power_bias\ngamma = 2\n"))
+    plan, _ = config.load_config(_write(tmp_path, "[fault]\nkind = power_bias\ngamma = 2\n"))
     assert plan.fault == PowerBias(2.0)
 
 
 def test_fault_unknown_kind(tmp_path):
     with pytest.raises(ConfigError, match="unknown kind 'melt'"):
-        load_config(_write(tmp_path, "[fault]\nkind = melt\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = melt\n"))
 
 
 def test_fault_key_consistency(tmp_path):
     with pytest.raises(ConfigError, match="not valid for kind=ideal"):
-        load_config(_write(tmp_path, "[fault]\nkind = ideal\ngamma = 2\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = ideal\ngamma = 2\n"))
     with pytest.raises(ConfigError, match="gamma: required"):
-        load_config(_write(tmp_path, "[fault]\nkind = power_bias\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = power_bias\n"))
     with pytest.raises(ConfigError, match="not valid for kind=power_bias"):
-        load_config(_write(tmp_path, "[fault]\nkind = power_bias\ngamma = 2\nc = 0.5\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = power_bias\ngamma = 2\nc = 0.5\n"))
     with pytest.raises(ConfigError, match="required for kind=low_thinning"):
-        load_config(_write(tmp_path, "[fault]\nkind = low_thinning\nc = 0.5\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = low_thinning\nc = 0.5\n"))
 
 
 def test_fault_bad_parameter_value(tmp_path):
     with pytest.raises(ConfigError, match=r"\[fault\] gamma"):
-        load_config(_write(tmp_path, "[fault]\nkind = power_bias\ngamma = 0\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = power_bias\ngamma = 0\n"))
     with pytest.raises(ConfigError, match=r"\[fault\] c/q"):
-        load_config(_write(tmp_path, "[fault]\nkind = low_thinning\nc = 2\nq = 0.5\n"))
+        config.load_config(_write(tmp_path, "[fault]\nkind = low_thinning\nc = 2\nq = 0.5\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +178,23 @@ def test_fault_bad_parameter_value(tmp_path):
 
 
 def test_single_transform_name(tmp_path):
-    plan, _ = load_config(_write(tmp_path, "[transform]\nnames = rotate_half\n"))
+    plan, _ = config.load_config(_write(tmp_path, "[transform]\nnames = rotate_half\n"))
     assert plan.transform == RotateHalf()
 
 
 def test_transform_unknown_name(tmp_path):
     with pytest.raises(ConfigError, match="unknown transform 'mirror'"):
-        load_config(_write(tmp_path, "[transform]\nnames = mirror\n"))
+        config.load_config(_write(tmp_path, "[transform]\nnames = mirror\n"))
 
 
 def test_fix_requires_both_endpoints(tmp_path):
     with pytest.raises(ConfigError, match="both a and b"):
-        load_config(_write(tmp_path, "[fix]\na = 0.25\n"))
+        config.load_config(_write(tmp_path, "[fix]\na = 0.25\n"))
 
 
 def test_fix_invalid_window(tmp_path):
     with pytest.raises(ConfigError, match=r"\[fix\] a/b"):
-        load_config(_write(tmp_path, "[fix]\na = 0.75\nb = 0.25\n"))
+        config.load_config(_write(tmp_path, "[fix]\na = 0.75\nb = 0.25\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +204,20 @@ def test_fix_invalid_window(tmp_path):
 
 def test_parallel_validation(tmp_path):
     with pytest.raises(ConfigError, match=r"workers: must be >= 1"):
-        load_config(_write(tmp_path, "[parallel]\nworkers = 0\n"))
+        config.load_config(_write(tmp_path, "[parallel]\nworkers = 0\n"))
     with pytest.raises(ConfigError, match="unknown mapping name 'striped'"):
-        load_config(_write(tmp_path, "[parallel]\nmappings = striped\n"))
+        config.load_config(_write(tmp_path, "[parallel]\nmappings = striped\n"))
     with pytest.raises(ConfigError, match="unknown mode 'per_thread'"):
-        load_config(_write(tmp_path, "[parallel]\nstream_modes = per_thread\n"))
+        config.load_config(_write(tmp_path, "[parallel]\nstream_modes = per_thread\n"))
 
 
 def test_output_format_validation(tmp_path):
     with pytest.raises(ConfigError, match="unknown format 'xml'"):
-        load_config(_write(tmp_path, "[output]\nformats = xml\n"))
+        config.load_config(_write(tmp_path, "[output]\nformats = xml\n"))
 
 
 def test_debug_boolean_parsing(tmp_path):
-    plan, _ = load_config(_write(tmp_path, "[debug]\ncorrupt_per_clock_run = no\n"))
+    plan, _ = config.load_config(_write(tmp_path, "[debug]\ncorrupt_per_clock_run = no\n"))
     assert plan.debug_corrupt_per_clock is False
     with pytest.raises(ConfigError, match="corrupt_per_clock_run"):
-        load_config(_write(tmp_path, "[debug]\ncorrupt_per_clock_run = maybe\n"))
+        config.load_config(_write(tmp_path, "[debug]\ncorrupt_per_clock_run = maybe\n"))

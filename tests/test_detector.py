@@ -12,6 +12,8 @@ draw density (density of u = x**(1/gamma) is gamma*u**(gamma-1)):
 import numpy as np
 import pytest
 
+import oracle
+from clockcheck import detector, process
 from clockcheck.detector import (
     CONSISTENT,
     DIVERGENCE,
@@ -19,20 +21,13 @@ from clockcheck.detector import (
     ExperimentPlan,
     Verdict,
     _corrupted,
-    cross_parallel_compare,
     fitted_exponential_check,
-    fix_evaluation,
-    run_experiment,
-    serial_parallel_compare,
-    transform_ab_test,
 )
 from clockcheck.process import (
     ParallelConfig,
     SerialConfig,
     StreamMode,
     make_mapping,
-    simulate_parallel,
-    simulate_serial,
 )
 from clockcheck.rng import IDEAL, LowThinning, PowerBias
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
@@ -51,7 +46,7 @@ def _by_name(verdict: Verdict) -> dict:
 
 
 def test_ab_ideal_reflect_is_consistent():
-    verdict = transform_ab_test(IDEAL, Reflect(), 20_000, alpha=0.01, seed=0)
+    verdict = detector.transform_ab_test(IDEAL, Reflect(), 20_000, alpha=0.01, seed=0)
     assert verdict.outcome == CONSISTENT
     rows = _by_name(verdict)
     assert rows["raw_mean"].statistic == pytest.approx(1.0, abs=0.05)
@@ -60,7 +55,7 @@ def test_ab_ideal_reflect_is_consistent():
 
 
 def test_ab_power_bias_reflect_diverges_with_predicted_means():
-    verdict = transform_ab_test(_PB2, Reflect(), 20_000, alpha=0.01, seed=0)
+    verdict = detector.transform_ab_test(_PB2, Reflect(), 20_000, alpha=0.01, seed=0)
     assert verdict.diverged
     rows = _by_name(verdict)
     assert rows["raw_mean"].statistic == pytest.approx(0.5, abs=0.05)
@@ -71,7 +66,7 @@ def test_ab_power_bias_reflect_diverges_with_predicted_means():
 
 def test_ab_composed_transform_hits_quadrature_target():
     combo = Compose([RotateHalf(), Reflect()])
-    verdict = transform_ab_test(_PB2, combo, 20_000, alpha=0.01, seed=3)
+    verdict = detector.transform_ab_test(_PB2, combo, 20_000, alpha=0.01, seed=3)
     rows = _by_name(verdict)
     assert rows["transformed_mean"].statistic == pytest.approx(
         _COMPOSED_TARGET, abs=0.02
@@ -81,7 +76,7 @@ def test_ab_composed_transform_hits_quadrature_target():
 
 def test_ab_requires_enough_samples():
     with pytest.raises(ValueError):
-        transform_ab_test(IDEAL, Reflect(), 999, alpha=0.01, seed=0)
+        detector.transform_ab_test(IDEAL, Reflect(), 999, alpha=0.01, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +85,13 @@ def test_ab_requires_enough_samples():
 
 
 def _pair(fault, seed=0, n_clocks=8, horizon=250.0):
-    serial = simulate_serial(SerialConfig(n_clocks, horizon, seed, fault))
-    parallel = simulate_parallel(ParallelConfig(n_clocks, horizon, seed, fault))
+    serial = process.simulate_serial(SerialConfig(n_clocks, horizon, seed, fault))
+    parallel = process.simulate_parallel(ParallelConfig(n_clocks, horizon, seed, fault))
     return serial, parallel
 
 
 def test_serial_parallel_ideal_is_consistent():
-    verdict = serial_parallel_compare(*_pair(IDEAL), alpha=0.01)
+    verdict = detector.serial_parallel_compare(*_pair(IDEAL), alpha=0.01)
     assert verdict.outcome == CONSISTENT
     names = set(_by_name(verdict))
     assert names == {
@@ -111,7 +106,7 @@ def test_serial_parallel_power_bias_flags_marks_not_gaps():
     # power_bias(2) turns every clock into a rate-2 Poisson clock, so the
     # merged gaps still look exponential on both sides; what betrays it is
     # the serial mark draw, which is biased toward high clock indices.
-    verdict = serial_parallel_compare(*_pair(_PB2), alpha=0.01)
+    verdict = detector.serial_parallel_compare(*_pair(_PB2), alpha=0.01)
     assert verdict.diverged
     rows = _by_name(verdict)
     assert rows["serial_marks_chi2"].p_value < 1e-3
@@ -122,12 +117,12 @@ def test_serial_parallel_power_bias_flags_marks_not_gaps():
 def test_serial_parallel_rejects_thin_trajectories():
     serial, parallel = _pair(IDEAL, horizon=20.0)
     with pytest.raises(ValueError, match="events per side"):
-        serial_parallel_compare(serial, parallel, alpha=0.01)
+        detector.serial_parallel_compare(serial, parallel, alpha=0.01)
 
 
 def test_self_comparison_is_clean():
     serial, _ = _pair(IDEAL)
-    verdict = serial_parallel_compare(serial, serial, alpha=0.01)
+    verdict = detector.serial_parallel_compare(serial, serial, alpha=0.01)
     assert verdict.outcome == CONSISTENT
     rows = _by_name(verdict)
     assert rows["inter_event_ks"].statistic == 0.0
@@ -148,7 +143,7 @@ def _cell(workers, mapping, mode, seed=0, n_clocks=8, horizon=250.0):
         mapping=make_mapping(mapping, n_clocks, workers, seed),
         stream_mode=mode,
     )
-    return cfg, simulate_parallel(cfg)
+    return cfg, process.simulate_parallel(cfg)
 
 
 def test_cross_parallel_per_clock_runs_are_bit_identical():
@@ -157,7 +152,7 @@ def test_cross_parallel_per_clock_runs_are_bit_identical():
         _cell(2, "round_robin", StreamMode.PER_CLOCK),
         _cell(4, "shuffle", StreamMode.PER_CLOCK),
     ]
-    verdict = cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
     assert verdict.outcome == CONSISTENT
     assert not verdict.determinism_breach
     rows = _by_name(verdict)
@@ -172,7 +167,7 @@ def test_cross_parallel_reports_breach_on_corruption():
     ]
     cfg, traj = runs[1]
     runs[1] = (cfg, _corrupted(traj))
-    verdict = cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
     assert verdict.determinism_breach
     assert verdict.diverged
     assert _by_name(verdict)["per_clock_bit_equality_1_vs_0"].statistic == 0.0
@@ -183,7 +178,7 @@ def test_cross_parallel_per_worker_uses_statistics():
         _cell(2, "blocks", StreamMode.PER_WORKER),
         _cell(2, "round_robin", StreamMode.PER_WORKER),
     ]
-    verdict = cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
     assert verdict.outcome == CONSISTENT
     names = set(_by_name(verdict))
     assert "per_worker_0_vs_1_inter_event_ks" in names
@@ -193,13 +188,13 @@ def test_cross_parallel_per_worker_uses_statistics():
 
 def test_cross_parallel_validates_basis_and_arity():
     with pytest.raises(ValueError, match="at least 2"):
-        cross_parallel_compare([_cell(1, "blocks", StreamMode.PER_CLOCK)], alpha=0.01)
+        detector.cross_parallel_compare([_cell(1, "blocks", StreamMode.PER_CLOCK)], alpha=0.01)
     mixed = [
         _cell(1, "blocks", StreamMode.PER_CLOCK, seed=0),
         _cell(1, "blocks", StreamMode.PER_CLOCK, seed=1),
     ]
     with pytest.raises(ValueError, match="share"):
-        cross_parallel_compare(mixed, alpha=0.01)
+        detector.cross_parallel_compare(mixed, alpha=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +240,7 @@ def test_fitted_exponential_needs_events():
 
 
 def test_fix_repairs_full_thinning():
-    report = fix_evaluation(
+    report = detector.fix_evaluation(
         LowThinning(0.5, 1.0), RescaleWindow(0.5, 1.0), 10_000, alpha=0.01, seed=0
     )
     assert report.before.diverged
@@ -258,7 +253,7 @@ def test_fix_repairs_full_thinning():
 
 
 def test_fix_window_on_ideal_source_only_costs_draws():
-    report = fix_evaluation(
+    report = detector.fix_evaluation(
         IDEAL, RescaleWindow(0.25, 0.75), 10_000, alpha=0.01, seed=1
     )
     assert report.before.outcome == CONSISTENT
@@ -266,11 +261,26 @@ def test_fix_window_on_ideal_source_only_costs_draws():
     assert report.discard_rate == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("fault,window", [
+    (LowThinning(0.5, 0.5), RescaleWindow(0.5, 1.0)),
+    (LowThinning(0.3, 1.0), RescaleWindow(0.1, 0.8)),
+    (IDEAL, RescaleWindow(0.25, 0.75)),
+    (PowerBias(2.0), RescaleWindow(0.2, 0.9)),
+])
+def test_fix_evaluation_matches_oracle(fault, window):
+    # Verdicts, p-values and the discard rate all compare exactly.
+    fast = detector.fix_evaluation(fault, window, 10_000, alpha=0.01, seed=123)
+    slow = oracle.fix_evaluation(fault, window, 10_000, alpha=0.01, seed=123)
+    assert fast.before == slow.before
+    assert fast.after == slow.after
+    assert fast.discard_rate == slow.discard_rate
+
+
 def test_fix_requires_window_and_samples():
     with pytest.raises(ValueError):
-        fix_evaluation(IDEAL, None, 10_000, alpha=0.01, seed=0)
+        detector.fix_evaluation(IDEAL, None, 10_000, alpha=0.01, seed=0)
     with pytest.raises(ValueError):
-        fix_evaluation(IDEAL, RescaleWindow(0.25, 0.75), 9_999, alpha=0.01, seed=0)
+        detector.fix_evaluation(IDEAL, RescaleWindow(0.25, 0.75), 9_999, alpha=0.01, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +323,13 @@ def _small_plan(**overrides):
 
 def test_run_experiment_is_deterministic():
     plan = _small_plan()
-    a = run_experiment(plan)
-    b = run_experiment(plan)
+    a = detector.run_experiment(plan)
+    b = detector.run_experiment(plan)
     assert a.as_dict() == b.as_dict()
 
 
 def test_run_experiment_shape_and_labels():
-    report = run_experiment(_small_plan())
+    report = detector.run_experiment(_small_plan())
     assert len(report.seed_reports) == 2
     sr = report.seed_reports[0]
     assert [r.label for r in sr.runs] == [
@@ -346,7 +356,7 @@ def test_run_experiment_transform_and_fix_sections():
         transform=Compose([Reflect(), RotateHalf()]),
         fix_window=RescaleWindow(0.5, 1.0),
     )
-    report = run_experiment(plan)
+    report = detector.run_experiment(plan)
     sr = report.seed_reports[0]
     assert sr.pairings[-1].label == "ab_(reflect then rotate_half)"
     assert sr.fix is not None
@@ -355,14 +365,14 @@ def test_run_experiment_transform_and_fix_sections():
 
 
 def test_run_experiment_flags_power_bias_every_seed():
-    report = run_experiment(_small_plan(fault=_PB2, seeds=(0, 1, 2)))
+    report = detector.run_experiment(_small_plan(fault=_PB2, seeds=(0, 1, 2)))
     key = "serial_vs_P1-blocks-per_clock:serial_marks_chi2"
     assert report.flag_counts.get(key) == 3
     assert report.any_divergence
 
 
 def test_run_experiment_debug_corruption_breaches():
-    report = run_experiment(_small_plan(debug_corrupt_per_clock=True))
+    report = detector.run_experiment(_small_plan(debug_corrupt_per_clock=True))
     assert report.any_breach
     assert report.as_dict()["any_determinism_breach"] is True
 

@@ -1,11 +1,17 @@
 """Event-generation tests: serial merged clock, parallel clocks, merging,
-clock-to-worker mappings, and the scalar/block agreement seams."""
+clock-to-worker mappings, and block-versus-oracle agreement.
+
+The hand-checkable constant-stream cases run on the one-draw-at-a-time
+simulators in ``oracle``, which accept a fed source; the block simulators
+must then match the oracle bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracle
+from clockcheck import process
 from clockcheck.process import (
     MAPPING_KINDS,
     Event,
@@ -14,29 +20,18 @@ from clockcheck.process import (
     StreamMode,
     Trajectory,
     block_mapping,
-    build_pipeline,
-    exp_increment,
     make_mapping,
-    merge,
     round_robin_mapping,
     shuffle_mapping,
-    simulate_parallel,
-    simulate_serial,
 )
-from clockcheck.rng import (
-    IDEAL,
-    LowThinning,
-    PowerBias,
-    clock_stream,
-    worker_stream,
-)
+from clockcheck.rng import IDEAL, LowThinning, PowerBias, substream, worker_stream
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
 
 _INV_E = math.exp(-1.0)
 
 
 class _FeedSource:
-    """Scalar source that replays a fixed list (cycling), counting draws."""
+    """Draw source that replays a fixed list (cycling), counting draws."""
 
     def __init__(self, values):
         self._values = list(values)
@@ -56,20 +51,20 @@ class _FeedSource:
 
 
 def test_exp_increment_unit_example():
-    assert exp_increment(_INV_E, 1.0) == 1.0
+    assert oracle.exp_increment(_INV_E, 1.0) == 1.0
 
 
 def test_exp_increment_halving_by_rate():
-    assert exp_increment(0.5, 2.0) == float(-np.log(np.float64(0.5)) / np.float64(2.0))
+    assert oracle.exp_increment(0.5, 2.0) == float(-np.log(np.float64(0.5)) / np.float64(2.0))
 
 
 def test_exp_increment_domain_errors():
     for bad_u in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            exp_increment(bad_u, 1.0)
+            oracle.exp_increment(bad_u, 1.0)
     for bad_rate in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            exp_increment(0.5, bad_rate)
+            oracle.exp_increment(0.5, bad_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +76,7 @@ def test_serial_constant_stream_single_clock():
     # Every increment is exactly 1; the event at t=4 overruns the horizon
     # and is suppressed after its time draw, hence 2K+1 draws for K events.
     cfg = SerialConfig(n_clocks=1, horizon=3.5, seed=0)
-    traj = simulate_serial(cfg, source=_FeedSource([_INV_E]))
+    traj = oracle.simulate_serial(cfg, source=_FeedSource([_INV_E]))
     assert traj.times.tolist() == [1.0, 2.0, 3.0]
     assert traj.marks.tolist() == [0, 0, 0]
     assert traj.draw_indices.tolist() == [2, 4, 6]
@@ -92,7 +87,7 @@ def test_serial_constant_stream_single_clock():
 
 def test_serial_constant_stream_marks_scale_with_clock_count():
     cfg = SerialConfig(n_clocks=4, horizon=0.6, seed=0)
-    traj = simulate_serial(cfg, source=_FeedSource([_INV_E, 0.9]))
+    traj = oracle.simulate_serial(cfg, source=_FeedSource([_INV_E, 0.9]))
     # rate N=4 quarters every gap; mark = min(floor(0.9 * 4), 3) = 3
     assert traj.times.tolist() == [0.25, 0.5]
     assert traj.marks.tolist() == [3, 3]
@@ -101,7 +96,7 @@ def test_serial_constant_stream_marks_scale_with_clock_count():
 
 def test_parallel_constant_stream_interleaves_clocks():
     cfg = ParallelConfig(n_clocks=2, horizon=2.5, seed=0)
-    traj = simulate_parallel(cfg, source_factory=lambda clock: _FeedSource([_INV_E]))
+    traj = oracle.simulate_parallel(cfg, source_factory=lambda clock: _FeedSource([_INV_E]))
     assert traj.times.tolist() == [1.0, 1.0, 2.0, 2.0]
     assert traj.marks.tolist() == [0, 1, 0, 1]  # ties break by ascending mark
     assert traj.total_draws == 6  # each clock: 2 events + 1 suppressed draw
@@ -121,7 +116,7 @@ def test_per_worker_round_robin_hand_check():
         feeds.append(_FeedSource([_INV_E]))
         return feeds[-1]
 
-    traj = simulate_parallel(cfg, source_factory=factory)
+    traj = oracle.simulate_parallel(cfg, source_factory=factory)
     assert len(feeds) == 1  # single worker hosts both clocks
     assert traj.times.tolist() == [1.0, 1.0]
     assert traj.marks.tolist() == [0, 1]
@@ -137,7 +132,7 @@ def test_per_worker_unequal_feeds_follow_rotation_order():
     )
     feed = _FeedSource([math.exp(-0.3), math.exp(-0.7)])
 
-    traj = simulate_parallel(cfg, source_factory=lambda worker: feed)
+    traj = oracle.simulate_parallel(cfg, source_factory=lambda worker: feed)
     # draws: c0 +0.3 -> 0.3, c1 +0.7 -> 0.7, c0 -> 0.6, c1 -> 1.4 (out),
     # c0 -> 0.9, c0 -> 1.2 (out); merged order interleaves c1 at 0.7
     assert traj.marks.tolist() == [0, 0, 1, 0]
@@ -147,7 +142,7 @@ def test_per_worker_unequal_feeds_follow_rotation_order():
 
 
 # ---------------------------------------------------------------------------
-# scalar/block agreement through the seams
+# block paths against the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -159,18 +154,20 @@ _PIPELINES = [
 ]
 
 
+def _assert_same(fast, slow):
+    assert np.array_equal(fast.times, slow.times)
+    assert np.array_equal(fast.marks, slow.marks)
+    assert np.array_equal(fast.draw_indices, slow.draw_indices)
+    assert fast.total_draws == slow.total_draws
+
+
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_serial_block_path_equals_scalar_path(fault, transform, window):
     cfg = SerialConfig(
         n_clocks=6, horizon=40.0, seed=1234, fault=fault, transform=transform,
         fix_window=window,
     )
-    fast = simulate_serial(cfg)
-    slow = simulate_serial(cfg, source=build_pipeline(cfg.seed, 0, fault, transform, window))
-    assert np.array_equal(fast.times, slow.times)
-    assert np.array_equal(fast.marks, slow.marks)
-    assert np.array_equal(fast.draw_indices, slow.draw_indices)
-    assert fast.total_draws == slow.total_draws
+    _assert_same(process.simulate_serial(cfg), oracle.simulate_serial(cfg))
 
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
@@ -179,17 +176,48 @@ def test_parallel_block_path_equals_scalar_path(fault, transform, window):
         n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
         fix_window=window,
     )
-    fast = simulate_parallel(cfg)
-    slow = simulate_parallel(
-        cfg,
-        source_factory=lambda clock: build_pipeline(
-            cfg.seed, clock_stream(clock), fault, transform, window
-        ),
+    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+
+
+@pytest.mark.parametrize("kind", MAPPING_KINDS)
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("fault,transform,window", _PIPELINES)
+def test_per_worker_block_path_equals_scalar_path(fault, transform, window, workers, kind):
+    # 10 clocks on 8 workers leaves some workers empty and others with two.
+    cfg = ParallelConfig(
+        n_clocks=10, horizon=30.0, seed=4242, fault=fault, transform=transform,
+        fix_window=window, workers=workers,
+        mapping=make_mapping(kind, 10, workers, seed=4242),
+        stream_mode=StreamMode.PER_WORKER,
     )
-    assert np.array_equal(fast.times, slow.times)
-    assert np.array_equal(fast.marks, slow.marks)
-    assert np.array_equal(fast.draw_indices, slow.draw_indices)
-    assert fast.total_draws == slow.total_draws
+    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+
+
+def test_per_worker_epochs_cap_their_draws(monkeypatch):
+    # One round per epoch: every epoch ends early and the next one resumes.
+    monkeypatch.setattr(process, "_MAX_EPOCH_SAMPLES", 1)
+    cfg = ParallelConfig(
+        n_clocks=5, horizon=20.0, seed=3, fault=LowThinning(0.5, 0.5), workers=2,
+        stream_mode=StreamMode.PER_WORKER,
+    )
+    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+
+
+@pytest.mark.parametrize("fault,transform,window", _PIPELINES)
+def test_pipeline_block_reports_oracle_discards(fault, transform, window):
+    n = 3000
+    samples, at_draw, fault_rejections, window_rejections = process.pipeline_block(
+        fault, transform, window, substream(5, 0), n
+    )
+    pipe = oracle.PipelineSource(5, 0, fault, transform, window)
+    expected, counts = [], []
+    for _ in range(n):
+        expected.append(pipe.next())
+        counts.append(pipe.raw_draws)
+    assert samples.tolist() == expected
+    assert at_draw.tolist() == counts
+    assert fault_rejections == pipe.fault_discards
+    assert window_rejections == pipe.window_discards
 
 
 def test_starved_window_raises_instead_of_spinning():
@@ -204,7 +232,15 @@ def test_starved_window_raises_instead_of_spinning():
         fix_window=RescaleWindow(0.5, 1.0),
     )
     with pytest.raises(RuntimeError, match="never lands inside"):
-        simulate_serial(cfg)
+        process.simulate_serial(cfg)
+
+
+def test_narrow_window_raises_instead_of_allocating():
+    # A window 1e-5 wide accepts about 5 of the 524288 draws at which the
+    # guard looks; doubling on would need ~1e10 draws for 16 samples.
+    window = RescaleWindow(0.5, 0.5 + 1e-5)
+    with pytest.raises(RuntimeError, match="odds below 0.0001"):
+        process.pipeline_block(IDEAL, None, window, substream(1, 0), 16)
 
 
 def test_per_worker_default_equals_explicit_factory():
@@ -212,13 +248,11 @@ def test_per_worker_default_equals_explicit_factory():
         n_clocks=5, horizon=30.0, seed=9, workers=2,
         stream_mode=StreamMode.PER_WORKER,
     )
-    fast = simulate_parallel(cfg)
-    slow = simulate_parallel(
-        cfg, source_factory=lambda w: build_pipeline(cfg.seed, worker_stream(w))
+    fast = process.simulate_parallel(cfg)
+    slow = oracle.simulate_parallel(
+        cfg, source_factory=lambda w: oracle.PipelineSource(cfg.seed, worker_stream(w))
     )
-    assert np.array_equal(fast.times, slow.times)
-    assert np.array_equal(fast.marks, slow.marks)
-    assert fast.total_draws == slow.total_draws
+    _assert_same(fast, slow)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +271,7 @@ def test_per_clock_result_ignores_worker_count_and_mapping():
                 workers=workers,
                 mapping=make_mapping(kind, 12, workers, seed=31),
             )
-            traj = simulate_parallel(cfg)
+            traj = process.simulate_parallel(cfg)
             if base is None:
                 base = traj
             else:
@@ -259,7 +293,7 @@ def test_per_worker_labels_move_with_mapping_but_law_holds():
         )
         for kind in ("blocks", "round_robin")
     ]
-    a, b = (simulate_parallel(c) for c in cfgs)
+    a, b = (process.simulate_parallel(c) for c in cfgs)
     assert not np.array_equal(a.marks, b.marks)
     mean, sd = 800.0, math.sqrt(800.0)
     for traj in (a, b):
@@ -268,8 +302,8 @@ def test_per_worker_labels_move_with_mapping_but_law_holds():
 
 def test_event_volume_matches_poisson_band():
     # N*T = 1600 expected events, checked at 4 sigma on both paths.
-    serial = simulate_serial(SerialConfig(n_clocks=16, horizon=100.0, seed=11))
-    parallel = simulate_parallel(ParallelConfig(n_clocks=16, horizon=100.0, seed=11))
+    serial = process.simulate_serial(SerialConfig(n_clocks=16, horizon=100.0, seed=11))
+    parallel = process.simulate_parallel(ParallelConfig(n_clocks=16, horizon=100.0, seed=11))
     mean, sd = 1600.0, math.sqrt(1600.0)
     assert abs(len(serial) - mean) < 4.0 * sd
     assert abs(len(parallel) - mean) < 4.0 * sd
@@ -286,19 +320,19 @@ def test_event_volume_matches_poisson_band():
 
 
 def test_merge_orders_by_time():
-    traj = merge([[Event(1.0, 0, 1)], [Event(2.0, 1, 1)]])
+    traj = oracle.merge([[Event(1.0, 0, 1)], [Event(2.0, 1, 1)]])
     assert traj.times.tolist() == [1.0, 2.0]
     assert traj.marks.tolist() == [0, 1]
     assert traj.n_clocks == 2
 
 
 def test_merge_breaks_ties_by_mark():
-    traj = merge([[Event(1.0, 1, 1)], [Event(1.0, 0, 1)]])
+    traj = oracle.merge([[Event(1.0, 1, 1)], [Event(1.0, 0, 1)]])
     assert traj.marks.tolist() == [0, 1]
 
 
 def test_merge_of_empty_parts():
-    traj = merge([[], []])
+    traj = oracle.merge([[], []])
     assert len(traj) == 0
     assert traj.final_time == 0.0
     assert traj.inter_event_times().size == 0
@@ -306,11 +340,11 @@ def test_merge_of_empty_parts():
 
 def test_merge_rejects_unsorted_part():
     with pytest.raises(RuntimeError):
-        merge([[Event(2.0, 0, 1), Event(1.0, 0, 2)]])
+        oracle.merge([[Event(2.0, 0, 1), Event(1.0, 0, 2)]])
 
 
 def test_merge_respects_explicit_totals():
-    traj = merge([[Event(0.5, 0, 3)]], n_clocks=4, total_draws=11)
+    traj = oracle.merge([[Event(0.5, 0, 3)]], n_clocks=4, total_draws=11)
     assert traj.n_clocks == 4
     assert traj.total_draws == 11
     assert traj.per_clock_ticks.tolist() == [1, 0, 0, 0]
@@ -333,7 +367,7 @@ def test_trajectory_rejects_unsorted_times():
 
 
 def test_trajectory_event_iteration_round_trips():
-    traj = simulate_serial(SerialConfig(n_clocks=3, horizon=5.0, seed=2))
+    traj = process.simulate_serial(SerialConfig(n_clocks=3, horizon=5.0, seed=2))
     events = list(traj.events())
     assert [e.time for e in events] == traj.times.tolist()
     assert [e.mark for e in events] == traj.marks.tolist()

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from clockcheck.detector import ExperimentPlan, run_experiment
+from clockcheck import detector, report
+from clockcheck.detector import ExperimentPlan
 from clockcheck.process import StreamMode
 from clockcheck.report import (
     EVENTS_HEADER,
@@ -15,7 +16,6 @@ from clockcheck.report import (
     report_json_text,
     sanitize,
     summary_rows,
-    write_report_bundle,
 )
 from clockcheck.rng import LowThinning
 from clockcheck.transforms import RescaleWindow
@@ -35,7 +35,7 @@ def small_report():
         ab_samples=2000,
         fix_samples=10_000,
     )
-    return run_experiment(plan)
+    return detector.run_experiment(plan)
 
 
 def test_sanitize_coerces_numpy_and_nonfinite():
@@ -79,12 +79,12 @@ def test_summary_rows_cover_pairings_and_fix(small_report):
 
 
 def test_write_report_bundle_respects_formats(tmp_path, small_report):
-    written = write_report_bundle(small_report, tmp_path / "j", formats=("json",))
+    written = report.write_report_bundle(small_report, tmp_path / "j", formats=("json",))
     assert (tmp_path / "j" / "report.json").is_file()
     assert not (tmp_path / "j" / "summary.csv").exists()
     assert written["events"] == []
 
-    written = write_report_bundle(small_report, tmp_path / "c", formats=("csv",))
+    written = report.write_report_bundle(small_report, tmp_path / "c", formats=("csv",))
     assert not (tmp_path / "c" / "report.json").exists()
     with open(tmp_path / "c" / "summary.csv", newline="") as fh:
         reader = csv.reader(fh)

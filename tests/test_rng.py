@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from clockcheck import rng, stats
 from clockcheck.rng import (
     GOLDEN,
     IDEAL,
@@ -22,23 +24,17 @@ from clockcheck.rng import (
     Ideal,
     LowThinning,
     PowerBias,
-    SourceStream,
-    _draw_with_fault_counted,
-    _power_scalar,
     _unit_from_word,
     clock_stream,
     derived_seeds,
-    draw_with_fault,
-    fault_block,
     fault_label,
     mix64,
     next_unit,
     raw_block,
     substream,
-    unit_block,
     worker_stream,
 )
-from clockcheck.stats import ks_one_sample, uniform_cdf
+from clockcheck.stats import uniform_cdf
 
 # Independently computed: outputs of the recurrence stepped from state 0.
 _FROZEN_SEQUENCE = (
@@ -176,7 +172,7 @@ def test_unit_mapping_is_interior_and_never_half(word):
 
 def test_unit_block_matches_scalar_path():
     gs0 = GeneratorState(substream(9, 3).state)
-    block, gs_b = unit_block(gs0, 257)
+    block, gs_b = rng.unit_block(gs0, 257)
     gs_s = gs0
     scalars = []
     for _ in range(257):
@@ -187,7 +183,7 @@ def test_unit_block_matches_scalar_path():
 
 
 def test_seed_42_sample_mean_is_centered():
-    block, _ = unit_block(substream(42, 0), 1_000_000)
+    block, _ = rng.unit_block(substream(42, 0), 1_000_000)
     assert abs(float(block.mean()) - 0.5) < 2e-3
 
 
@@ -196,8 +192,8 @@ def test_ideal_uniformity_across_preregistered_seeds():
     # independent seeds; allow binomial slack down to 90.
     passes = 0
     for seed in derived_seeds(100):
-        block, _ = unit_block(substream(seed, 0), 20_000)
-        res = ks_one_sample(block, uniform_cdf)
+        block, _ = rng.unit_block(substream(seed, 0), 20_000)
+        res = stats.ks_one_sample(block, uniform_cdf)
         passes += res.p_value > 0.05
     assert passes >= 90
 
@@ -231,23 +227,22 @@ def test_fault_labels():
 
 
 def test_power_bias_exact_quarter_root():
-    assert _power_scalar(0.0625, 0.25) == 0.5
+    assert oracle.power_scalar(0.0625, 0.25) == 0.5
 
 
 def test_power_bias_gamma_one_is_identity_on_draws():
     gs = substream(7, 0)
-    ideal, _ = unit_block(gs, 4096)
-    biased, at_draw, _ = fault_block(PowerBias(1.0), gs, 4096)
+    ideal, _ = rng.unit_block(gs, 4096)
+    biased, at_draw, _, _ = rng.fault_block(PowerBias(1.0), gs, 4096)
     assert np.array_equal(ideal, biased)
     assert at_draw.tolist() == list(range(1, 4097))
 
 
 def test_power_bias_never_rejects():
-    gs = substream(11, 2)
-    for _ in range(50):
-        u, gs, rejected = _draw_with_fault_counted(PowerBias(3.0), gs)
-        assert not rejected
-        assert 0.0 < u < 1.0
+    samples, at_draw, gs, rejected = rng.fault_block(PowerBias(3.0), substream(11, 2), 50)
+    assert rejected == 0
+    assert at_draw.tolist() == list(range(1, 51))
+    assert ((samples > 0.0) & (samples < 1.0)).all()
 
 
 @given(
@@ -259,14 +254,14 @@ def test_power_bias_is_monotone_and_interior(j, k):
     # same rounded power, so the float-level claim is non-strict.
     lo, hi = sorted((j * 2.0**-53, k * 2.0**-53))
     inv_gamma = 0.5
-    a, b = _power_scalar(lo, inv_gamma), _power_scalar(hi, inv_gamma)
+    a, b = oracle.power_scalar(lo, inv_gamma), oracle.power_scalar(hi, inv_gamma)
     assert 0.0 < a < 1.0 and 0.0 < b < 1.0
     assert a <= b
 
 
 def test_power_bias_two_stretches_exponential_mean():
     # -log(U ** 0.5) has mean 0.5 instead of 1.
-    samples, _, _ = fault_block(PowerBias(2.0), substream(5, 0), 100_000)
+    samples, _, _, _ = rng.fault_block(PowerBias(2.0), substream(5, 0), 100_000)
     mean = float(np.mean(-np.log(samples)))
     assert abs(mean - 0.5) < 0.01
 
@@ -274,16 +269,16 @@ def test_power_bias_two_stretches_exponential_mean():
 def test_low_thinning_zero_probability_keeps_uniform_law():
     # q = 0 never rejects, so the accepted stream stays uniform even though
     # the auxiliary draw below the cutoff consumes extra raw words.
-    samples, at_draw, _ = fault_block(LowThinning(0.5, 0.0), substream(3, 0), 50_000)
-    assert ks_one_sample(samples, uniform_cdf).p_value > 0.01
+    samples, at_draw, _, _ = rng.fault_block(LowThinning(0.5, 0.0), substream(3, 0), 50_000)
+    assert stats.ks_one_sample(samples, uniform_cdf).p_value > 0.01
     assert int(at_draw[-1]) > 50_000  # auxiliary draws were consumed
 
 
 def test_low_thinning_full_rejection_matches_truncated_uniform():
     fault = LowThinning(0.5, 1.0)
-    samples, _, _ = fault_block(fault, substream(13, 0), 100_000)
+    samples, _, _, _ = rng.fault_block(fault, substream(13, 0), 100_000)
     assert float(samples.min()) >= 0.5
-    res = ks_one_sample(samples, lambda x: np.clip((x - 0.5) / 0.5, 0.0, 1.0))
+    res = stats.ks_one_sample(samples, lambda x: np.clip((x - 0.5) / 0.5, 0.0, 1.0))
     assert res.statistic < 0.01
 
 
@@ -296,21 +291,41 @@ def test_low_thinning_partial_matches_piecewise_cdf():
         hi = (x - c * q) / (1.0 - c * q)
         return np.clip(np.where(x < c, lo, hi), 0.0, 1.0)
 
-    samples, _, _ = fault_block(LowThinning(c, q), substream(17, 0), 100_000)
-    assert ks_one_sample(samples, cdf).p_value > 0.001
+    samples, _, _, _ = rng.fault_block(LowThinning(c, q), substream(17, 0), 100_000)
+    assert stats.ks_one_sample(samples, cdf).p_value > 0.001
 
 
 def test_low_thinning_counts_raw_and_rejected_draws():
     # With c=0.5, q=1 each rejection burns a candidate plus its auxiliary
     # draw, so raw usage is about 3 words per accepted sample.
-    stream = SourceStream(seed=21, stream_id=0, model=LowThinning(0.5, 1.0))
     n = 20_000
-    for _ in range(n):
-        u = stream.next()
-        assert u >= 0.5
-    per_accept = stream.raw_draws / n
+    samples, at_draw, gs, rejected = rng.fault_block(
+        LowThinning(0.5, 1.0), substream(21, 0), n
+    )
+    assert (samples >= 0.5).all()
+    assert gs.draw_count == at_draw[-1]
+    per_accept = gs.draw_count / n
     assert abs(per_accept - 3.0) < 0.1
-    assert abs(stream.fault_discards / n - 1.0) < 0.05
+    assert abs(rejected / n - 1.0) < 0.05
+
+
+def _oracle_walk(model, gs, n):
+    values, counts, rejected = [], [], 0
+    for _ in range(n):
+        u, gs, r = oracle.draw_with_fault(model, gs)
+        values.append(u)
+        counts.append(gs.draw_count)
+        rejected += r
+    return values, counts, gs, rejected
+
+
+def _assert_matches_oracle(model, gs0, n):
+    block, at_draw, gs_b, rejected = rng.fault_block(model, gs0, n)
+    values, counts, gs_s, rejected_s = _oracle_walk(model, gs0, n)
+    assert block.tolist() == values, fault_label(model)
+    assert at_draw.tolist() == counts, fault_label(model)
+    assert gs_b == gs_s, fault_label(model)
+    assert rejected == rejected_s, fault_label(model)
 
 
 def test_fault_block_matches_scalar_walk():
@@ -322,18 +337,29 @@ def test_fault_block_matches_scalar_walk():
         LowThinning(0.7, 1.0),
     ]
     for model in models:
-        gs0 = substream(31, 4)
-        block, at_draw, gs_b = fault_block(model, gs0, 400)
-        gs_s = gs0
-        scalars = []
-        counts = []
-        for _ in range(400):
-            u, gs_s = draw_with_fault(model, gs_s)
-            scalars.append(u)
-            counts.append(gs_s.draw_count)
-        assert block.tolist() == scalars, fault_label(model)
-        assert at_draw.tolist() == counts, fault_label(model)
-        assert gs_b == gs_s, fault_label(model)
+        _assert_matches_oracle(model, substream(31, 4), 400)
+
+
+@pytest.mark.parametrize("c,q,n", [
+    (0.5, 0.0, 20_000),   # q = 0: auxiliary draws are taken, nothing is rejected
+    (0.5, 1.0, 10_000),   # q = 1: everything below c is rejected
+    (0.99, 0.5, 5_000),   # long runs below c: candidates alternate inside them
+    (0.99, 1.0, 120),     # ~200 raw draws per sample
+    (0.3, 0.8, 0),
+])
+def test_low_thinning_block_matches_oracle_across_chunks(c, q, n):
+    # Every case spans several 8192-draw chunks, or is empty; the state
+    # starts mid-stream so absolute draw counts are checked too.
+    _assert_matches_oracle(LowThinning(c, q), substream(77, 2).advanced(5), n)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 17])
+def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
+    # Tiny chunks put a chunk boundary between almost every candidate and its
+    # auxiliary draw.
+    monkeypatch.setattr(rng, "_CHUNK", chunk)
+    for c, q in [(0.5, 0.5), (0.99, 0.5), (0.5, 1.0), (0.5, 0.0)]:
+        _assert_matches_oracle(LowThinning(c, q), substream(8, chunk), 300)
 
 
 @settings(max_examples=25, deadline=None)
@@ -344,7 +370,7 @@ def test_fault_block_matches_scalar_walk():
 )
 def test_block_and_scalar_paths_agree_for_any_stream(seed, sid, n):
     gs0 = substream(seed, sid)
-    block, gs_b = unit_block(gs0, n)
+    block, gs_b = rng.unit_block(gs0, n)
     gs_s = gs0
     for i in range(n):
         u, gs_s = next_unit(gs_s)
@@ -353,6 +379,6 @@ def test_block_and_scalar_paths_agree_for_any_stream(seed, sid, n):
 
 
 def test_source_stream_is_reproducible():
-    a = SourceStream(seed=8, stream_id=1, model=PowerBias(2.0))
-    b = SourceStream(seed=8, stream_id=1, model=PowerBias(2.0))
+    a = oracle.SourceStream(seed=8, stream_id=1, model=PowerBias(2.0))
+    b = oracle.SourceStream(seed=8, stream_id=1, model=PowerBias(2.0))
     assert [a.next() for _ in range(100)] == [b.next() for _ in range(100)]

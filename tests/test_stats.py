@@ -11,20 +11,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clockcheck.rng import LowThinning, fault_block, substream, unit_block
+from clockcheck import rng, stats
+from clockcheck.rng import LowThinning, substream
 from clockcheck.stats import (
     DriftReport,
     SampleSummary,
-    binomial_upper_band,
-    chi_square_uniform,
-    clock_drift,
     exponential_cdf,
     kolmogorov_sf,
-    ks_one_sample,
-    ks_two_sample,
-    summarize,
     uniform_cdf,
-    welch_t,
 )
 
 
@@ -34,18 +28,18 @@ from clockcheck.stats import (
 
 
 def test_summarize_constant_run():
-    s = summarize([1.0, 1.0, 1.0])
+    s = stats.summarize([1.0, 1.0, 1.0])
     assert (s.n, s.mean, s.variance) == (3, 1.0, 0.0)
 
 
 def test_summarize_two_points():
-    s = summarize([0.0, 1.0])
+    s = stats.summarize([0.0, 1.0])
     assert s.mean == 0.5
     assert s.variance == 0.5  # sample variance, n-1 in the denominator
 
 
 def test_summarize_single_point_has_no_variance():
-    s = summarize([3.5])
+    s = stats.summarize([3.5])
     assert s.n == 1
     assert s.mean == 3.5
     assert s.variance is None
@@ -53,13 +47,13 @@ def test_summarize_single_point_has_no_variance():
 
 def test_summarize_empty_is_an_error():
     with pytest.raises(ValueError):
-        summarize([])
+        stats.summarize([])
 
 
 def test_summarize_agrees_with_numpy():
-    xs, _ = unit_block(substream(1, 0), 10_000)
+    xs, _ = rng.unit_block(substream(1, 0), 10_000)
     logs = -np.log(xs)
-    s = summarize(logs)
+    s = stats.summarize(logs)
     assert s.mean == pytest.approx(float(logs.mean()), rel=1e-12)
     assert s.variance == pytest.approx(float(logs.var(ddof=1)), rel=1e-9)
     assert abs(s.mean - 1.0) < 0.02
@@ -67,8 +61,8 @@ def test_summarize_agrees_with_numpy():
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50), st.floats(-10, 10))
 def test_summarize_shift_moves_mean_only(xs, shift):
-    base = summarize(xs)
-    moved = summarize([x + shift for x in xs])
+    base = stats.summarize(xs)
+    moved = stats.summarize([x + shift for x in xs])
     assert moved.mean == pytest.approx(base.mean + shift, abs=1e-6)
     assert moved.variance == pytest.approx(base.variance, rel=1e-6, abs=1e-6)
 
@@ -99,7 +93,7 @@ def test_kolmogorov_sf_is_monotone_nonincreasing():
 
 def test_ks_one_sample_hand_worked_statistic():
     # ECDF {0.1, 0.2, 0.3} vs uniform: the largest gap is 1 - 0.3 = 0.7.
-    res = ks_one_sample([0.1, 0.2, 0.3], uniform_cdf)
+    res = stats.ks_one_sample([0.1, 0.2, 0.3], uniform_cdf)
     assert res.statistic == pytest.approx(0.7)
     assert res.p_value is None  # too few points for a trustworthy p
     assert res.n == 3
@@ -108,14 +102,14 @@ def test_ks_one_sample_hand_worked_statistic():
 def test_ks_one_sample_quantile_grid():
     n = 16
     grid = [(i - 0.5) / n for i in range(1, n + 1)]
-    res = ks_one_sample(grid, uniform_cdf)
+    res = stats.ks_one_sample(grid, uniform_cdf)
     assert res.statistic == pytest.approx(0.5 / n)
     assert res.p_value is not None and res.p_value > 0.999
 
 
 def test_ks_one_sample_statistic_matches_scipy():
-    xs, _ = unit_block(substream(6, 0), 1000)
-    res = ks_one_sample(xs, uniform_cdf)
+    xs, _ = rng.unit_block(substream(6, 0), 1000)
+    res = stats.ks_one_sample(xs, uniform_cdf)
     ref = scipy.stats.kstest(np.asarray(xs), "uniform")
     assert res.statistic == pytest.approx(float(ref.statistic), abs=1e-14)
     # p uses the effective-n refinement; at n=1000 it sits within a hair of
@@ -126,35 +120,35 @@ def test_ks_one_sample_statistic_matches_scipy():
 
 def test_ks_one_sample_rejects_broken_cdf():
     with pytest.raises(ValueError):
-        ks_one_sample([0.1, 0.4, 0.8], lambda x: 1.0 - np.asarray(x))  # decreasing
+        stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: 1.0 - np.asarray(x))  # decreasing
     with pytest.raises(ValueError):
-        ks_one_sample([0.1, 0.4, 0.8], lambda x: 2.0 * np.asarray(x))  # leaves [0,1]
+        stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: 2.0 * np.asarray(x))  # leaves [0,1]
 
 
 def test_ks_one_sample_flags_thinned_stream():
-    samples, _, _ = fault_block(LowThinning(0.5, 1.0), substream(2, 0), 10_000)
-    res = ks_one_sample(samples, uniform_cdf)
+    samples, _, _, _ = rng.fault_block(LowThinning(0.5, 1.0), substream(2, 0), 10_000)
+    res = stats.ks_one_sample(samples, uniform_cdf)
     assert res.p_value < 1e-6
 
 
 def test_ks_two_sample_extremes():
     a = np.linspace(0.1, 0.4, 20)
     b = np.linspace(0.6, 0.9, 20)
-    assert ks_two_sample(a, a).statistic == 0.0
-    res = ks_two_sample(a, b)
+    assert stats.ks_two_sample(a, a).statistic == 0.0
+    res = stats.ks_two_sample(a, b)
     assert res.statistic == 1.0
     assert res.p_value < 1e-6
 
 
 def test_ks_two_sample_needs_eight_per_side():
     with pytest.raises(ValueError):
-        ks_two_sample([0.1] * 7, [0.2] * 100)
+        stats.ks_two_sample([0.1] * 7, [0.2] * 100)
 
 
 def test_ks_two_sample_statistic_matches_scipy():
-    a, _ = unit_block(substream(8, 0), 400)
-    b, _ = unit_block(substream(8, 1), 300)
-    res = ks_two_sample(a, b)
+    a, _ = rng.unit_block(substream(8, 0), 400)
+    b, _ = rng.unit_block(substream(8, 1), 300)
+    res = stats.ks_two_sample(a, b)
     ref = scipy.stats.ks_2samp(np.asarray(a), np.asarray(b))
     assert res.statistic == pytest.approx(float(ref.statistic), abs=1e-14)
 
@@ -162,10 +156,10 @@ def test_ks_two_sample_statistic_matches_scipy():
 @given(st.integers(0, 2**31))
 @settings(max_examples=20, deadline=None)
 def test_ks_two_sample_invariant_under_monotone_maps(seed):
-    a, _ = unit_block(substream(seed, 0), 64)
-    b, _ = unit_block(substream(seed, 1), 64)
-    d_raw = ks_two_sample(a, b).statistic
-    d_log = ks_two_sample(-np.log(a), -np.log(b)).statistic
+    a, _ = rng.unit_block(substream(seed, 0), 64)
+    b, _ = rng.unit_block(substream(seed, 1), 64)
+    d_raw = stats.ks_two_sample(a, b).statistic
+    d_log = stats.ks_two_sample(-np.log(a), -np.log(b)).statistic
     assert d_raw == pytest.approx(d_log, abs=1e-15)
 
 
@@ -175,21 +169,21 @@ def test_ks_two_sample_invariant_under_monotone_maps(seed):
 
 
 def test_chi_square_uniform_flat_counts():
-    res = chi_square_uniform([25, 25, 25, 25])
+    res = stats.chi_square_uniform([25, 25, 25, 25])
     assert res.statistic == 0.0
     assert res.degrees_of_freedom == 3
     assert res.p_value == 1.0
 
 
 def test_chi_square_uniform_hand_worked():
-    res = chi_square_uniform([70, 30])
+    res = stats.chi_square_uniform([70, 30])
     assert res.statistic == pytest.approx(16.0)
     assert res.p_value == pytest.approx(float(scipy.stats.chi2.sf(16.0, 1)), abs=1e-12)
 
 
 def test_chi_square_uniform_matches_scipy_broadly():
     counts = [52, 61, 47, 55, 49, 36]
-    res = chi_square_uniform(counts)
+    res = stats.chi_square_uniform(counts)
     ref = scipy.stats.chisquare(counts)
     assert res.statistic == pytest.approx(float(ref.statistic), rel=1e-12)
     assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-10)
@@ -197,11 +191,11 @@ def test_chi_square_uniform_matches_scipy_broadly():
 
 def test_chi_square_uniform_input_validation():
     with pytest.raises(ValueError):
-        chi_square_uniform([10])  # one category
+        stats.chi_square_uniform([10])  # one category
     with pytest.raises(ValueError):
-        chi_square_uniform([10, -1])  # negative count
+        stats.chi_square_uniform([10, -1])  # negative count
     with pytest.raises(ValueError):
-        chi_square_uniform([2, 3])  # expected count below 5
+        stats.chi_square_uniform([2, 3])  # expected count below 5
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +204,37 @@ def test_chi_square_uniform_input_validation():
 
 
 def test_welch_degenerate_conventions():
-    flat = summarize([2.0, 2.0, 2.0])
-    assert welch_t(flat, flat) == 1.0
-    other = summarize([3.0, 3.0, 3.0])
-    assert welch_t(flat, other) == 0.0
+    flat = stats.summarize([2.0, 2.0, 2.0])
+    assert stats.welch_t(flat, flat) == 1.0
+    other = stats.summarize([3.0, 3.0, 3.0])
+    assert stats.welch_t(flat, other) == 0.0
 
 
 def test_welch_requires_two_points_per_side():
     with pytest.raises(ValueError):
-        welch_t(summarize([1.0]), summarize([1.0, 2.0]))
+        stats.welch_t(stats.summarize([1.0]), stats.summarize([1.0, 2.0]))
 
 
 def test_welch_matches_scipy():
-    a, _ = unit_block(substream(3, 0), 500)
-    b, _ = unit_block(substream(3, 1), 700)
+    a, _ = rng.unit_block(substream(3, 0), 500)
+    b, _ = rng.unit_block(substream(3, 1), 700)
     a, b = -np.log(a), -np.log(np.asarray(b)) * 1.02
-    p = welch_t(summarize(a), summarize(b))
+    p = stats.welch_t(stats.summarize(a), stats.summarize(b))
     ref = scipy.stats.ttest_ind(np.asarray(a), np.asarray(b), equal_var=False)
     assert p == pytest.approx(float(ref.pvalue), rel=1e-9)
 
 
 def test_welch_detects_strong_shift():
-    a, _ = unit_block(substream(4, 0), 20_000)
-    b, _ = unit_block(substream(4, 1), 20_000)
-    p = welch_t(summarize(-np.log(a)), summarize(-0.5 * np.log(b)))
+    a, _ = rng.unit_block(substream(4, 0), 20_000)
+    b, _ = rng.unit_block(substream(4, 1), 20_000)
+    p = stats.welch_t(stats.summarize(-np.log(a)), stats.summarize(-0.5 * np.log(b)))
     assert p < 1e-12
 
 
 def test_welch_is_symmetric():
-    a = summarize([0.1, 0.9, 0.4, 0.6])
-    b = summarize([0.2, 0.5, 0.8])
-    assert welch_t(a, b) == welch_t(b, a)
+    a = stats.summarize([0.1, 0.9, 0.4, 0.6])
+    b = stats.summarize([0.2, 0.5, 0.8])
+    assert stats.welch_t(a, b) == stats.welch_t(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +244,7 @@ def test_welch_is_symmetric():
 
 def test_clock_drift_on_time_trajectory():
     traj = SimpleNamespace(times=np.array([0.5, 1.0, 1.5]))
-    report = clock_drift(traj, 2.0)
+    report = stats.clock_drift(traj, 2.0)
     assert report == DriftReport(
         reported_time=1.5, expected_time=1.5, lag=0.0, ticks=3
     )
@@ -260,7 +254,7 @@ def test_clock_drift_on_time_trajectory():
 def test_clock_drift_fast_clock_has_positive_lag():
     # Ticks arriving early leave the reported time short of schedule.
     traj = SimpleNamespace(times=np.array([0.25, 0.5, 0.75, 1.0]))
-    report = clock_drift(traj, 2.0)
+    report = stats.clock_drift(traj, 2.0)
     assert report.expected_time == 2.0
     assert report.lag == 1.0
     assert report.per_tick_lag == 0.25
@@ -268,9 +262,9 @@ def test_clock_drift_fast_clock_has_positive_lag():
 
 def test_clock_drift_validation():
     with pytest.raises(ValueError):
-        clock_drift(SimpleNamespace(times=np.array([])), 1.0)
+        stats.clock_drift(SimpleNamespace(times=np.array([])), 1.0)
     with pytest.raises(ValueError):
-        clock_drift(SimpleNamespace(times=np.array([1.0])), 0.0)
+        stats.clock_drift(SimpleNamespace(times=np.array([1.0])), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +286,13 @@ def test_exponential_cdf_values():
 
 def test_binomial_upper_band_frozen_values():
     # ceil-style quantile of Binomial(n, p) with a 1e-6 residual tail.
-    assert binomial_upper_band(100, 0.01) == 8
-    assert binomial_upper_band(20, 0.01) == 5
-    assert binomial_upper_band(4, 0.01) == 3
+    assert stats.binomial_upper_band(100, 0.01) == 8
+    assert stats.binomial_upper_band(20, 0.01) == 5
+    assert stats.binomial_upper_band(4, 0.01) == 3
 
 
 def test_binomial_upper_band_tracks_tail_mass():
-    n, p, band = 100, 0.01, binomial_upper_band(100, 0.01)
+    n, p, band = 100, 0.01, stats.binomial_upper_band(100, 0.01)
     tail = sum(
         math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(band + 1, n + 1)
     )
@@ -311,4 +305,16 @@ def test_binomial_upper_band_tracks_tail_mass():
 
 @given(st.integers(1, 200))
 def test_binomial_upper_band_monotone_in_n(n):
-    assert binomial_upper_band(n + 1, 0.01) >= binomial_upper_band(n, 0.01)
+    assert stats.binomial_upper_band(n + 1, 0.01) >= stats.binomial_upper_band(n, 0.01)
+
+
+def test_binomial_upper_band_at_large_seed_counts():
+    # Frozen small-n bands, and seed counts past where math.comb * float
+    # overflowed (n >= 1050) give a finite band.
+    assert stats.binomial_upper_band(100, 0.01) == 8
+    assert stats.binomial_upper_band(20, 0.01) == 5
+    assert stats.binomial_upper_band(4, 0.01) == 3
+    assert stats.binomial_upper_band(1050, 0.01) == 29
+    assert stats.binomial_upper_band(5000, 0.01) == 87
+    assert stats.binomial_upper_band(5000, 0.0) == 0
+    assert stats.binomial_upper_band(5000, 1.0) == 5000

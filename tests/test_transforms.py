@@ -11,17 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clockcheck.rng import IDEAL, LowThinning, SourceStream, substream, unit_block
-from clockcheck.stats import ks_one_sample, uniform_cdf
+import oracle
+from clockcheck import process, rng, stats, transforms
+from clockcheck.rng import IDEAL, LowThinning, substream
+from clockcheck.stats import uniform_cdf
 from clockcheck.transforms import (
     Compose,
     Reflect,
-    RescaledStream,
     RescaleWindow,
     RotateHalf,
-    apply_transform,
-    rejection_rescale,
-    transform_block,
     transform_label,
 )
 
@@ -93,7 +91,7 @@ def test_labels():
 
 
 # ---------------------------------------------------------------------------
-# involution and block/scalar agreement properties
+# involution and block/element agreement properties
 # ---------------------------------------------------------------------------
 
 
@@ -113,18 +111,18 @@ def test_rotate_is_involution_on_grid(j):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=400))
 def test_block_path_matches_scalar_path(seed, n):
-    xs, _ = unit_block(substream(seed, 0), n)
+    xs, _ = rng.unit_block(substream(seed, 0), n)
     for transform in (Reflect(), RotateHalf(), Compose([RotateHalf(), Reflect()])):
-        block = transform_block(transform, xs)
+        block = transforms.transform_block(transform, xs)
         scalars = [transform(float(x)) for x in xs]
         assert block.tolist() == scalars
 
 
 def test_block_path_rejects_half_and_out_of_range():
     with pytest.raises(ValueError):
-        transform_block(RotateHalf(), np.array([0.25, 0.5, 0.75]))
+        transforms.transform_block(RotateHalf(), np.array([0.25, 0.5, 0.75]))
     with pytest.raises(ValueError):
-        transform_block(Reflect(), np.array([0.25, 1.0]))
+        transforms.transform_block(Reflect(), np.array([0.25, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +138,9 @@ def test_block_path_rejects_half_and_out_of_range():
 def test_uniform_law_is_preserved_across_seeds(transform):
     passes = 0
     for i in range(100):
-        xs, _ = unit_block(substream(substream(0, 500 + i).state, 0), 20_000)
-        ys = transform_block(transform, xs)
-        passes += ks_one_sample(ys, uniform_cdf).p_value > 0.05
+        xs, _ = rng.unit_block(substream(substream(0, 500 + i).state, 0), 20_000)
+        ys = transforms.transform_block(transform, xs)
+        passes += stats.ks_one_sample(ys, uniform_cdf).p_value > 0.05
     assert passes >= 90
 
 
@@ -164,39 +162,40 @@ def test_window_validation():
 
 
 def test_full_window_passes_value_through():
-    y, discards = rejection_rescale(RescaleWindow(0.0, 1.0), iter([0.3]).__next__)
+    y, discards = oracle.rejection_rescale(RescaleWindow(0.0, 1.0), iter([0.3]).__next__)
     assert (y, discards) == (0.3, 0)
 
 
 def test_centered_window_rescales_midpoint():
-    y, discards = rejection_rescale(RescaleWindow(0.25, 0.75), iter([0.5]).__next__)
+    y, discards = oracle.rejection_rescale(RescaleWindow(0.25, 0.75), iter([0.5]).__next__)
     assert y == (0.5 - 0.25) / 0.5
     assert discards == 0
 
 
 def test_out_of_window_draw_is_discarded():
     feed = iter([0.2, 0.6]).__next__
-    y, discards = rejection_rescale(RescaleWindow(0.25, 0.75), feed)
+    y, discards = oracle.rejection_rescale(RescaleWindow(0.25, 0.75), feed)
     assert discards == 1
     assert y == (0.6 - 0.25) / 0.5
 
 
 def test_endpoint_draws_are_rejected_not_rescaled():
     feed = iter([0.25, 0.75, 0.5]).__next__
-    y, discards = rejection_rescale(RescaleWindow(0.25, 0.75), feed)
+    y, discards = oracle.rejection_rescale(RescaleWindow(0.25, 0.75), feed)
     assert discards == 2
     assert y == 0.5
 
 
 def test_rescaled_stream_counts_discards_and_stays_uniform():
     window = RescaleWindow(0.2, 0.7)
-    source = SourceStream(seed=99, stream_id=0, model=IDEAL)
-    stream = RescaledStream(window=window, draw=source.next)
     n = 20_000
-    ys = np.array([stream.next() for _ in range(n)])
-    assert ks_one_sample(ys, uniform_cdf).p_value > 0.01
-    total = stream.window_discards + n
-    rate = stream.window_discards / total
+    ys, _, fault_discards, window_discards = process.pipeline_block(
+        IDEAL, None, window, substream(99, 0), n
+    )
+    assert fault_discards == 0
+    assert stats.ks_one_sample(ys, uniform_cdf).p_value > 0.01
+    total = window_discards + n
+    rate = window_discards / total
     expected = 1.0 - window.width
     se = (expected * (1.0 - expected) / total) ** 0.5
     assert abs(rate - expected) < 3.0 * se
@@ -204,14 +203,14 @@ def test_rescaled_stream_counts_discards_and_stays_uniform():
 
 def test_unreachable_window_raises_instead_of_spinning():
     with pytest.raises(RuntimeError, match="never lands inside"):
-        rejection_rescale(RescaleWindow(0.5, 1.0), lambda: 0.1)
+        oracle.rejection_rescale(RescaleWindow(0.5, 1.0), lambda: 0.1)
 
 
 def test_window_exactly_undoes_matching_thinning_fault():
     # low_thinning leaves the law flat above the cutoff, so a window at the
     # cutoff restores an exactly uniform output stream.
-    source = SourceStream(seed=4, stream_id=0, model=LowThinning(0.5, 0.7))
-    stream = RescaledStream(window=RescaleWindow(0.5, 1.0), draw=source.next)
-    ys = np.array([stream.next() for _ in range(20_000)])
-    res = ks_one_sample(ys, uniform_cdf)
+    ys, _, _, _ = process.pipeline_block(
+        LowThinning(0.5, 0.7), None, RescaleWindow(0.5, 1.0), substream(4, 0), 20_000
+    )
+    res = stats.ks_one_sample(ys, uniform_cdf)
     assert res.p_value > 0.01
