@@ -44,6 +44,7 @@ from .process import (
 from .rng import IDEAL, SERIAL_STREAM, FaultModel, fault_label, substream
 from .stats import (
     DriftReport,
+    SampleSummary,
     MIN_KS_N,
     clock_drift,
     chi_square_uniform,
@@ -76,6 +77,8 @@ __all__ = [
     "transform_ab_test",
     "serial_parallel_compare",
     "cross_parallel_compare",
+    "GapStats",
+    "GapMemo",
     "fitted_exponential_check",
     "fix_evaluation",
     "run_experiment",
@@ -189,31 +192,61 @@ def _ab_verdict(arm_raw: np.ndarray, arm_transformed: np.ndarray, alpha: float) 
 
 
 def serial_parallel_compare(
-    serial: Trajectory, parallel: Trajectory, alpha: float
+    serial: Trajectory, parallel: Trajectory, alpha: float,
+    *, gap_stats: Optional[GapMemo] = None,
 ) -> Verdict:
     """Test that two trajectories realise the same marked point process.
 
     Inter-event times are compared by two-sample KS and by a Welch test on
     their means; each side's marks are tested against the uniform clock
     distribution by chi-square (skipped when there are fewer than 2 clocks
-    or under 5 expected events per clock).
+    or under 5 expected events per clock).  A caller pairing one trajectory
+    several times passes the same ``gap_stats`` memo to each call, so that
+    its gaps are summarised and sorted once.
     """
     if len(serial) < _MIN_COMPARE_EVENTS or len(parallel) < _MIN_COMPARE_EVENTS:
         raise ValueError(
             f"serial_parallel_compare requires >= {_MIN_COMPARE_EVENTS} events per side, "
             f"got {len(serial)} and {len(parallel)}"
         )
-    evidence = _pair_evidence(serial, parallel, prefix="")
+    evidence = _pair_evidence(serial, parallel, "", gap_stats or GapMemo())
     evidence += _marks_evidence(serial, "serial_marks_chi2")
     evidence += _marks_evidence(parallel, "parallel_marks_chi2")
     return Verdict.from_evidence(evidence, alpha)
 
 
-def _pair_evidence(a: Trajectory, b: Trajectory, prefix: str) -> list[Evidence]:
-    gaps_a = a.inter_event_times()
-    gaps_b = b.inter_event_times()
-    ks = ks_two_sample(gaps_a, gaps_b)
-    s_a, s_b = summarize(gaps_a), summarize(gaps_b)
+@dataclass(frozen=True)
+class GapStats:
+    """A trajectory's inter-event gaps as the pairings read them: their
+    Welford summary (in event order) and the gaps in ascending order."""
+
+    summary: SampleSummary
+    ascending: np.ndarray
+
+
+class GapMemo:
+    """Each trajectory's :class:`GapStats`, computed at most once.
+
+    Meant to live for one seed's pairings: it holds every trajectory it has
+    seen (so no ``id`` is reused while it lives) and their sorted gaps.
+    """
+
+    def __init__(self) -> None:
+        self._seen: dict = {}
+
+    def __call__(self, traj: Trajectory) -> GapStats:
+        hit = self._seen.get(id(traj))
+        if hit is None:
+            gaps = traj.inter_event_times()
+            hit = self._seen[id(traj)] = (traj, GapStats(summarize(gaps), np.sort(gaps)))
+        return hit[1]
+
+
+def _pair_evidence(a: Trajectory, b: Trajectory, prefix: str,
+                   gap_stats: GapMemo) -> list[Evidence]:
+    ga, gb = gap_stats(a), gap_stats(b)
+    ks = ks_two_sample(ga.ascending, gb.ascending, presorted=True)
+    s_a, s_b = ga.summary, gb.summary
     return [
         Evidence(prefix + "inter_event_ks", ks.statistic, ks.p_value),
         Evidence(prefix + "inter_event_mean_welch", abs(s_a.mean - s_b.mean),
@@ -229,7 +262,8 @@ def _marks_evidence(traj: Trajectory, name: str) -> list[Evidence]:
 
 
 def cross_parallel_compare(
-    runs: Sequence[tuple[ParallelConfig, Trajectory]], alpha: float
+    runs: Sequence[tuple[ParallelConfig, Trajectory]], alpha: float,
+    *, gap_stats: Optional[GapMemo] = None,
 ) -> Verdict:
     """Compare parallel runs of one experiment cell against each other.
 
@@ -237,8 +271,10 @@ def cross_parallel_compare(
     (mismatch = determinism breach, a distinct flag: it indicts the
     parallelization, not the sample source).  Per-worker-stream runs are
     mapping-dependent in their draws, so they are compared pairwise with the
-    same statistical battery as the serial/parallel comparison.
+    same statistical battery as the serial/parallel comparison;
+    ``gap_stats`` is as in :func:`serial_parallel_compare`.
     """
+    gap_stats = gap_stats or GapMemo()
     if len(runs) < 2:
         raise ValueError("cross_parallel_compare requires at least 2 runs")
     basis = None
@@ -276,7 +312,7 @@ def cross_parallel_compare(
         for b_pos in range(a_pos + 1, len(per_worker)):
             i, ta = per_worker[a_pos]
             j, tb = per_worker[b_pos]
-            evidence += _pair_evidence(ta, tb, prefix=f"per_worker_{i}_vs_{j}_")
+            evidence += _pair_evidence(ta, tb, f"per_worker_{i}_vs_{j}_", gap_stats)
     for i, traj in per_worker:
         evidence += _marks_evidence(traj, f"per_worker_{i}_marks_chi2")
 
@@ -515,6 +551,7 @@ def run_experiment(plan: ExperimentPlan) -> ComparisonReport:
         runs = [RunRecord("serial", "serial", serial)]
         pairings: list[PairingRecord] = []
         parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
+        gap_stats = GapMemo()  # this seed's pairings share each trajectory's gaps
         corrupted_one = False
         for mode in plan.stream_modes:
             for workers in plan.worker_counts:
@@ -540,12 +577,13 @@ def run_experiment(plan: ExperimentPlan) -> ComparisonReport:
                     parallel_cells.append((cfg, traj))
                     pairings.append(PairingRecord(
                         f"serial_vs_{label}",
-                        serial_parallel_compare(serial, traj, plan.alpha),
+                        serial_parallel_compare(serial, traj, plan.alpha,
+                                                gap_stats=gap_stats),
                     ))
         if len(parallel_cells) >= 2:
             pairings.append(PairingRecord(
                 "cross_parallel",
-                cross_parallel_compare(parallel_cells, plan.alpha),
+                cross_parallel_compare(parallel_cells, plan.alpha, gap_stats=gap_stats),
             ))
         if plan.transform is not None:
             pairings.append(PairingRecord(

@@ -2,9 +2,13 @@
 
 The *serial* run drives one merged clock of rate N from a single sample
 stream: each event costs two pipeline draws (one exponential time increment
-at rate N, one uniform mark pick).  The *parallel* run gives each of the N
-clocks its own rate-1 stream (or gives each worker a stream shared
-round-robin by its clocks) and merges the per-clock event lists afterwards.
+at rate N, one uniform mark pick).  The *parallel* run hosts the N rate-1
+clocks on workers and merges the workers' event lists afterwards.  In
+per-clock stream mode each clock owns a stream, and a worker draws all of
+its clocks at once as the rows of one (clocks x steps) grid: the mapping
+decides which grid a clock is drawn in, not its numbers, so every worker
+count and mapping must give the same bits.  In per-worker mode each worker
+owns a stream that its clocks share round-robin.
 Superposition makes the two processes the same in law whenever the sample
 source is actually uniform — so any statistical daylight between them is
 evidence against the source, and that asymmetry (two draws per serial event
@@ -15,7 +19,7 @@ Draws pass through a three-stage pipeline: fault model (the injected
 defect), optional measure-preserving transform, optional window
 rejection-rescale repair.  ``pipeline_block`` is the one implementation of
 that pipeline; every simulator and every detector stage draws through it in
-numpy blocks.  The tests keep a one-draw-at-a-time twin of the pipeline and
+numpy blocks, of one stream or of a grid of streams, one per row.  The tests keep a one-draw-at-a-time twin of the pipeline and
 the simulators as an oracle and require bit-identical results.
 
 Horizon rule: an event whose time would exceed the horizon is suppressed
@@ -39,11 +43,13 @@ from .rng import (
     FaultModel,
     GeneratorState,
     IDEAL,
+    RowStates,
     clock_stream,
     fault_block,
     fault_rejections,
     next_unit,
     substream,
+    substream_rows,
     worker_stream,
 )
 from .transforms import RescaleWindow, Transform, transform_block
@@ -68,6 +74,7 @@ _TOP = 1.0 - 2.0**-53
 _STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
 _MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
 _MAX_EPOCH_SAMPLES = 1 << 20  # per-worker draws per pipeline_block call, at most
+_MAX_GRID_CELLS = 1 << 20  # per-clock grid samples per pipeline_block call, at most
 
 
 class Event(NamedTuple):
@@ -153,10 +160,11 @@ class ParallelConfig:
     """Per-clock run: N independent rate-1 clocks hosted by ``workers`` workers.
 
     ``mapping[i]`` is the worker hosting clock ``i``.  In per-clock stream
-    mode the mapping cannot influence the result (each clock owns stream
-    ``1 + i``); in per-worker mode clocks draw round-robin from their
-    worker's stream (id ``10**6 + w``), so the mapping changes the numbers
-    but not the law.
+    mode each clock owns stream ``1 + i`` and the mapping only decides in
+    which worker's grid the clock is drawn, so it must not change the
+    result; in per-worker mode clocks draw round-robin from their worker's
+    stream (id ``10**6 + w``), so the mapping changes the numbers but not
+    the law.
     """
 
     n_clocks: int
@@ -189,9 +197,9 @@ def pipeline_block(
     fault: FaultModel,
     transform: Optional[Transform],
     window: Optional[RescaleWindow],
-    gs: GeneratorState,
+    gs: "GeneratorState | RowStates",
     n: int,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+):
     """First ``n`` pipeline samples from ``gs`` with their draw accounting.
 
     Returns ``(samples, at_draw, fault_rejections, window_rejections)``:
@@ -199,40 +207,64 @@ def pipeline_block(
     and the two counts are the candidates the fault model and the window
     threw away on the way to the ``n``-th sample.  The window keeps samples
     strictly inside ``(a, b)`` and maps them to ``(x - a) / (b - a)``.
+    Given :class:`RowStates`, each row runs the pipeline on its own stream:
+    the samples and draw counts are (rows x n) grids and the rejections are
+    counted per row.  A single stream is the one-row case.
 
     A window the pipeline lands in with odds below 1e-4 (one aimed where a
     transform moved the mass away, or one only 1e-7 wide) is not supported:
     it raises once ``_STARVATION_DRAWS`` pipeline draws have been made,
     instead of doubling its draw count until memory runs out.
     """
+    single = isinstance(gs, GeneratorState)
+    out = _pipeline_rows(fault, transform, window, RowStates.of([gs]) if single else gs, n)
+    if not single:
+        return out
+    samples, at_draw, fault_rejected, window_rejected = out
+    return samples[0], at_draw[0], int(fault_rejected[0]), int(window_rejected[0])
+
+
+def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
     if window is None:
-        samples, at_draw, _, rejected = fault_block(fault, gs, n)
+        samples, at_draw, _, rejected = fault_block(fault, rows, n)
         if transform is not None:
             samples = transform_block(transform, samples)
-        return samples, at_draw, rejected, 0
-    keep_rate = max(window.width, 1e-3)
-    m = max(64, int(1.5 * n / keep_rate) + 16)
-    while True:
-        samples, at_draw, _, _ = fault_block(fault, gs, m)
+        return samples, at_draw, rejected, np.zeros(len(rows), dtype=np.int64)
+    # Each row draws m pipeline samples and keeps its first n inside the
+    # window; a row with fewer inside draws again from its start with 2m.
+    y = np.empty((len(rows), n), dtype=np.float64)
+    kept_at = np.empty((len(rows), n), dtype=np.int64)
+    fault_rejected = np.zeros(len(rows), dtype=np.int64)
+    drawn = np.zeros(len(rows), dtype=np.int64)  # pipeline draws up to the n-th kept
+    todo = np.arange(len(rows))
+    m = max(64, int(1.5 * n / max(window.width, 1e-3)) + 16)
+    while todo.size:
+        part = rows if todo.size == len(rows) else rows.take(todo)
+        samples, at_draw, _, _ = fault_block(fault, part, m)
         if transform is not None:
             samples = transform_block(transform, samples)
         inside = (samples > window.a) & (samples < window.b)
-        accepted = int(np.count_nonzero(inside))
-        if accepted >= n:
-            break
-        if m >= _STARVATION_DRAWS and accepted < _MIN_ACCEPTANCE * m:
+        accepted = np.count_nonzero(inside, axis=1)
+        ok = accepted >= n
+        if m >= _STARVATION_DRAWS and (accepted[~ok] < _MIN_ACCEPTANCE * m).any():
             raise RuntimeError(
-                f"window ({window.a}, {window.b}) accepted {accepted} of {m} pipeline "
-                "draws: the pipeline never lands inside it, or with odds below "
+                f"window ({window.a}, {window.b}) accepted {accepted.min()} of {m} "
+                "pipeline draws: the pipeline never lands inside it, or with odds below "
                 f"{_MIN_ACCEPTANCE:g}, which is not supported"
             )
-        m *= 2
-    used = np.flatnonzero(inside)[:n]
-    y = (samples[used] - window.a) / window.width
+        if not ok.all():
+            samples, at_draw, inside, part = samples[ok], at_draw[ok], inside[ok], part.take(ok)
+        done = todo[ok]
+        used = inside & (np.cumsum(inside, axis=1) <= n)  # each row's first n inside
+        y[done] = ((samples[used] - window.a) / window.width).reshape(done.size, n)
+        kept_at[done] = at_draw[used].reshape(done.size, n)
+        if n:
+            drawn[done] = m - np.argmax(used[:, ::-1], axis=1)
+        fault_rejected[done] = fault_rejections(at_draw, part.draw_count, upto=drawn[done])
+        todo, m = todo[~ok], 2 * m
     y[y >= 1.0] = _TOP
     y[y <= 0.0] = 5e-324
-    drawn = int(used[-1]) + 1 if n else 0  # pipeline draws up to the n-th kept
-    return y, at_draw[used], fault_rejections(at_draw[:drawn], gs.draw_count), drawn - n
+    return y, kept_at, fault_rejected, drawn - n
 
 
 # --------------------------------------------------------------------------
@@ -276,29 +308,57 @@ def simulate_parallel(cfg: ParallelConfig) -> Trajectory:
     return _simulate_per_worker(cfg)
 
 
-def _clock_events_block(cfg: ParallelConfig, clock: int) -> tuple[np.ndarray, np.ndarray, int]:
-    gs = substream(cfg.seed, clock_stream(clock))
-    m = int(2.5 * cfg.horizon) + 32
-    while True:
-        samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
-        times = np.cumsum(-np.log(samples) / 1.0)
-        k = int(np.searchsorted(times, cfg.horizon, side="right"))
-        if k >= samples.size:
-            m *= 2
-            continue
-        return times[:k], at_draw[:k].astype(np.int64), int(at_draw[k])
-
-
 def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
+    """Each worker's clocks run as the rows of one grid, merged across workers.
+
+    Row ``r`` of a worker's grid is the stream of its ``r``-th clock
+    (``mapping == w``, ascending id); a pass draws the same number of
+    pipeline samples for every row, cumulative-sums each row from the
+    clock's current time and cuts it at the horizon.  A row that has not
+    passed the horizon by the end of a pass goes on in the next pass from
+    its advanced state.  At most ``_MAX_GRID_CELLS`` samples are drawn in
+    one pass, so a worker's rows are taken in batches.
+    """
+    mapping = np.asarray(cfg.mapping)
+    width = min(int(2.5 * cfg.horizon) + 32, _MAX_GRID_CELLS)
+    batch = max(1, _MAX_GRID_CELLS // width)
     parts_t, parts_m, parts_d = [], [], []
     total = 0
-    for clock in range(cfg.n_clocks):
-        t, d, consumed = _clock_events_block(cfg, clock)
-        parts_t.append(t)
-        parts_m.append(np.full(t.size, clock, dtype=np.int64))
-        parts_d.append(d)
-        total += consumed
+    for w in range(cfg.workers):
+        clocks = np.flatnonzero(mapping == w)
+        for lo in range(0, clocks.size, batch):
+            t, m, d, consumed = _clock_grid(cfg, clocks[lo:lo + batch], width)
+            parts_t += t
+            parts_m += m
+            parts_d += d
+            total += consumed
     return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=cfg.n_clocks, total_draws=total)
+
+
+def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int):
+    """Events of ``clocks`` drawn as grid rows: per-pass (times, marks, draw
+    counts) flattened row by row, plus the raw draws the rows consumed."""
+    rows = substream_rows(cfg.seed, clock_stream(clocks))
+    now = np.zeros(clocks.size)
+    parts_t, parts_m, parts_d = [], [], []
+    consumed = 0
+    while clocks.size:
+        samples, at_draw, _, _ = pipeline_block(
+            cfg.fault, cfg.transform, cfg.fix_window, rows, width
+        )
+        times = np.negative(np.log(samples, out=samples), out=samples)  # the gaps
+        times[:, 0] += now
+        np.cumsum(times, axis=1, out=times)
+        ticks = np.count_nonzero(times <= cfg.horizon, axis=1)
+        kept = np.arange(width) < ticks[:, None]
+        parts_t.append(times[kept])
+        parts_m.append(np.repeat(clocks, ticks))
+        parts_d.append(at_draw[kept])
+        alive = ticks == width  # no tick of these rows passed the horizon yet
+        consumed += int(at_draw[~alive, ticks[~alive]].sum())
+        rows = rows.take(alive).advanced(at_draw[alive, -1] - rows.draw_count[alive])
+        clocks, now = clocks[alive], times[alive, -1]
+    return parts_t, parts_m, parts_d, consumed
 
 
 def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
@@ -310,8 +370,7 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
     in which some clock passes the horizon (every live clock still draws in
     that round); the next epoch repeats with the clocks still alive.
     """
-    parts_t = [[] for _ in range(cfg.n_clocks)]
-    parts_d = [[] for _ in range(cfg.n_clocks)]
+    parts_t, parts_m, parts_d = [], [], []
     mapping = np.asarray(cfg.mapping)
     total = 0
     for w in range(cfg.workers):
@@ -331,20 +390,14 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
             times, draws = times[:cut], at_draw[: cut * k].reshape(cut, k)
             alive = times[-1] <= cfg.horizon
             kept = cut - 1 + alive  # ticks per clock in this epoch
-            for j, clock in enumerate(clocks):
-                parts_t[clock].append(times[: kept[j], j])
-                parts_d[clock].append(draws[: kept[j], j])
+            ticked = (np.arange(cut)[:, None] < kept).T  # clock by clock
+            parts_t.append(times.T[ticked])
+            parts_m.append(np.repeat(clocks, kept))
+            parts_d.append(draws.T[ticked])
             gs = gs.advanced(int(draws[-1, -1]) - gs.draw_count)
             clocks, now = clocks[alive], times[-1, alive]
         total += gs.draw_count
-    times = [np.concatenate(t) for t in parts_t]  # every clock saw at least one epoch
-    return _merge_arrays(
-        times,
-        [np.full(t.size, i, dtype=np.int64) for i, t in enumerate(times)],
-        [np.concatenate(d) for d in parts_d],
-        n_clocks=cfg.n_clocks,
-        total_draws=total,
-    )
+    return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=cfg.n_clocks, total_draws=total)
 
 
 # --------------------------------------------------------------------------
@@ -359,15 +412,27 @@ def _merge_arrays(
     n_clocks: int,
     total_draws: int,
 ) -> Trajectory:
-    for t in parts_t:
-        if t.size and np.any(np.diff(t) < 0.0):
+    """Time-sorted merge, ties broken by ascending mark.
+
+    A part may hold several clocks; each clock's events must come in the
+    order they were emitted, in one part or across parts in order.
+    """
+    for t, m in zip(parts_t, parts_m):
+        down = np.flatnonzero(t[1:] < t[:-1])  # where a part may pass to its next clock
+        if np.any(m[down] == m[down + 1]):
             raise RuntimeError("internal error: unsorted per-clock event list")
     times = np.concatenate(parts_t) if parts_t else np.empty(0, dtype=np.float64)
     marks = np.concatenate(parts_m) if parts_m else np.empty(0, dtype=np.int64)
     draws = np.concatenate(parts_d) if parts_d else np.empty(0, dtype=np.int64)
-    order = np.lexsort((marks, times))  # time first, ties by ascending mark
+    order = np.argsort(times)
+    ordered = times[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        # Without ties the time order is unique; with them, sort stably by
+        # (time, mark) so equal events keep their emission order.
+        order = np.lexsort((marks, times))
+        ordered = times[order]
     return Trajectory(
-        times=times[order],
+        times=ordered,
         marks=marks[order],
         draw_indices=draws[order],
         total_draws=total_draws,

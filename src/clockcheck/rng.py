@@ -6,7 +6,10 @@ cascade over the advanced state.  Because the state after ``k`` draws is
 ``state0 + k * GOLDEN (mod 2**64)``, any stretch of a stream can be
 generated from its starting state alone: ``unit_block`` makes it in one
 vectorised call, bit-identical to repeated ``next_unit`` draws, and a block
-consumer can stop anywhere and resume from the advanced state.
+consumer can stop anywhere and resume from the advanced state.  The block
+functions take one :class:`GeneratorState` or :class:`RowStates`, a grid
+with one stream per row; the single stream is the one-row case of the same
+kernel, and each row equals the single-stream call from its own state.
 
 Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed:
 
@@ -40,7 +43,7 @@ pulled off a stream; :func:`fault_block` reports the rejections as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -50,6 +53,7 @@ __all__ = [
     "SERIAL_STREAM",
     "MAPPING_STREAM",
     "GeneratorState",
+    "RowStates",
     "Ideal",
     "PowerBias",
     "LowThinning",
@@ -57,6 +61,7 @@ __all__ = [
     "IDEAL",
     "mix64",
     "substream",
+    "substream_rows",
     "next_unit",
     "unit_block",
     "raw_block",
@@ -82,8 +87,11 @@ _SNAP_ABOVE_HALF = 0.5 + 2.0**-53
 _SNAP_BELOW_ONE = 1.0 - 2.0**-53
 # Positive floor for extreme PowerBias underflow (smallest subnormal).
 _TINY = 5e-324
-# Raw draws per LowThinning pass in fault_block.
+# Raw draws per row and LowThinning pass in fault_block, at most, and the
+# cells one pass may hold: a pass over many rows takes narrower chunks (>= 256
+# draws), and one that needs few samples takes only about as many as it needs.
 _CHUNK = 8192
+_CHUNK_CELLS = 1 << 20
 
 _U64 = np.uint64
 _V_GOLDEN = _U64(GOLDEN)
@@ -125,6 +133,58 @@ class GeneratorState:
         return GeneratorState((self.state + draws * GOLDEN) & MASK64, self.draw_count + draws)
 
 
+@dataclass(frozen=True, eq=False)
+class RowStates:
+    """The generator states of a grid's rows, one stream per row.
+
+    Row ``r`` stands at ``state[r]`` after ``draw_count[r]`` raw draws, just
+    as a :class:`GeneratorState` does for a single stream.  The block
+    functions take either; rows advance independently.
+    """
+
+    state: np.ndarray  # uint64, one per row
+    draw_count: np.ndarray  # int64, one per row
+
+    @staticmethod
+    def of(states: Sequence[GeneratorState]) -> "RowStates":
+        return RowStates(
+            np.array([gs.state for gs in states], dtype=np.uint64),
+            np.array([gs.draw_count for gs in states], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.state.size)
+
+    def row(self, r: int) -> GeneratorState:
+        return GeneratorState(int(self.state[r]), int(self.draw_count[r]))
+
+    def take(self, rows) -> "RowStates":
+        """The states of the selected rows (an index array or a mask)."""
+        return RowStates(self.state[rows], self.draw_count[rows])
+
+    def advanced(self, draws) -> "RowStates":
+        """States after ``draws`` further raw draws: one count for all rows or one per row."""
+        draws = np.broadcast_to(np.asarray(draws, dtype=np.int64), self.draw_count.shape)
+        return RowStates(self.state + draws.astype(np.uint64) * _V_GOLDEN,
+                         self.draw_count + draws)
+
+
+def _mix_words(z: np.ndarray) -> np.ndarray:
+    """The output scrambler of :func:`mix64` on advanced ``uint64`` words.
+
+    Scrambles ``z`` in place (callers pass a fresh array) and returns it.
+    """
+    shifted = z >> _SH30
+    z ^= shifted
+    z *= _V_MULT1
+    np.right_shift(z, _SH27, out=shifted)
+    z ^= shifted
+    z *= _V_MULT2
+    np.right_shift(z, _SH31, out=shifted)
+    z ^= shifted
+    return z
+
+
 def substream(seed: int, stream_id: int) -> GeneratorState:
     """Starting state for stream ``stream_id`` of ``seed``: ``mix64(seed ^ mix64(id))``.
 
@@ -134,6 +194,14 @@ def substream(seed: int, stream_id: int) -> GeneratorState:
     _check_u64(seed, "seed")
     _check_u64(stream_id, "stream_id")
     return GeneratorState(mix64(int(seed) ^ mix64(stream_id)), 0)
+
+
+def substream_rows(seed: int, stream_ids: np.ndarray) -> RowStates:
+    """:func:`substream` for many ids at once: one row per id."""
+    _check_u64(seed, "seed")
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    return RowStates(_mix_words((_U64(seed) ^ _mix_words(ids + _V_GOLDEN)) + _V_GOLDEN),
+                     np.zeros(ids.size, dtype=np.int64))
 
 
 def clock_stream(clock: int) -> int:
@@ -172,25 +240,41 @@ def next_unit(gs: GeneratorState) -> tuple[float, GeneratorState]:
     return _unit_from_word(word), gs.advanced(1)
 
 
-def raw_block(gs: GeneratorState, n: int) -> np.ndarray:
-    """The next ``n`` output words of the stream as ``uint64`` (state not consumed)."""
-    steps = np.arange(1, n + 1, dtype=np.uint64)
-    z = _U64(gs.state) + steps * _V_GOLDEN
-    z = (z ^ (z >> _SH30)) * _V_MULT1
-    z = (z ^ (z >> _SH27)) * _V_MULT2
-    return z ^ (z >> _SH31)
+def _rows(gs: "GeneratorState | RowStates") -> tuple["RowStates", bool]:
+    """``gs`` as a grid of rows, and whether it was a single stream."""
+    if isinstance(gs, GeneratorState):
+        return RowStates.of([gs]), True
+    return gs, False
 
 
-def unit_block(gs: GeneratorState, n: int) -> tuple[np.ndarray, GeneratorState]:
-    """Vectorised :func:`next_unit`: ``n`` samples plus the advanced state.
+def raw_block(gs: "GeneratorState | RowStates", n: int) -> np.ndarray:
+    """The next ``n`` output words of each row as ``uint64`` (state not consumed).
 
-    Bit-identical to ``n`` sequential :func:`next_unit` draws from the same state.
+    A single stream gives a vector; :class:`RowStates` give a (rows x n) grid.
     """
-    w = raw_block(gs, n) >> _SH11
-    u = (w.astype(np.float64) + 0.5) * _SCALE
+    rows, single = _rows(gs)
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    z = _mix_words(rows.state[:, None] + steps * _V_GOLDEN)
+    return z[0] if single else z
+
+
+def unit_block(gs: "GeneratorState | RowStates", n: int):
+    """Vectorised :func:`next_unit`: ``n`` samples per row plus the advanced state.
+
+    Bit-identical to ``n`` sequential :func:`next_unit` draws from the same
+    state, row by row.  A single stream is the one-row case: it gives a
+    vector and a :class:`GeneratorState`.
+    """
+    rows, single = _rows(gs)
+    w = raw_block(rows, n)
+    w >>= _SH11
+    u = w.astype(np.float64)
+    u += 0.5
+    u *= _SCALE
     u[u == 0.5] = _SNAP_ABOVE_HALF
     u[u == 1.0] = _SNAP_BELOW_ONE
-    return u, gs.advanced(n)
+    new = rows.advanced(n)
+    return (u[0], new.row(0)) if single else (u, new)
 
 
 # --------------------------------------------------------------------------
@@ -249,66 +333,120 @@ def fault_label(model: FaultModel) -> str:
     return f"low_thinning(c={model.c:g}, q={model.q:g})"
 
 
-def fault_block(
-    model: FaultModel, gs: GeneratorState, n: int
-) -> tuple[np.ndarray, np.ndarray, GeneratorState, int]:
+def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
     """``n`` samples through ``model`` plus raw-draw and rejection accounting.
 
     Returns ``(samples, at_draw, new_state, rejected)`` where ``at_draw[i]``
     is the stream's absolute ``draw_count`` immediately after sample ``i``
     was produced and ``rejected`` counts the candidates the model threw away
-    on the way to sample ``n``.
+    on the way to sample ``n``.  Given :class:`RowStates`, every row delivers
+    ``n`` samples from its own stream: ``samples`` and ``at_draw`` are
+    (rows x n) grids and ``rejected`` holds one count per row.  A single
+    stream is the one-row case.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    rows, single = _rows(gs)
     if isinstance(model, (Ideal, PowerBias)):
-        u, new = unit_block(gs, n)
+        u, new = unit_block(rows, n)
         if isinstance(model, PowerBias):
             u = np.power(u, 1.0 / model.gamma)
             u[u >= 1.0] = _SNAP_BELOW_ONE
             u[u <= 0.0] = _TINY
-        at_draw = gs.draw_count + np.arange(1, n + 1, dtype=np.int64)
-        return u, at_draw, new, 0
-    if not isinstance(model, LowThinning):
+        at_draw = rows.draw_count[:, None] + np.arange(1, n + 1, dtype=np.int64)
+        rejected = np.zeros(len(rows), dtype=np.int64)
+    elif isinstance(model, LowThinning):
+        u, at_draw, new = _thinning_rows(model, rows, n)
+        rejected = fault_rejections(at_draw, rows.draw_count)
+    else:
         raise TypeError(f"unknown fault model: {model!r}")
+    if single:
+        return u[0], at_draw[0], new.row(0), int(rejected[0])
+    return u, at_draw, new, rejected
 
+
+def _thinning_rows(
+    model: LowThinning, rows: RowStates, n: int
+) -> tuple[np.ndarray, np.ndarray, RowStates]:
     # A raw draw is a candidate unless it is the auxiliary draw of a
     # candidate below c.  So a draw right after one at or above c is always a
     # candidate, and inside a run of draws below c the candidates alternate
-    # from the start of the run.  Chunks end on a candidate boundary, so each
-    # one starts on a candidate, and the temporaries stay chunk-sized.
+    # from the start of the run.  Each pass draws a chunk for every row that
+    # still needs samples and ends each row on a candidate boundary, so the
+    # next chunk starts on a candidate and the result does not depend on the
+    # chunk width.
     c, q = model.c, model.q
-    start = gs.draw_count
-    out = np.empty(n, dtype=np.float64)
-    at_draw = np.empty(n, dtype=np.int64)
-    pos = np.arange(_CHUNK)
-    filled = 0
-    while filled < n:
-        u, _ = unit_block(gs, _CHUNK)
+    out = np.empty((len(rows), n), dtype=np.float64)
+    at_draw = np.empty((len(rows), n), dtype=np.int64)
+    filled = np.zeros(len(rows), dtype=np.int64)
+    state, count = rows.state.copy(), rows.draw_count.copy()
+    live = np.arange(len(rows)) if n else np.empty(0, dtype=np.int64)
+    spend = 1.25 * (1.0 + c) / (1.0 - c * q)  # raw draws per sample, with a margin
+    while live.size:
+        need = n - filled[live]
+        width = min(_CHUNK, max(256, _CHUNK_CELLS // live.size), int(need.max() * spend) + 32)
+        after = np.arange(1, width + 1, dtype=np.int32)  # position + 1 of each draw
+        u, _ = unit_block(RowStates(state[live], count[live]), width)
         below = u < c
-        # run_start[p]: where the run of draws below c through p starts
+        # run_start[r, p]: where the run of draws below c through p starts
         # (p + 1 when draw p is not below c)
-        run_start = np.maximum.accumulate(np.where(below, 0, pos + 1))
-        candidate = ((pos - np.concatenate(([0], run_start[:-1]))) & 1) == 0
-        usable = _CHUNK - int(candidate[-1] and below[-1])  # keep a pending aux draw
+        run_start = np.maximum.accumulate(np.where(below, 0, after), axis=1)
+        prev = np.zeros_like(run_start)
+        prev[:, 1:] = run_start[:, :-1]
+        candidate = ((after - prev) & 1) == 1
+        pending = candidate[:, -1] & below[:, -1]  # keep a pending aux draw
         kept = candidate & ~below
-        kept[:-1] |= candidate[:-1] & below[:-1] & (u[1:] >= q)
-        taken = np.flatnonzero(kept[:usable])[: n - filled]
-        ends = taken + 1 + below[taken]  # draws used through each kept sample
-        out[filled:filled + taken.size] = u[taken]
-        at_draw[filled:filled + taken.size] = gs.draw_count + ends
-        filled += taken.size
-        gs = gs.advanced(int(ends[-1]) if filled == n else usable)
-    return out, at_draw, gs, fault_rejections(at_draw, start)
+        kept[:, :-1] |= candidate[:, :-1] & below[:, :-1] & (u[:, 1:] >= q)
+        # kept draws in row-major order; each row takes its first `need`
+        flat = np.flatnonzero(kept)
+        row_start = np.arange(live.size) * width
+        starts = np.searchsorted(flat, row_start)
+        counts = np.searchsorted(flat, row_start + width) - starts
+        done = counts >= need
+        got = np.minimum(counts, need)
+        # a finished row ends right after its need-th kept draw (and its aux draw)
+        last = flat[(starts + need - 1)[done]]
+        step = width - pending.astype(np.int64)
+        step[done] = last - row_start[done] + 1 + below.ravel()[last]
+        if (counts > need).any():  # drop what finished rows drew past their need
+            flat = flat[np.arange(flat.size) < np.repeat(starts + need, counts)]
+        into = live * n + filled[live]  # where each row's new samples go in the flat grid
+        first = count[live] + 1 - row_start  # a row's draw count after its draw 0
+        if live.size > 1:
+            first = np.repeat(first, got)
+        _scatter(out, into, got, u.ravel()[flat])
+        _scatter(at_draw, into, got, first + flat + below.ravel()[flat])
+        filled[live] += got
+        state[live] += step.astype(np.uint64) * _V_GOLDEN
+        count[live] += step
+        live = live[~done]
+    return out, at_draw, RowStates(state, count)
 
 
-def fault_rejections(at_draw: np.ndarray, start: int) -> int:
+def _scatter(grid: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
+             values: np.ndarray) -> None:
+    """Write ``values`` into flat ``grid`` as runs of ``counts[i]`` cells from ``offsets[i]``."""
+    flat = grid.ravel()
+    if offsets.size == 1 or np.array_equal(offsets[1:], offsets[:-1] + counts[:-1]):
+        flat[offsets[0]:offsets[0] + values.size] = values  # the runs are contiguous
+    else:
+        flat[np.repeat(offsets - np.cumsum(counts) + counts, counts)
+             + np.arange(values.size)] = values
+
+
+def fault_rejections(at_draw: np.ndarray, start, upto=None):
     """Candidates rejected on the way to samples whose draw counts are ``at_draw``.
 
     A delivered sample takes one raw draw, or two when an auxiliary draw
     decided it, and each rejection burns a candidate plus its auxiliary
     draw: so every gap between consecutive draw counts (the first measured
-    from ``start``) is 1 or 2 plus twice the rejections in between.
+    from ``start``) is 1 or 2 plus twice the rejections in between.  A
+    (rows x n) ``at_draw`` with one ``start`` per row gives one count per
+    row; ``upto`` then counts only each row's first ``upto[r]`` samples.
     """
-    gaps = np.diff(at_draw, prepend=start)
-    return int(((gaps - 1) >> 1).sum())
+    gaps = np.diff(at_draw, axis=-1, prepend=np.asarray(start, dtype=np.int64)[..., None])
+    rejected = (gaps - 1) >> 1
+    if upto is not None:
+        rejected[np.arange(at_draw.shape[-1]) >= np.asarray(upto)[..., None]] = 0
+    per_row = rejected.sum(axis=-1)
+    return int(per_row) if per_row.ndim == 0 else per_row

@@ -141,23 +141,37 @@ def ks_one_sample(samples: ArrayLike, cdf: Callable[[np.ndarray], np.ndarray]) -
     return KsResult(statistic=d, p_value=p, n=n)
 
 
-def ks_two_sample(a: ArrayLike, b: ArrayLike) -> KsResult:
+def ks_two_sample(a: ArrayLike, b: ArrayLike, *, presorted: bool = False) -> KsResult:
     """Two-sample KS: sup |F_a - F_b| over the pooled points.
 
     Both sides need >= 8 points; the p-value uses the one-sample asymptotic
-    with effective n = n*m/(n+m).
+    with effective n = n*m/(n+m).  ``presorted=True`` promises that both
+    samples are already in ascending order and skips sorting them.
     """
-    xa = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    xb = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    xa = np.asarray(a, dtype=np.float64).ravel()
+    xb = np.asarray(b, dtype=np.float64).ravel()
+    if not presorted:
+        xa, xb = np.sort(xa), np.sort(xb)
     n, m = xa.size, xb.size
     if n < MIN_KS_N or m < MIN_KS_N:
         raise ValueError(f"ks_two_sample requires both samples >= {MIN_KS_N}, got {n} and {m}")
-    pooled = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, pooled, side="right") / n
-    fb = np.searchsorted(xb, pooled, side="right") / m
-    d = float(np.abs(fa - fb).max())
+    d = max(_ks_side(xa, xb), _ks_side(xb, xa))
     effective = n * m / (n + m)
     return KsResult(statistic=d, p_value=_ks_p(d, effective), n=n, m=m)
+
+
+def _ks_side(x: np.ndarray, y: np.ndarray) -> float:
+    """max |F_x - F_y| over the points of sorted ``x``, against sorted ``y``.
+
+    Both empirical cdfs are right-continuous steps, so at a run of equal
+    values in ``x`` only its last point matters: there ``F_x`` is the run's
+    end over ``x.size``.
+    """
+    ends = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    points = x if ends.size == x.size else x[ends]
+    fx = (ends + 1) / x.size
+    fy = np.searchsorted(y, points, side="right") / y.size
+    return float(np.abs(fx - fy).max())
 
 
 def chi_square_uniform(counts: ArrayLike) -> ChiSquareResult:

@@ -377,6 +377,44 @@ def test_run_experiment_debug_corruption_breaches():
     assert report.as_dict()["any_determinism_breach"] is True
 
 
+def test_wrong_cross_worker_merge_breaches_without_debug(monkeypatch):
+    # A merge that labels each worker's events with the clock's position in
+    # that worker's grid (worker-local ids) is right for one worker and wrong
+    # for two; the bit-equality check must see it with [debug] off.
+    real = process._merge_arrays
+
+    def local_ids(parts_t, parts_m, parts_d, **kw):
+        local = [np.unique(m, return_inverse=True)[1] for m in parts_m]
+        return real(parts_t, local, parts_d, **kw)
+
+    plan = _small_plan(seeds=(0,))
+    assert not detector.run_experiment(plan).any_breach
+    monkeypatch.setattr(process, "_merge_arrays", local_ids)
+    report = detector.run_experiment(plan)
+    cross = report.seed_reports[0].pairings[-1]
+    assert cross.label == "cross_parallel"
+    assert cross.verdict.determinism_breach
+    assert report.any_breach
+
+
+def test_run_experiment_summarizes_each_trajectory_once(monkeypatch):
+    # Four parallel cells: the serial run enters four pairings and each
+    # per-worker run enters two, yet every trajectory is summarised once.
+    sizes = []
+    real = detector.summarize
+
+    def counted(samples):
+        sizes.append(len(samples))
+        return real(samples)
+
+    monkeypatch.setattr(detector, "summarize", counted)
+    plan = _small_plan(seeds=(0,), stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    report = detector.run_experiment(plan)
+    runs = report.seed_reports[0].runs
+    assert len(runs) == 5
+    assert sorted(sizes) == sorted(len(r.trajectory) for r in runs)
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         _small_plan(seeds=())

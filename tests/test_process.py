@@ -24,7 +24,7 @@ from clockcheck.process import (
     round_robin_mapping,
     shuffle_mapping,
 )
-from clockcheck.rng import IDEAL, LowThinning, PowerBias, substream, worker_stream
+from clockcheck.rng import IDEAL, LowThinning, PowerBias, RowStates, substream, worker_stream
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
 
 _INV_E = math.exp(-1.0)
@@ -172,11 +172,63 @@ def test_serial_block_path_equals_scalar_path(fault, transform, window):
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_parallel_block_path_equals_scalar_path(fault, transform, window):
-    cfg = ParallelConfig(
+    # Per-clock runs draw each worker's clocks as one grid, so every worker
+    # count and mapping splits the clocks differently; 6 clocks on 8 workers
+    # leaves some workers empty.
+    slow = oracle.simulate_parallel(ParallelConfig(
         n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
         fix_window=window,
+    ))
+    for workers in (1, 3, 8):
+        for kind in MAPPING_KINDS:
+            cfg = ParallelConfig(
+                n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
+                fix_window=window, workers=workers,
+                mapping=make_mapping(kind, 6, workers, seed=77),
+            )
+            _assert_same(process.simulate_parallel(cfg), slow)
+
+
+@pytest.mark.parametrize("cells", [5, 200])
+def test_per_clock_grid_cap_splits_rows_and_passes(monkeypatch, cells):
+    # At horizon 20 a row holds 82 samples a pass.  A cap of 5 cells takes
+    # one row at a time in 5-sample passes; a cap of 200 takes two rows a
+    # pass, and at four ticks per unit time some rows outrun 82 samples and
+    # need a second pass.
+    cfg = ParallelConfig(
+        n_clocks=5, horizon=20.0, seed=12, fault=PowerBias(4.0), workers=2,
+        mapping=(0, 0, 0, 0, 1),
     )
-    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    uncapped = process.simulate_parallel(cfg)
+    calls = []
+    real = process.pipeline_block
+
+    def counted(fault, transform, window, gs, n):
+        calls.append(len(gs))
+        return real(fault, transform, window, gs, n)
+
+    monkeypatch.setattr(process, "_MAX_GRID_CELLS", cells)
+    monkeypatch.setattr(process, "pipeline_block", counted)
+    _assert_same(process.simulate_parallel(cfg), uncapped)
+    batch = max(1, cells // 82)
+    assert max(calls) <= batch
+    assert len(calls) > -(-4 // batch) + 1  # more passes than batches: a row went on
+
+
+@pytest.mark.parametrize("fault,transform,window", _PIPELINES)
+def test_pipeline_block_rows_equal_one_call_per_row(fault, transform, window):
+    # Rows start at different stream positions and finish their fault and
+    # window passes at different points.
+    starts = [substream(5, i).advanced(3 * i) for i in range(7)]
+    samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
+        fault, transform, window, RowStates.of(starts), 700
+    )
+    assert samples.shape == at_draw.shape == (7, 700)
+    for r, gs in enumerate(starts):
+        one = process.pipeline_block(fault, transform, window, gs, 700)
+        assert samples[r].tolist() == one[0].tolist()
+        assert at_draw[r].tolist() == one[1].tolist()
+        assert (fault_rejected[r], window_rejected[r]) == one[2:]
 
 
 @pytest.mark.parametrize("kind", MAPPING_KINDS)
@@ -348,6 +400,42 @@ def test_merge_respects_explicit_totals():
     assert traj.n_clocks == 4
     assert traj.total_draws == 11
     assert traj.per_clock_ticks.tolist() == [1, 0, 0, 0]
+
+
+def test_merge_arrays_orders_like_lexsort():
+    # Parts hold several clocks each, as the per-worker grids do, and come in
+    # no mark order.  Clock 3 ticks twice at 1.0 (a tie inside one clock);
+    # 1.0 and 1.5 are shared across clocks.
+    clocks = {
+        3: ([0.5, 1.0, 1.0, 2.5], [1, 2, 3, 4]),
+        1: ([1.0, 1.5], [1, 2]),
+        2: ([0.25, 1.5, 4.0], [2, 5, 9]),
+        0: ([1.0], [3]),
+    }
+
+    def part(*ids, spread=0.0):  # spread > 0 moves every tick off the ties
+        return (np.concatenate([clocks[i][0] + spread * (i + 4 * np.arange(len(clocks[i][0])))
+                                for i in ids]),
+                np.concatenate([np.full(len(clocks[i][0]), i) for i in ids]),
+                np.concatenate([clocks[i][1] for i in ids]))
+
+    for spread in (0.0, 1e-3):
+        parts = [part(2, 0, spread=spread), part(3, 1, spread=spread)]
+        t, m, d = (np.concatenate(x) for x in zip(*parts))
+        order = np.lexsort((m, t))
+        merged = process._merge_arrays(*zip(*parts), n_clocks=4, total_draws=0)
+        assert merged.times.tolist() == t[order].tolist()
+        assert merged.marks.tolist() == m[order].tolist()
+        assert merged.draw_indices.tolist() == d[order].tolist()
+        if not spread:  # the tied ticks of clock 3 keep their emission order
+            assert merged.marks.tolist()[2:6] == [0, 1, 3, 3]
+            assert merged.draw_indices.tolist()[4:6] == [2, 3]
+
+
+def test_merge_arrays_rejects_a_clock_out_of_order():
+    with pytest.raises(RuntimeError):
+        process._merge_arrays([np.array([1.0, 3.0, 2.0])], [np.array([0, 1, 1])],
+                              [np.array([1, 1, 2])], n_clocks=2, total_draws=0)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,46 @@ def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
         _assert_matches_oracle(LowThinning(c, q), substream(8, chunk), 300)
 
 
+def test_substream_rows_equal_substreams():
+    ids = np.array([0, 1, 7, worker_stream(3), MAPPING_STREAM], dtype=np.int64)
+    for seed in (0, 42, MASK64):
+        rows = rng.substream_rows(seed, ids)
+        assert [rows.row(r) for r in range(len(rows))] == [substream(seed, int(i)) for i in ids]
+
+
+_ROW_MODELS = [IDEAL, PowerBias(2.0), LowThinning(0.5, 0.5), LowThinning(0.99, 1.0)]
+
+
+@pytest.mark.parametrize("chunk", [3, 17, rng._CHUNK])
+@pytest.mark.parametrize("model", _ROW_MODELS, ids=fault_label)
+def test_fault_block_rows_equal_one_call_per_row(monkeypatch, model, chunk):
+    # Rows start at different stream positions; with small chunks they need
+    # different numbers of passes, and a pass covers only the rows still short.
+    monkeypatch.setattr(rng, "_CHUNK", chunk)
+    starts = [substream(9, i).advanced(i) for i in range(5)]
+    n = 40 if model == LowThinning(0.99, 1.0) else 300
+    samples, at_draw, new, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
+    assert samples.shape == at_draw.shape == (5, n)
+    for r, gs in enumerate(starts):
+        one = rng.fault_block(model, gs, n)
+        assert samples[r].tolist() == one[0].tolist()
+        assert at_draw[r].tolist() == one[1].tolist()
+        assert new.row(r) == one[2]
+        assert rejected[r] == one[3]
+
+
+def test_unit_block_rows_equal_one_call_per_row():
+    starts = [substream(4, i).advanced(2 * i) for i in range(3)]
+    grid, new = rng.unit_block(rng.RowStates.of(starts), 50)
+    for r, gs in enumerate(starts):
+        u, gs_after = rng.unit_block(gs, 50)
+        assert grid[r].tolist() == u.tolist()
+        assert new.row(r) == gs_after
+    empty, same = rng.fault_block(IDEAL, rng.RowStates.of(starts), 0)[::2]
+    assert empty.shape == (3, 0)
+    assert [same.row(r) for r in range(3)] == starts
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=MASK64),

@@ -140,6 +140,29 @@ def test_ks_two_sample_extremes():
     assert res.p_value < 1e-6
 
 
+def _pooled_ks_statistic(a, b):
+    # The textbook form: both empirical cdfs at every pooled point.
+    xa, xb = np.sort(a), np.sort(b)
+    pooled = np.concatenate([xa, xb])
+    fa = np.searchsorted(xa, pooled, side="right") / xa.size
+    fb = np.searchsorted(xb, pooled, side="right") / xb.size
+    return float(np.abs(fa - fb).max())
+
+
+@pytest.mark.parametrize("decimals", [None, 2, 1, 0])
+def test_ks_two_sample_equals_pooled_formula_with_ties(decimals):
+    # Rounding leaves long runs of equal values inside and across samples.
+    gen = np.random.default_rng(5)
+    for n, m in [(8, 8), (9, 400), (1000, 1237), (5000, 20)]:
+        a, b = gen.exponential(1.0, n), gen.exponential(1.2, m)
+        if decimals is not None:
+            a, b = np.round(a, decimals), np.round(b, decimals)
+        res = stats.ks_two_sample(a, b)
+        assert res.statistic == _pooled_ks_statistic(a, b)
+        presorted = stats.ks_two_sample(np.sort(a), np.sort(b), presorted=True)
+        assert presorted.statistic == res.statistic
+
+
 def test_ks_two_sample_needs_eight_per_side():
     with pytest.raises(ValueError):
         stats.ks_two_sample([0.1] * 7, [0.2] * 100)
