@@ -245,7 +245,7 @@ class GapMemo:
 def _pair_evidence(a: Trajectory, b: Trajectory, prefix: str,
                    gap_stats: GapMemo) -> list[Evidence]:
     ga, gb = gap_stats(a), gap_stats(b)
-    ks = ks_two_sample(ga.ascending, gb.ascending, presorted=True)
+    ks = ks_two_sample(ga.ascending, gb.ascending)
     s_a, s_b = ga.summary, gb.summary
     return [
         Evidence(prefix + "inter_event_ks", ks.statistic, ks.p_value),

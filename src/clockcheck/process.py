@@ -39,15 +39,18 @@ import numpy as np
 from .rng import (
     MASK64,
     MAPPING_STREAM,
+    MAX_PASS_CELLS,
     SERIAL_STREAM,
     FaultModel,
     GeneratorState,
     IDEAL,
     RowStates,
+    as_rows,
     clock_stream,
     fault_block,
     fault_rejections,
     next_unit,
+    one_row,
     substream,
     substream_rows,
     worker_stream,
@@ -73,8 +76,6 @@ __all__ = [
 _TOP = 1.0 - 2.0**-53
 _STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
 _MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
-_MAX_EPOCH_SAMPLES = 1 << 20  # per-worker draws per pipeline_block call, at most
-_MAX_GRID_CELLS = 1 << 20  # per-clock grid samples per pipeline_block call, at most
 
 
 class Event(NamedTuple):
@@ -216,12 +217,9 @@ def pipeline_block(
     it raises once ``_STARVATION_DRAWS`` pipeline draws have been made,
     instead of doubling its draw count until memory runs out.
     """
-    single = isinstance(gs, GeneratorState)
-    out = _pipeline_rows(fault, transform, window, RowStates.of([gs]) if single else gs, n)
-    if not single:
-        return out
-    samples, at_draw, fault_rejected, window_rejected = out
-    return samples[0], at_draw[0], int(fault_rejected[0]), int(window_rejected[0])
+    rows, single = as_rows(gs)
+    out = _pipeline_rows(fault, transform, window, rows, n)
+    return one_row(out) if single else out
 
 
 def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
@@ -232,39 +230,50 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
         return samples, at_draw, rejected, np.zeros(len(rows), dtype=np.int64)
     # Each row draws m pipeline samples and keeps its first n inside the
     # window; a row with fewer inside draws again from its start with 2m.
+    # The rows go in batches of at most MAX_PASS_CELLS draws (one row when m
+    # alone is more).
     y = np.empty((len(rows), n), dtype=np.float64)
     kept_at = np.empty((len(rows), n), dtype=np.int64)
     fault_rejected = np.zeros(len(rows), dtype=np.int64)
     drawn = np.zeros(len(rows), dtype=np.int64)  # pipeline draws up to the n-th kept
     todo = np.arange(len(rows))
-    m = max(64, int(1.5 * n / max(window.width, 1e-3)) + 16)
+    m = max(64, int(n * _draws_per_sample(window)) + 16)
     while todo.size:
-        part = rows if todo.size == len(rows) else rows.take(todo)
-        samples, at_draw, _, _ = fault_block(fault, part, m)
-        if transform is not None:
-            samples = transform_block(transform, samples)
-        inside = (samples > window.a) & (samples < window.b)
-        accepted = np.count_nonzero(inside, axis=1)
-        ok = accepted >= n
-        if m >= _STARVATION_DRAWS and (accepted[~ok] < _MIN_ACCEPTANCE * m).any():
-            raise RuntimeError(
-                f"window ({window.a}, {window.b}) accepted {accepted.min()} of {m} "
-                "pipeline draws: the pipeline never lands inside it, or with odds below "
-                f"{_MIN_ACCEPTANCE:g}, which is not supported"
-            )
-        if not ok.all():
-            samples, at_draw, inside, part = samples[ok], at_draw[ok], inside[ok], part.take(ok)
-        done = todo[ok]
-        used = inside & (np.cumsum(inside, axis=1) <= n)  # each row's first n inside
-        y[done] = ((samples[used] - window.a) / window.width).reshape(done.size, n)
-        kept_at[done] = at_draw[used].reshape(done.size, n)
-        if n:
-            drawn[done] = m - np.argmax(used[:, ::-1], axis=1)
-        fault_rejected[done] = fault_rejections(at_draw, part.draw_count, upto=drawn[done])
-        todo, m = todo[~ok], 2 * m
+        batch = max(1, MAX_PASS_CELLS // m)
+        short = []
+        for lo in range(0, todo.size, batch):
+            part = todo[lo:lo + batch]
+            samples, at_draw, _, _ = fault_block(fault, rows.take(part), m)
+            if transform is not None:
+                samples = transform_block(transform, samples)
+            inside = (samples > window.a) & (samples < window.b)
+            accepted = np.count_nonzero(inside, axis=1)
+            ok = accepted >= n
+            if m >= _STARVATION_DRAWS and (accepted[~ok] < _MIN_ACCEPTANCE * m).any():
+                raise RuntimeError(
+                    f"window ({window.a}, {window.b}) accepted {accepted.min()} of {m} "
+                    "pipeline draws: the pipeline never lands inside it, or with odds "
+                    f"below {_MIN_ACCEPTANCE:g}, which is not supported"
+                )
+            short.append(part[~ok])
+            done = part[ok]
+            samples, at_draw, inside = samples[ok], at_draw[ok], inside[ok]
+            used = inside & (np.cumsum(inside, axis=1) <= n)  # each row's first n inside
+            y[done] = ((samples[used] - window.a) / window.width).reshape(done.size, n)
+            kept_at[done] = at_draw[used].reshape(done.size, n)
+            if n:
+                drawn[done] = m - np.argmax(used[:, ::-1], axis=1)
+            fault_rejected[done] = fault_rejections(at_draw, rows.draw_count[done],
+                                                    upto=drawn[done])
+        todo, m = np.concatenate(short), 2 * m
     y[y >= 1.0] = _TOP
     y[y <= 0.0] = 5e-324
     return y, kept_at, fault_rejected, drawn - n
+
+
+def _draws_per_sample(window: Optional[RescaleWindow]) -> float:
+    """Pipeline draws a stream first takes per sample its window keeps."""
+    return 1.0 if window is None else 1.5 / max(window.width, 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -316,12 +325,13 @@ def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
     pipeline samples for every row, cumulative-sums each row from the
     clock's current time and cuts it at the horizon.  A row that has not
     passed the horizon by the end of a pass goes on in the next pass from
-    its advanced state.  At most ``_MAX_GRID_CELLS`` samples are drawn in
-    one pass, so a worker's rows are taken in batches.
+    its advanced state.  A worker's rows are taken in batches of at most
+    ``MAX_PASS_CELLS`` samples a pass; the window, if any, draws its own
+    multiple of that in batches of the same bound.
     """
     mapping = np.asarray(cfg.mapping)
-    width = min(int(2.5 * cfg.horizon) + 32, _MAX_GRID_CELLS)
-    batch = max(1, _MAX_GRID_CELLS // width)
+    width = min(int(2.5 * cfg.horizon) + 32, MAX_PASS_CELLS)
+    batch = max(1, MAX_PASS_CELLS // width)
     parts_t, parts_m, parts_d = [], [], []
     total = 0
     for w in range(cfg.workers):
@@ -368,10 +378,13 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
     (rounds x live clocks) matrix: each column, summed from that clock's
     current time, gives its tick times.  An epoch is cut at the first round
     in which some clock passes the horizon (every live clock still draws in
-    that round); the next epoch repeats with the clocks still alive.
+    that round); the next epoch repeats with the clocks still alive.  An
+    epoch draws about ``MAX_PASS_CELLS`` pipeline samples, window draws
+    included, at most.
     """
     parts_t, parts_m, parts_d = [], [], []
     mapping = np.asarray(cfg.mapping)
+    epoch_samples = int(MAX_PASS_CELLS / _draws_per_sample(cfg.fix_window))
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
@@ -379,7 +392,7 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
         now = np.zeros(clocks.size)
         while clocks.size:
             k = clocks.size
-            rounds = min(int(cfg.horizon - now.max()) + 8, max(1, _MAX_EPOCH_SAMPLES // k))
+            rounds = min(int(cfg.horizon - now.max()) + 8, max(1, epoch_samples // k))
             samples, at_draw, _, _ = pipeline_block(
                 cfg.fault, cfg.transform, cfg.fix_window, gs, rounds * k
             )

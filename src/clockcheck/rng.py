@@ -65,6 +65,8 @@ __all__ = [
     "next_unit",
     "unit_block",
     "raw_block",
+    "as_rows",
+    "one_row",
     "fault_block",
     "fault_rejections",
     "derived_seeds",
@@ -87,11 +89,13 @@ _SNAP_ABOVE_HALF = 0.5 + 2.0**-53
 _SNAP_BELOW_ONE = 1.0 - 2.0**-53
 # Positive floor for extreme PowerBias underflow (smallest subnormal).
 _TINY = 5e-324
-# Raw draws per row and LowThinning pass in fault_block, at most, and the
-# cells one pass may hold: a pass over many rows takes narrower chunks (>= 256
-# draws), and one that needs few samples takes only about as many as it needs.
+# Cells one vectorised pass over a grid of rows may hold, at most: the
+# LowThinning chunks here, per-worker epochs and per-clock grid passes.
+MAX_PASS_CELLS = 1 << 20
+# Raw draws per row and LowThinning pass in fault_block, at most: a pass over
+# many rows takes narrower chunks (>= 256 draws, MAX_PASS_CELLS in all), and
+# one that needs few samples takes only about as many as it needs.
 _CHUNK = 8192
-_CHUNK_CELLS = 1 << 20
 
 _U64 = np.uint64
 _V_GOLDEN = _U64(GOLDEN)
@@ -240,11 +244,20 @@ def next_unit(gs: GeneratorState) -> tuple[float, GeneratorState]:
     return _unit_from_word(word), gs.advanced(1)
 
 
-def _rows(gs: "GeneratorState | RowStates") -> tuple["RowStates", bool]:
+def as_rows(gs: "GeneratorState | RowStates") -> tuple["RowStates", bool]:
     """``gs`` as a grid of rows, and whether it was a single stream."""
     if isinstance(gs, GeneratorState):
         return RowStates.of([gs]), True
     return gs, False
+
+
+def one_row(result: tuple) -> tuple:
+    """A row-form result as the single stream's: row 0 of every grid, the
+    state of row 0, and the count of row 0 as an ``int``."""
+    return tuple(
+        v.row(0) if isinstance(v, RowStates) else v[0].item() if v.ndim == 1 else v[0]
+        for v in result
+    )
 
 
 def raw_block(gs: "GeneratorState | RowStates", n: int) -> np.ndarray:
@@ -252,7 +265,7 @@ def raw_block(gs: "GeneratorState | RowStates", n: int) -> np.ndarray:
 
     A single stream gives a vector; :class:`RowStates` give a (rows x n) grid.
     """
-    rows, single = _rows(gs)
+    rows, single = as_rows(gs)
     steps = np.arange(1, n + 1, dtype=np.uint64)
     z = _mix_words(rows.state[:, None] + steps * _V_GOLDEN)
     return z[0] if single else z
@@ -265,7 +278,7 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
     state, row by row.  A single stream is the one-row case: it gives a
     vector and a :class:`GeneratorState`.
     """
-    rows, single = _rows(gs)
+    rows, single = as_rows(gs)
     w = raw_block(rows, n)
     w >>= _SH11
     u = w.astype(np.float64)
@@ -273,8 +286,8 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
     u *= _SCALE
     u[u == 0.5] = _SNAP_ABOVE_HALF
     u[u == 1.0] = _SNAP_BELOW_ONE
-    new = rows.advanced(n)
-    return (u[0], new.row(0)) if single else (u, new)
+    out = (u, rows.advanced(n))
+    return one_row(out) if single else out
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +359,7 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows, single = _rows(gs)
+    rows, single = as_rows(gs)
     if isinstance(model, (Ideal, PowerBias)):
         u, new = unit_block(rows, n)
         if isinstance(model, PowerBias):
@@ -360,9 +373,8 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
         rejected = fault_rejections(at_draw, rows.draw_count)
     else:
         raise TypeError(f"unknown fault model: {model!r}")
-    if single:
-        return u[0], at_draw[0], new.row(0), int(rejected[0])
-    return u, at_draw, new, rejected
+    out = (u, at_draw, new, rejected)
+    return one_row(out) if single else out
 
 
 def _thinning_rows(
@@ -384,7 +396,7 @@ def _thinning_rows(
     spend = 1.25 * (1.0 + c) / (1.0 - c * q)  # raw draws per sample, with a margin
     while live.size:
         need = n - filled[live]
-        width = min(_CHUNK, max(256, _CHUNK_CELLS // live.size), int(need.max() * spend) + 32)
+        width = min(_CHUNK, max(256, MAX_PASS_CELLS // live.size), int(need.max() * spend) + 32)
         after = np.arange(1, width + 1, dtype=np.int32)  # position + 1 of each draw
         u, _ = unit_block(RowStates(state[live], count[live]), width)
         below = u < c
@@ -411,27 +423,17 @@ def _thinning_rows(
         if (counts > need).any():  # drop what finished rows drew past their need
             flat = flat[np.arange(flat.size) < np.repeat(starts + need, counts)]
         into = live * n + filled[live]  # where each row's new samples go in the flat grid
-        first = count[live] + 1 - row_start  # a row's draw count after its draw 0
-        if live.size > 1:
-            first = np.repeat(first, got)
-        _scatter(out, into, got, u.ravel()[flat])
-        _scatter(at_draw, into, got, first + flat + below.ravel()[flat])
+        # each kept draw's cell in the flat grid, and its row's draw count
+        # after the row's draw 0
+        cell = np.repeat(into - np.cumsum(got) + got, got) + np.arange(flat.size)
+        first = np.repeat(count[live] + 1 - row_start, got)
+        out.ravel()[cell] = u.ravel()[flat]
+        at_draw.ravel()[cell] = first + flat + below.ravel()[flat]
         filled[live] += got
         state[live] += step.astype(np.uint64) * _V_GOLDEN
         count[live] += step
         live = live[~done]
     return out, at_draw, RowStates(state, count)
-
-
-def _scatter(grid: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
-             values: np.ndarray) -> None:
-    """Write ``values`` into flat ``grid`` as runs of ``counts[i]`` cells from ``offsets[i]``."""
-    flat = grid.ravel()
-    if offsets.size == 1 or np.array_equal(offsets[1:], offsets[:-1] + counts[:-1]):
-        flat[offsets[0]:offsets[0] + values.size] = values  # the runs are contiguous
-    else:
-        flat[np.repeat(offsets - np.cumsum(counts) + counts, counts)
-             + np.arange(values.size)] = values
 
 
 def fault_rejections(at_draw: np.ndarray, start, upto=None):

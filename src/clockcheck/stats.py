@@ -141,23 +141,25 @@ def ks_one_sample(samples: ArrayLike, cdf: Callable[[np.ndarray], np.ndarray]) -
     return KsResult(statistic=d, p_value=p, n=n)
 
 
-def ks_two_sample(a: ArrayLike, b: ArrayLike, *, presorted: bool = False) -> KsResult:
+def ks_two_sample(a: ArrayLike, b: ArrayLike) -> KsResult:
     """Two-sample KS: sup |F_a - F_b| over the pooled points.
 
     Both sides need >= 8 points; the p-value uses the one-sample asymptotic
-    with effective n = n*m/(n+m).  ``presorted=True`` promises that both
-    samples are already in ascending order and skips sorting them.
+    with effective n = n*m/(n+m).  A sample already in ascending order is
+    not sorted again.
     """
-    xa = np.asarray(a, dtype=np.float64).ravel()
-    xb = np.asarray(b, dtype=np.float64).ravel()
-    if not presorted:
-        xa, xb = np.sort(xa), np.sort(xb)
+    xa = _ascending(np.asarray(a, dtype=np.float64).ravel())
+    xb = _ascending(np.asarray(b, dtype=np.float64).ravel())
     n, m = xa.size, xb.size
     if n < MIN_KS_N or m < MIN_KS_N:
         raise ValueError(f"ks_two_sample requires both samples >= {MIN_KS_N}, got {n} and {m}")
     d = max(_ks_side(xa, xb), _ks_side(xb, xa))
     effective = n * m / (n + m)
     return KsResult(statistic=d, p_value=_ks_p(d, effective), n=n, m=m)
+
+
+def _ascending(x: np.ndarray) -> np.ndarray:
+    return x if np.all(x[1:] >= x[:-1]) else np.sort(x)
 
 
 def _ks_side(x: np.ndarray, y: np.ndarray) -> float:

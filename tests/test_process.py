@@ -207,7 +207,7 @@ def test_per_clock_grid_cap_splits_rows_and_passes(monkeypatch, cells):
         calls.append(len(gs))
         return real(fault, transform, window, gs, n)
 
-    monkeypatch.setattr(process, "_MAX_GRID_CELLS", cells)
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
     monkeypatch.setattr(process, "pipeline_block", counted)
     _assert_same(process.simulate_parallel(cfg), uncapped)
     batch = max(1, cells // 82)
@@ -231,6 +231,51 @@ def test_pipeline_block_rows_equal_one_call_per_row(fault, transform, window):
         assert (fault_rejected[r], window_rejected[r]) == one[2:]
 
 
+def _counting_fault_block(monkeypatch, shapes):
+    real = process.fault_block
+
+    def counted(model, gs, n):
+        shapes.append((len(gs), n))
+        return real(model, gs, n)
+
+    monkeypatch.setattr(process, "fault_block", counted)
+
+
+def test_window_draws_rows_in_capped_passes(monkeypatch):
+    # A 0.05-wide window draws m = 2416 pipeline samples per row for 80
+    # kept: a cap of 5000 cells takes two rows a pass.  Under PowerBias(2)
+    # the window holds 3.25% of the mass, so about half the rows fall short
+    # and redraw 4832 samples, one row a pass.
+    window = RescaleWindow(0.3, 0.35)
+    starts = RowStates.of([substream(6, i) for i in range(30)])
+    uncapped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
+    shapes = []
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 5000)
+    _counting_fault_block(monkeypatch, shapes)
+    capped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
+    for got, want in zip(capped, uncapped):
+        assert np.array_equal(got, want)
+    assert {rows for rows, m in shapes if m == 2416} == {2}
+    assert {rows for rows, m in shapes if m == 4832} == {1}
+    assert all(rows * m <= 5000 for rows, m in shapes)
+
+
+def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):
+    # 40 clocks with a 0.02-wide window: every pass, delivered samples and
+    # window draws alike, stays under the cap, and the run equals the oracle.
+    cfg = ParallelConfig(
+        n_clocks=40, horizon=10.0, seed=21, fault=LowThinning(0.5, 0.5),
+        fix_window=RescaleWindow(0.6, 0.62), workers=3,
+        mapping=make_mapping("shuffle", 40, 3, seed=21),
+    )
+    shapes = []
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 30_000)
+    _counting_fault_block(monkeypatch, shapes)
+    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    assert max(rows for rows, _ in shapes) > 1
+    assert all(rows * m <= 30_000 for rows, m in shapes)
+
+
 @pytest.mark.parametrize("kind", MAPPING_KINDS)
 @pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
@@ -247,12 +292,28 @@ def test_per_worker_block_path_equals_scalar_path(fault, transform, window, work
 
 def test_per_worker_epochs_cap_their_draws(monkeypatch):
     # One round per epoch: every epoch ends early and the next one resumes.
-    monkeypatch.setattr(process, "_MAX_EPOCH_SAMPLES", 1)
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 1)
     cfg = ParallelConfig(
         n_clocks=5, horizon=20.0, seed=3, fault=LowThinning(0.5, 0.5), workers=2,
         stream_mode=StreamMode.PER_WORKER,
     )
     _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+
+
+def test_per_worker_epochs_count_their_window_draws(monkeypatch):
+    # A 0.1-wide window first draws 15 pipeline samples per kept one, so a
+    # cap of 3000 cells gives epochs of at most 200 samples (40 rounds of 5
+    # clocks) and window passes of at most 3000 + 16 draws.
+    cfg = ParallelConfig(
+        n_clocks=5, horizon=60.0, seed=8, fault=PowerBias(2.0),
+        fix_window=RescaleWindow(0.5, 0.6), stream_mode=StreamMode.PER_WORKER,
+    )
+    shapes = []
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 3000)
+    _counting_fault_block(monkeypatch, shapes)
+    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    assert max(m for _, m in shapes) <= 3016
+    assert len(shapes) > 1
 
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)

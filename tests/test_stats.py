@@ -159,8 +159,8 @@ def test_ks_two_sample_equals_pooled_formula_with_ties(decimals):
             a, b = np.round(a, decimals), np.round(b, decimals)
         res = stats.ks_two_sample(a, b)
         assert res.statistic == _pooled_ks_statistic(a, b)
-        presorted = stats.ks_two_sample(np.sort(a), np.sort(b), presorted=True)
-        assert presorted.statistic == res.statistic
+        ordered = stats.ks_two_sample(np.sort(a), np.sort(b))
+        assert ordered.statistic == res.statistic
 
 
 def test_ks_two_sample_needs_eight_per_side():
