@@ -3,11 +3,11 @@
 Sections and keys (all optional unless stated; unknown sections or keys are
 rejected, and every diagnostic names the offending key):
 
-* ``[experiment]`` — ``seed`` (one or more 64-bit values, whitespace- or
-  comma-separated) OR ``seed_count`` (expands to the pre-registered list
-  ``mix64(0) .. mix64(count-1)``; default count 20), ``n_clocks`` (default
-  16), ``horizon`` (default 250), ``alpha`` (default 0.01), ``ab_samples``
-  (default 100000), ``fix_samples`` (default 10000).
+* ``[experiment]`` — ``seed`` (one or more distinct 64-bit values,
+  whitespace- or comma-separated) OR ``seed_count`` (expands to the
+  pre-registered list ``mix64(0) .. mix64(count-1)``; default count 20),
+  ``n_clocks`` (default 16), ``horizon`` (default 250), ``alpha`` (default
+  0.01), ``ab_samples`` (default 100000), ``fix_samples`` (default 10000).
 * ``[fault]`` — ``kind`` in {ideal, power_bias, low_thinning}; ``gamma``
   (power_bias only); ``c`` and ``q`` (low_thinning only).
 * ``[transform]`` — ``names``: ordered list from {reflect, rotate_half},
@@ -16,7 +16,8 @@ rejected, and every diagnostic names the offending key):
 * ``[parallel]`` — ``workers``: list of worker counts (default "1");
   ``mappings``: list from {blocks, round_robin, shuffle} (default
   "blocks"); ``stream_modes``: list from {per_clock, per_worker} (default
-  "per_clock").
+  "per_clock").  No list may repeat an entry: a repeated cell would write
+  over its twin's event file and count its tests twice.
 * ``[output]`` — ``directory`` (default "reports"); ``formats``: list from
   {json, csv} (default both).
 * ``[debug]`` — ``corrupt_per_clock_run``: bool (default false); damages
@@ -68,6 +69,14 @@ class OutputConfig:
 
 def _split_list(raw: str) -> list[str]:
     return [tok for tok in re.split(r"[,\s]+", raw.strip()) if tok]
+
+
+def _reject_duplicates(key: str, values) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{key}: duplicate entry {value!r}")
+        seen.add(value)
 
 
 class _Section:
@@ -147,6 +156,7 @@ def _parse_seeds(section: _Section, seed_override: Optional[int]) -> tuple[int, 
             seeds.append(value)
         if not seeds:
             raise ConfigError("[experiment] seed: empty list")
+        _reject_duplicates("[experiment] seed", seeds)
         return tuple(seeds)
     count = section.typed("seed_count", int, DEFAULT_SEED_COUNT)
     if count < 1:
@@ -240,6 +250,9 @@ def _parse_parallel(section: _Section) -> tuple[tuple[int, ...], tuple[str, ...]
         except ValueError:
             raise ConfigError(f"[parallel] stream_modes: unknown mode {tok!r} "
                               "(expected per_clock or per_worker)") from None
+    _reject_duplicates("[parallel] workers", workers)
+    _reject_duplicates("[parallel] mappings", mappings)
+    _reject_duplicates("[parallel] stream_modes", [m.value for m in modes])
     return tuple(workers), mappings, tuple(modes)
 
 

@@ -413,6 +413,10 @@ class ExperimentPlan:
             raise ValueError("worker_counts must be a nonempty list of P >= 1")
         if not self.mappings or not self.stream_modes:
             raise ValueError("mappings and stream_modes must be nonempty")
+        for name in ("seeds", "worker_counts", "mappings", "stream_modes"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
         if self.ab_samples < _MIN_AB_SAMPLES:
             raise ValueError(f"ab_samples must be >= {_MIN_AB_SAMPLES}")
         if self.fix_samples < _MIN_FIX_SAMPLES:

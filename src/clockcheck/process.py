@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from .rng import (
 from .transforms import RescaleWindow, Transform, transform_block
 
 __all__ = [
-    "Event",
     "Trajectory",
     "StreamMode",
     "SerialConfig",
@@ -76,14 +75,6 @@ __all__ = [
 _TOP = 1.0 - 2.0**-53
 _STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
 _MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
-
-
-class Event(NamedTuple):
-    """One clock tick: when, which clock, and the stream's draw count at emission."""
-
-    time: float
-    mark: int
-    draw_index: int
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,6 @@ class Trajectory:
     @property
     def per_clock_ticks(self) -> np.ndarray:
         return np.bincount(self.marks, minlength=self.n_clocks)
-
-    def events(self) -> Iterator[Event]:
-        for t, m, d in zip(self.times.tolist(), self.marks.tolist(), self.draw_indices.tolist()):
-            yield Event(t, int(m), int(d))
 
     def inter_event_times(self) -> np.ndarray:
         """Gaps between consecutive events, the first measured from time 0."""

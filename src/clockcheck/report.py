@@ -7,7 +7,10 @@ Output contract, relied on by regression tests:
   only non-deterministic field is ``generated_at`` (ISO-8601 UTC); byte
   comparison after dropping that line is stable for identical inputs.
 * ``events_seed<seed>_<label>.csv`` — one file per simulated run, header
-  ``time,mark,draw_index``.
+  ``time,mark,draw_index``, CRLF line ends.  The rows are formatted straight
+  from the trajectory's arrays, ``_CSV_ROWS`` rows per write, in the same
+  bytes ``csv.writer`` gives for rows of (``repr(time)``, mark, draw index):
+  no field ever needs quoting, since each is a float ``repr`` or an int.
 * ``summary.csv`` — header ``seed,pairing,test,statistic,p_value,verdict``;
   one row per evidence item per pairing (plus the fix before/after blocks
   and discard rate when a fix is configured).
@@ -30,6 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .detector import ComparisonReport
+from .process import Trajectory
 
 __all__ = [
     "sanitize",
@@ -42,6 +46,7 @@ __all__ = [
 
 SUMMARY_HEADER = ("seed", "pairing", "test", "statistic", "p_value", "verdict")
 EVENTS_HEADER = ("time", "mark", "draw_index")
+_CSV_ROWS = 1 << 16  # event rows formatted and written per chunk
 
 
 def sanitize(obj):
@@ -97,6 +102,16 @@ def summary_rows(report: ComparisonReport) -> list[tuple]:
     return rows
 
 
+def _write_events_csv(path: Path, traj: Trajectory) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(EVENTS_HEADER) + "\r\n")
+        for lo in range(0, len(traj), _CSV_ROWS):
+            rows = zip(traj.times[lo:lo + _CSV_ROWS].tolist(),
+                       traj.marks[lo:lo + _CSV_ROWS].tolist(),
+                       traj.draw_indices[lo:lo + _CSV_ROWS].tolist())
+            fh.write("".join([f"{t!r},{m},{d}\r\n" for t, m, d in rows]))
+
+
 def write_report_bundle(
     report: ComparisonReport,
     out_dir: Union[str, Path],
@@ -122,10 +137,6 @@ def write_report_bundle(
         for sr in report.seed_reports:
             for run in sr.runs:
                 epath = out / f"events_seed{sr.seed}_{run.label}.csv"
-                with open(epath, "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(EVENTS_HEADER)
-                    for event in run.trajectory.events():
-                        writer.writerow([repr(event.time), event.mark, event.draw_index])
+                _write_events_csv(epath, run.trajectory)
                 written["events"].append(epath)
     return written

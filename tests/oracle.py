@@ -10,10 +10,14 @@ Only modules are imported from ``clockcheck``, never its layer functions by
 name, so that the benchmark tracer's binding check stays clean.
 """
 
+import csv
+import io
+from typing import NamedTuple
+
 import numpy as np
 
-from clockcheck import detector, rng, stats, transforms
-from clockcheck.process import Event, StreamMode, Trajectory
+from clockcheck import detector, report, rng, stats, transforms
+from clockcheck.process import StreamMode, Trajectory
 
 _TOP = 1.0 - 2.0**-53
 _TINY = 5e-324
@@ -107,6 +111,24 @@ class PipelineSource(SourceStream):
         y, discarded = rejection_rescale(self.window, self._pre_window)
         self.window_discards += discarded
         return y
+
+
+class Event(NamedTuple):
+    """One clock tick: when, which clock, and the stream's draw count at emission."""
+
+    time: float
+    mark: int
+    draw_index: int
+
+
+def events_csv_text(traj):
+    """An events CSV as ``csv.writer`` writes it, one ``writerow`` per event."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(report.EVENTS_HEADER)
+    for t, m, d in zip(traj.times.tolist(), traj.marks.tolist(), traj.draw_indices.tolist()):
+        writer.writerow([repr(t), m, d])
+    return buf.getvalue()
 
 
 def _trajectory(events, n_clocks, total_draws):

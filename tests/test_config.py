@@ -211,6 +211,27 @@ def test_parallel_validation(tmp_path):
         config.load_config(_write(tmp_path, "[parallel]\nstream_modes = per_thread\n"))
 
 
+def test_duplicate_seed_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[experiment\] seed: duplicate entry 3"):
+        config.load_config(_write(tmp_path, "[experiment]\nseed = 3 4, 3\n"))
+
+
+def test_duplicate_worker_count_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[parallel\] workers: duplicate entry 1"):
+        config.load_config(_write(tmp_path, "[parallel]\nworkers = 1 1\n"))
+
+
+def test_duplicate_mapping_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[parallel\] mappings: duplicate entry 'shuffle'"):
+        config.load_config(_write(tmp_path, "[parallel]\nmappings = shuffle blocks shuffle\n"))
+
+
+def test_duplicate_stream_mode_is_rejected(tmp_path):
+    # modes are case-insensitive, so these two spellings name one mode
+    with pytest.raises(ConfigError, match=r"\[parallel\] stream_modes: duplicate entry 'per_worker'"):
+        config.load_config(_write(tmp_path, "[parallel]\nstream_modes = per_worker PER_WORKER\n"))
+
+
 def test_output_format_validation(tmp_path):
     with pytest.raises(ConfigError, match="unknown format 'xml'"):
         config.load_config(_write(tmp_path, "[output]\nformats = xml\n"))

@@ -426,3 +426,12 @@ def test_plan_validation():
         _small_plan(fix_samples=10)
     with pytest.raises(ValueError):
         _small_plan(worker_counts=())
+
+
+def test_plan_rejects_duplicate_entries():
+    for field, value in (("seeds", (3, 3)),
+                         ("worker_counts", (1, 2, 1)),
+                         ("mappings", ("blocks", "blocks")),
+                         ("stream_modes", (StreamMode.PER_CLOCK, StreamMode.PER_CLOCK))):
+        with pytest.raises(ValueError, match=f"{field} must not repeat"):
+            _small_plan(**{field: value})

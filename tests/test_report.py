@@ -1,15 +1,17 @@
 """Serialization tests: JSON sanitizing, summary CSV, and the output bundle."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import oracle
 from clockcheck import detector, report
-from clockcheck.detector import ExperimentPlan
-from clockcheck.process import StreamMode
+from clockcheck.detector import ExperimentPlan, RunRecord
+from clockcheck.process import StreamMode, Trajectory
 from clockcheck.report import (
     EVENTS_HEADER,
     SUMMARY_HEADER,
@@ -93,3 +95,82 @@ def test_write_report_bundle_respects_formats(tmp_path, small_report):
     assert len(events) == 2  # serial + one parallel cell
     with open(events[0], newline="") as fh:
         assert tuple(next(csv.reader(fh))) == EVENTS_HEADER
+
+
+def _trajectory(times, marks, draw_indices, n_clocks=4):
+    return Trajectory(
+        times=np.asarray(times, dtype=np.float64),
+        marks=np.asarray(marks, dtype=np.int64),
+        draw_indices=np.asarray(draw_indices, dtype=np.int64),
+        total_draws=int(max(draw_indices, default=0)) + 1,
+        n_clocks=n_clocks,
+    )
+
+
+def _random_trajectory(n, seed=0):
+    gen = np.random.default_rng(seed)
+    return _trajectory(np.cumsum(gen.exponential(size=n)),
+                       gen.integers(0, 4, size=n),
+                       np.arange(1, n + 1) * 3)
+
+
+def _write_events(small_report, out, trajectories):
+    """Write ``trajectories`` as the runs of one seed; return the event files."""
+    runs = tuple(RunRecord(f"t{i}", "hand", t) for i, t in enumerate(trajectories))
+    seed_report = dataclasses.replace(small_report.seed_reports[0], runs=runs)
+    bundle = dataclasses.replace(small_report, seed_reports=(seed_report,))
+    return report.write_report_bundle(bundle, out, formats=("csv",))["events"]
+
+
+def _assert_match_oracle(paths, trajectories):
+    assert len(paths) == len(trajectories)
+    for path, traj in zip(paths, trajectories):
+        assert path.read_bytes() == oracle.events_csv_text(traj).encode("utf-8")
+
+
+def test_event_csvs_equal_csv_writer_bytes(tmp_path, small_report):
+    written = report.write_report_bundle(small_report, tmp_path, formats=("csv",))
+    runs = [run.trajectory for sr in small_report.seed_reports for run in sr.runs]
+    assert min(len(t) for t in runs) > 0
+    _assert_match_oracle(written["events"], runs)
+
+
+def test_empty_event_csv_is_header_only(tmp_path, small_report):
+    empty = _trajectory([], [], [])
+    (path,) = _write_events(small_report, tmp_path, [empty])
+    assert path.read_bytes() == b"time,mark,draw_index\r\n"
+    _assert_match_oracle([path], [empty])
+
+
+def test_event_csv_scientific_times_and_wide_draw_indices(tmp_path, small_report):
+    traj = _trajectory([5e-324, 1.5e-07, 1e-05, 0.1, 12345.678901234567],
+                       [3, 0, 2, 1, 3],
+                       [1, 2**31 + 7, 2**40, 2**62, 2**63 - 1])
+    (path,) = _write_events(small_report, tmp_path, [traj])
+    _assert_match_oracle([path], [traj])
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[1] == b"5e-324,3,1"
+    assert lines[2] == f"1.5e-07,0,{2**31 + 7}".encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_event_csv_chunk_edges(tmp_path, small_report, monkeypatch, n):
+    monkeypatch.setattr(report, "_CSV_ROWS", 3)
+    traj = _random_trajectory(n, seed=n)
+    (path,) = _write_events(small_report, tmp_path, [traj])
+    _assert_match_oracle([path], [traj])
+
+
+def test_event_csv_parses_back_to_the_trajectory(tmp_path, small_report, monkeypatch):
+    monkeypatch.setattr(report, "_CSV_ROWS", 3)
+    serial = small_report.seed_reports[0].runs[0].trajectory
+    for traj in (serial, _random_trajectory(10)):
+        (path,) = _write_events(small_report, tmp_path / str(len(traj)), [traj])
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            assert tuple(next(reader)) == EVENTS_HEADER
+            rows = list(reader)
+        times = np.array([float(r[0]) for r in rows], dtype=np.float64)
+        assert np.array_equal(times, traj.times)  # repr round-trips exactly
+        assert [int(r[1]) for r in rows] == traj.marks.tolist()
+        assert [int(r[2]) for r in rows] == traj.draw_indices.tolist()
