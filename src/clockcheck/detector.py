@@ -44,6 +44,7 @@ from .process import (
 from .rng import IDEAL, SERIAL_STREAM, FaultModel, fault_label, substream
 from .stats import (
     DriftReport,
+    KsResult,
     SampleSummary,
     MIN_KS_N,
     clock_drift,
@@ -200,9 +201,11 @@ def serial_parallel_compare(
     Inter-event times are compared by two-sample KS and by a Welch test on
     their means; each side's marks are tested against the uniform clock
     distribution by chi-square (skipped when there are fewer than 2 clocks
-    or under 5 expected events per clock).  A caller pairing one trajectory
-    several times passes the same ``gap_stats`` memo to each call, so that
-    its gaps are summarised and sorted once.
+    or under 5 expected events per clock).  A caller making several
+    pairings passes the same ``gap_stats`` memo to each call: it is keyed on
+    the trajectories' times (confirmed by exact equality), so each distinct
+    gap sample is summarised and sorted once, and each distinct pair of them
+    is KS- and Welch-tested once.
     """
     if len(serial) < _MIN_COMPARE_EVENTS or len(parallel) < _MIN_COMPARE_EVENTS:
         raise ValueError(
@@ -215,42 +218,62 @@ def serial_parallel_compare(
     return Verdict.from_evidence(evidence, alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapStats:
     """A trajectory's inter-event gaps as the pairings read them: their
-    Welford summary (in event order) and the gaps in ascending order."""
+    Welford summary (in event order) and the gaps in ascending order.
+
+    Compared and hashed by identity: a :class:`GapMemo` hands out one
+    object per distinct gap content and keys its pair results on it.
+    """
 
     summary: SampleSummary
     ascending: np.ndarray
 
 
 class GapMemo:
-    """Each trajectory's :class:`GapStats`, computed at most once.
+    """One seed's gap statistics, computed once per distinct gap content.
 
-    Meant to live for one seed's pairings: it holds every trajectory it has
-    seen (so no ``id`` is reused while it lives) and their sorted gaps.
+    A trajectory whose ``times`` equal those of a trajectory seen before
+    (same length, then ``np.array_equal``; never a hash, never the run's
+    config) gets that trajectory's :class:`GapStats`, so equal per-clock
+    cells are summarised and sorted once, and a corrupted or wrongly merged
+    cell, whose times differ, gets its own.  The KS and Welch results of
+    each ordered pair of ``GapStats`` are kept too.  Meant to live for one
+    seed's pairings: it holds the times and sorted gaps it has seen.
     """
 
     def __init__(self) -> None:
-        self._seen: dict = {}
+        self._seen: list[tuple[np.ndarray, GapStats]] = []
+        self._pairs: dict[tuple[GapStats, GapStats], tuple[KsResult, float]] = {}
 
     def __call__(self, traj: Trajectory) -> GapStats:
-        hit = self._seen.get(id(traj))
+        times = traj.times
+        for seen, stats in self._seen:
+            if seen.size == times.size and np.array_equal(seen, times):
+                return stats
+        gaps = traj.inter_event_times()
+        stats = GapStats(summarize(gaps), np.sort(gaps))
+        self._seen.append((times, stats))
+        return stats
+
+    def pair(self, a: GapStats, b: GapStats) -> tuple[KsResult, float]:
+        """``ks_two_sample`` and ``welch_t`` of ``a`` against ``b``, once per pair."""
+        hit = self._pairs.get((a, b))
         if hit is None:
-            gaps = traj.inter_event_times()
-            hit = self._seen[id(traj)] = (traj, GapStats(summarize(gaps), np.sort(gaps)))
-        return hit[1]
+            hit = self._pairs[a, b] = (ks_two_sample(a.ascending, b.ascending),
+                                       welch_t(a.summary, b.summary))
+        return hit
 
 
 def _pair_evidence(a: Trajectory, b: Trajectory, prefix: str,
                    gap_stats: GapMemo) -> list[Evidence]:
     ga, gb = gap_stats(a), gap_stats(b)
-    ks = ks_two_sample(ga.ascending, gb.ascending)
-    s_a, s_b = ga.summary, gb.summary
+    ks, welch_p = gap_stats.pair(ga, gb)
     return [
         Evidence(prefix + "inter_event_ks", ks.statistic, ks.p_value),
-        Evidence(prefix + "inter_event_mean_welch", abs(s_a.mean - s_b.mean),
-                 welch_t(s_a, s_b)),
+        Evidence(prefix + "inter_event_mean_welch",
+                 abs(ga.summary.mean - gb.summary.mean), welch_p),
     ]
 
 
@@ -267,12 +290,15 @@ def cross_parallel_compare(
 ) -> Verdict:
     """Compare parallel runs of one experiment cell against each other.
 
-    Per-clock-stream runs must be bit-identical to the first such run
-    (mismatch = determinism breach, a distinct flag: it indicts the
-    parallelization, not the sample source).  Per-worker-stream runs are
+    Per-clock-stream runs must be bit-identical to the first such run: the
+    same times, marks and draw indices, the same ``total_draws`` and
+    ``n_clocks`` (mismatch = determinism breach, a distinct flag: it indicts
+    the parallelization, not the sample source).  Per-worker-stream runs are
     mapping-dependent in their draws, so they are compared pairwise with the
     same statistical battery as the serial/parallel comparison;
-    ``gap_stats`` is as in :func:`serial_parallel_compare`.
+    ``gap_stats`` is as in :func:`serial_parallel_compare` (keyed on content,
+    confirmed by exact equality, so per-worker runs with equal times share
+    their gap statistics and nothing else).
     """
     gap_stats = gap_stats or GapMemo()
     if len(runs) < 2:
@@ -295,7 +321,9 @@ def cross_parallel_compare(
         ref_index, ref = per_clock[0]
         for i, traj in per_clock[1:]:
             equal = (
-                np.array_equal(ref.times, traj.times)
+                ref.total_draws == traj.total_draws
+                and ref.n_clocks == traj.n_clocks
+                and np.array_equal(ref.times, traj.times)
                 and np.array_equal(ref.marks, traj.marks)
                 and np.array_equal(ref.draw_indices, traj.draw_indices)
             )
@@ -538,6 +566,25 @@ def _corrupted(traj: Trajectory) -> Trajectory:
                       total_draws=traj.total_draws, n_clocks=traj.n_clocks)
 
 
+def _share_per_clock(runs: list[RunRecord],
+                     cells: Sequence[tuple[ParallelConfig, Trajectory]]) -> None:
+    """Point every per-clock run record at the first per-clock trajectory.
+
+    Called only when the seed's cross-parallel check found no determinism
+    breach, so every per-clock cell is bit-identical to the first one, its
+    draw counts included: the records (and the event CSVs written from them)
+    are unchanged, and the other copies are freed once the seed is done.
+    A seed that breached keeps each cell's own trajectory.  ``runs[k + 1]``
+    holds ``cells[k]``.
+    """
+    per_clock = [k + 1 for k, (cfg, _) in enumerate(cells)
+                 if cfg.stream_mode is StreamMode.PER_CLOCK]
+    if per_clock:
+        ref = runs[per_clock[0]].trajectory
+        for k in per_clock[1:]:
+            runs[k] = RunRecord(runs[k].label, runs[k].kind, ref)
+
+
 def run_experiment(plan: ExperimentPlan) -> ComparisonReport:
     """Execute the whole plan; a divergence is a result, never an abort.
 
@@ -555,7 +602,7 @@ def run_experiment(plan: ExperimentPlan) -> ComparisonReport:
         runs = [RunRecord("serial", "serial", serial)]
         pairings: list[PairingRecord] = []
         parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
-        gap_stats = GapMemo()  # this seed's pairings share each trajectory's gaps
+        gap_stats = GapMemo()  # this seed's pairings share each distinct gap sample
         corrupted_one = False
         for mode in plan.stream_modes:
             for workers in plan.worker_counts:
@@ -585,10 +632,10 @@ def run_experiment(plan: ExperimentPlan) -> ComparisonReport:
                                                 gap_stats=gap_stats),
                     ))
         if len(parallel_cells) >= 2:
-            pairings.append(PairingRecord(
-                "cross_parallel",
-                cross_parallel_compare(parallel_cells, plan.alpha, gap_stats=gap_stats),
-            ))
+            cross = cross_parallel_compare(parallel_cells, plan.alpha, gap_stats=gap_stats)
+            pairings.append(PairingRecord("cross_parallel", cross))
+            if not cross.determinism_breach:
+                _share_per_clock(runs, parallel_cells)
         if plan.transform is not None:
             pairings.append(PairingRecord(
                 f"ab_{transform_label(plan.transform)}",

@@ -9,6 +9,8 @@ draw density (density of u = x**(1/gamma) is gamma*u**(gamma-1)):
   power_bias(2), (rotate_half then reflect)    -> 0.8068528194400542
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,21 @@ def test_cross_parallel_reports_breach_on_corruption():
     verdict = detector.cross_parallel_compare(runs, alpha=0.01)
     assert verdict.determinism_breach
     assert verdict.diverged
+    assert _by_name(verdict)["per_clock_bit_equality_1_vs_0"].statistic == 0.0
+
+
+@pytest.mark.parametrize("field", ["total_draws", "n_clocks"])
+def test_cross_parallel_breaches_on_draw_or_clock_count(field):
+    # report.json prints both counts for every run, so a per-clock cell that
+    # differs in either is not bit-identical even with equal event arrays.
+    runs = [
+        _cell(1, "blocks", StreamMode.PER_CLOCK),
+        _cell(2, "round_robin", StreamMode.PER_CLOCK),
+    ]
+    cfg, traj = runs[1]
+    runs[1] = (cfg, dataclasses.replace(traj, **{field: getattr(traj, field) + 1}))
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
+    assert verdict.determinism_breach
     assert _by_name(verdict)["per_clock_bit_equality_1_vs_0"].statistic == 0.0
 
 
@@ -397,22 +414,106 @@ def test_wrong_cross_worker_merge_breaches_without_debug(monkeypatch):
     assert report.any_breach
 
 
+def _record_calls(monkeypatch, name):
+    # each call's first argument, copied, in call order
+    seen = []
+    real = getattr(detector, name)
+
+    def counted(first, *rest):
+        seen.append(np.array(first))
+        return real(first, *rest)
+
+    monkeypatch.setattr(detector, name, counted)
+    return seen
+
+
 def test_run_experiment_summarizes_each_trajectory_once(monkeypatch):
     # Four parallel cells: the serial run enters four pairings and each
-    # per-worker run enters two, yet every trajectory is summarised once.
-    sizes = []
-    real = detector.summarize
-
-    def counted(samples):
-        sizes.append(len(samples))
-        return real(samples)
-
-    monkeypatch.setattr(detector, "summarize", counted)
+    # per-worker run enters two, yet each distinct gap sample is summarised
+    # once: the two per-clock cells are bit-equal, so they share one summary.
+    seen = _record_calls(monkeypatch, "summarize")
     plan = _small_plan(seeds=(0,), stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
     report = detector.run_experiment(plan)
     runs = report.seed_reports[0].runs
-    assert len(runs) == 5
-    assert sorted(sizes) == sorted(len(r.trajectory) for r in runs)
+    assert [r.label for r in runs] == [
+        "serial", "P1-blocks-per_clock", "P2-blocks-per_clock",
+        "P1-blocks-per_worker", "P2-blocks-per_worker",
+    ]
+    distinct = [runs[0], runs[1], runs[3], runs[4]]
+    assert [x.size for x in seen] == [len(r.trajectory) for r in distinct]
+    for x, r in zip(seen, distinct):
+        assert np.array_equal(x, r.trajectory.inter_event_times())
+
+
+def _cells(plan, seed):
+    # the configs run_experiment builds, in its order
+    return [
+        ParallelConfig(n_clocks=plan.n_clocks, horizon=plan.horizon, seed=seed,
+                       fault=plan.fault, workers=workers,
+                       mapping=make_mapping(mapping, plan.n_clocks, workers, seed),
+                       stream_mode=mode)
+        for mode in plan.stream_modes
+        for workers in plan.worker_counts
+        for mapping in plan.mappings
+    ]
+
+
+def test_shared_gap_memo_equals_a_fresh_memo_per_pairing(monkeypatch):
+    # Three bit-equal per-clock cells, one corrupted per-clock cell and four
+    # per-worker cells: every pairing's evidence must be what each call
+    # computes with a memo of its own.
+    seen = _record_calls(monkeypatch, "summarize")
+    ks_calls = _record_calls(monkeypatch, "ks_two_sample")
+    plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
+                       stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER),
+                       debug_corrupt_per_clock=True)
+    report = detector.run_experiment(plan)
+    sr = report.seed_reports[0]
+    serial, cells = sr.runs[0].trajectory, [r.trajectory for r in sr.runs[1:]]
+    assert report.any_breach
+    summarised, ks_tested = len(seen), len(ks_calls)
+
+    for pairing, traj in zip(sr.pairings, cells):
+        assert pairing.label.startswith("serial_vs_")
+        assert pairing.verdict == detector.serial_parallel_compare(serial, traj, plan.alpha)
+    cross = sr.pairings[len(cells)]
+    assert cross.label == "cross_parallel"
+    assert cross.verdict == detector.cross_parallel_compare(
+        list(zip(_cells(plan, 0), cells)), plan.alpha)
+
+    corrupted, sound = cells[0], cells[1]
+    assert not np.array_equal(corrupted.times, sound.times)
+    assert len(corrupted) == len(sound)
+    # One worker ignores the mapping, and at P=2 both mappings give each
+    # worker 4 clocks, so each pair of per-worker cells shares its times
+    # (their marks differ, and only the gaps are memoised).
+    assert np.array_equal(cells[4].times, cells[5].times)
+    assert np.array_equal(cells[6].times, cells[7].times)
+    assert not np.array_equal(cells[6].marks, cells[7].marks)
+    gaps = [serial, corrupted, sound, cells[4], cells[6]]
+    assert [x.size for x in seen[:summarised]] == [len(t) for t in gaps]
+    for x, t in zip(seen, gaps):
+        assert np.array_equal(x, t.inter_event_times())
+    # One KS per distinct (gaps, gaps) pair: serial against the 4 distinct
+    # cell samples, then P1 vs P1, P1 vs P2 and P2 vs P2 among the per-worker
+    # cells (14 pairings in all).
+    assert ks_tested == 7
+
+
+def test_equal_per_clock_records_share_one_trajectory():
+    plan = _small_plan(seeds=(0,), worker_counts=(1, 2, 4),
+                       stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    runs = detector.run_experiment(plan).seed_reports[0].runs
+    per_clock = [r.trajectory for r in runs if r.label.endswith("per_clock")]
+    per_worker = [r.trajectory for r in runs if r.label.endswith("per_worker")]
+    assert len(per_clock) == 3 and all(t is per_clock[0] for t in per_clock)
+    assert len({id(t) for t in per_worker}) == 3
+
+    # a seed whose check breached keeps every cell's own trajectory
+    runs = detector.run_experiment(
+        dataclasses.replace(plan, debug_corrupt_per_clock=True)).seed_reports[0].runs
+    per_clock = [r.trajectory for r in runs if r.label.endswith("per_clock")]
+    assert len({id(t) for t in per_clock}) == 3
 
 
 def test_plan_validation():
