@@ -14,7 +14,6 @@ from .rng import (
     PowerBias,
     derived_seeds,
     mix64,
-    next_unit,
     substream,
     unit_block,
 )
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GeneratorState", "Ideal", "IDEAL", "LowThinning", "PowerBias",
-    "derived_seeds", "mix64", "next_unit", "substream", "unit_block",
+    "derived_seeds", "mix64", "substream", "unit_block",
     "Compose", "Reflect", "RescaleWindow", "RotateHalf",
     "ParallelConfig", "SerialConfig", "StreamMode", "Trajectory",
     "make_mapping", "simulate_parallel", "simulate_serial",

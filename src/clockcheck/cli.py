@@ -43,7 +43,7 @@ from .detector import (
     run_experiment,
     transform_ab_test,
 )
-from .report import write_report_bundle
+from .report import EventWriter, write_report_bundle
 from .rng import IDEAL, MASK64, fault_label
 from .stats import binomial_upper_band
 from .transforms import transform_label
@@ -82,14 +82,36 @@ def _load(config_path: str, seed_override: Optional[int]):
         return None
 
 
-def _write(report: ComparisonReport, output: OutputConfig, out_dir: Optional[str]) -> None:
+def _out_dir(ctx, output: OutputConfig, out_dir: Optional[str]) -> Path:
+    """The output directory, made before the first seed runs; a config error
+    (exit 1) when it cannot be made."""
     target = Path(out_dir) if out_dir else Path(output.directory)
-    written = write_report_bundle(report, target, output.formats)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo(f"config error: cannot create output directory {target}: "
+                   f"{exc.strerror or exc}", err=True)
+        ctx.exit(1)
+    return target
+
+
+def _write(report: ComparisonReport, output: OutputConfig, target: Path,
+           events: Optional[EventWriter] = None) -> None:
+    written = write_report_bundle(report, target, output.formats,
+                                  events=events.paths if events else ())
     for key in ("report", "summary"):
         if key in written:
             click.echo(f"wrote {written[key]}")
     if written["events"]:
         click.echo(f"wrote {len(written['events'])} event CSV file(s) under {target}")
+
+
+def _run(plan: ExperimentPlan, output: OutputConfig, target: Path) -> ComparisonReport:
+    """Run the plan, writing each seed's event CSVs as it finishes, then the report."""
+    events = EventWriter(target) if "csv" in output.formats else None
+    report = run_experiment(plan, on_seed=events)
+    _write(report, output, target, events)
+    return report
 
 
 def _banded_exit(report: ComparisonReport, key_prefix: str = "") -> int:
@@ -139,8 +161,8 @@ def cmd_calibrate(ctx, config_path, out_dir, seed_override) -> None:
             err=True,
         )
         plan = dataclasses.replace(plan, fault=IDEAL)
-    report = run_experiment(plan)
-    _write(report, output, out_dir)
+    target = _out_dir(ctx, output, out_dir)
+    report = _run(plan, output, target)
     code = _banded_exit(report)
     click.echo(f"calibrate: {'PASS' if code == 0 else 'FAIL'}")
     ctx.exit(code)
@@ -155,8 +177,8 @@ def cmd_detect(ctx, config_path, out_dir, seed_override) -> None:
     if loaded is None:
         ctx.exit(1)
     plan, output = loaded
-    report = run_experiment(plan)
-    _write(report, output, out_dir)
+    target = _out_dir(ctx, output, out_dir)
+    report = _run(plan, output, target)
     code = _banded_exit(report)
     click.echo({0: "detect: consistent",
                 2: "detect: divergence detected",
@@ -176,6 +198,7 @@ def cmd_ab_test(ctx, config_path, out_dir, seed_override) -> None:
     if plan.transform is None:
         click.echo("config error: [transform] names: required for ab-test", err=True)
         ctx.exit(1)
+    target = _out_dir(ctx, output, out_dir)
     label = f"ab_{transform_label(plan.transform)}"
     seed_reports = tuple(
         SeedReport(
@@ -190,7 +213,7 @@ def cmd_ab_test(ctx, config_path, out_dir, seed_override) -> None:
     )
     report = ComparisonReport(plan=plan, seed_reports=seed_reports,
                               flag_counts=_count_flags(seed_reports, plan.alpha))
-    _write(report, output, out_dir)
+    _write(report, output, target)
     code = _banded_exit(report)
     click.echo(f"ab-test: {'consistent' if code == 0 else 'divergence detected'}")
     ctx.exit(code)
@@ -208,6 +231,7 @@ def cmd_fix_demo(ctx, config_path, out_dir, seed_override) -> None:
     if plan.fix_window is None:
         click.echo("config error: [fix] a/b: required for fix-demo", err=True)
         ctx.exit(1)
+    target = _out_dir(ctx, output, out_dir)
     seed_reports = tuple(
         SeedReport(
             seed=seed,
@@ -221,7 +245,7 @@ def cmd_fix_demo(ctx, config_path, out_dir, seed_override) -> None:
     )
     report = ComparisonReport(plan=plan, seed_reports=seed_reports,
                               flag_counts=_count_flags(seed_reports, plan.alpha))
-    _write(report, output, out_dir)
+    _write(report, output, target)
     rates = [sr.fix.discard_rate for sr in seed_reports]
     click.echo(f"mean discard rate: {sum(rates) / len(rates):.4f}")
     code = _banded_exit(report, key_prefix="fix_after:")

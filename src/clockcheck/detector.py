@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -284,6 +284,18 @@ def _marks_evidence(traj: Trajectory, name: str) -> list[Evidence]:
     return [Evidence(name, res.statistic, res.p_value)]
 
 
+def _bit_equal(a: Trajectory, b: Trajectory) -> bool:
+    """Whether two runs are the same bits: times, marks, draw indices,
+    ``total_draws`` and ``n_clocks`` (the per-clock determinism predicate)."""
+    return (
+        a.total_draws == b.total_draws
+        and a.n_clocks == b.n_clocks
+        and np.array_equal(a.times, b.times)
+        and np.array_equal(a.marks, b.marks)
+        and np.array_equal(a.draw_indices, b.draw_indices)
+    )
+
+
 def cross_parallel_compare(
     runs: Sequence[tuple[ParallelConfig, Trajectory]], alpha: float,
     *, gap_stats: Optional[GapMemo] = None,
@@ -320,13 +332,7 @@ def cross_parallel_compare(
     if len(per_clock) >= 2:
         ref_index, ref = per_clock[0]
         for i, traj in per_clock[1:]:
-            equal = (
-                ref.total_draws == traj.total_draws
-                and ref.n_clocks == traj.n_clocks
-                and np.array_equal(ref.times, traj.times)
-                and np.array_equal(ref.marks, traj.marks)
-                and np.array_equal(ref.draw_indices, traj.draw_indices)
-            )
+            equal = _bit_equal(ref, traj)
             if not equal:
                 breach = True
             evidence.append(
@@ -470,23 +476,31 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One simulated trajectory plus its summary numbers (trajectory itself
-    is kept for CSV export and never serialised into the JSON report)."""
+    """The numbers the report gives for one simulated trajectory.
+
+    The trajectory itself is not kept: ``run_experiment`` hands each seed's
+    trajectories to its ``on_seed`` sink, then lets them go.
+    """
 
     label: str
     kind: str
-    trajectory: Trajectory
+    n_events: int
+    final_time: float
+    total_draws: int
+
+    @staticmethod
+    def of(label: str, kind: str, traj: Trajectory) -> "RunRecord":
+        return RunRecord(label, kind, len(traj), traj.final_time, traj.total_draws)
 
     def as_dict(self) -> dict:
-        t = self.trajectory
-        n = len(t)
+        n = self.n_events
         return {
             "label": self.label,
             "kind": self.kind,
             "n_events": n,
-            "final_time": t.final_time,
-            "total_draws": t.total_draws,
-            "mean_inter_event": t.final_time / n if n else None,
+            "final_time": self.final_time,
+            "total_draws": self.total_draws,
+            "mean_inter_event": self.final_time / n if n else None,
         }
 
 
@@ -566,96 +580,99 @@ def _corrupted(traj: Trajectory) -> Trajectory:
                       total_draws=traj.total_draws, n_clocks=traj.n_clocks)
 
 
-def _share_per_clock(runs: list[RunRecord],
-                     cells: Sequence[tuple[ParallelConfig, Trajectory]]) -> None:
-    """Point every per-clock run record at the first per-clock trajectory.
-
-    Called only when the seed's cross-parallel check found no determinism
-    breach, so every per-clock cell is bit-identical to the first one, its
-    draw counts included: the records (and the event CSVs written from them)
-    are unchanged, and the other copies are freed once the seed is done.
-    A seed that breached keeps each cell's own trajectory.  ``runs[k + 1]``
-    holds ``cells[k]``.
-    """
-    per_clock = [k + 1 for k, (cfg, _) in enumerate(cells)
-                 if cfg.stream_mode is StreamMode.PER_CLOCK]
-    if per_clock:
-        ref = runs[per_clock[0]].trajectory
-        for k in per_clock[1:]:
-            runs[k] = RunRecord(runs[k].label, runs[k].kind, ref)
-
-
-def run_experiment(plan: ExperimentPlan) -> ComparisonReport:
+def run_experiment(
+    plan: ExperimentPlan,
+    on_seed: Optional[Callable[[int, list[tuple[str, Trajectory]]], None]] = None,
+) -> ComparisonReport:
     """Execute the whole plan; a divergence is a result, never an abort.
 
     Deterministic: the report is a pure function of the plan.  Cells are run
     sequentially in a fixed order (seed, then stream mode, then worker
-    count, then mapping), which also fixes all labels.
+    count, then mapping), which also fixes all labels.  Once a seed's
+    comparisons are done, ``on_seed(seed, runs)`` gets its ``(label,
+    trajectory)`` list in that order (serial first); then the seed's
+    trajectories are let go, so memory does not grow with the seed count.
     """
     flag_counts: Counter = Counter()
     seed_reports = []
     for seed in plan.seeds:
-        serial = simulate_serial(
-            SerialConfig(plan.n_clocks, plan.horizon, seed, plan.fault,
-                         plan.transform, plan.fix_window)
-        )
-        runs = [RunRecord("serial", "serial", serial)]
-        pairings: list[PairingRecord] = []
-        parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
-        gap_stats = GapMemo()  # this seed's pairings share each distinct gap sample
-        corrupted_one = False
-        for mode in plan.stream_modes:
-            for workers in plan.worker_counts:
-                for mapping_name in plan.mappings:
-                    cfg = ParallelConfig(
-                        n_clocks=plan.n_clocks,
-                        horizon=plan.horizon,
-                        seed=seed,
-                        fault=plan.fault,
-                        transform=plan.transform,
-                        fix_window=plan.fix_window,
-                        workers=workers,
-                        mapping=make_mapping(mapping_name, plan.n_clocks, workers, seed),
-                        stream_mode=mode,
-                    )
-                    traj = simulate_parallel(cfg)
-                    if (plan.debug_corrupt_per_clock and not corrupted_one
-                            and mode is StreamMode.PER_CLOCK):
-                        traj = _corrupted(traj)
-                        corrupted_one = True
-                    label = f"P{workers}-{mapping_name}-{mode.value}"
-                    runs.append(RunRecord(label, "parallel", traj))
-                    parallel_cells.append((cfg, traj))
-                    pairings.append(PairingRecord(
-                        f"serial_vs_{label}",
-                        serial_parallel_compare(serial, traj, plan.alpha,
-                                                gap_stats=gap_stats),
-                    ))
-        if len(parallel_cells) >= 2:
-            cross = cross_parallel_compare(parallel_cells, plan.alpha, gap_stats=gap_stats)
-            pairings.append(PairingRecord("cross_parallel", cross))
-            if not cross.determinism_breach:
-                _share_per_clock(runs, parallel_cells)
-        if plan.transform is not None:
-            pairings.append(PairingRecord(
-                f"ab_{transform_label(plan.transform)}",
-                transform_ab_test(plan.fault, plan.transform, plan.ab_samples,
-                                  plan.alpha, seed),
-            ))
-        fix = None
-        if plan.fix_window is not None:
-            fix = fix_evaluation(plan.fault, plan.fix_window, plan.fix_samples,
-                                 plan.alpha, seed)
-        for pairing in pairings:
+        report = _run_seed(plan, seed, on_seed)
+        for pairing in report.pairings:
             for e in pairing.verdict.evidence:
                 if e.p_value is not None and e.p_value < plan.alpha:
                     flag_counts[f"{pairing.label}:{e.test}"] += 1
-        seed_reports.append(SeedReport(
-            seed=seed,
-            runs=tuple(runs),
-            pairings=tuple(pairings),
-            drift=clock_drift(serial, float(plan.n_clocks)),
-            fix=fix,
-        ))
+        seed_reports.append(report)
     return ComparisonReport(plan=plan, seed_reports=tuple(seed_reports),
                             flag_counts=dict(flag_counts))
+
+
+def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
+    """One seed of :func:`run_experiment`; its trajectories die with the call.
+
+    A per-clock cell bit-equal to the seed's first per-clock run is replaced
+    by that run as soon as it is simulated, so equal cells are held once; an
+    unequal cell is kept, and the cross-parallel check flags it.
+    """
+    serial = simulate_serial(
+        SerialConfig(plan.n_clocks, plan.horizon, seed, plan.fault,
+                     plan.transform, plan.fix_window)
+    )
+    runs = [("serial", serial)]
+    pairings: list[PairingRecord] = []
+    parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
+    gap_stats = GapMemo()  # this seed's pairings share each distinct gap sample
+    first_per_clock = None
+    for mode in plan.stream_modes:
+        for workers in plan.worker_counts:
+            for mapping_name in plan.mappings:
+                cfg = ParallelConfig(
+                    n_clocks=plan.n_clocks,
+                    horizon=plan.horizon,
+                    seed=seed,
+                    fault=plan.fault,
+                    transform=plan.transform,
+                    fix_window=plan.fix_window,
+                    workers=workers,
+                    mapping=make_mapping(mapping_name, plan.n_clocks, workers, seed),
+                    stream_mode=mode,
+                )
+                traj = simulate_parallel(cfg)
+                if mode is StreamMode.PER_CLOCK:
+                    if first_per_clock is None:
+                        if plan.debug_corrupt_per_clock:
+                            traj = _corrupted(traj)
+                        first_per_clock = traj
+                    elif _bit_equal(first_per_clock, traj):
+                        traj = first_per_clock
+                label = f"P{workers}-{mapping_name}-{mode.value}"
+                runs.append((label, traj))
+                parallel_cells.append((cfg, traj))
+                pairings.append(PairingRecord(
+                    f"serial_vs_{label}",
+                    serial_parallel_compare(serial, traj, plan.alpha, gap_stats=gap_stats),
+                ))
+    if len(parallel_cells) >= 2:
+        pairings.append(PairingRecord(
+            "cross_parallel",
+            cross_parallel_compare(parallel_cells, plan.alpha, gap_stats=gap_stats),
+        ))
+    if plan.transform is not None:
+        pairings.append(PairingRecord(
+            f"ab_{transform_label(plan.transform)}",
+            transform_ab_test(plan.fault, plan.transform, plan.ab_samples,
+                              plan.alpha, seed),
+        ))
+    fix = None
+    if plan.fix_window is not None:
+        fix = fix_evaluation(plan.fault, plan.fix_window, plan.fix_samples,
+                             plan.alpha, seed)
+    if on_seed is not None:
+        on_seed(seed, runs)
+    return SeedReport(
+        seed=seed,
+        runs=(RunRecord.of("serial", "serial", serial),)
+        + tuple(RunRecord.of(label, "parallel", traj) for label, traj in runs[1:]),
+        pairings=tuple(pairings),
+        drift=clock_drift(serial, float(plan.n_clocks)),
+        fix=fix,
+    )

@@ -49,10 +49,10 @@ from .rng import (
     clock_stream,
     fault_block,
     fault_rejections,
-    next_unit,
     one_row,
     substream,
     substream_rows,
+    unit_block,
     worker_stream,
 )
 from .transforms import RescaleWindow, Transform, transform_block
@@ -273,28 +273,35 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     Each event consumes two pipeline draws: u1 sets the time increment
     ``-log(u1) / N``, u2 sets the mark ``min(floor(u2*N), N-1)``.  The loop
     stops at the first event whose time would exceed the horizon (that
-    event's u1 is consumed, its u2 is not).
+    event's u1 is consumed, its u2 is not).  The draws come in passes of an
+    even number of samples, ``MAX_PASS_CELLS`` at most; each pass goes on
+    from the stream state and the time the last one reached, so the pass
+    size changes no bit of the result.
     """
     n = cfg.n_clocks
     gs = substream(cfg.seed, SERIAL_STREAM)
-    m = 2 * (int(2.5 * n * cfg.horizon) + 32)
+    m = 2 * max(1, min(int(2.5 * n * cfg.horizon) + 32, MAX_PASS_CELLS // 2))
+    now = 0.0
+    parts_t, parts_m, parts_d = [], [], []
     while True:
         samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
-        u1 = samples[0::2]
-        u2 = samples[1::2]
-        times = np.cumsum(-np.log(u1) / n)
+        gaps = -np.log(samples[0::2]) / n
+        gaps[0] += now
+        times = np.cumsum(gaps)
         k = int(np.searchsorted(times, cfg.horizon, side="right"))
-        if k >= u1.size:  # never saw the suppressed event; widen and redo
-            m *= 2
-            continue
-        marks = np.minimum((u2[:k] * n).astype(np.int64), n - 1)
-        return Trajectory(
-            times=times[:k],
-            marks=marks,
-            draw_indices=at_draw[1::2][:k].astype(np.int64),
-            total_draws=int(at_draw[2 * k]),
-            n_clocks=n,
-        )
+        parts_t.append(times[:k])
+        parts_m.append(np.minimum((samples[1::2][:k] * n).astype(np.int64), n - 1))
+        parts_d.append(at_draw[1::2][:k])
+        if k < times.size:  # saw the suppressed event
+            return Trajectory(
+                times=np.concatenate(parts_t),
+                marks=np.concatenate(parts_m),
+                draw_indices=np.concatenate(parts_d),
+                total_draws=int(at_draw[2 * k]),
+                n_clocks=n,
+            )
+        gs = gs.advanced(int(at_draw[-1]) - gs.draw_count)
+        now = float(times[-1])
 
 
 def simulate_parallel(cfg: ParallelConfig) -> Trajectory:
@@ -460,11 +467,11 @@ def shuffle_mapping(n_clocks: int, workers: int, seed: int) -> tuple[int, ...]:
     The permutation is a Fisher–Yates shuffle driven by the reserved mapping
     substream, so the mapping is a pure function of (seed, N, P).
     """
+    u, _ = unit_block(substream(seed, MAPPING_STREAM), n_clocks - 1)
+    bound = np.arange(n_clocks, 1, -1)  # i + 1 for i = N-1 down to 1, one uniform each
+    swaps = np.minimum((u * bound).astype(np.int64), bound - 1)
     perm = list(range(n_clocks))
-    gs = substream(seed, MAPPING_STREAM)
-    for i in range(n_clocks - 1, 0, -1):
-        u, gs = next_unit(gs)
-        j = min(int(u * (i + 1)), i)
+    for i, j in zip(range(n_clocks - 1, 0, -1), swaps.tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     mapping = [0] * n_clocks
     for position, clock in enumerate(perm):

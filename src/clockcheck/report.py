@@ -7,10 +7,12 @@ Output contract, relied on by regression tests:
   only non-deterministic field is ``generated_at`` (ISO-8601 UTC); byte
   comparison after dropping that line is stable for identical inputs.
 * ``events_seed<seed>_<label>.csv`` — one file per simulated run, header
-  ``time,mark,draw_index``, CRLF line ends.  The rows are formatted straight
-  from the trajectory's arrays, ``_CSV_ROWS`` rows per write, in the same
-  bytes ``csv.writer`` gives for rows of (``repr(time)``, mark, draw index):
-  no field ever needs quoting, since each is a float ``repr`` or an int.
+  ``time,mark,draw_index``, CRLF line ends, written by :class:`EventWriter`
+  as soon as the seed's runs are done (the report keeps no trajectories).
+  The rows are formatted straight from the trajectory's arrays,
+  ``_CSV_ROWS`` rows per write, in the same bytes ``csv.writer`` gives for
+  rows of (``repr(time)``, mark, draw index): no field ever needs quoting,
+  since each is a float ``repr`` or an int.
 * ``summary.csv`` — header ``seed,pairing,test,statistic,p_value,verdict``;
   one row per evidence item per pairing (plus the fix before/after blocks
   and discard rate when a fix is configured).
@@ -40,6 +42,7 @@ __all__ = [
     "report_json_text",
     "summary_rows",
     "write_report_bundle",
+    "EventWriter",
     "SUMMARY_HEADER",
     "EVENTS_HEADER",
 ]
@@ -112,16 +115,39 @@ def _write_events_csv(path: Path, traj: Trajectory) -> None:
             fh.write("".join([f"{t!r},{m},{d}\r\n" for t, m, d in rows]))
 
 
+class EventWriter:
+    """Writes each seed's event CSVs under ``out_dir`` as the seed finishes.
+
+    Pass it as ``run_experiment``'s ``on_seed``; ``paths`` lists the files
+    written so far, in order, for :func:`write_report_bundle`.  The
+    directory is made at once, before any seed runs.
+    """
+
+    def __init__(self, out_dir: Union[str, Path]) -> None:
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.paths: list[Path] = []
+
+    def __call__(self, seed: int, runs: Sequence[tuple[str, Trajectory]]) -> None:
+        for label, traj in runs:
+            path = self.out_dir / f"events_seed{seed}_{label}.csv"
+            _write_events_csv(path, traj)
+            self.paths.append(path)
+
+
 def write_report_bundle(
     report: ComparisonReport,
     out_dir: Union[str, Path],
     formats: Sequence[str] = ("json", "csv"),
     generated_at: Optional[str] = None,
+    events: Sequence[Path] = (),
 ) -> dict:
-    """Write the configured artifacts under ``out_dir``; returns their paths."""
+    """Write ``report.json`` and ``summary.csv`` under ``out_dir``, as
+    ``formats`` asks; returns their paths, with the event CSVs an
+    :class:`EventWriter` already wrote there passed in as ``events``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict = {"events": []}
+    written: dict = {"events": list(events)}
     if "json" in formats:
         path = out / "report.json"
         path.write_text(report_json_text(report, generated_at), encoding="utf-8")
@@ -134,9 +160,4 @@ def write_report_bundle(
             for row in summary_rows(report):
                 writer.writerow([_cell(v) for v in row])
         written["summary"] = path
-        for sr in report.seed_reports:
-            for run in sr.runs:
-                epath = out / f"events_seed{sr.seed}_{run.label}.csv"
-                _write_events_csv(epath, run.trajectory)
-                written["events"].append(epath)
     return written

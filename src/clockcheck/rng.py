@@ -5,11 +5,12 @@ fixed odd increment and each output word is produced by a xor/multiply
 cascade over the advanced state.  Because the state after ``k`` draws is
 ``state0 + k * GOLDEN (mod 2**64)``, any stretch of a stream can be
 generated from its starting state alone: ``unit_block`` makes it in one
-vectorised call, bit-identical to repeated ``next_unit`` draws, and a block
-consumer can stop anywhere and resume from the advanced state.  The block
-functions take one :class:`GeneratorState` or :class:`RowStates`, a grid
-with one stream per row; the single stream is the one-row case of the same
-kernel, and each row equals the single-stream call from its own state.
+vectorised call, bit-identical to drawing one :func:`mix64` word at a time
+(the tests keep that one-draw form as an oracle), and a block consumer can
+stop anywhere and resume from the advanced state.  The block functions take
+one :class:`GeneratorState` or :class:`RowStates`, a grid with one stream
+per row; the single stream is the one-row case of the same kernel, and each
+row equals the single-stream call from its own state.
 
 Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed:
 
@@ -62,7 +63,6 @@ __all__ = [
     "mix64",
     "substream",
     "substream_rows",
-    "next_unit",
     "unit_block",
     "raw_block",
     "as_rows",
@@ -225,25 +225,6 @@ def derived_seeds(count: int) -> tuple[int, ...]:
     return tuple(mix64(i) for i in range(count))
 
 
-def _unit_from_word(word: int) -> float:
-    u = ((word >> 11) + 0.5) * _SCALE
-    if u == 0.5:  # lattice cell k = 2**52, folded by ties-to-even
-        return _SNAP_ABOVE_HALF
-    if u == 1.0:  # lattice cell k = 2**53 - 1, folded by ties-to-even
-        return _SNAP_BELOW_ONE
-    return u
-
-
-def next_unit(gs: GeneratorState) -> tuple[float, GeneratorState]:
-    """Draw one unit sample; return ``(u, advanced_state)``.
-
-    ``u`` lies strictly inside (0, 1) and is never exactly 0.5, so
-    ``-log(u)`` is always finite and positive.
-    """
-    word = mix64(gs.state)
-    return _unit_from_word(word), gs.advanced(1)
-
-
 def as_rows(gs: "GeneratorState | RowStates") -> tuple["RowStates", bool]:
     """``gs`` as a grid of rows, and whether it was a single stream."""
     if isinstance(gs, GeneratorState):
@@ -272,10 +253,12 @@ def raw_block(gs: "GeneratorState | RowStates", n: int) -> np.ndarray:
 
 
 def unit_block(gs: "GeneratorState | RowStates", n: int):
-    """Vectorised :func:`next_unit`: ``n`` samples per row plus the advanced state.
+    """``n`` unit samples per row plus the advanced state.
 
-    Bit-identical to ``n`` sequential :func:`next_unit` draws from the same
-    state, row by row.  A single stream is the one-row case: it gives a
+    Each sample lies strictly inside (0, 1) and is never exactly 0.5, so
+    ``-log(u)`` is always finite and positive.  Bit-identical to ``n``
+    one-at-a-time draws (a :func:`mix64` step, then the lattice map) from
+    the same state, row by row.  A single stream is the one-row case: it gives a
     vector and a :class:`GeneratorState`.
     """
     rows, single = as_rows(gs)

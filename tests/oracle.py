@@ -24,6 +24,25 @@ _TINY = 5e-324
 _MAX_CONSECUTIVE_REJECTS = 1_000_000
 
 
+def unit_from_word(word):
+    """The unit sample of one output word, on the half-offset 53-bit lattice."""
+    u = ((word >> 11) + 0.5) * 2.0**-53
+    if u == 0.5:  # lattice cell k = 2**52, folded by ties-to-even
+        return 0.5 + 2.0**-53
+    if u == 1.0:  # lattice cell k = 2**53 - 1, folded by ties-to-even
+        return 1.0 - 2.0**-53
+    return u
+
+
+def next_unit(gs):
+    """Draw one unit sample; return ``(u, advanced_state)``.
+
+    ``u`` lies strictly inside (0, 1) and is never exactly 0.5, so
+    ``-log(u)`` is always finite and positive.
+    """
+    return unit_from_word(rng.mix64(gs.state)), gs.advanced(1)
+
+
 def power_scalar(x, inv_gamma):
     # np.power rather than math.pow: the two differ in the last ulp, and the
     # block path runs the array kernel.
@@ -36,14 +55,14 @@ def draw_with_fault(model, gs):
     if isinstance(model, rng.LowThinning):
         rejected = 0
         while True:
-            x, gs = rng.next_unit(gs)
+            x, gs = next_unit(gs)
             if x >= model.c:
                 return x, gs, rejected
-            r, gs = rng.next_unit(gs)
+            r, gs = next_unit(gs)
             if r >= model.q:
                 return x, gs, rejected
             rejected += 1
-    u, gs = rng.next_unit(gs)
+    u, gs = next_unit(gs)
     if isinstance(model, rng.PowerBias):
         u = power_scalar(u, 1.0 / model.gamma)
     return u, gs, 0
@@ -211,6 +230,20 @@ def simulate_parallel(cfg, source_factory=None):
                 parts[i].append(Event(t_next, i, source.raw_draws))
         total += source.raw_draws
     return merge(parts, n_clocks=cfg.n_clocks, total_draws=total)
+
+
+def shuffle_mapping(n_clocks, workers, seed):
+    """Blocks over a Fisher–Yates permutation, one mapping-stream draw per swap."""
+    perm = list(range(n_clocks))
+    gs = rng.substream(seed, rng.MAPPING_STREAM)
+    for i in range(n_clocks - 1, 0, -1):
+        u, gs = next_unit(gs)
+        j = min(int(u * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    mapping = [0] * n_clocks
+    for position, clock in enumerate(perm):
+        mapping[clock] = position * workers // n_clocks
+    return tuple(mapping)
 
 
 def fix_evaluation(fault, window, n, alpha, seed):

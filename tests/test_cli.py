@@ -97,6 +97,48 @@ def test_output_bundle_layout(capsys, tmp_path):
     assert "wrote" in out
 
 
+def test_bundle_lists_every_event_file_it_leaves(capsys, tmp_path, monkeypatch):
+    # Each seed's event CSVs are written as the seed finishes, yet the
+    # bundle's returned paths must still name every file in the directory.
+    returned = []
+    real = cli.write_report_bundle
+
+    def spy(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "write_report_bundle", spy)
+    _run("detect", "--config", CONFIGS / "breach_demo.ini", "--out", tmp_path)
+    capsys.readouterr()
+    (written,) = returned
+    assert len(written["events"]) == 6
+    assert sorted(written["events"]) == sorted(tmp_path.glob("events_*.csv"))
+    listed = [written["report"], written["summary"], *written["events"]]
+    assert sorted(listed) == sorted(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,config", [
+    ("calibrate", "calibrate_ideal.ini"),
+    ("detect", "detect_power_bias.ini"),
+    ("ab-test", "ab_reflect.ini"),
+    ("fix-demo", "fix_thinning.ini"),
+])
+def test_unusable_out_dir_is_a_config_error_before_any_seed_runs(
+        capsys, tmp_path, monkeypatch, command, config):
+    def never(*args, **kwargs):
+        raise AssertionError("a seed ran before the output directory was made")
+
+    for name in ("run_experiment", "transform_ab_test", "fix_evaluation"):
+        monkeypatch.setattr(cli, name, never)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = _run(command, "--config", CONFIGS / config, "--out", blocker / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: cannot create output directory")
+    assert err.count("\n") == 1
+
+
 def test_reports_are_byte_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _run("detect", "--config", CONFIGS / "breach_demo.ini", "--out", a)

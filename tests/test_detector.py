@@ -10,12 +10,13 @@ draw density (density of u = x**(1/gamma) is gamma*u**(gamma-1)):
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle
-from clockcheck import detector, process
+from clockcheck import detector, process, report
 from clockcheck.detector import (
     CONSISTENT,
     DIVERGENCE,
@@ -427,22 +428,29 @@ def _record_calls(monkeypatch, name):
     return seen
 
 
+def _run_keeping_trajectories(plan):
+    # the report, and each seed's (label, trajectory) list from on_seed
+    seeds = []
+    report = detector.run_experiment(plan, on_seed=lambda seed, runs: seeds.append(runs))
+    assert [label for label, _ in seeds[0]] == [r.label for r in report.seed_reports[0].runs]
+    return report, seeds
+
+
 def test_run_experiment_summarizes_each_trajectory_once(monkeypatch):
     # Four parallel cells: the serial run enters four pairings and each
     # per-worker run enters two, yet each distinct gap sample is summarised
     # once: the two per-clock cells are bit-equal, so they share one summary.
     seen = _record_calls(monkeypatch, "summarize")
     plan = _small_plan(seeds=(0,), stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
-    report = detector.run_experiment(plan)
-    runs = report.seed_reports[0].runs
-    assert [r.label for r in runs] == [
+    _, (runs,) = _run_keeping_trajectories(plan)
+    assert [label for label, _ in runs] == [
         "serial", "P1-blocks-per_clock", "P2-blocks-per_clock",
         "P1-blocks-per_worker", "P2-blocks-per_worker",
     ]
-    distinct = [runs[0], runs[1], runs[3], runs[4]]
-    assert [x.size for x in seen] == [len(r.trajectory) for r in distinct]
-    for x, r in zip(seen, distinct):
-        assert np.array_equal(x, r.trajectory.inter_event_times())
+    distinct = [runs[0][1], runs[1][1], runs[3][1], runs[4][1]]
+    assert [x.size for x in seen] == [len(t) for t in distinct]
+    for x, t in zip(seen, distinct):
+        assert np.array_equal(x, t.inter_event_times())
 
 
 def _cells(plan, seed):
@@ -467,9 +475,9 @@ def test_shared_gap_memo_equals_a_fresh_memo_per_pairing(monkeypatch):
     plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER),
                        debug_corrupt_per_clock=True)
-    report = detector.run_experiment(plan)
+    report, (runs,) = _run_keeping_trajectories(plan)
     sr = report.seed_reports[0]
-    serial, cells = sr.runs[0].trajectory, [r.trajectory for r in sr.runs[1:]]
+    serial, cells = runs[0][1], [t for _, t in runs[1:]]
     assert report.any_breach
     summarised, ks_tested = len(seen), len(ks_calls)
 
@@ -503,17 +511,46 @@ def test_shared_gap_memo_equals_a_fresh_memo_per_pairing(monkeypatch):
 def test_equal_per_clock_records_share_one_trajectory():
     plan = _small_plan(seeds=(0,), worker_counts=(1, 2, 4),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
-    runs = detector.run_experiment(plan).seed_reports[0].runs
-    per_clock = [r.trajectory for r in runs if r.label.endswith("per_clock")]
-    per_worker = [r.trajectory for r in runs if r.label.endswith("per_worker")]
+    _, (runs,) = _run_keeping_trajectories(plan)
+    per_clock = [t for label, t in runs if label.endswith("per_clock")]
+    per_worker = [t for label, t in runs if label.endswith("per_worker")]
     assert len(per_clock) == 3 and all(t is per_clock[0] for t in per_clock)
     assert len({id(t) for t in per_worker}) == 3
 
-    # a seed whose check breached keeps every cell's own trajectory
-    runs = detector.run_experiment(
-        dataclasses.replace(plan, debug_corrupt_per_clock=True)).seed_reports[0].runs
-    per_clock = [r.trajectory for r in runs if r.label.endswith("per_clock")]
+    # after a [debug] breach the corrupted first cell shares with no one,
+    # while the two sound cells, bit-equal to each other, are still simulated
+    # and kept apart
+    report, (runs,) = _run_keeping_trajectories(
+        dataclasses.replace(plan, debug_corrupt_per_clock=True))
+    assert report.any_breach
+    per_clock = [t for label, t in runs if label.endswith("per_clock")]
     assert len({id(t) for t in per_clock}) == 3
+
+
+def test_peak_memory_stays_flat_over_seeds(tmp_path):
+    # numpy reports its buffers to tracemalloc.  A seed's serial and
+    # per-clock runs hold about 0.6 MB of arrays between them; were they
+    # kept once the seed is done, the peak through 8 seeds would pass the
+    # peak through 2 by six times that.  (Sizes stay small because
+    # tracemalloc slows the Python loops of summarize and the CSV writer.)
+    plan = _small_plan(seeds=tuple(range(8)), n_clocks=32, horizon=400.0,
+                       worker_counts=(1,))
+    writer = report.EventWriter(tmp_path)
+    peaks, held = [], []
+
+    def on_seed(seed, runs):
+        writer(seed, runs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        held.append(sum(t.times.nbytes + t.marks.nbytes + t.draw_indices.nbytes
+                        for _, t in runs))
+
+    tracemalloc.start()
+    try:
+        detector.run_experiment(plan, on_seed=on_seed)
+    finally:
+        tracemalloc.stop()
+    assert len(writer.paths) == 16 and min(held) > 550_000
+    assert peaks[-1] - peaks[1] < min(held) / 2
 
 
 def test_plan_validation():

@@ -169,6 +169,49 @@ def test_serial_block_path_equals_scalar_path(fault, transform, window):
     _assert_same(process.simulate_serial(cfg), oracle.simulate_serial(cfg))
 
 
+def _count_pipeline_calls(monkeypatch):
+    # the sample count each process.pipeline_block call asks for
+    calls = []
+    real = process.pipeline_block
+
+    def counted(fault, transform, window, gs, n):
+        calls.append(n)
+        return real(fault, transform, window, gs, n)
+
+    monkeypatch.setattr(process, "pipeline_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [64, 1000])
+@pytest.mark.parametrize("fault,transform,window", _PIPELINES)
+def test_serial_passes_equal_one_pass(monkeypatch, fault, transform, window, cells):
+    # 800 to 2400 events at N=6, H=200, by pipeline: a cap of 64 takes
+    # dozens of passes and a cap of 1000 two or more, each going on from the
+    # last one's stream state and time.
+    cfg = SerialConfig(
+        n_clocks=6, horizon=200.0, seed=4321, fault=fault, transform=transform,
+        fix_window=window,
+    )
+    uncapped = process.simulate_serial(cfg)
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
+    calls = _count_pipeline_calls(monkeypatch)
+    capped = process.simulate_serial(cfg)
+    assert len(calls) >= 2 and all(n <= cells and n % 2 == 0 for n in calls)
+    _assert_same(capped, uncapped)
+    _assert_same(capped, oracle.simulate_serial(cfg))
+
+
+def test_serial_run_outrunning_its_estimate_takes_another_pass(monkeypatch):
+    # power_bias(4) makes about 4·N·H events, more than the 2.5·N·H the first
+    # pass is sized for; the second pass goes on where the first stopped.
+    cfg = SerialConfig(n_clocks=4, horizon=100.0, seed=9, fault=PowerBias(4.0))
+    calls = _count_pipeline_calls(monkeypatch)
+    fast = process.simulate_serial(cfg)
+    assert calls == [2 * (int(2.5 * 4 * 100.0) + 32)] * 2
+    assert len(fast) > 2.5 * 4 * 100.0 + 32
+    _assert_same(fast, oracle.simulate_serial(cfg))
+
+
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_parallel_block_path_equals_scalar_path(fault, transform, window):
     # Per-clock runs draw each worker's clocks as one grid, so every worker
@@ -542,6 +585,14 @@ def test_shuffle_mapping_is_seeded_and_balanced():
     assert a == b
     assert a != c  # overwhelmingly likely; same-law, different layout
     assert sorted(np.bincount(a, minlength=4)) == sorted(np.bincount(block_mapping(16, 4), minlength=4))
+
+
+@pytest.mark.parametrize("n_clocks", [1, 2, 17, 1024])
+def test_shuffle_mapping_equals_oracle_fisher_yates(n_clocks):
+    for workers in (1, 3, 8):
+        for seed in (0, 5, 2**64 - 1):
+            assert shuffle_mapping(n_clocks, workers, seed) == \
+                oracle.shuffle_mapping(n_clocks, workers, seed)
 
 
 def test_make_mapping_rejects_unknown_kind():

@@ -1,7 +1,6 @@
 """Serialization tests: JSON sanitizing, summary CSV, and the output bundle."""
 
 import csv
-import dataclasses
 import json
 import math
 
@@ -10,7 +9,7 @@ import pytest
 
 import oracle
 from clockcheck import detector, report
-from clockcheck.detector import ExperimentPlan, RunRecord
+from clockcheck.detector import ExperimentPlan
 from clockcheck.process import StreamMode, Trajectory
 from clockcheck.report import (
     EVENTS_HEADER,
@@ -24,7 +23,9 @@ from clockcheck.transforms import RescaleWindow
 
 
 @pytest.fixture(scope="module")
-def small_report():
+def small_run():
+    """The small plan's report, and the ``(seed, [(label, trajectory)])``
+    lists ``run_experiment`` handed to its ``on_seed`` sink."""
     plan = ExperimentPlan(
         seeds=(0,),
         n_clocks=8,
@@ -37,7 +38,22 @@ def small_report():
         ab_samples=2000,
         fix_samples=10_000,
     )
-    return detector.run_experiment(plan)
+    seeds = []
+    result = detector.run_experiment(plan, on_seed=lambda seed, runs: seeds.append((seed, runs)))
+    return result, seeds
+
+
+@pytest.fixture(scope="module")
+def small_report(small_run):
+    return small_run[0]
+
+
+def _write_seeds(out, seeds):
+    """Each seed's event CSVs through the per-seed writer; returns the writer."""
+    writer = report.EventWriter(out)
+    for seed, runs in seeds:
+        writer(seed, runs)
+    return writer
 
 
 def test_sanitize_coerces_numpy_and_nonfinite():
@@ -80,13 +96,16 @@ def test_summary_rows_cover_pairings_and_fix(small_report):
     assert rate_rows[0][3] == pytest.approx(0.5, abs=0.02)
 
 
-def test_write_report_bundle_respects_formats(tmp_path, small_report):
+def test_write_report_bundle_respects_formats(tmp_path, small_run):
+    small_report, seeds = small_run
     written = report.write_report_bundle(small_report, tmp_path / "j", formats=("json",))
     assert (tmp_path / "j" / "report.json").is_file()
     assert not (tmp_path / "j" / "summary.csv").exists()
     assert written["events"] == []
 
-    written = report.write_report_bundle(small_report, tmp_path / "c", formats=("csv",))
+    writer = _write_seeds(tmp_path / "c", seeds)
+    written = report.write_report_bundle(small_report, tmp_path / "c", formats=("csv",),
+                                         events=writer.paths)
     assert not (tmp_path / "c" / "report.json").exists()
     with open(tmp_path / "c" / "summary.csv", newline="") as fh:
         reader = csv.reader(fh)
@@ -114,12 +133,9 @@ def _random_trajectory(n, seed=0):
                        np.arange(1, n + 1) * 3)
 
 
-def _write_events(small_report, out, trajectories):
+def _write_events(out, trajectories):
     """Write ``trajectories`` as the runs of one seed; return the event files."""
-    runs = tuple(RunRecord(f"t{i}", "hand", t) for i, t in enumerate(trajectories))
-    seed_report = dataclasses.replace(small_report.seed_reports[0], runs=runs)
-    bundle = dataclasses.replace(small_report, seed_reports=(seed_report,))
-    return report.write_report_bundle(bundle, out, formats=("csv",))["events"]
+    return _write_seeds(out, [(0, [(f"t{i}", t) for i, t in enumerate(trajectories)])]).paths
 
 
 def _assert_match_oracle(paths, trajectories):
@@ -128,25 +144,28 @@ def _assert_match_oracle(paths, trajectories):
         assert path.read_bytes() == oracle.events_csv_text(traj).encode("utf-8")
 
 
-def test_event_csvs_equal_csv_writer_bytes(tmp_path, small_report):
-    written = report.write_report_bundle(small_report, tmp_path, formats=("csv",))
-    runs = [run.trajectory for sr in small_report.seed_reports for run in sr.runs]
+def test_event_csvs_equal_csv_writer_bytes(tmp_path, small_run):
+    small_report, seeds = small_run
+    writer = _write_seeds(tmp_path, seeds)
+    written = report.write_report_bundle(small_report, tmp_path, formats=("csv",),
+                                         events=writer.paths)
+    runs = [traj for _, seed_runs in seeds for _, traj in seed_runs]
     assert min(len(t) for t in runs) > 0
     _assert_match_oracle(written["events"], runs)
 
 
-def test_empty_event_csv_is_header_only(tmp_path, small_report):
+def test_empty_event_csv_is_header_only(tmp_path):
     empty = _trajectory([], [], [])
-    (path,) = _write_events(small_report, tmp_path, [empty])
+    (path,) = _write_events(tmp_path, [empty])
     assert path.read_bytes() == b"time,mark,draw_index\r\n"
     _assert_match_oracle([path], [empty])
 
 
-def test_event_csv_scientific_times_and_wide_draw_indices(tmp_path, small_report):
+def test_event_csv_scientific_times_and_wide_draw_indices(tmp_path):
     traj = _trajectory([5e-324, 1.5e-07, 1e-05, 0.1, 12345.678901234567],
                        [3, 0, 2, 1, 3],
                        [1, 2**31 + 7, 2**40, 2**62, 2**63 - 1])
-    (path,) = _write_events(small_report, tmp_path, [traj])
+    (path,) = _write_events(tmp_path, [traj])
     _assert_match_oracle([path], [traj])
     lines = path.read_bytes().split(b"\r\n")
     assert lines[1] == b"5e-324,3,1"
@@ -154,18 +173,19 @@ def test_event_csv_scientific_times_and_wide_draw_indices(tmp_path, small_report
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
-def test_event_csv_chunk_edges(tmp_path, small_report, monkeypatch, n):
+def test_event_csv_chunk_edges(tmp_path, monkeypatch, n):
     monkeypatch.setattr(report, "_CSV_ROWS", 3)
     traj = _random_trajectory(n, seed=n)
-    (path,) = _write_events(small_report, tmp_path, [traj])
+    (path,) = _write_events(tmp_path, [traj])
     _assert_match_oracle([path], [traj])
 
 
-def test_event_csv_parses_back_to_the_trajectory(tmp_path, small_report, monkeypatch):
+def test_event_csv_parses_back_to_the_trajectory(tmp_path, small_run, monkeypatch):
     monkeypatch.setattr(report, "_CSV_ROWS", 3)
-    serial = small_report.seed_reports[0].runs[0].trajectory
+    (label, serial), _ = small_run[1][0][1]
+    assert label == "serial"
     for traj in (serial, _random_trajectory(10)):
-        (path,) = _write_events(small_report, tmp_path / str(len(traj)), [traj])
+        (path,) = _write_events(tmp_path / str(len(traj)), [traj])
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             assert tuple(next(reader)) == EVENTS_HEADER

@@ -24,12 +24,10 @@ from clockcheck.rng import (
     Ideal,
     LowThinning,
     PowerBias,
-    _unit_from_word,
     clock_stream,
     derived_seeds,
     fault_label,
     mix64,
-    next_unit,
     raw_block,
     substream,
     worker_stream,
@@ -87,7 +85,7 @@ def test_advanced_jump_equals_sequential_draws():
     gs = GeneratorState(991)
     stepped = gs
     for _ in range(17):
-        _, stepped = next_unit(stepped)
+        _, stepped = oracle.next_unit(stepped)
     assert gs.advanced(17) == stepped
 
 
@@ -139,32 +137,60 @@ def test_derived_seeds_are_mix_of_counter():
 # ---------------------------------------------------------------------------
 
 
+def _unshift(y, shift):
+    # the x with x ^ (x >> shift) == y
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _state_before_word(word):
+    # the state whose next output word is `word`: mix64's scrambler undone
+    # step by step, then one Weyl increment back
+    z = _unshift(word, 31)
+    z = _unshift(z * pow(rng._MULT2, -1, 1 << 64) & MASK64, 27)
+    z = _unshift(z * pow(rng._MULT1, -1, 1 << 64) & MASK64, 30)
+    state = (z - GOLDEN) & MASK64
+    assert mix64(state) == word
+    return state
+
+
+def _block_unit(word):
+    # the sample rng.unit_block makes from `word`
+    block, _ = rng.unit_block(GeneratorState(_state_before_word(word)), 1)
+    return float(block[0])
+
+
 def test_unit_mapping_bottom_cell():
-    assert _unit_from_word(0) == 2.0**-54
+    assert oracle.unit_from_word(0) == 2.0**-54
+    assert _block_unit(0) == 2.0**-54
 
 
 def test_unit_mapping_midpoint_cell_is_nudged_off_half():
     # (2**52 + 0.5) * 2**-53 would round to exactly 0.5; the mapping must
     # land strictly above it instead.
-    u = _unit_from_word(2**52 << 11)
+    u = oracle.unit_from_word(2**52 << 11)
     assert u == 0.5 + 2.0**-53
     assert u != 0.5
+    assert _block_unit(2**52 << 11) == u
 
 
 def test_unit_mapping_top_cell_stays_below_one():
-    u = _unit_from_word((2**53 - 1) << 11)
+    u = oracle.unit_from_word((2**53 - 1) << 11)
     assert u == 1.0 - 2.0**-53
     assert u < 1.0
+    assert _block_unit((2**53 - 1) << 11) == u
 
 
 def test_unit_mapping_ignores_low_eleven_bits():
     base = 123456789 << 11
-    assert _unit_from_word(base) == _unit_from_word(base | 0x7FF)
+    assert oracle.unit_from_word(base) == oracle.unit_from_word(base | 0x7FF)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
 def test_unit_mapping_is_interior_and_never_half(word):
-    u = _unit_from_word(word)
+    u = oracle.unit_from_word(word)
     assert 0.0 < u < 1.0
     assert u != 0.5
     assert math.isfinite(-math.log(u))
@@ -176,7 +202,7 @@ def test_unit_block_matches_scalar_path():
     gs_s = gs0
     scalars = []
     for _ in range(257):
-        u, gs_s = next_unit(gs_s)
+        u, gs_s = oracle.next_unit(gs_s)
         scalars.append(u)
     assert block.tolist() == scalars
     assert gs_b == gs_s
@@ -413,7 +439,7 @@ def test_block_and_scalar_paths_agree_for_any_stream(seed, sid, n):
     block, gs_b = rng.unit_block(gs0, n)
     gs_s = gs0
     for i in range(n):
-        u, gs_s = next_unit(gs_s)
+        u, gs_s = oracle.next_unit(gs_s)
         assert u == block[i]
     assert gs_b == gs_s
 
