@@ -285,31 +285,23 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     parts_t, parts_m, parts_d = [], [], []
     while True:
         samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
-        times = np.log(samples[0::2])
-        times /= -n  # the gaps -log(u1) / N
-        times[0] += now
-        np.cumsum(times, out=times)
+        gaps = -np.log(samples[0::2]) / n
+        gaps[0] += now
+        times = np.cumsum(gaps)
         k = int(np.searchsorted(times, cfg.horizon, side="right"))
-        marks = (samples[1::2][:k] * n).astype(np.int64)
         parts_t.append(times[:k])
-        parts_m.append(np.minimum(marks, n - 1, out=marks))
-        parts_d.append(at_draw[1::2][:k].copy())
+        parts_m.append(np.minimum((samples[1::2][:k] * n).astype(np.int64), n - 1))
+        parts_d.append(at_draw[1::2][:k])
         if k < times.size:  # saw the suppressed event
             return Trajectory(
-                times=_joined(parts_t),
-                marks=_joined(parts_m),
-                draw_indices=_joined(parts_d),
+                times=np.concatenate(parts_t),
+                marks=np.concatenate(parts_m),
+                draw_indices=np.concatenate(parts_d),
                 total_draws=int(at_draw[2 * k]),
                 n_clocks=n,
             )
         gs = gs.advanced(int(at_draw[-1]) - gs.draw_count)
         now = float(times[-1])
-
-
-def _joined(parts: list) -> np.ndarray:
-    """The passes' arrays as one; a single pass's array is used as it is
-    (copying it would fault in fresh pages for nothing)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def simulate_parallel(cfg: ParallelConfig) -> Trajectory:

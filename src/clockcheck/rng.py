@@ -258,8 +258,8 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
     Each sample lies strictly inside (0, 1) and is never exactly 0.5, so
     ``-log(u)`` is always finite and positive.  Bit-identical to ``n``
     one-at-a-time draws (a :func:`mix64` step, then the lattice map) from
-    the same state, row by row.  A single stream is the one-row case: it gives a
-    vector and a :class:`GeneratorState`.
+    the same state, row by row.  A single stream is the one-row case: it
+    gives a vector and a :class:`GeneratorState`.
     """
     rows, single = as_rows(gs)
     w = raw_block(rows, n)

@@ -432,7 +432,9 @@ def _run_keeping_trajectories(plan):
     # the report, and each seed's (label, trajectory) list from on_seed
     seeds = []
     report = detector.run_experiment(plan, on_seed=lambda seed, runs: seeds.append(runs))
-    assert [label for label, _ in seeds[0]] == [r.label for r in report.seed_reports[0].runs]
+    for sr, runs in zip(report.seed_reports, seeds, strict=True):
+        assert [(r.label, r.n_events, r.final_time, r.total_draws) for r in sr.runs] == \
+            [(label, len(t), t.final_time, t.total_draws) for label, t in runs]
     return report, seeds
 
 

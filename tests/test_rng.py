@@ -186,6 +186,7 @@ def test_unit_mapping_top_cell_stays_below_one():
 def test_unit_mapping_ignores_low_eleven_bits():
     base = 123456789 << 11
     assert oracle.unit_from_word(base) == oracle.unit_from_word(base | 0x7FF)
+    assert _block_unit(base) == _block_unit(base | 0x7FF)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
@@ -194,6 +195,7 @@ def test_unit_mapping_is_interior_and_never_half(word):
     assert 0.0 < u < 1.0
     assert u != 0.5
     assert math.isfinite(-math.log(u))
+    assert _block_unit(word) == u
 
 
 def test_unit_block_matches_scalar_path():
