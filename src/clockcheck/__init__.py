@@ -13,7 +13,6 @@ from .rng import (
     LowThinning,
     PowerBias,
     derived_seeds,
-    mix64,
     substream,
     unit_block,
 )
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GeneratorState", "Ideal", "IDEAL", "LowThinning", "PowerBias",
-    "derived_seeds", "mix64", "substream", "unit_block",
+    "derived_seeds", "substream", "unit_block",
     "Compose", "Reflect", "RescaleWindow", "RotateHalf",
     "ParallelConfig", "SerialConfig", "StreamMode", "Trajectory",
     "make_mapping", "simulate_parallel", "simulate_serial",

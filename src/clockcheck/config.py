@@ -5,9 +5,10 @@ rejected, and every diagnostic names the offending key):
 
 * ``[experiment]`` — ``seed`` (one or more distinct 64-bit values,
   whitespace- or comma-separated) OR ``seed_count`` (expands to the
-  pre-registered list ``mix64(0) .. mix64(count-1)``; default count 20),
-  ``n_clocks`` (default 16), ``horizon`` (default 250), ``alpha`` (default
-  0.01), ``ab_samples`` (default 100000), ``fix_samples`` (default 10000).
+  pre-registered list ``derived_seeds(count)``; default count 20),
+  ``n_clocks`` (>= 1, default 16), ``horizon`` (positive and finite,
+  default 250), ``alpha`` (default 0.01), ``ab_samples`` (default 100000),
+  ``fix_samples`` (default 10000).
 * ``[fault]`` — ``kind`` in {ideal, power_bias, low_thinning}; ``gamma``
   (power_bias only); ``c`` and ``q`` (low_thinning only).
 * ``[transform]`` — ``names``: ordered list from {reflect, rotate_half},

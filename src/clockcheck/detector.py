@@ -36,6 +36,7 @@ from .process import (
     SerialConfig,
     StreamMode,
     Trajectory,
+    _validate_common,
     make_mapping,
     pipeline_block,
     simulate_parallel,
@@ -441,6 +442,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("plan requires a nonempty seed list")
+        for seed in self.seeds:
+            _validate_common(self.n_clocks, self.horizon, seed)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.worker_counts or any(p < 1 for p in self.worker_counts):
@@ -554,11 +557,6 @@ class ComparisonReport:
     def any_divergence(self) -> bool:
         return any(p.verdict.diverged
                    for s in self.seed_reports for p in s.pairings)
-
-    @property
-    def any_fix_failure(self) -> bool:
-        return any(s.fix is not None and s.fix.after.diverged
-                   for s in self.seed_reports)
 
     def as_dict(self) -> dict:
         return {

@@ -41,6 +41,8 @@ from .rng import (
     MAPPING_STREAM,
     MAX_PASS_CELLS,
     SERIAL_STREAM,
+    _SNAP_BELOW_ONE,
+    _TINY,
     FaultModel,
     GeneratorState,
     IDEAL,
@@ -72,7 +74,6 @@ __all__ = [
     "MAPPING_KINDS",
 ]
 
-_TOP = 1.0 - 2.0**-53
 _STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
 _MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
 
@@ -253,8 +254,8 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
             fault_rejected[done] = fault_rejections(at_draw, rows.draw_count[done],
                                                     upto=drawn[done])
         todo, m = np.concatenate(short), 2 * m
-    y[y >= 1.0] = _TOP
-    y[y <= 0.0] = 5e-324
+    y[y >= 1.0] = _SNAP_BELOW_ONE
+    y[y <= 0.0] = _TINY
     return y, kept_at, fault_rejected, drawn - n
 
 

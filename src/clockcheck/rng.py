@@ -5,9 +5,10 @@ fixed odd increment and each output word is produced by a xor/multiply
 cascade over the advanced state.  Because the state after ``k`` draws is
 ``state0 + k * GOLDEN (mod 2**64)``, any stretch of a stream can be
 generated from its starting state alone: ``unit_block`` makes it in one
-vectorised call, bit-identical to drawing one :func:`mix64` word at a time
-(the tests keep that one-draw form as an oracle), and a block consumer can
-stop anywhere and resume from the advanced state.  The block functions take
+vectorised call, bit-identical to stepping one word at a time (the tests
+keep that one-draw form as an oracle), and a block consumer can stop
+anywhere and resume from the advanced state.  A stream's starting state is
+likewise a pure function of ``(seed, stream_id)``.  The block functions take
 one :class:`GeneratorState` or :class:`RowStates`, a grid with one stream
 per row; the single stream is the one-row case of the same kernel, and each
 row equals the single-stream call from its own state.
@@ -60,7 +61,6 @@ __all__ = [
     "LowThinning",
     "FaultModel",
     "IDEAL",
-    "mix64",
     "substream",
     "substream_rows",
     "unit_block",
@@ -84,10 +84,11 @@ SERIAL_STREAM = 0
 MAPPING_STREAM = 2_000_000
 
 _SCALE = 2.0**-53
-# Images of the two lattice cells that binary64 folds onto excluded points.
+# Images of the two lattice cells that binary64 folds onto excluded points;
+# the transforms and the window snap what rounds onto them to the same floats.
 _SNAP_ABOVE_HALF = 0.5 + 2.0**-53
 _SNAP_BELOW_ONE = 1.0 - 2.0**-53
-# Positive floor for extreme PowerBias underflow (smallest subnormal).
+# Positive floor for a sample that underflows to 0 (smallest subnormal).
 _TINY = 5e-324
 # Cells one vectorised pass over a grid of rows may hold, at most: the
 # LowThinning chunks here, per-worker epochs and per-clock grid passes.
@@ -109,20 +110,6 @@ def _check_u64(value: int, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if not 0 <= int(value) <= MASK64:
         raise ValueError(f"{name} must fit in 64 bits, got {value}")
-
-
-def mix64(z: int) -> int:
-    """One generator step on a 64-bit word.
-
-    Advances by the Weyl increment, then applies the output scrambler.  The
-    increment is what defines stream position; the xor/multiply cascade only
-    whitens the output.  Pure function: equal inputs give equal outputs.
-    """
-    _check_u64(z, "z")
-    z = (int(z) + GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MULT1) & MASK64
-    z = ((z ^ (z >> 27)) * _MULT2) & MASK64
-    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -174,9 +161,11 @@ class RowStates:
 
 
 def _mix_words(z: np.ndarray) -> np.ndarray:
-    """The output scrambler of :func:`mix64` on advanced ``uint64`` words.
+    """The output scrambler on advanced ``uint64`` words.
 
-    Scrambles ``z`` in place (callers pass a fresh array) and returns it.
+    A generator step adds ``GOLDEN`` (the stream position), then this
+    xor/multiply cascade whitens the output.  Scrambles ``z`` in place
+    (callers pass a fresh array) and returns it.
     """
     shifted = z >> _SH30
     z ^= shifted
@@ -190,18 +179,19 @@ def _mix_words(z: np.ndarray) -> np.ndarray:
 
 
 def substream(seed: int, stream_id: int) -> GeneratorState:
-    """Starting state for stream ``stream_id`` of ``seed``: ``mix64(seed ^ mix64(id))``.
-
-    Distinct ids decorrelate streams of one seed; equal ``(seed, id)`` pairs
-    always produce the identical stream.
-    """
-    _check_u64(seed, "seed")
+    """Starting state for stream ``stream_id`` of ``seed``: the one-row case
+    of :func:`substream_rows`."""
     _check_u64(stream_id, "stream_id")
-    return GeneratorState(mix64(int(seed) ^ mix64(stream_id)), 0)
+    return substream_rows(seed, [stream_id]).row(0)
 
 
 def substream_rows(seed: int, stream_ids: np.ndarray) -> RowStates:
-    """:func:`substream` for many ids at once: one row per id."""
+    """Starting states for many streams of ``seed``, one row per id.
+
+    A row's state is one generator step from ``seed ^ w``, where ``w`` is one
+    step from the stream id.  Distinct ids decorrelate streams of one seed;
+    equal ``(seed, id)`` pairs always produce the identical stream.
+    """
     _check_u64(seed, "seed")
     ids = np.asarray(stream_ids, dtype=np.uint64)
     return RowStates(_mix_words((_U64(seed) ^ _mix_words(ids + _V_GOLDEN)) + _V_GOLDEN),
@@ -219,10 +209,11 @@ def worker_stream(worker: int) -> int:
 
 
 def derived_seeds(count: int) -> tuple[int, ...]:
-    """The canonical pre-registered seed list: ``mix64(0) .. mix64(count-1)``."""
+    """The canonical pre-registered seed list: the first output word from
+    each of the states ``0 .. count-1``."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return tuple(mix64(i) for i in range(count))
+    return tuple(_mix_words(np.arange(count, dtype=np.uint64) + _V_GOLDEN).tolist())
 
 
 def as_rows(gs: "GeneratorState | RowStates") -> tuple["RowStates", bool]:
@@ -257,8 +248,8 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
 
     Each sample lies strictly inside (0, 1) and is never exactly 0.5, so
     ``-log(u)`` is always finite and positive.  Bit-identical to ``n``
-    one-at-a-time draws (a :func:`mix64` step, then the lattice map) from
-    the same state, row by row.  A single stream is the one-row case: it
+    one-at-a-time draws (a generator step, then the lattice map) from the
+    same state, row by row.  A single stream is the one-row case: it
     gives a vector and a :class:`GeneratorState`.
     """
     rows, single = as_rows(gs)

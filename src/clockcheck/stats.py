@@ -76,10 +76,6 @@ class DriftReport:
     lag: float
     ticks: int
 
-    @property
-    def per_tick_lag(self) -> float:
-        return self.lag / self.ticks
-
 
 def summarize(samples: ArrayLike) -> SampleSummary:
     """Welford mean/variance: one pass, compensated update, exact on constants."""
@@ -121,19 +117,18 @@ def ks_one_sample(samples: ArrayLike, cdf: Callable[[np.ndarray], np.ndarray]) -
     """Kolmogorov–Smirnov distance of ``samples`` from the law given by ``cdf``.
 
     ``D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)`` over the sorted
-    sample.  The cdf is probed at the sample points and must be monotone
-    nondecreasing with values in [0, 1] there, else ValueError.  The
-    statistic is computed for any n >= 1; the p-value is None for n < 8.
+    sample.  The cdf is called once on the sorted sample array and must
+    return one value per sample, monotone nondecreasing within [0, 1], else
+    ValueError.  The statistic is computed for any n >= 1; the p-value is
+    None for n < 8.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     n = xs.size
     if n == 0:
         raise ValueError("ks_one_sample requires at least one sample")
     f = np.asarray(cdf(xs), dtype=np.float64)
-    if f.shape != xs.shape:
-        f = np.array([float(cdf(v)) for v in xs], dtype=np.float64)
-    if f.size and (np.any(np.diff(f) < 0.0) or f.min() < 0.0 or f.max() > 1.0):
-        raise ValueError("cdf probe failed: values at sample points must be "
+    if f.shape != xs.shape or np.any(np.diff(f) < 0.0) or f.min() < 0.0 or f.max() > 1.0:
+        raise ValueError("cdf probe failed: it must give one value per sample point, "
                          "monotone nondecreasing within [0, 1]")
     i = np.arange(1, n + 1, dtype=np.float64)
     d = float(np.maximum(i / n - f, f - (i - 1) / n).max())

@@ -26,8 +26,10 @@ outside the window, the defect is cut away at the price of discarding a
 ``1 - (b - a)`` fraction of ideal input.  The draw pipeline in
 ``clockcheck.process`` applies it.
 
-Each primitive is callable on a single float; ``transform_block`` is the
-vectorised form the pipeline runs, bit-identical per element.
+The primitives are plain tags; ``transform_block`` is the one
+implementation of their maps, and the draw pipeline runs it on numpy
+blocks.  The tests keep a one-float-at-a-time twin as an oracle and require
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+from .rng import _SNAP_ABOVE_HALF, _SNAP_BELOW_ONE
 
 __all__ = [
     "Reflect",
@@ -47,67 +51,35 @@ __all__ = [
     "RescaleWindow",
 ]
 
-_EPS = 2.0**-53
-_TOP = 1.0 - 2.0**-53  # largest float below 1 on the sample lattice
-_ABOVE_HALF = 0.5 + 2.0**-53
-
-
-def _check_open_unit(x: float, name: str = "x") -> None:
-    if not (0.0 < x < 1.0):
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
-
 
 @dataclass(frozen=True)
 class Reflect:
     """``x -> 1 - x``."""
-
-    def __call__(self, x: float) -> float:
-        _check_open_unit(x)
-        y = 1.0 - x
-        # x below the lattice floor rounds 1 - x up to 1.0; snap back inside.
-        return _TOP if y >= 1.0 else y
 
 
 @dataclass(frozen=True)
 class RotateHalf:
     """``x -> x + 1/2 (mod 1)``; rejects exactly 1/2 (no well-defined image)."""
 
-    def __call__(self, x: float) -> float:
-        _check_open_unit(x)
-        if x == 0.5:
-            raise ValueError("rotate_half is undefined at exactly 0.5")
-        if x > 0.5:
-            return x - 0.5  # Sterbenz: exact for x in (1/2, 1)
-        y = x + 0.5
-        if y == 0.5:  # x below 2**-54 rounds the sum down to 1/2 itself
-            return _ABOVE_HALF
-        return _TOP if y >= 1.0 else y
-
 
 @dataclass(frozen=True)
 class Compose:
-    """Apply ``parts`` left to right: ``Compose([f, g])(x) == g(f(x))``."""
+    """Apply ``parts`` left to right: ``Compose([f, g])`` maps ``x`` to ``g(f(x))``."""
 
     parts: tuple["Transform", ...]
 
     def __init__(self, parts: Sequence["Transform"]):
         object.__setattr__(self, "parts", tuple(parts))
 
-    def __call__(self, x: float) -> float:
-        for part in self.parts:
-            x = part(x)
-        return x
-
 
 Transform = Union[Reflect, RotateHalf, Compose]
 
 
 def transform_block(transform: Transform, xs: np.ndarray) -> np.ndarray:
-    """Vectorised application, bit-identical to ``transform(x)`` per element.
+    """``transform`` applied to every element of ``xs``, each strictly inside (0, 1).
 
     Both primitives are pure float arithmetic (no transcendentals), so the
-    per-element map is already reproducible; this exists so the draw
-    pipeline stays in numpy end to end.
+    per-element map is reproducible bit for bit.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size and not ((xs > 0.0).all() and (xs < 1.0).all()):
@@ -118,14 +90,14 @@ def transform_block(transform: Transform, xs: np.ndarray) -> np.ndarray:
 def _block(transform: Transform, xs: np.ndarray) -> np.ndarray:
     if isinstance(transform, Reflect):
         y = 1.0 - xs
-        y[y >= 1.0] = _TOP
+        y[y >= 1.0] = _SNAP_BELOW_ONE
         return y
     if isinstance(transform, RotateHalf):
         if (xs == 0.5).any():
             raise ValueError("rotate_half is undefined at exactly 0.5")
         y = np.where(xs > 0.5, xs - 0.5, xs + 0.5)
-        y[y == 0.5] = _ABOVE_HALF
-        y[y >= 1.0] = _TOP
+        y[y == 0.5] = _SNAP_ABOVE_HALF
+        y[y >= 1.0] = _SNAP_BELOW_ONE
         return y
     if isinstance(transform, Compose):
         for part in transform.parts:

@@ -2,9 +2,12 @@
 
 ``clockcheck`` draws in numpy blocks.  This module does the same work one
 raw draw at a time, in the most direct form, and the tests require the two
-to agree bit for bit.  Every simulator here also takes a hand-made draw
-source (any object with ``next()`` and ``raw_draws``): the seam for
-degenerate, hand-checkable streams.
+to agree bit for bit: one generator step on a Python int (``mix64``), the
+unit-lattice map of one word, each fault model and each transform on one
+float, the window rejection-rescale, and the simulators built on them.
+Every simulator here also takes a hand-made draw source (any object with
+``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
+streams.
 
 Only modules are imported from ``clockcheck``, never its layer functions by
 name, so that the benchmark tracer's binding check stays clean.
@@ -20,8 +23,23 @@ from clockcheck import detector, report, rng, stats, transforms
 from clockcheck.process import StreamMode, Trajectory
 
 _TOP = 1.0 - 2.0**-53
+_ABOVE_HALF = 0.5 + 2.0**-53
 _TINY = 5e-324
 _MAX_CONSECUTIVE_REJECTS = 1_000_000
+
+
+def mix64(z):
+    """One generator step on a 64-bit word.
+
+    Advances by the Weyl increment, then applies the output scrambler.  The
+    increment is what defines stream position; the xor/multiply cascade only
+    whitens the output.  Pure function: equal inputs give equal outputs.
+    """
+    rng._check_u64(z, "z")
+    z = (int(z) + rng.GOLDEN) & rng.MASK64
+    z = ((z ^ (z >> 30)) * rng._MULT1) & rng.MASK64
+    z = ((z ^ (z >> 27)) * rng._MULT2) & rng.MASK64
+    return z ^ (z >> 31)
 
 
 def unit_from_word(word):
@@ -40,7 +58,7 @@ def next_unit(gs):
     ``u`` lies strictly inside (0, 1) and is never exactly 0.5, so
     ``-log(u)`` is always finite and positive.
     """
-    return unit_from_word(rng.mix64(gs.state)), gs.advanced(1)
+    return unit_from_word(mix64(gs.state)), gs.advanced(1)
 
 
 def power_scalar(x, inv_gamma):
@@ -48,6 +66,33 @@ def power_scalar(x, inv_gamma):
     # block path runs the array kernel.
     y = float(np.power(np.float64(x), np.float64(inv_gamma)))
     return _TOP if y >= 1.0 else _TINY if y <= 0.0 else y
+
+
+def transform_scalar(transform, x):
+    """``transform`` applied to one float strictly inside (0, 1).
+
+    Off the grid of multiples of 2**-53 an image can round onto 1.0, or onto
+    1/2 under rotate_half; it is snapped back inside, never onto 1/2.
+    """
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
+    if isinstance(transform, transforms.Compose):
+        for part in transform.parts:
+            x = transform_scalar(part, x)
+        return x
+    if isinstance(transform, transforms.Reflect):
+        y = 1.0 - x
+        return _TOP if y >= 1.0 else y
+    if isinstance(transform, transforms.RotateHalf):
+        if x == 0.5:
+            raise ValueError("rotate_half is undefined at exactly 0.5")
+        if x > 0.5:
+            return x - 0.5  # Sterbenz: exact for x in (1/2, 1)
+        y = x + 0.5
+        if y == 0.5:  # x below 2**-54 rounds the sum down to 1/2 itself
+            return _ABOVE_HALF
+        return _TOP if y >= 1.0 else y
+    raise TypeError(f"unknown transform: {transform!r}")
 
 
 def draw_with_fault(model, gs):
@@ -122,7 +167,7 @@ class PipelineSource(SourceStream):
 
     def _pre_window(self):
         u = super().next()
-        return u if self.transform is None else self.transform(u)
+        return u if self.transform is None else transform_scalar(self.transform, u)
 
     def next(self):
         if self.window is None:
@@ -258,7 +303,8 @@ def _fix_phase(fault, window, n, alpha, seed):
     uniform = np.array([pipe.next() for _ in range(n)])
     arm_raw = -np.log(np.array([pipe.next() for _ in range(n)]))
     reflect = transforms.Reflect()
-    arm_reflected = -np.log(np.array([reflect(pipe.next()) for _ in range(n)]))
+    arm_reflected = -np.log(np.array([transform_scalar(reflect, pipe.next())
+                                      for _ in range(n)]))
     ks = stats.ks_one_sample(uniform, stats.uniform_cdf)
     ab = detector._ab_verdict(arm_raw, arm_reflected, alpha)
     evidence = (detector.Evidence("uniform_ks", ks.statistic, ks.p_value),) + ab.evidence

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clockcheck import cli
+from clockcheck import cli, detector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -137,6 +137,28 @@ def test_unusable_out_dir_is_a_config_error_before_any_seed_runs(
     assert code == 1
     assert err.startswith("config error: cannot create output directory")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+@pytest.mark.parametrize("key, value", [
+    ("n_clocks", "0"), ("horizon", "-5"), ("horizon", "inf"), ("horizon", "nan"),
+])
+def test_bad_clock_count_or_horizon_is_a_config_error(
+        capsys, tmp_path, monkeypatch, command, key, value):
+    def never(*args, **kwargs):
+        raise AssertionError("a seed ran on an invalid plan")
+
+    for module in (cli, detector):
+        monkeypatch.setattr(module, "run_experiment", never)
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[experiment]\nseed = 1\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = _run(command, "--config", config, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and key in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_reports_are_byte_deterministic(capsys, tmp_path):

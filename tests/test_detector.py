@@ -379,7 +379,6 @@ def test_run_experiment_transform_and_fix_sections():
     assert sr.pairings[-1].label == "ab_(reflect then rotate_half)"
     assert sr.fix is not None
     assert sr.fix.after.outcome == CONSISTENT
-    assert not report.any_fix_failure
 
 
 def test_run_experiment_flags_power_bias_every_seed():

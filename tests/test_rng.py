@@ -27,12 +27,12 @@ from clockcheck.rng import (
     clock_stream,
     derived_seeds,
     fault_label,
-    mix64,
     raw_block,
     substream,
     worker_stream,
 )
 from clockcheck.stats import uniform_cdf
+from oracle import mix64
 
 # Independently computed: outputs of the recurrence stepped from state 0.
 _FROZEN_SEQUENCE = (
@@ -100,9 +100,21 @@ def test_substream_frozen_states():
 
 
 def test_substream_definition():
-    seed, sid = 77, 31337
-    assert substream(seed, sid).state == mix64(seed ^ mix64(sid))
-    assert substream(seed, sid).draw_count == 0
+    random_pairs = np.random.default_rng(7).integers(0, MASK64, size=(8, 2), dtype=np.uint64,
+                                                     endpoint=True).tolist()
+    pairs = [(0, 0), (MASK64, MASK64), (1 << 63, MAPPING_STREAM), (77, 31337)] + random_pairs
+    for seed, sid in pairs:
+        assert substream(seed, sid).state == mix64(seed ^ mix64(sid)), (seed, sid)
+        assert substream(seed, sid).draw_count == 0
+
+
+@pytest.mark.parametrize("seed, sid, error", [
+    (-1, 0, ValueError), (1 << 64, 0, ValueError), (0, -1, ValueError), (0, 1 << 64, ValueError),
+    (0.5, 0, TypeError), (0, 1.5, TypeError), ("1", 0, TypeError), (0, None, TypeError),
+])
+def test_substream_rejects_bad_input(seed, sid, error):
+    with pytest.raises(error):
+        substream(seed, sid)
 
 
 def test_substream_is_pure_and_ids_are_distinct():
@@ -126,8 +138,10 @@ def test_stream_id_layout_keeps_roles_apart():
 
 
 def test_derived_seeds_are_mix_of_counter():
-    seeds = derived_seeds(5)
-    assert seeds == tuple(mix64(i) for i in range(5))
+    for count in (1, 5, 20, 1000):
+        seeds = derived_seeds(count)
+        assert seeds == tuple(mix64(i) for i in range(count))
+        assert all(type(s) is int for s in seeds)
     with pytest.raises(ValueError):
         derived_seeds(0)
 

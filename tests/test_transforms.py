@@ -32,53 +32,59 @@ _GRID = 2.0**-53
 
 
 def test_reflect_quarter():
-    assert Reflect()(0.25) == 0.75
+    assert oracle.transform_scalar(Reflect(), 0.25) == 0.75
 
 
 def test_reflect_fixed_point_at_half():
-    assert Reflect()(0.5) == 0.5
+    assert oracle.transform_scalar(Reflect(), 0.5) == 0.5
 
 
 def test_rotate_low_branch():
-    assert RotateHalf()(0.3) == 0.8  # 0.3 + 0.5 is exact in binary64
+    # 0.3 + 0.5 is exact in binary64
+    assert oracle.transform_scalar(RotateHalf(), 0.3) == 0.8
 
 
 def test_rotate_high_branch():
-    assert RotateHalf()(0.7) == 0.7 - 0.5
+    assert oracle.transform_scalar(RotateHalf(), 0.7) == 0.7 - 0.5
 
 
 def test_rotate_rejects_exact_half():
     with pytest.raises(ValueError, match="0.5"):
-        RotateHalf()(0.5)
+        oracle.transform_scalar(RotateHalf(), 0.5)
 
 
 def test_compose_applies_left_to_right():
     combo = Compose([RotateHalf(), Reflect()])
-    assert combo(0.3) == 1.0 - (0.3 + 0.5)
+    assert oracle.transform_scalar(combo, 0.3) == 1.0 - (0.3 + 0.5)
 
 
 def test_empty_compose_is_identity():
-    assert Compose([])(0.37) == 0.37
+    assert oracle.transform_scalar(Compose([]), 0.37) == 0.37
 
 
 def test_double_reflect_returns_input():
-    assert Compose([Reflect(), Reflect()])(0.9) == 0.9
+    assert oracle.transform_scalar(Compose([Reflect(), Reflect()]), 0.9) == 0.9
 
 
 def test_transforms_reject_out_of_range_input():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            Reflect()(bad)
+            oracle.transform_scalar(Reflect(), bad)
         with pytest.raises(ValueError):
-            RotateHalf()(bad)
+            oracle.transform_scalar(RotateHalf(), bad)
 
 
 def test_outputs_stay_strictly_inside_unit_interval():
     # The reflect image of a subnormal-adjacent input rounds to 1.0 in raw
     # arithmetic; the map must pull it back below 1 instead.
     tiny = 2.0**-60
-    assert Reflect()(tiny) == 1.0 - _GRID
-    assert 0.0 < RotateHalf()(tiny) < 1.0
+    assert oracle.transform_scalar(Reflect(), tiny) == 1.0 - _GRID
+    assert 0.0 < oracle.transform_scalar(RotateHalf(), tiny) < 1.0
+    # the block path snaps the same edges to the same values
+    edges = np.array([tiny, 2.0**-54, _GRID, 0.5 - _GRID, 0.5 + _GRID, 1.0 - _GRID])
+    for transform in (Reflect(), RotateHalf(), Compose([RotateHalf(), Reflect()])):
+        block = transforms.transform_block(transform, edges)
+        assert block.tolist() == [oracle.transform_scalar(transform, x) for x in edges.tolist()]
 
 
 def test_labels():
@@ -98,14 +104,16 @@ def test_labels():
 @given(st.integers(min_value=1, max_value=2**53 - 1))
 def test_reflect_is_involution_on_grid(j):
     x = j * _GRID
-    assert Reflect()(Reflect()(x)) == x
+    reflect = Reflect()
+    assert oracle.transform_scalar(reflect, oracle.transform_scalar(reflect, x)) == x
 
 
 @given(st.integers(min_value=1, max_value=2**53 - 1))
 def test_rotate_is_involution_on_grid(j):
     assume(j != 2**52)  # exactly 0.5 is outside the domain
     x = j * _GRID
-    assert RotateHalf()(RotateHalf()(x)) == x
+    rotate = RotateHalf()
+    assert oracle.transform_scalar(rotate, oracle.transform_scalar(rotate, x)) == x
 
 
 @settings(max_examples=30, deadline=None)
@@ -114,7 +122,7 @@ def test_block_path_matches_scalar_path(seed, n):
     xs, _ = rng.unit_block(substream(seed, 0), n)
     for transform in (Reflect(), RotateHalf(), Compose([RotateHalf(), Reflect()])):
         block = transforms.transform_block(transform, xs)
-        scalars = [transform(float(x)) for x in xs]
+        scalars = [oracle.transform_scalar(transform, float(x)) for x in xs]
         assert block.tolist() == scalars
 
 
