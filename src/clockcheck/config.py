@@ -54,6 +54,19 @@ _SCHEMA = {
     "debug": {"corrupt_per_clock_run"},
 }
 
+#: the key behind each ExperimentPlan field; the plan's errors start with the field
+_PLAN_KEYS = {
+    "seeds": "[experiment] seed",
+    "n_clocks": "[experiment] n_clocks",
+    "horizon": "[experiment] horizon",
+    "alpha": "[experiment] alpha",
+    "ab_samples": "[experiment] ab_samples",
+    "fix_samples": "[experiment] fix_samples",
+    "worker_counts": "[parallel] workers",
+    "mappings": "[parallel] mappings",
+    "stream_modes": "[parallel] stream_modes",
+}
+
 _TRANSFORM_NAMES = {"reflect": Reflect, "rotate_half": RotateHalf}
 _FAULT_KINDS = ("ideal", "power_bias", "low_thinning")
 
@@ -293,5 +306,7 @@ def load_config(
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        field, _, detail = str(exc).partition(" ")
+        key = _PLAN_KEYS.get(field)
+        raise ConfigError(f"{key}: {detail}" if key else str(exc)) from None
     return plan, _parse_output(sections["output"])

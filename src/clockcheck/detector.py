@@ -440,24 +440,24 @@ class ExperimentPlan:
     debug_corrupt_per_clock: bool = False
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("plan requires a nonempty seed list")
+        # Each message starts with the field it is about; config maps that
+        # field back to the key it was read from.
+        for name in ("seeds", "worker_counts", "mappings", "stream_modes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
         for seed in self.seeds:
             _validate_common(self.n_clocks, self.horizon, seed)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.worker_counts or any(p < 1 for p in self.worker_counts):
-            raise ValueError("worker_counts must be a nonempty list of P >= 1")
-        if not self.mappings or not self.stream_modes:
-            raise ValueError("mappings and stream_modes must be nonempty")
-        for name in ("seeds", "worker_counts", "mappings", "stream_modes"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
+        if any(p < 1 for p in self.worker_counts):
+            raise ValueError(f"worker_counts must be >= 1, got {list(self.worker_counts)}")
         if self.ab_samples < _MIN_AB_SAMPLES:
-            raise ValueError(f"ab_samples must be >= {_MIN_AB_SAMPLES}")
+            raise ValueError(f"ab_samples must be >= {_MIN_AB_SAMPLES}, got {self.ab_samples}")
         if self.fix_samples < _MIN_FIX_SAMPLES:
-            raise ValueError(f"fix_samples must be >= {_MIN_FIX_SAMPLES}")
+            raise ValueError(f"fix_samples must be >= {_MIN_FIX_SAMPLES}, got {self.fix_samples}")
 
     def as_dict(self) -> dict:
         return {

@@ -9,10 +9,13 @@ Output contract, relied on by regression tests:
 * ``events_seed<seed>_<label>.csv`` — one file per simulated run, header
   ``time,mark,draw_index``, CRLF line ends, written by :class:`EventWriter`
   as soon as the seed's runs are done (the report keeps no trajectories).
-  The rows are formatted straight from the trajectory's arrays,
-  ``_CSV_ROWS`` rows per write, in the same bytes ``csv.writer`` gives for
-  rows of (``repr(time)``, mark, draw index): no field ever needs quoting,
-  since each is a float ``repr`` or an int.
+  The rows are formatted straight from the trajectory's arrays, one
+  ``%``-format call per ``_CSV_ROWS``-row chunk, in the same bytes
+  ``csv.writer`` gives for rows of (``repr(time)``, mark, draw index): no
+  field ever needs quoting, since each is a float ``repr`` or an int.  A
+  seed's runs are often the same trajectory (per-clock runs agree bit for
+  bit under any worker count or mapping), so each distinct trajectory is
+  formatted once per seed and its twins' files are copies of that file.
 * ``summary.csv`` — header ``seed,pairing,test,statistic,p_value,verdict``;
   one row per evidence item per pairing (plus the fix before/after blocks
   and discard rate when a fix is configured).
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -109,10 +113,28 @@ def _write_events_csv(path: Path, traj: Trajectory) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(EVENTS_HEADER) + "\r\n")
         for lo in range(0, len(traj), _CSV_ROWS):
-            rows = zip(traj.times[lo:lo + _CSV_ROWS].tolist(),
-                       traj.marks[lo:lo + _CSV_ROWS].tolist(),
-                       traj.draw_indices[lo:lo + _CSV_ROWS].tolist())
-            fh.write("".join([f"{t!r},{m},{d}\r\n" for t, m, d in rows]))
+            times = traj.times[lo:lo + _CSV_ROWS].tolist()
+            cells = [None] * (3 * len(times))
+            cells[0::3] = times
+            cells[1::3] = traj.marks[lo:lo + _CSV_ROWS].tolist()
+            cells[2::3] = traj.draw_indices[lo:lo + _CSV_ROWS].tolist()
+            fh.write(("%r,%d,%d\r\n" * len(times)) % tuple(cells))
+
+
+def _time_bits(traj: Trajectory) -> np.ndarray:
+    return np.asarray(traj.times, dtype=np.float64).view(np.uint64)
+
+
+def _same_rows(a: Trajectory, b: Trajectory) -> bool:
+    """Whether ``a`` and ``b`` give the same event-CSV bytes: the same object,
+    or bit-equal times (``0.0`` and ``-0.0`` print apart) and equal marks
+    and draw indices."""
+    return a is b or (
+        len(a) == len(b)
+        and np.array_equal(_time_bits(a), _time_bits(b))
+        and np.array_equal(a.marks, b.marks)
+        and np.array_equal(a.draw_indices, b.draw_indices)
+    )
 
 
 class EventWriter:
@@ -120,7 +142,9 @@ class EventWriter:
 
     Pass it as ``run_experiment``'s ``on_seed``; ``paths`` lists the files
     written so far, in order, for :func:`write_report_bundle`.  The
-    directory is made at once, before any seed runs.
+    directory is made at once, before any seed runs.  A run whose rows equal
+    an earlier run's of the same seed gets a copy of that run's file, so
+    each distinct trajectory is formatted once per seed.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
@@ -129,9 +153,15 @@ class EventWriter:
         self.paths: list[Path] = []
 
     def __call__(self, seed: int, runs: Sequence[tuple[str, Trajectory]]) -> None:
+        formatted: list[tuple[Trajectory, Path]] = []
         for label, traj in runs:
             path = self.out_dir / f"events_seed{seed}_{label}.csv"
-            _write_events_csv(path, traj)
+            twin = next((p for t, p in formatted if _same_rows(t, traj)), None)
+            if twin is None:
+                _write_events_csv(path, traj)
+                formatted.append((traj, path))
+            else:
+                shutil.copyfile(twin, path)
             self.paths.append(path)
 
 

@@ -190,10 +190,14 @@ def substream_rows(seed: int, stream_ids: np.ndarray) -> RowStates:
 
     A row's state is one generator step from ``seed ^ w``, where ``w`` is one
     step from the stream id.  Distinct ids decorrelate streams of one seed;
-    equal ``(seed, id)`` pairs always produce the identical stream.
+    equal ``(seed, id)`` pairs always produce the identical stream.  Every id
+    must be an integer in ``[0, 2**64)``, as :func:`substream` demands.
     """
     _check_u64(seed, "seed")
-    ids = np.asarray(stream_ids, dtype=np.uint64)
+    ids = np.asarray(stream_ids)
+    if ids.size and (ids.dtype.kind not in "biu" or ids.min() < 0):
+        raise ValueError(f"stream ids must be integers in [0, 2**64), got {ids!r}")
+    ids = ids.astype(np.uint64, copy=False)
     return RowStates(_mix_words((_U64(seed) ^ _mix_words(ids + _V_GOLDEN)) + _V_GOLDEN),
                      np.zeros(ids.size, dtype=np.int64))
 

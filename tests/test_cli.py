@@ -37,8 +37,7 @@ def test_config_error_exits_one(capsys, tmp_path):
     code = _run("detect", "--config", CONFIGS / "bad_alpha.ini", "--out", tmp_path)
     err = capsys.readouterr().err
     assert code == 1
-    assert "config error:" in err
-    assert "alpha" in err
+    assert err == "config error: [experiment] alpha: must lie in (0, 1), got 1.5\n"
 
 
 def test_determinism_breach_exits_three(capsys, tmp_path):
@@ -156,7 +155,7 @@ def test_bad_clock_count_or_horizon_is_a_config_error(
     code = _run(command, "--config", config, "--out", out)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("config error:") and key in err
+    assert err.startswith(f"config error: [experiment] {key}: must ")
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -128,8 +128,29 @@ def test_malformed_file(tmp_path):
 
 
 def test_alpha_out_of_range_carries_name(tmp_path):
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(ConfigError) as info:
         config.load_config(_write(tmp_path, "[experiment]\nalpha = 1.5\n"))
+    assert str(info.value) == "[experiment] alpha: must lie in (0, 1), got 1.5"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nalpha = 2\n", "[experiment] alpha: must lie in (0, 1), got 2.0"),
+    ("[experiment]\nn_clocks = 0\n", "[experiment] n_clocks: must be >= 1, got 0"),
+    ("[experiment]\nhorizon = -5\n",
+     "[experiment] horizon: must be positive and finite, got -5.0"),
+    ("[experiment]\nab_samples = 10\n", "[experiment] ab_samples: must be >= 1000, got 10"),
+    ("[experiment]\nfix_samples = 10\n",
+     "[experiment] fix_samples: must be >= 10000, got 10"),
+    ("[parallel]\nworkers = ,\n", "[parallel] workers: must be nonempty"),
+    ("[parallel]\nmappings = ,\n", "[parallel] mappings: must be nonempty"),
+    ("[parallel]\nstream_modes = ,\n", "[parallel] stream_modes: must be nonempty"),
+])
+def test_plan_level_errors_name_section_and_key(tmp_path, text, message):
+    # ExperimentPlan checks these; the error still reads "[section] key: ..."
+    # like every error the parser raises itself.
+    with pytest.raises(ConfigError) as info:
+        config.load_config(_write(tmp_path, text))
+    assert str(info.value) == message
 
 
 def test_non_numeric_value_is_typed_error(tmp_path):

@@ -19,7 +19,7 @@ from clockcheck.report import (
     summary_rows,
 )
 from clockcheck.rng import LowThinning
-from clockcheck.transforms import RescaleWindow
+from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +194,118 @@ def test_event_csv_parses_back_to_the_trajectory(tmp_path, small_run, monkeypatc
         assert np.array_equal(times, traj.times)  # repr round-trips exactly
         assert [int(r[1]) for r in rows] == traj.marks.tolist()
         assert [int(r[2]) for r in rows] == traj.draw_indices.tolist()
+
+
+# ---------------------------------------------------------------------------
+# One format per distinct trajectory of a seed; its twins' files are copies.
+
+def _count_formats(monkeypatch):
+    """Record the file name of every ``_write_events_csv`` call."""
+    names = []
+    real = report._write_events_csv
+
+    def counting(path, traj):
+        names.append(path.name)
+        real(path, traj)
+
+    monkeypatch.setattr(report, "_write_events_csv", counting)
+    return names
+
+
+def _export(out, plan):
+    """Run ``plan`` with an :class:`EventWriter` sink; return the writer and
+    every trajectory handed to it, in file order."""
+    writer = report.EventWriter(out)
+    trajectories = []
+
+    def sink(seed, runs):
+        trajectories.extend(traj for _, traj in runs)
+        writer(seed, runs)
+
+    detector.run_experiment(plan, on_seed=sink)
+    return writer, trajectories
+
+
+# The benchmark's thinning_repair and calibrate_export shapes, on two seeds.
+_THINNING_PLAN = dict(
+    n_clocks=16, horizon=250.0, fault=LowThinning(0.5, 0.5), transform=Reflect(),
+    fix_window=RescaleWindow(0.5, 1.0), worker_counts=(1, 4),
+    mappings=("blocks", "round_robin"),
+    stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER),
+    ab_samples=1000,
+)
+_CALIBRATE_PLAN = dict(
+    n_clocks=256, horizon=250.0, transform=Compose((Reflect(), RotateHalf())),
+    worker_counts=(1, 2), mappings=("round_robin",), ab_samples=1000,
+)
+
+
+@pytest.mark.parametrize("shape, formatted", [
+    # serial, the per-clock runs (all one trajectory), P1 per-worker (blocks
+    # and round_robin are one worker's stream) and both P4 per-worker runs
+    (_THINNING_PLAN, ["serial", "P1-blocks-per_clock", "P1-blocks-per_worker",
+                      "P4-blocks-per_worker", "P4-round_robin-per_worker"]),
+    (_CALIBRATE_PLAN, ["serial", "P1-round_robin-per_clock"]),
+], ids=["thinning_repair", "calibrate_export"])
+def test_each_distinct_trajectory_is_formatted_once_per_seed(
+        tmp_path, monkeypatch, shape, formatted):
+    monkeypatch.setattr(report, "_CSV_ROWS", 3)
+    names = _count_formats(monkeypatch)
+    plan = ExperimentPlan(seeds=(4, 9), **shape)
+    writer, trajectories = _export(tmp_path, plan)
+    n_runs = 1 + len(plan.worker_counts) * len(plan.mappings) * len(plan.stream_modes)
+    assert len(writer.paths) == 2 * n_runs
+    assert names == [f"events_seed{seed}_{label}.csv" for seed in (4, 9) for label in formatted]
+    _assert_match_oracle(writer.paths, trajectories)
+
+
+def test_equal_content_in_a_distinct_object_is_copied(tmp_path, monkeypatch):
+    monkeypatch.setattr(report, "_CSV_ROWS", 3)
+    names = _count_formats(monkeypatch)
+    a = _random_trajectory(8, seed=3)
+    b = _trajectory(a.times.copy(), a.marks.copy(), a.draw_indices.copy())
+    paths = _write_events(tmp_path, [a, b, a])
+    assert names == ["events_seed0_t0.csv"]
+    _assert_match_oracle(paths, [a, b, a])
+
+
+@pytest.mark.parametrize("change", ["time", "negative_zero", "mark", "draw_index", "length"])
+def test_a_trajectory_differing_anywhere_is_formatted_from_its_own_arrays(
+        tmp_path, monkeypatch, change):
+    monkeypatch.setattr(report, "_CSV_ROWS", 3)
+    names = _count_formats(monkeypatch)
+    a = _trajectory([0.0, 0.5, 1.25, 2.0, 3.5], [0, 1, 2, 3, 0], [1, 2, 4, 5, 9])
+    times, marks, draws = a.times.copy(), a.marks.copy(), a.draw_indices.copy()
+    if change == "time":
+        times[-1] = np.nextafter(times[-1], np.inf)
+    elif change == "negative_zero":
+        times[0] = -0.0  # equal to 0.0, but its repr differs
+    elif change == "mark":
+        marks[2] = 1
+    elif change == "draw_index":
+        draws[3] = 6
+    else:
+        times, marks, draws = times[:-1], marks[:-1], draws[:-1]
+    b = _trajectory(times, marks, draws)
+    paths = _write_events(tmp_path, [a, b])
+    assert names == ["events_seed0_t0.csv", "events_seed0_t1.csv"]
+    _assert_match_oracle(paths, [a, b])
+    assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_corrupted_per_clock_cell_gets_its_own_file(tmp_path, monkeypatch, corrupt):
+    names = _count_formats(monkeypatch)
+    plan = ExperimentPlan(seeds=(2,), n_clocks=8, horizon=200.0, worker_counts=(1, 2),
+                          debug_corrupt_per_clock=corrupt)
+    writer, trajectories = _export(tmp_path, plan)
+    _assert_match_oracle(writer.paths, trajectories)
+    serial, first, second = (p.read_bytes() for p in writer.paths)
+    if corrupt:
+        assert names == ["events_seed2_serial.csv", "events_seed2_P1-blocks-per_clock.csv",
+                         "events_seed2_P2-blocks-per_clock.csv"]
+        assert first != second
+        assert first.split(b"\r\n")[2:] == second.split(b"\r\n")[2:]  # only row 1 moved
+    else:
+        assert names == ["events_seed2_serial.csv", "events_seed2_P1-blocks-per_clock.csv"]
+        assert first == second

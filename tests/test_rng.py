@@ -409,6 +409,17 @@ def test_substream_rows_equal_substreams():
     for seed in (0, 42, MASK64):
         rows = rng.substream_rows(seed, ids)
         assert [rows.row(r) for r in range(len(rows))] == [substream(seed, int(i)) for i in ids]
+    top = rng.substream_rows(3, np.array([MASK64], dtype=np.uint64))
+    assert top.row(0) == substream(3, MASK64)
+
+
+@pytest.mark.parametrize("ids", [[-1], [0.5], [2**64], [4, -1], np.array([2, -7])],
+                         ids=["negative", "fraction", "2**64", "list-tail", "int64-array"])
+def test_substream_rows_rejects_bad_ids(ids):
+    # substream(0, -1) and substream(0, 0.5) raise; the row form must not
+    # wrap -1 to 2**64 - 1 or truncate 0.5 to stream 0.
+    with pytest.raises(ValueError, match="stream ids"):
+        rng.substream_rows(0, ids)
 
 
 _ROW_MODELS = [IDEAL, PowerBias(2.0), LowThinning(0.5, 0.5), LowThinning(0.99, 1.0)]
