@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class Trajectory:
     n_clocks: int
 
     def __post_init__(self) -> None:
-        if self.times.size and np.any(np.diff(self.times) < 0.0):
+        if np.any(self.times[1:] < self.times[:-1]):
             raise RuntimeError("internal error: trajectory times are not sorted")
 
     def __len__(self) -> int:
@@ -106,13 +107,20 @@ class Trajectory:
         """Time of the last emitted event (0.0 for an empty trajectory)."""
         return float(self.times[-1]) if self.times.size else 0.0
 
-    @property
+    @cached_property
     def per_clock_ticks(self) -> np.ndarray:
-        return np.bincount(self.marks, minlength=self.n_clocks)
+        """Events per clock, counted once per trajectory object (read-only)."""
+        ticks = np.bincount(self.marks, minlength=self.n_clocks)
+        ticks.flags.writeable = False
+        return ticks
 
     def inter_event_times(self) -> np.ndarray:
         """Gaps between consecutive events, the first measured from time 0."""
-        return np.diff(self.times, prepend=0.0)
+        t = self.times
+        gaps = np.empty(t.shape, dtype=np.float64)
+        gaps[:1] = t[:1]
+        np.subtract(t[1:], t[:-1], out=gaps[1:])
+        return gaps
 
 
 class StreamMode(str, Enum):
@@ -286,18 +294,21 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     parts_t, parts_m, parts_d = [], [], []
     while True:
         samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
-        gaps = -np.log(samples[0::2]) / n
-        gaps[0] += now
-        times = np.cumsum(gaps)
+        times = np.log(samples[0::2])  # the gaps, -log(u1) / N, summed in place
+        np.negative(times, out=times)
+        times /= n
+        times[0] += now
+        np.cumsum(times, out=times)
         k = int(np.searchsorted(times, cfg.horizon, side="right"))
-        parts_t.append(times[:k])
+        # a view of the pass's times, copied when over half the pass is slack
+        parts_t.append(times[:k] if 2 * k >= times.size else times[:k].copy())
         parts_m.append(np.minimum((samples[1::2][:k] * n).astype(np.int64), n - 1))
-        parts_d.append(at_draw[1::2][:k])
+        parts_d.append(at_draw[1:2 * k:2])
         if k < times.size:  # saw the suppressed event
             return Trajectory(
-                times=np.concatenate(parts_t),
-                marks=np.concatenate(parts_m),
-                draw_indices=np.concatenate(parts_d),
+                times=_join(parts_t, np.float64),
+                marks=_join(parts_m, np.int64),
+                draw_indices=_join(parts_d, np.int64),
                 total_draws=int(at_draw[2 * k]),
                 n_clocks=n,
             )
@@ -327,25 +338,22 @@ def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
     mapping = np.asarray(cfg.mapping)
     width = min(int(2.5 * cfg.horizon) + 32, MAX_PASS_CELLS)
     batch = max(1, MAX_PASS_CELLS // width)
-    parts_t, parts_m, parts_d = [], [], []
+    parts = ([], [], [])  # times, marks, draw counts
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
         for lo in range(0, clocks.size, batch):
-            t, m, d, consumed = _clock_grid(cfg, clocks[lo:lo + batch], width)
-            parts_t += t
-            parts_m += m
-            parts_d += d
-            total += consumed
-    return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=cfg.n_clocks, total_draws=total)
+            total += _clock_grid(cfg, clocks[lo:lo + batch], width, *parts)
+    return _merge_arrays(*parts, n_clocks=cfg.n_clocks, total_draws=total)
 
 
-def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int):
-    """Events of ``clocks`` drawn as grid rows: per-pass (times, marks, draw
-    counts) flattened row by row, plus the raw draws the rows consumed."""
+def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int,
+                parts_t: list, parts_m: list, parts_d: list) -> int:
+    """Draw ``clocks`` as grid rows, append each pass's (times, marks, draw
+    counts), flattened row by row, to the three lists, and return the raw
+    draws the rows consumed."""
     rows = substream_rows(cfg.seed, clock_stream(clocks))
     now = np.zeros(clocks.size)
-    parts_t, parts_m, parts_d = [], [], []
     consumed = 0
     while clocks.size:
         samples, at_draw, _, _ = pipeline_block(
@@ -363,7 +371,7 @@ def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int):
         consumed += int(at_draw[~alive, ticks[~alive]].sum())
         rows = rows.take(alive).advanced(at_draw[alive, -1] - rows.draw_count[alive])
         clocks, now = clocks[alive], times[alive, -1]
-    return parts_t, parts_m, parts_d, consumed
+    return consumed
 
 
 def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
@@ -413,9 +421,9 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
 
 
 def _merge_arrays(
-    parts_t: Sequence[np.ndarray],
-    parts_m: Sequence[np.ndarray],
-    parts_d: Sequence[np.ndarray],
+    parts_t: list[np.ndarray],
+    parts_m: list[np.ndarray],
+    parts_d: list[np.ndarray],
     *,
     n_clocks: int,
     total_draws: int,
@@ -423,15 +431,15 @@ def _merge_arrays(
     """Time-sorted merge, ties broken by ascending mark.
 
     A part may hold several clocks; each clock's events must come in the
-    order they were emitted, in one part or across parts in order.
+    order they were emitted, in one part or across parts in order.  The
+    three lists are emptied as their columns are built, and the columns are
+    put in time order one at a time, so the parts, their concatenation and
+    the merged result are never all held at once.
     """
-    for t, m in zip(parts_t, parts_m):
-        down = np.flatnonzero(t[1:] < t[:-1])  # where a part may pass to its next clock
-        if np.any(m[down] == m[down + 1]):
-            raise RuntimeError("internal error: unsorted per-clock event list")
-    times = np.concatenate(parts_t) if parts_t else np.empty(0, dtype=np.float64)
-    marks = np.concatenate(parts_m) if parts_m else np.empty(0, dtype=np.int64)
-    draws = np.concatenate(parts_d) if parts_d else np.empty(0, dtype=np.int64)
+    if not all(map(_clocks_in_order, parts_t, parts_m)):
+        raise RuntimeError("internal error: unsorted per-clock event list")
+    times = _join(parts_t, np.float64)
+    marks = _join(parts_m, np.int64)
     order = np.argsort(times)
     ordered = times[order]
     if np.any(ordered[1:] == ordered[:-1]):
@@ -439,13 +447,34 @@ def _merge_arrays(
         # (time, mark) so equal events keep their emission order.
         order = np.lexsort((marks, times))
         ordered = times[order]
+    del times
+    marks = marks[order]
+    draws = _join(parts_d, np.int64)[order]
     return Trajectory(
         times=ordered,
-        marks=marks[order],
-        draw_indices=draws[order],
+        marks=marks,
+        draw_indices=draws,
         total_draws=total_draws,
         n_clocks=n_clocks,
     )
+
+
+def _clocks_in_order(t: np.ndarray, m: np.ndarray) -> bool:
+    """Whether time goes back in part ``t`` only where the part passes from
+    one clock to the next."""
+    down = np.flatnonzero(t[1:] < t[:-1])
+    return not np.any(m[down] == m[down + 1])
+
+
+def _join(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """The parts end to end (an empty ``dtype`` array for none), and
+    ``parts`` emptied: a lone contiguous part is returned without a copy."""
+    if len(parts) == 1:
+        joined = np.ascontiguousarray(parts[0])
+    else:
+        joined = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    parts.clear()
+    return joined
 
 
 # --------------------------------------------------------------------------

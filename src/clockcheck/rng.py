@@ -341,7 +341,7 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
     if isinstance(model, (Ideal, PowerBias)):
         u, new = unit_block(rows, n)
         if isinstance(model, PowerBias):
-            u = np.power(u, 1.0 / model.gamma)
+            np.power(u, 1.0 / model.gamma, out=u)
             u[u >= 1.0] = _SNAP_BELOW_ONE
             u[u <= 0.0] = _TINY
         at_draw = rows.draw_count[:, None] + np.arange(1, n + 1, dtype=np.int64)

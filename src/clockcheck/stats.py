@@ -42,6 +42,8 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 #: below this sample size KS p-values are refused (statistic still computed)
 MIN_KS_N = 8
 
+_WELFORD_CHUNK = 1 << 16  # values summarize turns into Python floats at a time
+
 
 @dataclass(frozen=True)
 class SampleSummary:
@@ -78,17 +80,26 @@ class DriftReport:
 
 
 def summarize(samples: ArrayLike) -> SampleSummary:
-    """Welford mean/variance: one pass, compensated update, exact on constants."""
-    xs = np.asarray(samples, dtype=np.float64).ravel().tolist()
-    n = len(xs)
+    """Welford mean/variance: one pass, compensated update, exact on constants.
+
+    The values become Python floats ``_WELFORD_CHUNK`` at a time, so a long
+    sample is never one list of floats.  The count ``k`` is a float, exact
+    below 2**53, so ``delta / k`` divides by the same double an int count
+    would give, and the result has the bits of the one-list loop.
+    """
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    n = x.size
     if n == 0:
         raise ValueError("summarize requires at least one sample")
     mean = 0.0
     m2 = 0.0
-    for k, x in enumerate(xs, 1):
-        delta = x - mean
-        mean += delta / k
-        m2 += delta * (x - mean)
+    k = 0.0
+    for lo in range(0, n, _WELFORD_CHUNK):
+        for v in x[lo:lo + _WELFORD_CHUNK].tolist():
+            k += 1.0
+            delta = v - mean
+            mean += delta / k
+            m2 += delta * (v - mean)
     variance = m2 / (n - 1) if n >= 2 else None
     return SampleSummary(n=n, mean=mean, variance=variance)
 
@@ -162,13 +173,15 @@ def _ks_side(x: np.ndarray, y: np.ndarray) -> float:
 
     Both empirical cdfs are right-continuous steps, so at a run of equal
     values in ``x`` only its last point matters: there ``F_x`` is the run's
-    end over ``x.size``.
+    end over ``x.size``.  The differences are taken in one float array.
     """
     ends = np.flatnonzero(np.append(x[1:] != x[:-1], True))
     points = x if ends.size == x.size else x[ends]
-    fx = (ends + 1) / x.size
-    fy = np.searchsorted(y, points, side="right") / y.size
-    return float(np.abs(fx - fy).max())
+    f = np.add(ends, 1, dtype=np.float64)
+    del ends
+    f /= x.size
+    f -= np.searchsorted(y, points, side="right") / y.size
+    return float(np.abs(f, out=f).max())
 
 
 def chi_square_uniform(counts: ArrayLike) -> ChiSquareResult:

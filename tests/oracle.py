@@ -4,7 +4,8 @@
 raw draw at a time, in the most direct form, and the tests require the two
 to agree bit for bit: one generator step on a Python int (``mix64``), the
 unit-lattice map of one word, each fault model and each transform on one
-float, the window rejection-rescale, and the simulators built on them.
+float, the window rejection-rescale, the simulators built on them, and
+Welford's summary one value at a time.
 Every simulator here also takes a hand-made draw source (any object with
 ``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
 streams.
@@ -136,6 +137,19 @@ def rejection_rescale(window, draw):
                 f"window ({window.a}, {window.b}) rejected {discards} consecutive "
                 "draws; the upstream pipeline never lands inside it"
             )
+
+
+def welford(samples):
+    """Welford's mean and unbiased variance, one Python float at a time:
+    ``stats.summarize`` must give these bits."""
+    xs = np.asarray(samples, dtype=np.float64).ravel().tolist()
+    mean = m2 = 0.0
+    for k, x in enumerate(xs, 1):
+        delta = x - mean
+        mean += delta / k
+        m2 += delta * (x - mean)
+    n = len(xs)
+    return stats.SampleSummary(n=n, mean=mean, variance=m2 / (n - 1) if n >= 2 else None)
 
 
 class SourceStream:

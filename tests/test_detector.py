@@ -454,6 +454,28 @@ def test_run_experiment_summarizes_each_trajectory_once(monkeypatch):
         assert np.array_equal(x, t.inter_event_times())
 
 
+def test_per_clock_ticks_are_counted_once_per_trajectory(monkeypatch):
+    # Four per-clock cells enter four serial pairings, so the chi-square of
+    # each side runs four times; the bit-equal cells share one trajectory,
+    # and each trajectory's marks are counted once.
+    counted = []
+    real = np.bincount
+
+    def bincount(marks, *args, **kwargs):
+        counted.append(marks.size)
+        return real(marks, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"))
+    report, (runs,) = _run_keeping_trajectories(plan)
+    serial, per_clock = runs[0][1], runs[1][1]
+    assert all(t is per_clock for _, t in runs[1:])
+    assert counted == [len(serial), len(per_clock)]
+    chi2 = [e for p in report.seed_reports[0].pairings for e in p.verdict.evidence
+            if e.test.endswith("marks_chi2")]
+    assert len(chi2) == 8
+
+
 def _cells(plan, seed):
     # the configs run_experiment builds, in its order
     return [
@@ -552,6 +574,30 @@ def test_peak_memory_stays_flat_over_seeds(tmp_path):
         tracemalloc.stop()
     assert len(writer.paths) == 16 and min(held) > 550_000
     assert peaks[-1] - peaks[1] < min(held) / 2
+
+
+def test_one_seed_peak_memory_stays_near_the_trajectories_it_holds():
+    # A seed holds its serial run and one per-clock run (equal cells share
+    # it), about 2.5 MB of arrays here.  The traced peak reads about 2.34
+    # times that; a merge that holds a cell's parts, their concatenation
+    # and the merged result at once reads about 3.19.
+    plan = _small_plan(seeds=(0,), n_clocks=64, horizon=400.0, fault=PowerBias(2.0),
+                       mappings=("round_robin", "shuffle"))
+    held = []
+
+    def on_seed(seed, runs):
+        kept = {id(t): t for _, t in runs}.values()
+        held.append(sum(t.times.nbytes + t.marks.nbytes + t.draw_indices.nbytes
+                        for t in kept))
+
+    tracemalloc.start()
+    try:
+        detector.run_experiment(plan, on_seed=on_seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held[0] > 2_400_000
+    assert peak < 2.75 * held[0]
 
 
 def test_plan_validation():

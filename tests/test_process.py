@@ -505,6 +505,20 @@ def test_merge_respects_explicit_totals():
     assert traj.per_clock_ticks.tolist() == [1, 0, 0, 0]
 
 
+def test_trajectory_gaps_and_tick_counts():
+    traj = process.simulate_serial(SerialConfig(n_clocks=3, horizon=5.0, seed=2))
+    assert np.array_equal(traj.inter_event_times(), np.diff(traj.times, prepend=0.0))
+    ticks = traj.per_clock_ticks
+    assert ticks is traj.per_clock_ticks  # counted once per trajectory object
+    assert ticks.tolist() == np.bincount(traj.marks, minlength=3).tolist()
+    with pytest.raises(ValueError):
+        ticks[0] = 0
+    empty = Trajectory(times=np.empty(0), marks=np.empty(0, dtype=np.int64),
+                       draw_indices=np.empty(0, dtype=np.int64), total_draws=1, n_clocks=2)
+    assert empty.inter_event_times().size == 0
+    assert empty.per_clock_ticks.tolist() == [0, 0]
+
+
 def test_merge_arrays_orders_like_lexsort():
     # Parts hold several clocks each, as the per-worker grids do, and come in
     # no mark order.  Clock 3 ticks twice at 1.0 (a tie inside one clock);
@@ -526,7 +540,7 @@ def test_merge_arrays_orders_like_lexsort():
         parts = [part(2, 0, spread=spread), part(3, 1, spread=spread)]
         t, m, d = (np.concatenate(x) for x in zip(*parts))
         order = np.lexsort((m, t))
-        merged = process._merge_arrays(*zip(*parts), n_clocks=4, total_draws=0)
+        merged = process._merge_arrays(*map(list, zip(*parts)), n_clocks=4, total_draws=0)
         assert merged.times.tolist() == t[order].tolist()
         assert merged.marks.tolist() == m[order].tolist()
         assert merged.draw_indices.tolist() == d[order].tolist()

@@ -1,5 +1,6 @@
 """Statistics kernel tests, cross-checked against scipy where it offers the
-same quantity (scipy is the oracle here, never the implementation)."""
+same quantity (scipy is the oracle here, never the implementation), and
+``summarize`` bit for bit against the per-value Welford loop in ``oracle``."""
 
 import math
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from clockcheck import rng, stats
 from clockcheck.rng import LowThinning, substream
 from clockcheck.stats import (
@@ -57,6 +59,22 @@ def test_summarize_agrees_with_numpy():
     assert s.mean == pytest.approx(float(logs.mean()), rel=1e-12)
     assert s.variance == pytest.approx(float(logs.var(ddof=1)), rel=1e-9)
     assert abs(s.mean - 1.0) < 0.02
+
+
+_CHUNK = 1 << 16
+
+
+@pytest.mark.parametrize("n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_summarize_is_bit_equal_to_one_value_welford(n):
+    # summarize reads the values in 2**16-value chunks with a float counter;
+    # the bits must be those of the plain per-value loop, at every chunk edge.
+    u, _ = rng.unit_block(substream(9, 0), n)
+    for xs in (-np.log(u), np.full(n, 0.1), u.tolist()):
+        s, ref = stats.summarize(xs), oracle.welford(xs)
+        assert s.n == ref.n == n
+        assert s.mean == ref.mean
+        assert s.variance == ref.variance
+    assert stats.summarize(np.full(n, 0.1)).variance == (0.0 if n > 1 else None)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50), st.floats(-10, 10))
