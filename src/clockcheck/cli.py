@@ -39,6 +39,7 @@ from .detector import (
     ExperimentPlan,
     PairingRecord,
     SeedReport,
+    TooFewEvents,
     fix_evaluation,
     run_experiment,
     transform_ab_test,
@@ -106,10 +107,17 @@ def _write(report: ComparisonReport, output: OutputConfig, target: Path,
         click.echo(f"wrote {len(written['events'])} event CSV file(s) under {target}")
 
 
-def _run(plan: ExperimentPlan, output: OutputConfig, target: Path) -> ComparisonReport:
-    """Run the plan, writing each seed's event CSVs as it finishes, then the report."""
+def _run(ctx, plan: ExperimentPlan, output: OutputConfig, target: Path) -> ComparisonReport:
+    """Run the plan, writing each seed's event CSVs as it finishes, then the
+    report; a bank too small to compare is a config error (exit 1) and
+    leaves no report."""
     events = EventWriter(target) if "csv" in output.formats else None
-    report = run_experiment(plan, on_seed=events)
+    try:
+        report = run_experiment(plan, on_seed=events)
+    except TooFewEvents as exc:
+        click.echo(f"config error: [experiment] n_clocks, horizon: {plan.n_clocks} clocks "
+                   f"over horizon {plan.horizon:g} give too few events: {exc}", err=True)
+        ctx.exit(1)
     _write(report, output, target, events)
     return report
 
@@ -162,7 +170,7 @@ def cmd_calibrate(ctx, config_path, out_dir, seed_override) -> None:
         )
         plan = dataclasses.replace(plan, fault=IDEAL)
     target = _out_dir(ctx, output, out_dir)
-    report = _run(plan, output, target)
+    report = _run(ctx, plan, output, target)
     code = _banded_exit(report)
     click.echo(f"calibrate: {'PASS' if code == 0 else 'FAIL'}")
     ctx.exit(code)
@@ -178,7 +186,7 @@ def cmd_detect(ctx, config_path, out_dir, seed_override) -> None:
         ctx.exit(1)
     plan, output = loaded
     target = _out_dir(ctx, output, out_dir)
-    report = _run(plan, output, target)
+    report = _run(ctx, plan, output, target)
     code = _banded_exit(report)
     click.echo({0: "detect: consistent",
                 2: "detect: divergence detected",

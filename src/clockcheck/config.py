@@ -19,8 +19,8 @@ rejected, and every diagnostic names the offending key):
   "blocks"); ``stream_modes``: list from {per_clock, per_worker} (default
   "per_clock").  No list may repeat an entry: a repeated cell would write
   over its twin's event file and count its tests twice.
-* ``[output]`` — ``directory`` (default "reports"); ``formats``: list from
-  {json, csv} (default both).
+* ``[output]`` — ``directory`` (default "reports"); ``formats``: nonempty
+  list from {json, csv} (default both).
 * ``[debug]`` — ``corrupt_per_clock_run``: bool (default false); damages
   one per-clock trajectory per seed so the determinism-breach exit path can
   be demonstrated against a correct build.
@@ -273,6 +273,8 @@ def _parse_parallel(section: _Section) -> tuple[tuple[int, ...], tuple[str, ...]
 def _parse_output(section: _Section) -> OutputConfig:
     directory = section.raw("directory") or "reports"
     formats = tuple(_split_list(section.raw("formats") or "json csv"))
+    if not formats:
+        raise ConfigError("[output] formats: must be nonempty")
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"[output] formats: unknown format {fmt!r} "

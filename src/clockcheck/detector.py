@@ -36,6 +36,7 @@ from .process import (
     SerialConfig,
     StreamMode,
     Trajectory,
+    _gaps,
     _validate_common,
     make_mapping,
     pipeline_block,
@@ -78,6 +79,7 @@ __all__ = [
     "ComparisonReport",
     "transform_ab_test",
     "serial_parallel_compare",
+    "TooFewEvents",
     "cross_parallel_compare",
     "GapStats",
     "GapMemo",
@@ -193,6 +195,11 @@ def _ab_verdict(arm_raw: np.ndarray, arm_transformed: np.ndarray, alpha: float) 
     return Verdict.from_evidence(evidence, alpha)
 
 
+class TooFewEvents(ValueError):
+    """A trajectory below :func:`serial_parallel_compare`'s event floor: the
+    plan's bank (``n_clocks`` over ``horizon``) is too small to compare."""
+
+
 def serial_parallel_compare(
     serial: Trajectory, parallel: Trajectory, alpha: float,
     *, gap_stats: Optional[GapMemo] = None,
@@ -205,11 +212,11 @@ def serial_parallel_compare(
     or under 5 expected events per clock).  A caller making several
     pairings passes the same ``gap_stats`` memo to each call: it is keyed on
     the trajectories' times (confirmed by exact equality), so each distinct
-    gap sample is summarised and sorted once, and each distinct pair of them
-    is KS- and Welch-tested once.
+    gap sample is summarised once, and each distinct pair of them is KS- and
+    Welch-tested once.
     """
     if len(serial) < _MIN_COMPARE_EVENTS or len(parallel) < _MIN_COMPARE_EVENTS:
-        raise ValueError(
+        raise TooFewEvents(
             f"serial_parallel_compare requires >= {_MIN_COMPARE_EVENTS} events per side, "
             f"got {len(serial)} and {len(parallel)}"
         )
@@ -222,14 +229,14 @@ def serial_parallel_compare(
 @dataclass(frozen=True, eq=False)
 class GapStats:
     """A trajectory's inter-event gaps as the pairings read them: their
-    Welford summary (in event order) and the gaps in ascending order.
+    Welford summary (in event order) and the event times they come from.
 
     Compared and hashed by identity: a :class:`GapMemo` hands out one
     object per distinct gap content and keys its pair results on it.
     """
 
     summary: SampleSummary
-    ascending: np.ndarray
+    times: np.ndarray
 
 
 class GapMemo:
@@ -238,31 +245,31 @@ class GapMemo:
     A trajectory whose ``times`` equal those of a trajectory seen before
     (same length, then ``np.array_equal``; never a hash, never the run's
     config) gets that trajectory's :class:`GapStats`, so equal per-clock
-    cells are summarised and sorted once, and a corrupted or wrongly merged
-    cell, whose times differ, gets its own.  The KS and Welch results of
-    each ordered pair of ``GapStats`` are kept too.  Meant to live for one
-    seed's pairings: it holds the times and sorted gaps it has seen.
+    cells are summarised once, and a corrupted or wrongly merged cell,
+    whose times differ, gets its own.  The KS and Welch results of each
+    ordered pair of ``GapStats`` are kept too.  Meant to live for one
+    seed's pairings: it holds the summaries and the times it has seen, and
+    no gaps; a pair's KS input is taken from the two times arrays.
     """
 
     def __init__(self) -> None:
-        self._seen: list[tuple[np.ndarray, GapStats]] = []
+        self._seen: list[GapStats] = []
         self._pairs: dict[tuple[GapStats, GapStats], tuple[KsResult, float]] = {}
 
     def __call__(self, traj: Trajectory) -> GapStats:
         times = traj.times
-        for seen, stats in self._seen:
-            if seen.size == times.size and np.array_equal(seen, times):
+        for stats in self._seen:
+            if stats.times.size == times.size and np.array_equal(stats.times, times):
                 return stats
-        gaps = traj.inter_event_times()
-        stats = GapStats(summarize(gaps), np.sort(gaps))
-        self._seen.append((times, stats))
+        stats = GapStats(summarize(traj.inter_event_times()), times)
+        self._seen.append(stats)
         return stats
 
     def pair(self, a: GapStats, b: GapStats) -> tuple[KsResult, float]:
         """``ks_two_sample`` and ``welch_t`` of ``a`` against ``b``, once per pair."""
         hit = self._pairs.get((a, b))
         if hit is None:
-            hit = self._pairs[a, b] = (ks_two_sample(a.ascending, b.ascending),
+            hit = self._pairs[a, b] = (ks_two_sample(_gaps(a.times), _gaps(b.times)),
                                        welch_t(a.summary, b.summary))
         return hit
 

@@ -116,11 +116,15 @@ class Trajectory:
 
     def inter_event_times(self) -> np.ndarray:
         """Gaps between consecutive events, the first measured from time 0."""
-        t = self.times
-        gaps = np.empty(t.shape, dtype=np.float64)
-        gaps[:1] = t[:1]
-        np.subtract(t[1:], t[:-1], out=gaps[1:])
-        return gaps
+        return _gaps(self.times)
+
+
+def _gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps between consecutive ``t``, the first measured from time 0."""
+    gaps = np.empty(t.shape, dtype=np.float64)
+    gaps[:1] = t[:1]
+    np.subtract(t[1:], t[:-1], out=gaps[1:])
+    return gaps
 
 
 class StreamMode(str, Enum):

@@ -43,6 +43,7 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 MIN_KS_N = 8
 
 _WELFORD_CHUNK = 1 << 16  # values summarize turns into Python floats at a time
+_KS_CHUNK = 1 << 13  # sorted pooled keys ks_two_sample reads at a time
 
 
 @dataclass(frozen=True)
@@ -150,38 +151,65 @@ def ks_one_sample(samples: ArrayLike, cdf: Callable[[np.ndarray], np.ndarray]) -
 def ks_two_sample(a: ArrayLike, b: ArrayLike) -> KsResult:
     """Two-sample KS: sup |F_a - F_b| over the pooled points.
 
-    Both sides need >= 8 points; the p-value uses the one-sample asymptotic
-    with effective n = n*m/(n+m).  A sample already in ascending order is
-    not sorted again.
+    The samples come in any order; every value must be >= 0 (``-0.0``
+    counts as 0), else ValueError, as is a NaN.  Both sides need >= 8
+    points; the p-value uses the one-sample asymptotic with effective
+    n = n*m/(n+m).
+
+    One in-place sort orders both samples: each value becomes the key
+    ``bits << 1 | side`` (side 1 for ``a``), because a non-negative
+    double's bit pattern orders as the double does, and the shift folds
+    ``-0.0`` onto ``+0.0``.  See :func:`_pooled_statistic` for the pass
+    over the sorted keys.
     """
-    xa = _ascending(np.asarray(a, dtype=np.float64).ravel())
-    xb = _ascending(np.asarray(b, dtype=np.float64).ravel())
+    xa = np.asarray(a, dtype=np.float64).ravel()
+    xb = np.asarray(b, dtype=np.float64).ravel()
     n, m = xa.size, xb.size
     if n < MIN_KS_N or m < MIN_KS_N:
         raise ValueError(f"ks_two_sample requires both samples >= {MIN_KS_N}, got {n} and {m}")
-    d = max(_ks_side(xa, xb), _ks_side(xb, xa))
+    if not (xa.min() >= 0.0 and xb.min() >= 0.0):
+        raise ValueError("ks_two_sample requires values >= 0 (and no NaN)")
+    keys = np.empty(n + m, dtype=np.uint64)
+    np.left_shift(xa.view(np.uint64), 1, out=keys[:n])
+    np.left_shift(xb.view(np.uint64), 1, out=keys[n:])
+    keys[:n] |= 1
+    keys.sort()
+    d = _pooled_statistic(keys, n)
     effective = n * m / (n + m)
     return KsResult(statistic=d, p_value=_ks_p(d, effective), n=n, m=m)
 
 
-def _ascending(x: np.ndarray) -> np.ndarray:
-    return x if np.all(x[1:] >= x[:-1]) else np.sort(x)
+def _pooled_statistic(keys: np.ndarray, n: int) -> float:
+    """max |fl(i/n) - fl(j/m)| over the distinct values of sorted pooled ``keys``.
 
-
-def _ks_side(x: np.ndarray, y: np.ndarray) -> float:
-    """max |F_x - F_y| over the points of sorted ``x``, against sorted ``y``.
-
-    Both empirical cdfs are right-continuous steps, so at a run of equal
-    values in ``x`` only its last point matters: there ``F_x`` is the run's
-    end over ``x.size``.  The differences are taken in one float array.
+    At the last key of a run of equal values v, the running count of side
+    bits is i = #a <= v, and j = position + 1 - i = #b <= v: both empirical
+    cdfs are right-continuous steps, so these are the only points that
+    matter.  The keys are read ``_KS_CHUNK`` at a time, so the temporaries
+    stay a small fixed size whatever the sample sizes.
     """
-    ends = np.flatnonzero(np.append(x[1:] != x[:-1], True))
-    points = x if ends.size == x.size else x[ends]
-    f = np.add(ends, 1, dtype=np.float64)
-    del ends
-    f /= x.size
-    f -= np.searchsorted(y, points, side="right") / y.size
-    return float(np.abs(f, out=f).max())
+    total = keys.size
+    m = total - n
+    d = 0.0
+    below = 0  # side-a keys before the chunk
+    for lo in range(0, total, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, total)
+        chunk = keys[lo:hi]
+        after = keys[lo + 1:hi + 1]
+        # a run ends where the next key holds a larger value: v's keys are 2v, 2v + 1
+        run_end = np.ones(chunk.size, dtype=bool)
+        np.less(chunk[:after.size] | 1, after, out=run_end[:after.size])
+        i = chunk & 1
+        np.cumsum(i, out=i)
+        i += below
+        below = int(i[-1])
+        j = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        j -= i
+        diff = i / n
+        diff -= j / m
+        np.abs(diff, out=diff)
+        d = max(d, float(diff.max(where=run_end, initial=0.0)))
+    return d
 
 
 def chi_square_uniform(counts: ArrayLike) -> ChiSquareResult:

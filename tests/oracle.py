@@ -4,8 +4,9 @@
 raw draw at a time, in the most direct form, and the tests require the two
 to agree bit for bit: one generator step on a Python int (``mix64``), the
 unit-lattice map of one word, each fault model and each transform on one
-float, the window rejection-rescale, the simulators built on them, and
-Welford's summary one value at a time.
+float, the window rejection-rescale, the simulators built on them,
+Welford's summary one value at a time, and the two-sample KS statistic in
+its two-``searchsorted`` form.
 Every simulator here also takes a hand-made draw source (any object with
 ``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
 streams.
@@ -150,6 +151,27 @@ def welford(samples):
         m2 += delta * (x - mean)
     n = len(xs)
     return stats.SampleSummary(n=n, mean=mean, variance=m2 / (n - 1) if n >= 2 else None)
+
+
+def ks_two_sample_statistic(a, b):
+    """The two-sample KS statistic by two ``searchsorted`` passes over the
+    sorted samples: ``stats.ks_two_sample`` must give these bits."""
+    xa = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    xb = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    return max(_ks_side(xa, xb), _ks_side(xb, xa))
+
+
+def _ks_side(x, y):
+    """max |F_x - F_y| over the points of sorted ``x``, against sorted ``y``.
+
+    Both empirical cdfs are right-continuous steps, so at a run of equal
+    values in ``x`` only its last point matters: there ``F_x`` is the run's
+    end over ``x.size``.
+    """
+    ends = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    f = np.add(ends, 1, dtype=np.float64) / x.size
+    f -= np.searchsorted(y, x[ends], side="right") / y.size
+    return float(np.abs(f).max())
 
 
 class SourceStream:

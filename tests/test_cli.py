@@ -160,6 +160,59 @@ def test_bad_clock_count_or_horizon_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("calibrate", "calibrate_ideal.ini"),
+    ("detect", "detect_power_bias.ini"),
+    ("ab-test", "ab_reflect.ini"),
+    ("fix-demo", "fix_thinning.ini"),
+])
+def test_empty_output_formats_is_a_config_error(
+        capsys, tmp_path, monkeypatch, command, config):
+    # "formats = ," splits into no format at all: nothing would be written
+    def never(*args, **kwargs):
+        raise AssertionError("a seed ran with no output format")
+
+    for name in ("run_experiment", "transform_ab_test", "fix_evaluation"):
+        monkeypatch.setattr(cli, name, never)
+    text = (CONFIGS / config).read_text(encoding="utf-8")
+    assert "[output]" not in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text + "\n[output]\nformats = ,\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = _run(command, "--config", bad, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "config error: [output] formats: must be nonempty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_bank_below_the_comparison_floor_is_a_config_error(capsys, tmp_path, command):
+    # 4 clocks over horizon 200 draw about 800 events a run, short of the
+    # 1000 a serial/parallel comparison needs; this is known only once the
+    # first seed has been simulated.
+    config = tmp_path / "small.ini"
+    config.write_text("[experiment]\nseed = 1\nn_clocks = 4\nhorizon = 200\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    code = _run(command, "--config", config, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("config error: [experiment] n_clocks, horizon: 4 clocks over horizon "
+                   "200 give too few events: serial_parallel_compare requires >= 1000 "
+                   "events per side, got 780 and 804\n")
+    assert not (out / "report.json").exists()
+
+
+def test_only_the_event_shortfall_becomes_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("some other defect")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    with pytest.raises(ValueError, match="some other defect"):
+        _run("detect", "--config", CONFIGS / "detect_power_bias.ini", "--out", tmp_path)
+
+
 def test_reports_are_byte_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _run("detect", "--config", CONFIGS / "breach_demo.ini", "--out", a)

@@ -1,8 +1,10 @@
 """Statistics kernel tests, cross-checked against scipy where it offers the
 same quantity (scipy is the oracle here, never the implementation), and
-``summarize`` bit for bit against the per-value Welford loop in ``oracle``."""
+``summarize`` and the two-sample KS statistic bit for bit against their
+direct forms in ``oracle``."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,8 +183,102 @@ def test_ks_two_sample_equals_pooled_formula_with_ties(decimals):
             a, b = np.round(a, decimals), np.round(b, decimals)
         res = stats.ks_two_sample(a, b)
         assert res.statistic == _pooled_ks_statistic(a, b)
+        assert res.statistic == oracle.ks_two_sample_statistic(a, b)
         ordered = stats.ks_two_sample(np.sort(a), np.sort(b))
         assert ordered.statistic == res.statistic
+
+
+def _assert_ks_bits(a, b):
+    res = stats.ks_two_sample(a, b)
+    assert res.statistic == oracle.ks_two_sample_statistic(a, b)
+    assert res.statistic == _pooled_ks_statistic(a, b)
+    assert (res.n, res.m) == (np.size(a), np.size(b))
+    return res
+
+
+def test_ks_two_sample_run_of_equal_values_spans_chunks(monkeypatch):
+    # After the sort a run of 40 equal values (from both sides) crosses
+    # several 4-key chunks; only its last key may count.
+    monkeypatch.setattr(stats, "_KS_CHUNK", 4)
+    gen = np.random.default_rng(11)
+    for start in range(4):
+        a = np.concatenate([np.full(25, 0.5), gen.uniform(0.0, 1.0, 9 + start)])
+        b = np.concatenate([np.full(15, 0.5), gen.uniform(0.0, 1.0, 30)])
+        _assert_ks_bits(a, b)
+        _assert_ks_bits(b, a)
+        _assert_ks_bits(np.round(a, 1), np.round(b, 1))
+
+
+def test_ks_two_sample_signed_zeros_are_one_value(monkeypatch):
+    monkeypatch.setattr(stats, "_KS_CHUNK", 3)
+    gen = np.random.default_rng(12)
+    for trial in range(20):
+        a = np.where(gen.uniform(size=30) < 0.4, 0.0, gen.exponential(1.0, 30))
+        b = np.where(gen.uniform(size=17) < 0.6, 0.0, gen.exponential(1.0, 17))
+        a[(a == 0.0) & (gen.uniform(size=30) < 0.5)] = -0.0
+        if trial % 2:
+            b[b == 0.0] = -0.0
+        assert np.signbit(a).any() or np.signbit(b).any()
+        res = _assert_ks_bits(a, b)
+        flipped = stats.ks_two_sample(np.abs(a), np.abs(b))
+        assert flipped.statistic == res.statistic
+    assert stats.ks_two_sample(np.full(8, -0.0), np.zeros(9)).statistic == 0.0
+
+
+def test_ks_two_sample_with_infinities():
+    gen = np.random.default_rng(13)
+    a = gen.exponential(1.0, 50)
+    b = gen.exponential(1.0, 60)
+    a[:5], b[:2] = np.inf, np.inf
+    _assert_ks_bits(a, b)
+    assert stats.ks_two_sample(np.full(10, np.inf), np.full(8, np.inf)).statistic == 0.0
+    assert stats.ks_two_sample(np.full(10, np.inf), np.ones(8)).statistic == 1.0
+
+
+def test_ks_two_sample_one_side_constant():
+    gen = np.random.default_rng(14)
+    b = gen.exponential(1.0, 300)
+    for value in (0.0, 0.3, float(np.median(b)), 1e300):
+        a = np.full(20, value)
+        _assert_ks_bits(a, b)
+        _assert_ks_bits(b, a)
+    _assert_ks_bits(b[::3], np.full(8, 0.5))  # a strided view is read as it is
+
+
+@pytest.mark.parametrize("n, m", [(8, 9), (8, 2**18), (2**18, 8), (1000, 999),
+                                  (2**13, 2**13 + 1), (3 * 2**13 + 5, 2**17),
+                                  (2**18, 2**18 - 3)])
+def test_ks_two_sample_unequal_sizes(n, m):
+    gen = np.random.default_rng(n + 7 * m)
+    a, b = gen.exponential(1.0, n), gen.exponential(1.1, m)
+    _assert_ks_bits(a, b)
+    _assert_ks_bits(np.round(a, 2), np.round(b, 2))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, -np.inf, np.nan])
+def test_ks_two_sample_rejects_negative_and_nan(bad):
+    ok = np.linspace(0.0, 1.0, 10)
+    spoiled = ok.copy()
+    spoiled[3] = bad
+    with pytest.raises(ValueError, match="values >= 0"):
+        stats.ks_two_sample(spoiled, ok)
+    with pytest.raises(ValueError, match="values >= 0"):
+        stats.ks_two_sample(ok, spoiled)
+
+
+def test_ks_two_sample_memory_stays_near_the_pooled_keys():
+    # One sort of the pooled keys (8 bytes a value) and then chunked reads:
+    # a full-length temporary on top of the keys would pass 1.75 times
+    # their bytes.
+    gen = np.random.default_rng(15)
+    a, b = gen.exponential(1.0, 2**17), gen.exponential(1.0, 2**17)
+    tracemalloc.start()
+    try:
+        stats.ks_two_sample(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 8 * (a.size + b.size)
 
 
 def test_ks_two_sample_needs_eight_per_side():
