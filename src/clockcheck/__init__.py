@@ -39,7 +39,6 @@ from .detector import (
     ExperimentPlan,
     Verdict,
     cross_parallel_compare,
-    fitted_exponential_check,
     fix_evaluation,
     run_experiment,
     serial_parallel_compare,
@@ -59,7 +58,7 @@ __all__ = [
     "chi_square_uniform", "clock_drift", "ks_one_sample", "ks_two_sample",
     "summarize", "welch_t",
     "ComparisonReport", "ExperimentPlan", "Verdict", "cross_parallel_compare",
-    "fitted_exponential_check", "fix_evaluation", "run_experiment",
+    "fix_evaluation", "run_experiment",
     "serial_parallel_compare", "transform_ab_test",
     "ConfigError", "load_config", "write_report_bundle",
     "__version__",

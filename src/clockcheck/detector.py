@@ -48,11 +48,10 @@ from .stats import (
     DriftReport,
     KsResult,
     SampleSummary,
-    MIN_KS_N,
     clock_drift,
     chi_square_uniform,
-    exponential_cdf,
     ks_one_sample,
+    ks_pooled,
     ks_two_sample,
     summarize,
     uniform_cdf,
@@ -83,7 +82,6 @@ __all__ = [
     "cross_parallel_compare",
     "GapStats",
     "GapMemo",
-    "fitted_exponential_check",
     "fix_evaluation",
     "run_experiment",
 ]
@@ -249,7 +247,9 @@ class GapMemo:
     whose times differ, gets its own.  The KS and Welch results of each
     ordered pair of ``GapStats`` are kept too.  Meant to live for one
     seed's pairings: it holds the summaries and the times it has seen, and
-    no gaps; a pair's KS input is taken from the two times arrays.
+    no gaps; a pair's KS writes both runs' gaps, from their times, straight
+    into one pooled key buffer (:func:`~clockcheck.stats.ks_pooled`), so a
+    KS holds the pooled bytes once.
     """
 
     def __init__(self) -> None:
@@ -259,18 +259,23 @@ class GapMemo:
     def __call__(self, traj: Trajectory) -> GapStats:
         times = traj.times
         for stats in self._seen:
-            if stats.times.size == times.size and np.array_equal(stats.times, times):
+            if stats.times is times or (stats.times.size == times.size
+                                        and np.array_equal(stats.times, times)):
                 return stats
         stats = GapStats(summarize(traj.inter_event_times()), times)
         self._seen.append(stats)
         return stats
 
     def pair(self, a: GapStats, b: GapStats) -> tuple[KsResult, float]:
-        """``ks_two_sample`` and ``welch_t`` of ``a`` against ``b``, once per pair."""
+        """The two-sample KS and ``welch_t`` of ``a`` against ``b``, once per pair."""
         hit = self._pairs.get((a, b))
         if hit is None:
-            hit = self._pairs[a, b] = (ks_two_sample(_gaps(a.times), _gaps(b.times)),
-                                       welch_t(a.summary, b.summary))
+            n = a.times.size
+            keys = np.empty(n + b.times.size, dtype=np.uint64)
+            values = keys.view(np.float64)  # each side's gaps go straight into the keys
+            _gaps(a.times, out=values[:n])
+            _gaps(b.times, out=values[n:])
+            hit = self._pairs[a, b] = (ks_pooled(keys, n), welch_t(a.summary, b.summary))
         return hit
 
 
@@ -295,7 +300,7 @@ def _marks_evidence(traj: Trajectory, name: str) -> list[Evidence]:
 def _bit_equal(a: Trajectory, b: Trajectory) -> bool:
     """Whether two runs are the same bits: times, marks, draw indices,
     ``total_draws`` and ``n_clocks`` (the per-clock determinism predicate)."""
-    return (
+    return a is b or (
         a.total_draws == b.total_draws
         and a.n_clocks == b.n_clocks
         and np.array_equal(a.times, b.times)
@@ -359,24 +364,6 @@ def cross_parallel_compare(
         evidence += _marks_evidence(traj, f"per_worker_{i}_marks_chi2")
 
     return Verdict.from_evidence(evidence, alpha, breach=breach)
-
-
-def fitted_exponential_check(traj: Trajectory, alpha: float) -> Verdict:
-    """The serial blind spot: KS of inter-event times vs their own fitted law.
-
-    The reference exponential takes its rate from the sample mean, which is
-    all a run without a comparison partner can do — and a source bias that
-    only rescales time (e.g. a power bias) survives this check untouched.
-    """
-    gaps = traj.inter_event_times()
-    if gaps.size < MIN_KS_N:
-        raise ValueError("fitted_exponential_check requires a nonempty trajectory "
-                         f"with >= {MIN_KS_N} events")
-    rate = 1.0 / float(np.mean(gaps))
-    res = ks_one_sample(gaps, lambda x: exponential_cdf(x, rate))
-    return Verdict.from_evidence(
-        [Evidence("fitted_exponential_ks", res.statistic, res.p_value)], alpha
-    )
 
 
 def fix_evaluation(
@@ -614,9 +601,14 @@ def run_experiment(
 def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
     """One seed of :func:`run_experiment`; its trajectories die with the call.
 
-    A per-clock cell bit-equal to the seed's first per-clock run is replaced
-    by that run as soon as it is simulated, so equal cells are held once; an
-    unequal cell is kept, and the cross-parallel check flags it.
+    Each distinct cell is simulated once: cells with equal configs (every
+    mapping at P = 1; ``blocks`` and ``round_robin`` at P = N) share one
+    trajectory through the seed's memo.  A per-clock cell bit-equal to the
+    seed's first per-clock run is replaced by that run, in the memo too, as
+    soon as it is simulated, so equal cells are held once; an unequal cell
+    is kept, and the cross-parallel check flags it.  The memo keeps the
+    first per-clock run as simulated, so under ``debug_corrupt_per_clock``
+    an equal-config twin is compared with the uncorrupted run and breaches.
     """
     serial = simulate_serial(
         SerialConfig(plan.n_clocks, plan.horizon, seed, plan.fault,
@@ -627,6 +619,7 @@ def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
     parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
     gap_stats = GapMemo()  # this seed's pairings share each distinct gap sample
     first_per_clock = None
+    memo: dict[ParallelConfig, Trajectory] = {}
     for mode in plan.stream_modes:
         for workers in plan.worker_counts:
             for mapping_name in plan.mappings:
@@ -641,14 +634,14 @@ def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
                     mapping=make_mapping(mapping_name, plan.n_clocks, workers, seed),
                     stream_mode=mode,
                 )
-                traj = simulate_parallel(cfg)
+                traj = simulate_parallel(cfg, memo)
                 if mode is StreamMode.PER_CLOCK:
                     if first_per_clock is None:
                         if plan.debug_corrupt_per_clock:
                             traj = _corrupted(traj)
                         first_per_clock = traj
                     elif _bit_equal(first_per_clock, traj):
-                        traj = first_per_clock
+                        traj = memo[cfg] = first_per_clock
                 label = f"P{workers}-{mapping_name}-{mode.value}"
                 runs.append((label, traj))
                 parallel_cells.append((cfg, traj))

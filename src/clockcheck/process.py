@@ -119,9 +119,10 @@ class Trajectory:
         return _gaps(self.times)
 
 
-def _gaps(t: np.ndarray) -> np.ndarray:
-    """Gaps between consecutive ``t``, the first measured from time 0."""
-    gaps = np.empty(t.shape, dtype=np.float64)
+def _gaps(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gaps between consecutive ``t``, the first measured from time 0,
+    written to ``out`` (a float64 array of ``t``'s size) if given."""
+    gaps = np.empty(t.shape, dtype=np.float64) if out is None else out
     gaps[:1] = t[:1]
     np.subtract(t[1:], t[:-1], out=gaps[1:])
     return gaps
@@ -320,11 +321,22 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
         now = float(times[-1])
 
 
-def simulate_parallel(cfg: ParallelConfig) -> Trajectory:
-    """Run N independent rate-1 clocks and merge their event lists."""
-    if cfg.stream_mode is StreamMode.PER_CLOCK:
-        return _simulate_per_clock(cfg)
-    return _simulate_per_worker(cfg)
+def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None) -> Trajectory:
+    """Run N independent rate-1 clocks and merge their event lists.
+
+    ``memo``, if given, is a dict from configs to the trajectories returned
+    for them, kept by the caller: a config equal to one in it is not run
+    again, and a new one is run and stored.
+    """
+    traj = None if memo is None else memo.get(cfg)
+    if traj is None:
+        if cfg.stream_mode is StreamMode.PER_CLOCK:
+            traj = _simulate_per_clock(cfg)
+        else:
+            traj = _simulate_per_worker(cfg)
+        if memo is not None:
+            memo[cfg] = traj
+    return traj
 
 
 def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
@@ -385,38 +397,67 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
     (rounds x live clocks) matrix: each column, summed from that clock's
     current time, gives its tick times.  An epoch is cut at the first round
     in which some clock passes the horizon (every live clock still draws in
-    that round); the next epoch repeats with the clocks still alive.  An
-    epoch draws about ``MAX_PASS_CELLS`` pipeline samples, window draws
-    included, at most.
+    that round); the next epoch repeats with the clocks still alive, from
+    the sample after the cut.
+
+    A worker's pipeline samples sit in one buffer that the epochs read in
+    order; an epoch reads the rounds the buffer holds, up to ``horizon -
+    latest clock time + 8``.  When not one round is left, the unread rest
+    is kept and one ``pipeline_block`` call goes on from the stream state
+    after the last buffered sample, sized to the rounds the earliest live
+    clock still needs at its pace so far (``horizon - its time + 8`` at
+    the start), so a worker usually draws once or twice.  A stream's
+    samples do not depend on how many are asked for, and a round-by-round
+    sum does not depend on where the epochs split it, so the buffer changes
+    no bit of the result.  The buffer holds about ``MAX_PASS_CELLS``
+    pipeline samples, window draws included, at most (one round when a
+    round alone is more).
     """
     parts_t, parts_m, parts_d = [], [], []
     mapping = np.asarray(cfg.mapping)
-    epoch_samples = int(MAX_PASS_CELLS / _draws_per_sample(cfg.fix_window))
+    budget = int(MAX_PASS_CELLS / _draws_per_sample(cfg.fix_window))
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
-        gs = substream(cfg.seed, worker_stream(w))
+        gs = substream(cfg.seed, worker_stream(w))  # the state after the buffer's end
+        gaps, at = np.empty(0), np.empty(0, dtype=np.int64)  # -log(sample), draw count
+        pos = 0  # the first unread sample
         now = np.zeros(clocks.size)
+        used = 0  # raw draws up to the last sample an epoch used
+        done = 0  # rounds taken so far, the ticks of each live clock
         while clocks.size:
             k = clocks.size
-            rounds = min(int(cfg.horizon - now.max()) + 8, max(1, epoch_samples // k))
-            samples, at_draw, _, _ = pipeline_block(
-                cfg.fault, cfg.transform, cfg.fix_window, gs, rounds * k
-            )
-            gaps = -np.log(samples).reshape(rounds, k)
-            times = np.cumsum(np.vstack([now, gaps]), axis=0)[1:]
+            if gaps.size - pos < k:  # not one round left
+                # the rounds the earliest live clock needs at its pace so far
+                lo = now.min()
+                left = (cfg.horizon - lo) * (done / lo if done else 1.0)
+                want = max(k, min((int(left) + 8) * k, budget))
+                samples, at_draw, _, _ = pipeline_block(
+                    cfg.fault, cfg.transform, cfg.fix_window, gs, want - (gaps.size - pos)
+                )
+                np.negative(np.log(samples, out=samples), out=samples)
+                if pos < gaps.size:
+                    samples = np.concatenate((gaps[pos:], samples))
+                    at_draw = np.concatenate((at[pos:], at_draw))
+                gaps, at, pos = samples, at_draw, 0
+                gs = gs.advanced(int(at[-1]) - gs.draw_count)
+            rounds = min(int(cfg.horizon - now.max()) + 8, (gaps.size - pos) // k)
+            epoch = gaps[pos:pos + rounds * k].reshape(rounds, k)
+            times = np.cumsum(np.vstack([now, epoch]), axis=0)[1:]
             passed = (times > cfg.horizon).any(axis=1)
             cut = int(passed.argmax()) + 1 if passed.any() else rounds
-            times, draws = times[:cut], at_draw[: cut * k].reshape(cut, k)
+            times, draws = times[:cut], at[pos:pos + cut * k].reshape(cut, k)
             alive = times[-1] <= cfg.horizon
             kept = cut - 1 + alive  # ticks per clock in this epoch
             ticked = (np.arange(cut)[:, None] < kept).T  # clock by clock
             parts_t.append(times.T[ticked])
             parts_m.append(np.repeat(clocks, kept))
             parts_d.append(draws.T[ticked])
-            gs = gs.advanced(int(draws[-1, -1]) - gs.draw_count)
+            used = int(draws[-1, -1])
+            pos += cut * k
+            done += cut
             clocks, now = clocks[alive], times[-1, alive]
-        total += gs.draw_count
+        total += used
     return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=cfg.n_clocks, total_draws=total)
 
 

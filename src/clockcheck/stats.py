@@ -27,6 +27,7 @@ __all__ = [
     "summarize",
     "ks_one_sample",
     "ks_two_sample",
+    "ks_pooled",
     "chi_square_uniform",
     "welch_t",
     "clock_drift",
@@ -154,24 +155,36 @@ def ks_two_sample(a: ArrayLike, b: ArrayLike) -> KsResult:
     The samples come in any order; every value must be >= 0 (``-0.0``
     counts as 0), else ValueError, as is a NaN.  Both sides need >= 8
     points; the p-value uses the one-sample asymptotic with effective
-    n = n*m/(n+m).
-
-    One in-place sort orders both samples: each value becomes the key
-    ``bits << 1 | side`` (side 1 for ``a``), because a non-negative
-    double's bit pattern orders as the double does, and the shift folds
-    ``-0.0`` onto ``+0.0``.  See :func:`_pooled_statistic` for the pass
-    over the sorted keys.
+    n = n*m/(n+m).  The two samples are copied into one pooled buffer for
+    :func:`ks_pooled`.
     """
     xa = np.asarray(a, dtype=np.float64).ravel()
     xb = np.asarray(b, dtype=np.float64).ravel()
-    n, m = xa.size, xb.size
+    keys = np.empty(xa.size + xb.size, dtype=np.uint64)
+    values = keys.view(np.float64)
+    values[:xa.size] = xa
+    values[xa.size:] = xb
+    return ks_pooled(keys, xa.size)
+
+
+def ks_pooled(keys: np.ndarray, n: int) -> KsResult:
+    """:func:`ks_two_sample` of the two samples a ``uint64`` buffer holds as
+    float64 bits: the first ``n`` values are sample a, the rest sample b.
+
+    A caller can write both samples straight into the buffer (through its
+    float64 view) and so hold the pooled bytes once.  The buffer is used up:
+    each value becomes, in place, the key ``bits << 1 | side`` (side 1 for
+    a), because a non-negative double's bit pattern orders as the double
+    does, and the shift folds ``-0.0`` onto ``+0.0``; one in-place sort then
+    orders both samples.  See :func:`_pooled_statistic` for the pass over
+    the sorted keys.
+    """
+    m = keys.size - n
     if n < MIN_KS_N or m < MIN_KS_N:
         raise ValueError(f"ks_two_sample requires both samples >= {MIN_KS_N}, got {n} and {m}")
-    if not (xa.min() >= 0.0 and xb.min() >= 0.0):
+    if not keys.view(np.float64).min() >= 0.0:
         raise ValueError("ks_two_sample requires values >= 0 (and no NaN)")
-    keys = np.empty(n + m, dtype=np.uint64)
-    np.left_shift(xa.view(np.uint64), 1, out=keys[:n])
-    np.left_shift(xb.view(np.uint64), 1, out=keys[n:])
+    keys <<= 1
     keys[:n] |= 1
     keys.sort()
     d = _pooled_statistic(keys, n)

@@ -6,7 +6,8 @@ to agree bit for bit: one generator step on a Python int (``mix64``), the
 unit-lattice map of one word, each fault model and each transform on one
 float, the window rejection-rescale, the simulators built on them,
 Welford's summary one value at a time, and the two-sample KS statistic in
-its two-``searchsorted`` form.
+its two-``searchsorted`` form.  It also holds the single-run check that
+the package leaves out on purpose (``fitted_exponential_check``).
 Every simulator here also takes a hand-made draw source (any object with
 ``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
 streams.
@@ -346,3 +347,23 @@ def _fix_phase(fault, window, n, alpha, seed):
     evidence = (detector.Evidence("uniform_ks", ks.statistic, ks.p_value),) + ab.evidence
     discards = pipe.fault_discards + pipe.window_discards
     return detector.Verdict.from_evidence(evidence, alpha), discards / (discards + 3 * n)
+
+
+def fitted_exponential_check(traj, alpha):
+    """The serial blind spot: KS of inter-event times vs their own fitted law.
+
+    The reference exponential takes its rate from the sample mean, which is
+    all a run without a comparison partner can do — and a source bias that
+    only rescales time (e.g. a power bias) survives this check untouched.
+    The package has no such check: a lone run cannot be trusted, which is
+    why clockcheck compares two.
+    """
+    gaps = traj.inter_event_times()
+    if gaps.size < stats.MIN_KS_N:
+        raise ValueError("fitted_exponential_check requires a nonempty trajectory "
+                         f"with >= {stats.MIN_KS_N} events")
+    rate = 1.0 / float(np.mean(gaps))
+    res = stats.ks_one_sample(gaps, lambda x: stats.exponential_cdf(x, rate))
+    return detector.Verdict.from_evidence(
+        [detector.Evidence("fitted_exponential_ks", res.statistic, res.p_value)], alpha
+    )

@@ -11,12 +11,13 @@ draw density (density of u = x**(1/gamma) is gamma*u**(gamma-1)):
 
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import oracle
-from clockcheck import detector, process, report
+from clockcheck import detector, process, report, stats
 from clockcheck.detector import (
     CONSISTENT,
     DIVERGENCE,
@@ -24,7 +25,6 @@ from clockcheck.detector import (
     ExperimentPlan,
     Verdict,
     _corrupted,
-    fitted_exponential_check,
 )
 from clockcheck.process import (
     ParallelConfig,
@@ -132,6 +132,53 @@ def test_self_comparison_is_clean():
     assert rows["inter_event_mean_welch"].statistic == 0.0
 
 
+def test_gap_memo_ks_equals_ks_of_the_gap_arrays():
+    # The memo writes both runs' gaps straight into the pooled key buffer;
+    # the result must be the bits of KS on the two gap arrays.
+    for fault in (IDEAL, _PB2):
+        serial, parallel = _pair(fault)
+        memo = detector.GapMemo()
+        ks, _ = memo.pair(memo(serial), memo(parallel))
+        assert ks == stats.ks_two_sample(serial.inter_event_times(),
+                                         parallel.inter_event_times())
+
+
+def test_gap_memo_ks_holds_the_pooled_bytes_once():
+    # numpy reports its buffers to tracemalloc.  Gap arrays built first and
+    # then copied into the keys would hold the pooled bytes twice (about
+    # 2.0 times the keys); written straight into the keys, the pair's rise
+    # is the keys plus the KS pass's fixed-size chunks.
+    gen = np.random.default_rng(31)
+    n, m = 2**18, 2**18 + 5
+    summary = stats.SampleSummary(n=n, mean=1.0, variance=1.0)
+    a = detector.GapStats(summary, np.cumsum(gen.exponential(1.0, n)))
+    b = detector.GapStats(summary, np.cumsum(gen.exponential(1.0, m)))
+    memo = detector.GapMemo()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ks, _ = memo.pair(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ks.n == n and ks.m == m
+    assert peak - before <= 1.2 * 8 * (n + m)
+
+
+def test_the_same_object_is_equal_without_a_compare(monkeypatch):
+    # A cell served twice is one object: it is bit-equal to itself, and the
+    # gap memo finds it, without an elementwise compare.
+    _, parallel = _pair(IDEAL)
+    memo = detector.GapMemo()
+    first = memo(parallel)
+    compares = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *a, **k: compares.append(1) or real(*a, **k))
+    assert detector._bit_equal(parallel, parallel)
+    assert memo(parallel) is first
+    assert compares == []
+
+
 # ---------------------------------------------------------------------------
 # cross-parallel
 # ---------------------------------------------------------------------------
@@ -222,7 +269,7 @@ def test_cross_parallel_validates_basis_and_arity():
 
 def test_fitted_exponential_passes_ideal_run():
     serial, _ = _pair(IDEAL)
-    verdict = fitted_exponential_check(serial, alpha=0.01)
+    verdict = oracle.fitted_exponential_check(serial, alpha=0.01)
     assert verdict.outcome == CONSISTENT
 
 
@@ -231,7 +278,7 @@ def test_fitted_exponential_misses_pure_time_rescaling():
     # the refitted exponential absorbs the rescaling, and the check passes
     # even though the source is badly broken.
     serial, _ = _pair(_PB2)
-    verdict = fitted_exponential_check(serial, alpha=0.01)
+    verdict = oracle.fitted_exponential_check(serial, alpha=0.01)
     assert verdict.outcome == CONSISTENT
     assert _by_name(verdict)["fitted_exponential_ks"].p_value > 0.01
 
@@ -240,7 +287,7 @@ def test_fitted_exponential_catches_shape_distortion():
     # Thinning with full rejection bounds the gaps away from large values,
     # which no exponential fit can imitate.
     serial, _ = _pair(LowThinning(0.5, 1.0))
-    verdict = fitted_exponential_check(serial, alpha=0.01)
+    verdict = oracle.fitted_exponential_check(serial, alpha=0.01)
     assert verdict.diverged
 
 
@@ -249,7 +296,7 @@ def test_fitted_exponential_needs_events():
 
     empty = types.SimpleNamespace(inter_event_times=lambda: np.array([]))
     with pytest.raises(ValueError):
-        fitted_exponential_check(empty, alpha=0.01)
+        oracle.fitted_exponential_check(empty, alpha=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +541,7 @@ def test_shared_gap_memo_equals_a_fresh_memo_per_pairing(monkeypatch):
     # per-worker cells: every pairing's evidence must be what each call
     # computes with a memo of its own.
     seen = _record_calls(monkeypatch, "summarize")
-    ks_calls = _record_calls(monkeypatch, "ks_two_sample")
+    ks_calls = _record_calls(monkeypatch, "ks_pooled")
     plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER),
                        debug_corrupt_per_clock=True)
@@ -548,6 +595,67 @@ def test_equal_per_clock_records_share_one_trajectory():
     assert report.any_breach
     per_clock = [t for label, t in runs if label.endswith("per_clock")]
     assert len({id(t) for t in per_clock}) == 3
+
+
+def test_equal_config_cells_are_simulated_once(monkeypatch):
+    # At P=1 both mappings put every clock on worker 0, so in each stream
+    # mode the two P=1 cells are one config: 8 cells, 6 simulations.  The
+    # records and verdicts are those of a fresh simulation per cell.
+    plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
+                       stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    cells = _cells(plan, 0)
+    fresh = [process.simulate_parallel(cfg) for cfg in cells]
+    simulated = []
+    for name in ("_simulate_per_clock", "_simulate_per_worker"):
+        real = getattr(process, name)
+        monkeypatch.setattr(process, name,
+                            lambda cfg, real=real: simulated.append(cfg) or real(cfg))
+    report = detector.run_experiment(plan)
+    assert len(simulated) == len(set(simulated)) == 6
+
+    sr = report.seed_reports[0]
+    labels = [f"P{workers}-{mapping}-{mode.value}" for mode in plan.stream_modes
+              for workers in plan.worker_counts for mapping in plan.mappings]
+    assert sr.runs[1:] == tuple(detector.RunRecord.of(label, "parallel", traj)
+                                for label, traj in zip(labels, fresh))
+    serial = process.simulate_serial(SerialConfig(plan.n_clocks, plan.horizon, 0))
+    expected = [detector.serial_parallel_compare(serial, traj, plan.alpha) for traj in fresh]
+    expected.append(detector.cross_parallel_compare(list(zip(cells, fresh)), plan.alpha))
+    assert [p.verdict for p in sr.pairings] == expected
+
+
+def test_the_memo_lets_replaced_cells_go(monkeypatch):
+    # Cells bit-equal to the first per-clock run are replaced by it, in the
+    # memo too: while the seed's sink runs, only the first of the three
+    # per-clock simulations is still alive.
+    simulated = []
+    real = process._simulate_per_clock
+
+    def kept_weakly(cfg):
+        traj = real(cfg)
+        simulated.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(process, "_simulate_per_clock", kept_weakly)
+    alive = []
+    detector.run_experiment(
+        _small_plan(seeds=(0,), worker_counts=(1, 2, 4)),
+        on_seed=lambda seed, runs: alive.append([ref() is not None for ref in simulated]))
+    assert alive == [[True, False, False]]
+
+
+def test_equal_config_twin_of_a_corrupted_cell_still_breaches():
+    # The memo keeps the first per-clock run as simulated, so its P=1 twin
+    # is compared, uncorrupted, with the corrupted copy.
+    plan = _small_plan(seeds=(0,), worker_counts=(1,), mappings=("blocks", "round_robin"),
+                       debug_corrupt_per_clock=True)
+    report, (runs,) = _run_keeping_trajectories(plan)
+    cross = report.seed_reports[0].pairings[-1]
+    assert cross.label == "cross_parallel"
+    assert cross.verdict.determinism_breach and report.any_breach
+    corrupted, twin = runs[1][1], runs[2][1]
+    assert np.array_equal(twin.times, process.simulate_parallel(_cells(plan, 0)[1]).times)
+    assert not np.array_equal(corrupted.times, twin.times)
 
 
 def test_peak_memory_stays_flat_over_seeds(tmp_path):

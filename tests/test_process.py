@@ -358,6 +358,41 @@ def test_per_worker_epochs_count_their_window_draws(monkeypatch):
     assert len(shapes) > 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
+    # One worker's 16 clocks need about 16 x 251 samples; the buffer's first
+    # fill asks for 16 x 258, and a second fill covers the clocks that
+    # outrun it.  Re-drawing after every epoch cut took about 14 calls.
+    cfg = ParallelConfig(
+        n_clocks=16, horizon=250.0, seed=seed, fault=LowThinning(0.5, 0.5),
+        transform=Reflect(), fix_window=RescaleWindow(0.5, 1.0),
+        stream_mode=StreamMode.PER_WORKER,
+    )
+    calls = _count_pipeline_calls(monkeypatch)
+    fast = process.simulate_parallel(cfg)
+    assert 1 <= len(calls) <= 2
+    _assert_same(fast, oracle.simulate_parallel(cfg))
+
+
+@pytest.mark.parametrize("cells", [300, 1200])
+def test_per_worker_buffer_refills_mid_run(monkeypatch, cells):
+    # The window draws 3 pipeline samples per kept one, so the buffer holds
+    # at most 100 or 400 samples: 6 clocks over horizon 60 need about 366
+    # per worker, so refills come mid-epoch, each keeping the unread rest.
+    cfg = ParallelConfig(
+        n_clocks=12, horizon=60.0, seed=17, fault=LowThinning(0.5, 0.5),
+        fix_window=RescaleWindow(0.5, 1.0), workers=2,
+        mapping=make_mapping("round_robin", 12, 2), stream_mode=StreamMode.PER_WORKER,
+    )
+    uncapped = process.simulate_parallel(cfg)
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
+    calls = _count_pipeline_calls(monkeypatch)
+    capped = process.simulate_parallel(cfg)
+    assert len(calls) > 2 * 366 // (cells // 3) and max(calls) <= cells // 3
+    _assert_same(capped, uncapped)
+    _assert_same(capped, oracle.simulate_parallel(cfg))
+
+
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_pipeline_block_reports_oracle_discards(fault, transform, window):
     n = 3000
