@@ -40,6 +40,14 @@ Three sample defects ("fault models") can be wired in front of a consumer:
 ``draw_count`` on :class:`GeneratorState` counts *raw* draws, including
 candidates a fault model rejected, so consumers can account for every word
 pulled off a stream; :func:`fault_block` reports the rejections as well.
+
+``LowThinning`` runs in passes over a chunk of raw draws per row, with no
+per-sample loop.  A draw is a candidate unless it is the auxiliary draw of a
+candidate below ``c``, so the candidates follow from the mask of draws below
+``c`` alone: each pass packs that mask into one Python int and finds them
+with a few whole-int bit operations, one carry-add among them.  Every pass
+ends each row on a candidate boundary, so the chunk width sets how many
+words a pass generates, never a sample, a draw count or an end state.
 """
 
 from __future__ import annotations
@@ -95,8 +103,10 @@ _TINY = 5e-324
 MAX_PASS_CELLS = 1 << 20
 # Raw draws per row and LowThinning pass in fault_block, at most: a pass over
 # many rows takes narrower chunks (>= 256 draws, MAX_PASS_CELLS in all), and
-# one that needs few samples takes only about as many as it needs.
-_CHUNK = 8192
+# one that needs few samples takes only about as many as it needs.  A pass
+# costs about 40 numpy calls whatever its width, so a wide one pays them
+# over more draws; the width changes no output bit (see _thinning_rows).
+_CHUNK = 1 << 15
 
 _U64 = np.uint64
 _V_GOLDEN = _U64(GOLDEN)
@@ -361,10 +371,11 @@ def _thinning_rows(
     # A raw draw is a candidate unless it is the auxiliary draw of a
     # candidate below c.  So a draw right after one at or above c is always a
     # candidate, and inside a run of draws below c the candidates alternate
-    # from the start of the run.  Each pass draws a chunk for every row that
-    # still needs samples and ends each row on a candidate boundary, so the
-    # next chunk starts on a candidate and the result does not depend on the
-    # chunk width.
+    # from the start of the run; _candidates finds them on the packed mask.
+    # Each pass draws a chunk for every row that still needs samples and
+    # ends each row on a candidate boundary (past a pending auxiliary draw),
+    # so the next chunk starts on a candidate, as every row of the mask
+    # does, and the result does not depend on the chunk width.
     c, q = model.c, model.q
     out = np.empty((len(rows), n), dtype=np.float64)
     at_draw = np.empty((len(rows), n), dtype=np.int64)
@@ -375,15 +386,9 @@ def _thinning_rows(
     while live.size:
         need = n - filled[live]
         width = min(_CHUNK, max(256, MAX_PASS_CELLS // live.size), int(need.max() * spend) + 32)
-        after = np.arange(1, width + 1, dtype=np.int32)  # position + 1 of each draw
         u, _ = unit_block(RowStates(state[live], count[live]), width)
         below = u < c
-        # run_start[r, p]: where the run of draws below c through p starts
-        # (p + 1 when draw p is not below c)
-        run_start = np.maximum.accumulate(np.where(below, 0, after), axis=1)
-        prev = np.zeros_like(run_start)
-        prev[:, 1:] = run_start[:, :-1]
-        candidate = ((after - prev) & 1) == 1
+        candidate = _candidates(below)
         pending = candidate[:, -1] & below[:, -1]  # keep a pending aux draw
         kept = candidate & ~below
         kept[:, :-1] |= candidate[:, :-1] & below[:, :-1] & (u[:, 1:] >= q)
@@ -412,6 +417,34 @@ def _thinning_rows(
         count[live] += step
         live = live[~done]
     return out, at_draw, RowStates(state, count)
+
+
+def _candidates(below: np.ndarray) -> np.ndarray:
+    """Which draws of each row are candidates: ``cand[r, 0]`` is, and
+    ``cand[r, p]`` is unless draw ``p - 1`` is a candidate below ``c``.
+
+    The rows are packed into one Python int with a 0 bit after each row, so
+    no run crosses a row.  ``x`` holds the mask shifted one draw on, so
+    ``x[p]`` says that draw ``p - 1`` was below ``c``.  A draw outside the
+    runs of ``x`` is a candidate, and in each run the bits at an even offset
+    from the run's start are the non-candidates.  Adding the run starts that
+    sit on an even bit carries through exactly those runs and clears them
+    (Warren, *Hacker's Delight*, 2nd ed., ch. 2): ``me`` keeps the runs that
+    start on an even bit, where the candidates are the odd bits, and in the
+    other runs they are the even bits.
+    """
+    rows, width = below.shape
+    bits = np.zeros((rows, width + 1), dtype=bool)
+    bits[:, :width] = below
+    packed = np.packbits(bits, bitorder="little")
+    full = (1 << (8 * packed.size)) - 1
+    even = full // 3  # 0b...0101
+    x = int.from_bytes(packed, "little") << 1
+    me = x & ~(x + (x & ~(x << 1) & even))
+    cand = (~x | (me ^ even)) & full
+    flat = np.unpackbits(np.frombuffer(cand.to_bytes(packed.size, "little"), dtype=np.uint8),
+                         count=bits.size, bitorder="little")
+    return flat.view(bool).reshape(rows, width + 1)[:, :width]
 
 
 def fault_rejections(at_draw: np.ndarray, start, upto=None):

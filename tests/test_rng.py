@@ -7,6 +7,7 @@ the module under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,7 @@ def _assert_matches_oracle(model, gs0, n):
     assert at_draw.tolist() == counts, fault_label(model)
     assert gs_b == gs_s, fault_label(model)
     assert rejected == rejected_s, fault_label(model)
+    return gs_b
 
 
 def test_fault_block_matches_scalar_walk():
@@ -389,19 +391,80 @@ def test_fault_block_matches_scalar_walk():
     (0.99, 1.0, 120),     # ~200 raw draws per sample
     (0.3, 0.8, 0),
 ])
-def test_low_thinning_block_matches_oracle_across_chunks(c, q, n):
-    # Every case spans several 8192-draw chunks, or is empty; the state
-    # starts mid-stream so absolute draw counts are checked too.
-    _assert_matches_oracle(LowThinning(c, q), substream(77, 2).advanced(5), n)
+def test_low_thinning_block_matches_oracle_across_chunks(monkeypatch, c, q, n):
+    # n samples cross at least two 8192-draw chunk boundaries (no pass draws
+    # more than a chunk), and n grown with the chunk cross two at the
+    # production width too; the state starts mid-stream so absolute draw
+    # counts are checked too.
+    gs0 = substream(77, 2).advanced(5)
+    for chunk in sorted({8192, rng._CHUNK}):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        gs = _assert_matches_oracle(LowThinning(c, q), gs0, n * chunk // 8192)
+        assert n == 0 or gs.draw_count - gs0.draw_count > 2 * chunk
 
 
-@pytest.mark.parametrize("chunk", [2, 3, 17])
+@pytest.mark.parametrize("chunk", [2, 3, 17, 8190, 8191])
 def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
     # Tiny chunks put a chunk boundary between almost every candidate and its
-    # auxiliary draw.
+    # auxiliary draw.  Full passes of 8190 draws leave a pad bit after the
+    # row and its 0 bit; at 8191 they fill whole bytes, so the last draw's
+    # shifted bit is the packed int's top bit.
     monkeypatch.setattr(rng, "_CHUNK", chunk)
     for c, q in [(0.5, 0.5), (0.99, 0.5), (0.5, 1.0), (0.5, 0.0)]:
-        _assert_matches_oracle(LowThinning(c, q), substream(8, chunk), 300)
+        _assert_matches_oracle(LowThinning(c, q), substream(8, chunk), max(300, chunk))
+
+
+@pytest.mark.parametrize("rows,n,bound", [
+    (1, 200_000, 2.25),  # wide passes, 2**15 draws each: 2.0x measured
+    (16, 2_000, 6.0),    # one narrow pass over 16 rows: 5.4x measured
+])
+def test_low_thinning_transients_stay_near_the_output(rows, n, bound):
+    # numpy reports its buffers to tracemalloc, and Python ints count too.
+    # A pass holds about 30-50 bytes per draw of its chunk, so at 200k
+    # samples a 2**17-draw chunk already reads 2.9 times the output; the
+    # 16-row pass, narrower than any chunk, bounds the bytes per draw alone
+    # (four int32 temporaries per draw read 6.7 times).
+    starts = rng.substream_rows(5, np.arange(1, rows + 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        samples, at_draw, _, _ = rng.fault_block(LowThinning(0.5, 0.5), starts, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (rows, n)
+    assert peak - before <= bound * (samples.nbytes + at_draw.nbytes)
+
+
+def _scalar_candidates(below):
+    cand = np.zeros_like(below)
+    for r, row in enumerate(below):
+        is_cand = True  # each row starts on a candidate
+        for p, is_below in enumerate(row):
+            cand[r, p] = is_cand
+            is_cand = not (is_cand and is_below)
+    return cand
+
+
+@st.composite
+def _below_masks(draw):
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 200))
+    row = st.one_of(
+        st.just([True] * width),
+        st.just([False] * width),
+        st.lists(st.booleans(), min_size=width, max_size=width),
+        # a run below c that ends at the row's last draw
+        st.integers(1, width).map(lambda k: [False] * (width - k) + [True] * k),
+    )
+    return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_below_masks())
+def test_candidates_equal_scalar_walk(below):
+    # Rows of 1-200 draws cross the byte boundaries of the packing and the
+    # 30-bit digits of the packed int, in every row but the first too.
+    assert rng._candidates(below).tolist() == _scalar_candidates(below).tolist()
 
 
 def test_substream_rows_equal_substreams():
@@ -425,7 +488,7 @@ def test_substream_rows_rejects_bad_ids(ids):
 _ROW_MODELS = [IDEAL, PowerBias(2.0), LowThinning(0.5, 0.5), LowThinning(0.99, 1.0)]
 
 
-@pytest.mark.parametrize("chunk", [3, 17, rng._CHUNK])
+@pytest.mark.parametrize("chunk", sorted({3, 17, 8192, rng._CHUNK}))
 @pytest.mark.parametrize("model", _ROW_MODELS, ids=fault_label)
 def test_fault_block_rows_equal_one_call_per_row(monkeypatch, model, chunk):
     # Rows start at different stream positions; with small chunks they need
