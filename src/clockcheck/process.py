@@ -47,6 +47,7 @@ from .rng import (
     FaultModel,
     GeneratorState,
     IDEAL,
+    LowThinning,
     RowStates,
     as_rows,
     clock_stream,
@@ -245,6 +246,7 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
         for lo in range(0, todo.size, batch):
             part = todo[lo:lo + batch]
             samples, at_draw, _, _ = fault_block(fault, rows.take(part), m)
+            below = samples < fault.c if isinstance(fault, LowThinning) else None
             if transform is not None:
                 samples = transform_block(transform, samples)
             inside = (samples > window.a) & (samples < window.b)
@@ -264,8 +266,9 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
             kept_at[done] = at_draw[used].reshape(done.size, n)
             if n:
                 drawn[done] = m - np.argmax(used[:, ::-1], axis=1)
-            fault_rejected[done] = fault_rejections(at_draw, rows.draw_count[done],
-                                                    upto=drawn[done])
+            if below is not None:
+                fault_rejected[done] = fault_rejections(at_draw, below[ok], rows.draw_count[done],
+                                                        upto=drawn[done])
         todo, m = np.concatenate(short), 2 * m
     y[y >= 1.0] = _SNAP_BELOW_ONE
     y[y <= 0.0] = _TINY

@@ -358,7 +358,7 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
         rejected = np.zeros(len(rows), dtype=np.int64)
     elif isinstance(model, LowThinning):
         u, at_draw, new = _thinning_rows(model, rows, n)
-        rejected = fault_rejections(at_draw, rows.draw_count)
+        rejected = fault_rejections(at_draw, u < model.c, rows.draw_count)
     else:
         raise TypeError(f"unknown fault model: {model!r}")
     out = (u, at_draw, new, rejected)
@@ -447,19 +447,27 @@ def _candidates(below: np.ndarray) -> np.ndarray:
     return flat.view(bool).reshape(rows, width + 1)[:, :width]
 
 
-def fault_rejections(at_draw: np.ndarray, start, upto=None):
+def fault_rejections(at_draw: np.ndarray, below: np.ndarray, start, upto=None):
     """Candidates rejected on the way to samples whose draw counts are ``at_draw``.
 
-    A delivered sample takes one raw draw, or two when an auxiliary draw
-    decided it, and each rejection burns a candidate plus its auxiliary
-    draw: so every gap between consecutive draw counts (the first measured
-    from ``start``) is 1 or 2 plus twice the rejections in between.  A
-    (rows x n) ``at_draw`` with one ``start`` per row gives one count per
-    row; ``upto`` then counts only each row's first ``upto[r]`` samples.
+    A delivered sample takes one raw draw, or two when it lies below ``c``
+    (``below``) and an auxiliary draw kept it, and each rejection burns a
+    candidate plus its auxiliary draw: so the draws a row spans from
+    ``start``, less its samples and those below ``c``, are twice its
+    rejections.  A (rows x n) ``at_draw`` with one ``start`` per row gives
+    one count per row; ``upto`` then counts only each row's first
+    ``upto[r]`` samples.
     """
-    gaps = np.diff(at_draw, axis=-1, prepend=np.asarray(start, dtype=np.int64)[..., None])
-    rejected = (gaps - 1) >> 1
-    if upto is not None:
-        rejected[np.arange(at_draw.shape[-1]) >= np.asarray(upto)[..., None]] = 0
-    per_row = rejected.sum(axis=-1)
+    start = np.asarray(start, dtype=np.int64)
+    n = at_draw.shape[-1]
+    if upto is None:
+        taken = np.full(start.shape, n, dtype=np.int64)
+    else:
+        taken = np.asarray(upto, dtype=np.int64)
+        below = below & (np.arange(n) < taken[..., None])
+    span = np.zeros_like(start)
+    if n:  # to each row's last counted sample
+        last = np.take_along_axis(at_draw, np.maximum(taken - 1, 0)[..., None], axis=-1)[..., 0]
+        span = np.where(taken > 0, last - start, span)
+    per_row = (span - taken - np.count_nonzero(below, axis=-1)) >> 1
     return int(per_row) if per_row.ndim == 0 else per_row

@@ -5,8 +5,9 @@ raw draw at a time, in the most direct form, and the tests require the two
 to agree bit for bit: one generator step on a Python int (``mix64``), the
 unit-lattice map of one word, each fault model and each transform on one
 float, the window rejection-rescale, the simulators built on them,
-Welford's summary one value at a time, and the two-sample KS statistic in
-its two-``searchsorted`` form.  It also holds the single-run check that
+Welford's summary one value at a time, the two-sample KS statistic in
+its two-``searchsorted`` form, and event-CSV rows with ``repr`` of each
+time.  It also holds the single-run check that
 the package leaves out on purpose (``fitted_exponential_check``).
 Every simulator here also takes a hand-made draw source (any object with
 ``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
@@ -230,6 +231,14 @@ def events_csv_text(traj):
     for t, m, d in zip(traj.times.tolist(), traj.marks.tolist(), traj.draw_indices.tolist()):
         writer.writerow([repr(t), m, d])
     return buf.getvalue()
+
+
+def event_rows(times, marks, draws):
+    """Event-CSV rows, one ``%r,%d,%d`` per event: ``repr`` of each time, the
+    definition the writer's vectorised float formatting must meet."""
+    return b"".join(b"%r,%d,%d\r\n" % row
+                    for row in zip(np.asarray(times, dtype=np.float64).tolist(),
+                                   np.asarray(marks).tolist(), np.asarray(draws).tolist()))
 
 
 def _trajectory(events, n_clocks, total_draws):

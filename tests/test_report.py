@@ -1,14 +1,18 @@
-"""Serialization tests: JSON sanitizing, summary CSV, and the output bundle."""
+"""Serialization tests: JSON sanitizing, summary CSV, the output bundle, and
+the event rows' vectorised float ``repr``."""
 
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from clockcheck import detector, report
+from clockcheck import detector, process, report
 from clockcheck.detector import ExperimentPlan
 from clockcheck.process import StreamMode, Trajectory
 from clockcheck.report import (
@@ -18,7 +22,7 @@ from clockcheck.report import (
     sanitize,
     summary_rows,
 )
-from clockcheck.rng import LowThinning
+from clockcheck.rng import IDEAL, LowThinning
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
 
 
@@ -249,7 +253,9 @@ _CALIBRATE_PLAN = dict(
 ], ids=["thinning_repair", "calibrate_export"])
 def test_each_distinct_trajectory_is_formatted_once_per_seed(
         tmp_path, monkeypatch, shape, formatted):
-    monkeypatch.setattr(report, "_CSV_ROWS", 3)
+    # many chunks a file, the last one ragged (3-row chunks would make ~85k
+    # calls of the formatting kernel, each with its fixed numpy cost)
+    monkeypatch.setattr(report, "_CSV_ROWS", 1000)
     names = _count_formats(monkeypatch)
     plan = ExperimentPlan(seeds=(4, 9), **shape)
     writer, trajectories = _export(tmp_path, plan)
@@ -309,3 +315,111 @@ def test_corrupted_per_clock_cell_gets_its_own_file(tmp_path, monkeypatch, corru
     else:
         assert names == ["events_seed2_serial.csv", "events_seed2_P1-blocks-per_clock.csv"]
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The vectorised float repr: every row equals the one `%r` formatting gives.
+
+def _assert_rows_equal_repr(times, marks=None, draws=None):
+    times = np.asarray(times, dtype=np.float64)
+    marks = np.zeros(times.size, dtype=np.int64) if marks is None else np.asarray(marks, np.int64)
+    draws = np.arange(times.size, dtype=np.int64) if draws is None else np.asarray(draws, np.int64)
+    for lo in range(0, max(times.size, 1), report._CSV_ROWS):
+        part = slice(lo, lo + report._CSV_ROWS)
+        got = report._csv_rows(times[part], marks[part], draws[part]).split(b"\r\n")
+        want = oracle.event_rows(times[part], marks[part], draws[part]).split(b"\r\n")
+        assert len(got) == len(want)
+        wrong = [(w, g) for w, g in zip(want, got) if w != g]
+        assert not wrong, wrong[:5]
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and negatives too
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(math.isfinite),  # uniform over the bits
+    st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),  # the kernel's range
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_FINITE, min_size=1, max_size=40))
+def test_every_time_cell_is_repr(times):
+    _assert_rows_equal_repr(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1)),
+                min_size=1, max_size=40))
+def test_every_int_cell_is_str(ints):
+    marks, draws = zip(*ints)
+    _assert_rows_equal_repr(np.linspace(0.5, 250.0, len(ints)), marks, draws)
+
+
+def _sweep():
+    """About 1.1 million doubles: every binade from 2**-17 (below 1e-5) to
+    2**57 (above 1e17), and the cases the kernel must get right or leave
+    to ``repr``."""
+    gen = np.random.default_rng(20261018)
+    exponents = np.arange(-17, 57)
+    mantissas = gen.integers(0, 2**52, size=(exponents.size, 13_600))
+    bits = (exponents[:, None] + 1023) << 52 | mantissas
+    near = np.arange(-300, 301, dtype=np.int64)
+    switch = np.array([1e-4, 1e16]).view(np.int64)[:, None] + near  # repr changes notation
+    powers = np.ldexp(1.0, np.arange(-17, 58)).view(np.int64)[:, None] + np.arange(-3, 4)
+    digits = gen.integers(10**15, 10**16, size=20_000)
+    scales = gen.integers(-20, 1, size=20_000)
+    fives = np.array([float(f"{d}5e{e}") for d, e in zip(digits.tolist(), scales.tolist())])
+    fives = fives[[("%.16e" % v)[17] == "5" for v in fives.tolist()]]  # 17th digit 5
+    # odd quarters in [2**49, 1e15): 100 x ends in 25 or 75, and the two
+    # 16-digit decimals 5 away are both inside the half-gap of 6.25
+    ties = (2.0 * gen.integers(2**50, 2 * 10**15, size=2_000) + 1.0) / 4
+    return np.concatenate([
+        bits.view(np.float64).ravel(),
+        switch.view(np.float64).ravel(),
+        powers.view(np.float64).ravel(),
+        np.arange(1, 200_001) / 1000,  # short decimals
+        fives,
+        ties,
+    ])
+
+
+def test_sweep_of_a_million_doubles_is_repr():
+    times = _sweep()
+    assert times.size >= 10**6
+    _assert_rows_equal_repr(times)
+    in_range = times[(times >= 1e-4) & (times < 1e16)]
+    to_repr = report._shortest_decimal(in_range)[3]
+    assert to_repr.mean() < 0.05  # ties, powers of two and the binade above 2**52
+
+
+@pytest.mark.parametrize("value, to_repr", [
+    (123.456, False), (0.1, False), (1e-4, False), (9999999999999998.0, False),
+    (np.nextafter(1e-4, 0), True), (1e16, True), (0.0, True), (-1.5, True), (5e-324, True),
+    (math.inf, True), (math.nan, True),
+    (0.5, True), (2.0**40, True),  # powers of two: a lopsided rounding interval
+    (1e15 + 0.25, True),  # two 17-digit decimals tie, and no 16-digit one reads back
+    (600000000000000.25, True),  # two 16-digit decimals tie inside the interval
+    (600000000000000.75, True),  # the same; repr takes the upper one
+])
+def test_values_left_to_repr(value, to_repr):
+    # alone, the search tests it in place; among values left to repr, in a
+    # compacted array from the start
+    for times in ([value], [value] + [-1.0] * 7):
+        assert report._shortest_decimal(np.array(times))[3].tolist()[0] == to_repr
+        _assert_rows_equal_repr(times, [3] * len(times), [2**63 - 1] * len(times))
+
+
+@pytest.mark.parametrize("mode", [StreamMode.PER_CLOCK, None], ids=["per_clock", "serial"])
+def test_kernel_formats_nearly_every_simulated_time(mode):
+    # Without this bound, a kernel that left every value to repr would pass.
+    if mode is None:
+        traj = process.simulate_serial(process.SerialConfig(256, 250.0, 3, IDEAL))
+    else:
+        traj = process.simulate_parallel(
+            process.ParallelConfig(256, 250.0, 3, IDEAL, workers=2, stream_mode=mode))
+    assert len(traj) > 60_000
+    assert report._shortest_decimal(traj.times)[3].mean() < 0.01
+    _assert_rows_equal_repr(traj.times, traj.marks, traj.draw_indices)

@@ -415,7 +415,7 @@ def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("rows,n,bound", [
-    (1, 200_000, 2.25),  # wide passes, 2**15 draws each: 2.0x measured
+    (1, 200_000, 1.75),  # wide passes, 2**15 draws each: 1.48x measured
     (16, 2_000, 6.0),    # one narrow pass over 16 rows: 5.4x measured
 ])
 def test_low_thinning_transients_stay_near_the_output(rows, n, bound):
@@ -434,6 +434,30 @@ def test_low_thinning_transients_stay_near_the_output(rows, n, bound):
         tracemalloc.stop()
     assert samples.shape == (rows, n)
     assert peak - before <= bound * (samples.nbytes + at_draw.nbytes)
+
+
+def _gap_rejections(at_draw, start, upto):
+    """Rejections counted gap by gap: each gap between consecutive draw
+    counts is 1 or 2 plus twice the rejections in it."""
+    gaps = np.diff(at_draw, axis=-1, prepend=np.asarray(start)[:, None])
+    rejected = (gaps - 1) >> 1
+    rejected[np.arange(at_draw.shape[-1]) >= upto[:, None]] = 0
+    return rejected.sum(axis=-1).tolist()
+
+
+@pytest.mark.parametrize("c,q", [(0.5, 0.5), (0.25, 0.9), (0.99, 0.5), (0.5, 0.0), (0.7, 1.0)])
+def test_fault_rejections_equal_the_gap_count_and_the_scalar_walk(c, q):
+    model = LowThinning(c, q)
+    starts = [substream(9, i).advanced(i) for i in range(6)]
+    n = 300
+    samples, at_draw, _, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
+    start = np.array([gs.draw_count for gs in starts])
+    upto = np.array([0, 1, 7, 150, n - 1, n])
+    counted = rng.fault_rejections(at_draw, samples < c, start, upto=upto)
+    assert counted.tolist() == _gap_rejections(at_draw, start, upto)
+    assert rejected.tolist() == _gap_rejections(at_draw, start, np.full(len(starts), n))
+    for r, gs in enumerate(starts):
+        assert counted[r] == _oracle_walk(model, gs, upto[r])[3]
 
 
 def _scalar_candidates(below):
