@@ -137,16 +137,17 @@ def _digit_cells():
     ``_POINT3`` and ``_LEAD3``, v < 1000 as three digits (plain or ``_LEAD``)
     and a point.  ``_BLANK`` is four NULs and ``_SEP`` ends in a comma.
     """
-    v = np.arange(10000)[:, None]
-    place = np.array([1000, 100, 10, 1])
-    plain = (v // place % 10 + 48).astype(np.uint8)
-    lead = np.where((v >= place) | (place == 1), plain, 0).astype(np.uint8)
-    trail = np.where((v % (10 * place) != 0) | ((v == 0) & (place == 1000)), plain, 0)
+    # int16 and uint8 keep every temporary small, so none outlives the import
+    v = np.arange(10000, dtype=np.int16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    plain = (v // place % 10).astype(np.uint8) + np.uint8(48)
+    lead = np.where((v >= place) | (place == 1), plain, np.uint8(0))
+    trail = np.where((v % (10 * place) != 0) | ((v == 0) & (place == 1000)), plain, np.uint8(0))
     comma = lead.copy()
     small = np.arange(1000)
     comma[small, (small < 100) * 1 + (small < 10)] = ord(",")  # before the first digit
     dot = np.full((1000, 1), ord("."), dtype=np.uint8)
-    parts = [plain, lead, trail.astype(np.uint8), comma,
+    parts = [plain, lead, trail, comma,
              np.hstack([plain[:1000, 1:], dot]), np.hstack([lead[:1000, 1:], dot]),
              np.zeros((1, 4), dtype=np.uint8), np.array([[0, 0, 0, ord(",")]], dtype=np.uint8)]
     offsets = np.cumsum([0] + [len(p) for p in parts])
