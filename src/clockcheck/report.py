@@ -18,9 +18,9 @@ Output contract, relied on by regression tests:
   shortest-digit search), and :func:`_csv_rows` lays each row out in
   4-byte digit cells padded with NULs, which one ``bytes.translate``
   drops.  Times outside [1e-4, 1e16), exact powers of two and exact ties
-  go to ``repr`` one at a time: none of the times of a simulated
-  trajectory.  About 0.3 µs a row on a 2-vCPU host, against 1.0-1.7 µs
-  with one ``%``-format call per chunk.  A
+  go to ``repr`` one at a time: none of the 1.8 million times of the
+  benchmark's trajectories.  0.24-0.33 µs of CPU a row on a 2-vCPU host,
+  against 1.0-1.7 µs with one ``%``-format call per chunk.  A
   seed's runs are often the same trajectory (per-clock runs agree bit for
   bit under any worker count or mapping), so each distinct trajectory is
   formatted once per seed and its twins' files are copies of that file.
