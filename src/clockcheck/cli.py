@@ -278,3 +278,7 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         return 1
     return int(rv) if isinstance(rv, int) else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -609,11 +609,17 @@ def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
     is kept, and the cross-parallel check flags it.  The memo keeps the
     first per-clock run as simulated, so under ``debug_corrupt_per_clock``
     an equal-config twin is compared with the uncorrupted run and breaches.
+
+    The serial run's pace, its events per clock per unit time, sizes the
+    first pass of every parallel run of the seed, so a per-clock cell
+    usually draws in one pass.  The pace only sizes passes: it changes no
+    bit of any run and is no part of the memo key.
     """
     serial = simulate_serial(
         SerialConfig(plan.n_clocks, plan.horizon, seed, plan.fault,
                      plan.transform, plan.fix_window)
     )
+    pace = len(serial) / (plan.n_clocks * plan.horizon)
     runs = [("serial", serial)]
     pairings: list[PairingRecord] = []
     parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
@@ -634,7 +640,7 @@ def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
                     mapping=make_mapping(mapping_name, plan.n_clocks, workers, seed),
                     stream_mode=mode,
                 )
-                traj = simulate_parallel(cfg, memo)
+                traj = simulate_parallel(cfg, memo, pace=pace)
                 if mode is StreamMode.PER_CLOCK:
                     if first_per_clock is None:
                         if plan.debug_corrupt_per_clock:

@@ -30,6 +30,7 @@ emitted event.  Stream ids are fixed: serial = 0, clock i = 1 + i, worker w
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -280,6 +281,15 @@ def _draws_per_sample(window: Optional[RescaleWindow]) -> float:
     return 1.0 if window is None else 1.5 / max(window.width, 1e-3)
 
 
+def _ticks_to_pass(left: float, pace: float, cap: int) -> int:
+    """Ticks that carry a clock ``left`` more time at ``pace`` ticks per unit
+    time, plus five Poisson standard deviations and 32: the size of a pass
+    that takes the clock past the horizon in all but rare cases.  At least
+    1, at most ``cap`` (or 1 when ``cap`` is below 1)."""
+    mean = left * pace
+    return max(1, int(min(mean + 5.0 * math.sqrt(mean) + 32.0, cap)))
+
+
 # --------------------------------------------------------------------------
 # simulators
 
@@ -291,16 +301,19 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     ``-log(u1) / N``, u2 sets the mark ``min(floor(u2*N), N-1)``.  The loop
     stops at the first event whose time would exceed the horizon (that
     event's u1 is consumed, its u2 is not).  The draws come in passes of an
-    even number of samples, ``MAX_PASS_CELLS`` at most; each pass goes on
-    from the stream state and the time the last one reached, so the pass
-    size changes no bit of the result.
+    even number of samples, ``MAX_PASS_CELLS`` at most, each sized to the
+    events the merged clock still needs to pass the horizon, plus a margin
+    (:func:`_ticks_to_pass`): the first pass assumes one event per clock per
+    unit time, and each later one the pace the run has shown so far.  Each
+    pass goes on from the stream state and the time the last one reached, so
+    the pass size changes no bit of the result.
     """
     n = cfg.n_clocks
     gs = substream(cfg.seed, SERIAL_STREAM)
-    m = 2 * max(1, min(int(2.5 * n * cfg.horizon) + 32, MAX_PASS_CELLS // 2))
-    now = 0.0
+    now, pace, events = 0.0, 1.0, 0  # pace: events per clock per unit time
     parts_t, parts_m, parts_d = [], [], []
     while True:
+        m = 2 * _ticks_to_pass(n * (cfg.horizon - now), pace, MAX_PASS_CELLS // 2)
         samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
         times = np.log(samples[0::2])  # the gaps, -log(u1) / N, summed in place
         np.negative(times, out=times)
@@ -321,41 +334,51 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
                 n_clocks=n,
             )
         gs = gs.advanced(int(at_draw[-1]) - gs.draw_count)
-        now = float(times[-1])
+        now, events = float(times[-1]), events + k
+        pace = events / (n * now)
 
 
-def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None) -> Trajectory:
+def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None,
+                      pace: float = 1.0) -> Trajectory:
     """Run N independent rate-1 clocks and merge their event lists.
 
     ``memo``, if given, is a dict from configs to the trajectories returned
     for them, kept by the caller: a config equal to one in it is not run
-    again, and a new one is run and stored.
+    again, and a new one is run and stored.  ``pace``, the ticks per clock
+    per unit time the run is expected to show, only sizes the first pass of
+    draws; later passes use the pace the run has shown.  It changes no bit
+    of the result and is no part of the memo key.
     """
     traj = None if memo is None else memo.get(cfg)
     if traj is None:
         if cfg.stream_mode is StreamMode.PER_CLOCK:
-            traj = _simulate_per_clock(cfg)
+            traj = _simulate_per_clock(cfg, pace)
         else:
-            traj = _simulate_per_worker(cfg)
+            traj = _simulate_per_worker(cfg, pace)
         if memo is not None:
             memo[cfg] = traj
     return traj
 
 
-def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
+def _simulate_per_clock(cfg: ParallelConfig, pace: float) -> Trajectory:
     """Each worker's clocks run as the rows of one grid, merged across workers.
 
     Row ``r`` of a worker's grid is the stream of its ``r``-th clock
     (``mapping == w``, ascending id); a pass draws the same number of
     pipeline samples for every row, cumulative-sums each row from the
-    clock's current time and cuts it at the horizon.  A row that has not
-    passed the horizon by the end of a pass goes on in the next pass from
-    its advanced state.  A worker's rows are taken in batches of at most
-    ``MAX_PASS_CELLS`` samples a pass; the window, if any, draws its own
-    multiple of that in batches of the same bound.
+    clock's current time and cuts it at the horizon.  The first pass is
+    sized to the ticks a clock needs to pass the horizon at ``pace``, plus a
+    margin (:func:`_ticks_to_pass`), so at the expected pace a row almost
+    always ends in it.  A row that has not passed the horizon by the end of
+    a pass goes on in the next pass from its advanced state; that pass is
+    sized to what the earliest live row still needs at its pace so far.  A
+    worker's rows are taken in batches of at most ``MAX_PASS_CELLS``
+    samples a pass; the window, if any, draws its own multiple of that in
+    batches of the same bound.  A stream's samples do not depend on how
+    many are asked for, so the pass sizes change no bit of the result.
     """
     mapping = np.asarray(cfg.mapping)
-    width = min(int(2.5 * cfg.horizon) + 32, MAX_PASS_CELLS)
+    width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
     batch = max(1, MAX_PASS_CELLS // width)
     parts = ([], [], [])  # times, marks, draw counts
     total = 0
@@ -368,13 +391,14 @@ def _simulate_per_clock(cfg: ParallelConfig) -> Trajectory:
 
 def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int,
                 parts_t: list, parts_m: list, parts_d: list) -> int:
-    """Draw ``clocks`` as grid rows, append each pass's (times, marks, draw
-    counts), flattened row by row, to the three lists, and return the raw
-    draws the rows consumed."""
+    """Draw ``clocks`` as grid rows, ``width`` samples a row in the first
+    pass, append each pass's (times, marks, draw counts), flattened row by
+    row, to the three lists, and return the raw draws the rows consumed."""
     rows = substream_rows(cfg.seed, clock_stream(clocks))
     now = np.zeros(clocks.size)
     consumed = 0
-    while clocks.size:
+    done = 0  # ticks each live row has taken
+    while True:
         samples, at_draw, _, _ = pipeline_block(
             cfg.fault, cfg.transform, cfg.fix_window, rows, width
         )
@@ -388,12 +412,15 @@ def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int,
         parts_d.append(at_draw[kept])
         alive = ticks == width  # no tick of these rows passed the horizon yet
         consumed += int(at_draw[~alive, ticks[~alive]].sum())
+        if not alive.any():
+            return consumed
         rows = rows.take(alive).advanced(at_draw[alive, -1] - rows.draw_count[alive])
-        clocks, now = clocks[alive], times[alive, -1]
-    return consumed
+        clocks, now, done = clocks[alive], times[alive, -1], done + width
+        lo = now.min()  # the earliest live row needs the most ticks at its pace
+        width = _ticks_to_pass(cfg.horizon - lo, done / lo, MAX_PASS_CELLS // clocks.size)
 
 
-def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
+def _simulate_per_worker(cfg: ParallelConfig, pace: float) -> Trajectory:
     """Each worker's live clocks take one tick each per round, ascending id.
 
     While the set of live clocks stays the same, a worker's draws form a
@@ -408,13 +435,15 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
     latest clock time + 8``.  When not one round is left, the unread rest
     is kept and one ``pipeline_block`` call goes on from the stream state
     after the last buffered sample, sized to the rounds the earliest live
-    clock still needs at its pace so far (``horizon - its time + 8`` at
-    the start), so a worker usually draws once or twice.  A stream's
-    samples do not depend on how many are asked for, and a round-by-round
-    sum does not depend on where the epochs split it, so the buffer changes
-    no bit of the result.  The buffer holds about ``MAX_PASS_CELLS``
-    pipeline samples, window draws included, at most (one round when a
-    round alone is more).
+    clock still needs at its pace so far, plus 8 (at ``pace`` for the first
+    fill), so a worker usually draws once or twice.  A refill costs little,
+    so this margin is smaller than the five-sigma one of the serial and
+    per-clock passes (:func:`_ticks_to_pass`).  A stream's samples do not
+    depend on how many are asked for, and a round-by-round sum does not
+    depend on where the epochs split it, so the buffer changes no bit of
+    the result.  The buffer holds about ``MAX_PASS_CELLS`` pipeline
+    samples, window draws included, at most (one round when a round alone
+    is more).
     """
     parts_t, parts_m, parts_d = [], [], []
     mapping = np.asarray(cfg.mapping)
@@ -433,7 +462,7 @@ def _simulate_per_worker(cfg: ParallelConfig) -> Trajectory:
             if gaps.size - pos < k:  # not one round left
                 # the rounds the earliest live clock needs at its pace so far
                 lo = now.min()
-                left = (cfg.horizon - lo) * (done / lo if done else 1.0)
+                left = (cfg.horizon - lo) * (done / lo if done else pace)
                 want = max(k, min((int(left) + 8) * k, budget))
                 samples, at_draw, _, _ = pipeline_block(
                     cfg.fault, cfg.transform, cfg.fix_window, gs, want - (gaps.size - pos)

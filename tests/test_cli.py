@@ -1,7 +1,10 @@
 """End-to-end CLI tests over the fixture configs in configs/."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from clockcheck import cli, detector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(*args):
@@ -25,6 +29,26 @@ def test_calibrate_ideal_passes(capsys, tmp_path):
     assert code == 0
     assert "calibrate: PASS" in out
     assert "max flags per test:" in out
+
+
+@pytest.mark.parametrize("module", ["clockcheck", "clockcheck.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    # Without an install, `PYTHONPATH=src python -m clockcheck` (or
+    # `-m clockcheck.cli`) runs the command line and keeps its exit codes.
+    def run(config, out):
+        return subprocess.run(
+            [sys.executable, "-m", module, "calibrate", "--config", str(CONFIGS / config),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=120)
+
+    ok = run("calibrate_ideal.ini", tmp_path / "ok")
+    assert ok.returncode == 0, ok.stderr
+    assert "calibrate: PASS" in ok.stdout
+    assert (tmp_path / "ok" / "report.json").is_file()
+    bad = run("bad_alpha.ini", tmp_path / "bad")
+    assert bad.returncode == 1
+    assert bad.stderr == "config error: [experiment] alpha: must lie in (0, 1), got 1.5\n"
 
 
 def test_detect_flags_power_bias(capsys, tmp_path):

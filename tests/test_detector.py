@@ -599,8 +599,9 @@ def test_equal_per_clock_records_share_one_trajectory():
 
 def test_equal_config_cells_are_simulated_once(monkeypatch):
     # At P=1 both mappings put every clock on worker 0, so in each stream
-    # mode the two P=1 cells are one config: 8 cells, 6 simulations.  The
-    # records and verdicts are those of a fresh simulation per cell.
+    # mode the two P=1 cells are one config: 8 cells, 6 simulations, each
+    # sized by the pace of the seed's serial run.  The records and verdicts
+    # are those of a fresh simulation per cell, run at the default pace.
     plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
     cells = _cells(plan, 0)
@@ -608,8 +609,8 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     simulated = []
     for name in ("_simulate_per_clock", "_simulate_per_worker"):
         real = getattr(process, name)
-        monkeypatch.setattr(process, name,
-                            lambda cfg, real=real: simulated.append(cfg) or real(cfg))
+        monkeypatch.setattr(process, name, lambda cfg, pace, real=real:
+                            simulated.append((cfg, pace)) or real(cfg, pace))
     report = detector.run_experiment(plan)
     assert len(simulated) == len(set(simulated)) == 6
 
@@ -619,6 +620,8 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     assert sr.runs[1:] == tuple(detector.RunRecord.of(label, "parallel", traj)
                                 for label, traj in zip(labels, fresh))
     serial = process.simulate_serial(SerialConfig(plan.n_clocks, plan.horizon, 0))
+    assert {pace for _, pace in simulated} == {len(serial) / (plan.n_clocks * plan.horizon)}
+    assert len(serial) != plan.n_clocks * plan.horizon  # the pace is measured, not 1
     expected = [detector.serial_parallel_compare(serial, traj, plan.alpha) for traj in fresh]
     expected.append(detector.cross_parallel_compare(list(zip(cells, fresh)), plan.alpha))
     assert [p.verdict for p in sr.pairings] == expected
@@ -631,8 +634,8 @@ def test_the_memo_lets_replaced_cells_go(monkeypatch):
     simulated = []
     real = process._simulate_per_clock
 
-    def kept_weakly(cfg):
-        traj = real(cfg)
+    def kept_weakly(cfg, pace):
+        traj = real(cfg, pace)
         simulated.append(weakref.ref(traj))
         return traj
 

@@ -202,14 +202,84 @@ def test_serial_passes_equal_one_pass(monkeypatch, fault, transform, window, cel
 
 
 def test_serial_run_outrunning_its_estimate_takes_another_pass(monkeypatch):
-    # power_bias(4) makes about 4·N·H events, more than the 2.5·N·H the first
-    # pass is sized for; the second pass goes on where the first stopped.
+    # power_bias(4) makes about 4·N·H events, more than the N·H + 5·sqrt(N·H)
+    # + 32 the first pass is sized for at one event per clock per unit time;
+    # the second pass, sized at the pace the first one showed, goes on where
+    # the first stopped and reaches the horizon.
     cfg = SerialConfig(n_clocks=4, horizon=100.0, seed=9, fault=PowerBias(4.0))
     calls = _count_pipeline_calls(monkeypatch)
     fast = process.simulate_serial(cfg)
-    assert calls == [2 * (int(2.5 * 4 * 100.0) + 32)] * 2
-    assert len(fast) > 2.5 * 4 * 100.0 + 32
+    first = int(4 * 100.0 + 5 * math.sqrt(4 * 100.0)) + 32
+    assert calls[0] == 2 * first and len(calls) == 2 and calls[1] > calls[0]
+    assert len(fast) > first
     _assert_same(fast, oracle.simulate_serial(cfg))
+
+
+def test_first_passes_draw_what_the_horizon_needs(monkeypatch):
+    # On an ideal source at N=256, H=250, sized for one tick per clock per
+    # unit time, the serial run asks for two samples per expected event plus
+    # a 5-sigma + 32 margin and a per-clock grid is H + 5·sqrt(H) + 32 wide;
+    # each ends in one pass.  Sizing for 2.5 times the expected ticks would
+    # ask for 320,064 samples and a width of 657.  A per-worker buffer first
+    # holds H + 8 rounds of its clocks and is refilled at most once.
+    n, h = 256, 250.0
+    calls = _count_pipeline_calls(monkeypatch)
+    process.simulate_serial(SerialConfig(n, h, seed=3))
+    assert calls == [calls[0]] and calls[0] <= 2 * (n * h + 5 * math.sqrt(n * h) + 32)
+    del calls[:]
+    process.simulate_parallel(ParallelConfig(n, h, seed=3), pace=1.0)
+    assert calls == [calls[0]] and calls[0] <= h + 5 * math.sqrt(h) + 32
+    del calls[:]
+    process.simulate_parallel(
+        ParallelConfig(n, h, seed=3, workers=4, stream_mode=StreamMode.PER_WORKER), pace=1.0)
+    assert 4 <= len(calls) <= 8 and max(calls) <= n // 4 * (h + 8)
+
+
+@pytest.mark.parametrize("fault,transform,window", _PIPELINES)
+def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
+    # 800 to 2400 events at N=6, H=200, by pipeline.  The parallel runs take
+    # pace hints from 0.05 to 50; the serial and per-clock runs are also run
+    # with every pass sized for a pace off by those factors.  At 0.05 a run
+    # takes three or more passes (a per-worker run, whose later fills follow
+    # its own pace, two or more), at 50 its first pass asks for over ten
+    # times the samples it uses.  Every run equals the scalar oracle.
+    common = dict(n_clocks=6, horizon=200.0, seed=31, fault=fault, transform=transform,
+                  fix_window=window)
+    cells = {f"P{p}": ParallelConfig(**common, workers=p,
+                                     mapping=make_mapping("round_robin", 6, p))
+             for p in (1, 3)}
+    cells["per_worker"] = ParallelConfig(**common, stream_mode=StreamMode.PER_WORKER)
+    serial_cfg = SerialConfig(**common)
+    slow = {"serial": oracle.simulate_serial(serial_cfg)}
+    slow.update({name: oracle.simulate_parallel(cfg) for name, cfg in cells.items()})
+    most = 1 + slow["P1"].per_clock_ticks.max()  # samples of the longest clock
+    used = {"serial": 2 * len(slow["serial"]) + 1, "P1": most, "per_worker": 6 * most}
+    ticks = process._ticks_to_pass
+    asked = _count_pipeline_calls(monkeypatch)
+    for factor in (0.05, 0.5, 1, 4, 50):
+        hinted, scaled = {}, {}
+        for name, cfg in cells.items():
+            del asked[:]
+            _assert_same(process.simulate_parallel(cfg, pace=factor), slow[name])
+            hinted[name] = list(asked)
+        with monkeypatch.context() as patch:
+            # each pass sized as if the pace were `factor` times what the
+            # run assumes or has shown
+            patch.setattr(process, "_ticks_to_pass",
+                          lambda left, pace, cap: ticks(left, factor * pace, cap))
+            for name in ("serial", "P1", "P3"):
+                del asked[:]
+                run = (process.simulate_serial(serial_cfg) if name == "serial"
+                       else process.simulate_parallel(cells[name]))
+                _assert_same(run, slow[name])
+                scaled[name] = list(asked)
+        if factor == 0.05:
+            assert len(scaled["serial"]) >= 3 and len(scaled["P1"]) >= 3
+            assert len(hinted["per_worker"]) >= 2
+        if factor == 50:
+            assert scaled["serial"][0] >= 10 * used["serial"]
+            for name in ("P1", "per_worker"):
+                assert hinted[name][0] >= 10 * used[name]
 
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
