@@ -21,6 +21,9 @@ means, bit-match indicators) never trip a verdict by themselves.
 
 ``run_experiment`` composes all of the above over seed x workers x mapping
 x stream-mode and returns a report that is a pure function of its plan.
+Every subcommand is one such call; the plan's ``stages`` pick what runs
+(``"compare"``: the serial/parallel runs and their pairings; ``"ab"``;
+``"fix"``), and ``ComparisonReport.flag_counts`` alone counts the flags.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ __all__ = [
     "GapStats",
     "GapMemo",
     "fix_evaluation",
+    "STAGES",
     "run_experiment",
 ]
 
@@ -92,6 +96,10 @@ DIVERGENCE = "divergence_detected"
 _MIN_COMPARE_EVENTS = 1000
 _MIN_AB_SAMPLES = 1000
 _MIN_FIX_SAMPLES = 10_000
+_MAX_SAMPLES = 1 << 22  # per A/B arm or fix-phase part: bounds their memory
+
+#: the stages a plan can run, in the order each seed runs them
+STAGES = ("compare", "ab", "fix")
 
 
 @dataclass(frozen=True)
@@ -417,6 +425,9 @@ class ExperimentPlan:
     trajectory of each seed before comparison; it exists so that the
     determinism-breach reporting path can be exercised end to end (a correct
     build never breaches on its own).
+
+    ``stages`` picks what each seed runs, from :data:`STAGES`; ``"ab"`` and
+    ``"fix"`` run only when configured.  It is left out of :meth:`as_dict`.
     """
 
     seeds: tuple[int, ...]
@@ -432,11 +443,12 @@ class ExperimentPlan:
     ab_samples: int = 100_000
     fix_samples: int = 10_000
     debug_corrupt_per_clock: bool = False
+    stages: tuple[str, ...] = STAGES
 
     def __post_init__(self) -> None:
         # Each message starts with the field it is about; config maps that
         # field back to the key it was read from.
-        for name in ("seeds", "worker_counts", "mappings", "stream_modes"):
+        for name in ("seeds", "worker_counts", "mappings", "stream_modes", "stages"):
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be nonempty")
@@ -452,6 +464,12 @@ class ExperimentPlan:
             raise ValueError(f"ab_samples must be >= {_MIN_AB_SAMPLES}, got {self.ab_samples}")
         if self.fix_samples < _MIN_FIX_SAMPLES:
             raise ValueError(f"fix_samples must be >= {_MIN_FIX_SAMPLES}, got {self.fix_samples}")
+        for name in ("ab_samples", "fix_samples"):
+            if getattr(self, name) > _MAX_SAMPLES:
+                raise ValueError(f"{name} must be <= {_MAX_SAMPLES} (2^22), "
+                                 f"got {getattr(self, name)}")
+        if not set(self.stages) <= set(STAGES):
+            raise ValueError(f"stages must be drawn from {list(STAGES)}, got {list(self.stages)}")
 
     def as_dict(self) -> dict:
         return {
@@ -540,7 +558,25 @@ class SeedReport:
 class ComparisonReport:
     plan: ExperimentPlan
     seed_reports: tuple[SeedReport, ...]
-    flag_counts: dict
+
+    @property
+    def flag_counts(self) -> dict:
+        """How many seeds flag each test (p < alpha), keyed ``"label:test"``.
+
+        Every pairing counts; the fix phases (``fix_before:``, ``fix_after:``)
+        count only without the compare stage (``fix-demo``), so ``detect`` and
+        ``calibrate`` report their fix phases without gating on them.
+        """
+        counts: Counter = Counter()
+        for sr in self.seed_reports:
+            verdicts = [(p.label, p.verdict) for p in sr.pairings]
+            if sr.fix is not None and "compare" not in self.plan.stages:
+                verdicts += [("fix_before", sr.fix.before), ("fix_after", sr.fix.after)]
+            for label, verdict in verdicts:
+                for e in verdict.evidence:
+                    if e.p_value is not None and e.p_value < self.plan.alpha:
+                        counts[f"{label}:{e.test}"] += 1
+        return dict(counts)
 
     @property
     def any_breach(self) -> bool:
@@ -578,28 +614,49 @@ def run_experiment(
 ) -> ComparisonReport:
     """Execute the whole plan; a divergence is a result, never an abort.
 
-    Deterministic: the report is a pure function of the plan.  Cells are run
-    sequentially in a fixed order (seed, then stream mode, then worker
-    count, then mapping), which also fixes all labels.  Once a seed's
-    comparisons are done, ``on_seed(seed, runs)`` gets its ``(label,
-    trajectory)`` list in that order (serial first); then the seed's
-    trajectories are let go, so memory does not grow with the seed count.
+    Deterministic: the report is a pure function of the plan.  Each seed
+    runs the plan's stages in :data:`STAGES` order, its compare cells in a
+    fixed order (stream mode, then worker count, then mapping), which also
+    fixes all labels.  Once a seed is done, ``on_seed(seed, runs)`` gets its
+    ``(label, trajectory)`` list in that order (serial first; empty without
+    the compare stage); then the seed's trajectories are let go, so memory
+    does not grow with the seed count.
     """
-    flag_counts: Counter = Counter()
-    seed_reports = []
-    for seed in plan.seeds:
-        report = _run_seed(plan, seed, on_seed)
-        for pairing in report.pairings:
-            for e in pairing.verdict.evidence:
-                if e.p_value is not None and e.p_value < plan.alpha:
-                    flag_counts[f"{pairing.label}:{e.test}"] += 1
-        seed_reports.append(report)
-    return ComparisonReport(plan=plan, seed_reports=tuple(seed_reports),
-                            flag_counts=dict(flag_counts))
+    return ComparisonReport(plan, tuple(_run_seed(plan, seed, on_seed) for seed in plan.seeds))
 
 
 def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
-    """One seed of :func:`run_experiment`; its trajectories die with the call.
+    """One seed of :func:`run_experiment`; its trajectories die with the call."""
+    runs: list[tuple[str, Trajectory]] = []
+    pairings: list[PairingRecord] = []
+    drift = fix = None
+    if "compare" in plan.stages:
+        runs, pairings = _compare(plan, seed)
+        drift = clock_drift(runs[0][1], float(plan.n_clocks))
+    if "ab" in plan.stages and plan.transform is not None:
+        pairings.append(PairingRecord(
+            f"ab_{transform_label(plan.transform)}",
+            transform_ab_test(plan.fault, plan.transform, plan.ab_samples,
+                              plan.alpha, seed),
+        ))
+    if "fix" in plan.stages and plan.fix_window is not None:
+        fix = fix_evaluation(plan.fault, plan.fix_window, plan.fix_samples,
+                             plan.alpha, seed)
+    if on_seed is not None:
+        on_seed(seed, runs)
+    return SeedReport(
+        seed=seed,
+        runs=tuple(RunRecord.of(label, "parallel" if i else "serial", traj)
+                   for i, (label, traj) in enumerate(runs)),
+        pairings=tuple(pairings),
+        drift=drift,
+        fix=fix,
+    )
+
+
+def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]]:
+    """The compare stage of one seed: its ``(label, trajectory)`` runs,
+    serial first, and the pairings that compare them.
 
     Each distinct cell is simulated once: cells with equal configs (every
     mapping at P = 1; ``blocks`` and ``round_robin`` at P = N) share one
@@ -660,23 +717,4 @@ def _run_seed(plan: ExperimentPlan, seed: int, on_seed) -> SeedReport:
             "cross_parallel",
             cross_parallel_compare(parallel_cells, plan.alpha, gap_stats=gap_stats),
         ))
-    if plan.transform is not None:
-        pairings.append(PairingRecord(
-            f"ab_{transform_label(plan.transform)}",
-            transform_ab_test(plan.fault, plan.transform, plan.ab_samples,
-                              plan.alpha, seed),
-        ))
-    fix = None
-    if plan.fix_window is not None:
-        fix = fix_evaluation(plan.fault, plan.fix_window, plan.fix_samples,
-                             plan.alpha, seed)
-    if on_seed is not None:
-        on_seed(seed, runs)
-    return SeedReport(
-        seed=seed,
-        runs=(RunRecord.of("serial", "serial", serial),)
-        + tuple(RunRecord.of(label, "parallel", traj) for label, traj in runs[1:]),
-        pairings=tuple(pairings),
-        drift=clock_drift(serial, float(plan.n_clocks)),
-        fix=fix,
-    )
+    return runs, pairings

@@ -33,7 +33,6 @@ __all__ = [
     "clock_drift",
     "kolmogorov_sf",
     "uniform_cdf",
-    "exponential_cdf",
     "binomial_upper_band",
     "MIN_KS_N",
 ]
@@ -287,14 +286,6 @@ def clock_drift(traj, nominal_rate: float) -> DriftReport:
 def uniform_cdf(x: ArrayLike) -> np.ndarray:
     """CDF of the uniform law on (0, 1)."""
     return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-
-
-def exponential_cdf(x: ArrayLike, rate: float) -> np.ndarray:
-    """CDF of the exponential law with the given rate."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    xs = np.asarray(x, dtype=np.float64)
-    return np.where(xs > 0.0, -np.expm1(-rate * xs), 0.0)
 
 
 def binomial_upper_band(n: int, p: float, tail: float = 1e-6) -> int:

@@ -8,7 +8,8 @@ float, the window rejection-rescale, the simulators built on them,
 Welford's summary one value at a time, the two-sample KS statistic in
 its two-``searchsorted`` form, and event-CSV rows with ``repr`` of each
 time.  It also holds the single-run check that
-the package leaves out on purpose (``fitted_exponential_check``).
+the package leaves out on purpose (``fitted_exponential_check``) and the
+exponential CDF it tests against.
 Every simulator here also takes a hand-made draw source (any object with
 ``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
 streams.
@@ -358,6 +359,14 @@ def _fix_phase(fault, window, n, alpha, seed):
     return detector.Verdict.from_evidence(evidence, alpha), discards / (discards + 3 * n)
 
 
+def exponential_cdf(x, rate):
+    """CDF of the exponential law with the given rate."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    xs = np.asarray(x, dtype=np.float64)
+    return np.where(xs > 0.0, -np.expm1(-rate * xs), 0.0)
+
+
 def fitted_exponential_check(traj, alpha):
     """The serial blind spot: KS of inter-event times vs their own fitted law.
 
@@ -372,7 +381,7 @@ def fitted_exponential_check(traj, alpha):
         raise ValueError("fitted_exponential_check requires a nonempty trajectory "
                          f"with >= {stats.MIN_KS_N} events")
     rate = 1.0 / float(np.mean(gaps))
-    res = stats.ks_one_sample(gaps, lambda x: stats.exponential_cdf(x, rate))
+    res = stats.ks_one_sample(gaps, lambda x: exponential_cdf(x, rate))
     return detector.Verdict.from_evidence(
         [detector.Evidence("fitted_exponential_ks", res.statistic, res.p_value)], alpha
     )

@@ -140,6 +140,14 @@ def test_bundle_lists_every_event_file_it_leaves(capsys, tmp_path, monkeypatch):
     assert sorted(listed) == sorted(tmp_path.iterdir())
 
 
+def _forbid_seeds(monkeypatch, never):
+    # every subcommand reaches a seed through cli.run_experiment, and each
+    # stage through the name detector binds it under
+    monkeypatch.setattr(cli, "run_experiment", never)
+    for name in ("simulate_serial", "transform_ab_test", "fix_evaluation"):
+        monkeypatch.setattr(detector, name, never)
+
+
 @pytest.mark.parametrize("command,config", [
     ("calibrate", "calibrate_ideal.ini"),
     ("detect", "detect_power_bias.ini"),
@@ -151,8 +159,7 @@ def test_unusable_out_dir_is_a_config_error_before_any_seed_runs(
     def never(*args, **kwargs):
         raise AssertionError("a seed ran before the output directory was made")
 
-    for name in ("run_experiment", "transform_ab_test", "fix_evaluation"):
-        monkeypatch.setattr(cli, name, never)
+    _forbid_seeds(monkeypatch, never)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     code = _run(command, "--config", CONFIGS / config, "--out", blocker / "out")
@@ -196,8 +203,7 @@ def test_empty_output_formats_is_a_config_error(
     def never(*args, **kwargs):
         raise AssertionError("a seed ran with no output format")
 
-    for name in ("run_experiment", "transform_ab_test", "fix_evaluation"):
-        monkeypatch.setattr(cli, name, never)
+    _forbid_seeds(monkeypatch, never)
     text = (CONFIGS / config).read_text(encoding="utf-8")
     assert "[output]" not in text
     bad = tmp_path / "bad.ini"
@@ -207,6 +213,30 @@ def test_empty_output_formats_is_a_config_error(
     err = capsys.readouterr().err
     assert code == 1
     assert err == "config error: [output] formats: must be nonempty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, section", [
+    ("ab-test", "ab_samples", "[transform]\nnames = reflect\n"),
+    ("detect", "ab_samples", "[transform]\nnames = reflect\n"),
+    ("fix-demo", "fix_samples", "[fix]\na = 0.5\nb = 1\n"),
+])
+def test_sample_count_above_the_cap_is_a_config_error(
+        capsys, tmp_path, monkeypatch, command, key, section):
+    # 10^13 samples would ask for a 146 TiB block; the plan refuses them
+    # before the output directory is made, so nothing is drawn
+    def never(*args, **kwargs):
+        raise AssertionError("a seed ran with an uncapped sample count")
+
+    _forbid_seeds(monkeypatch, never)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[experiment]\nseed = 1\n{key} = 10000000000000\n{section}",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code = _run(command, "--config", bad, "--out", out)
+    assert code == 1
+    assert capsys.readouterr().err == (f"config error: [experiment] {key}: must be <= 4194304 "
+                                       f"(2^22), got 10000000000000\n")
     assert not out.exists()
 
 

@@ -141,6 +141,10 @@ def test_alpha_out_of_range_carries_name(tmp_path):
     ("[experiment]\nab_samples = 10\n", "[experiment] ab_samples: must be >= 1000, got 10"),
     ("[experiment]\nfix_samples = 10\n",
      "[experiment] fix_samples: must be >= 10000, got 10"),
+    ("[experiment]\nab_samples = 10000000000000\n",
+     "[experiment] ab_samples: must be <= 4194304 (2^22), got 10000000000000"),
+    ("[experiment]\nfix_samples = 4194305\n",
+     "[experiment] fix_samples: must be <= 4194304 (2^22), got 4194305"),
     ("[parallel]\nworkers = ,\n", "[parallel] workers: must be nonempty"),
     ("[parallel]\nmappings = ,\n", "[parallel] mappings: must be nonempty"),
     ("[parallel]\nstream_modes = ,\n", "[parallel] stream_modes: must be nonempty"),

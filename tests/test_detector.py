@@ -12,17 +12,22 @@ draw density (density of u = x**(1/gamma) is gamma*u**(gamma-1)):
 import dataclasses
 import tracemalloc
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
-from clockcheck import detector, process, report, stats
+from clockcheck import config, detector, process, report, stats
 from clockcheck.detector import (
     CONSISTENT,
     DIVERGENCE,
+    ComparisonReport,
     Evidence,
     ExperimentPlan,
+    PairingRecord,
+    SeedReport,
     Verdict,
     _corrupted,
 )
@@ -33,8 +38,9 @@ from clockcheck.process import (
     make_mapping,
 )
 from clockcheck.rng import IDEAL, LowThinning, PowerBias
-from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
+from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf, transform_label
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _PB2 = PowerBias(2.0)
 _COMPOSED_TARGET = 0.8068528194400542  # quadrature, see module docstring
 
@@ -731,3 +737,79 @@ def test_plan_rejects_duplicate_entries():
                          ("stream_modes", (StreamMode.PER_CLOCK, StreamMode.PER_CLOCK))):
         with pytest.raises(ValueError, match=f"{field} must not repeat"):
             _small_plan(**{field: value})
+
+
+def test_plan_accepts_sample_counts_up_to_the_cap():
+    # one above the cap is a config error (test_config)
+    cap = 1 << 22
+    plan = _small_plan(ab_samples=cap, fix_samples=cap)
+    assert (plan.ab_samples, plan.fix_samples) == (cap, cap)
+
+
+def test_plan_stages():
+    assert _small_plan().stages == ("compare", "ab", "fix")
+    assert "stages" not in _small_plan(stages=("ab",)).as_dict()
+    with pytest.raises(ValueError, match="stages must be drawn from"):
+        _small_plan(stages=("compare", "serial"))
+    with pytest.raises(ValueError, match="stages must be nonempty"):
+        _small_plan(stages=())
+
+
+def _hand_built_flag_counts(seed_reports, alpha):
+    # the flag counter the ab-test and fix-demo commands kept for the
+    # reports they built by hand, before they became stage presets
+    counts = Counter()
+    for sr in seed_reports:
+        for pairing in sr.pairings:
+            for e in pairing.verdict.evidence:
+                if e.p_value is not None and e.p_value < alpha:
+                    counts[f"{pairing.label}:{e.test}"] += 1
+        if sr.fix is not None:
+            for phase, verdict in (("fix_before", sr.fix.before), ("fix_after", sr.fix.after)):
+                for e in verdict.evidence:
+                    if e.p_value is not None and e.p_value < alpha:
+                        counts[f"{phase}:{e.test}"] += 1
+    return dict(counts)
+
+
+@pytest.mark.parametrize("config_name, stages", [
+    ("ab_reflect.ini", ("ab",)),
+    ("fix_thinning.ini", ("fix",)),
+])
+def test_stage_presets_equal_the_hand_built_reports(monkeypatch, config_name, stages):
+    plan = dataclasses.replace(config.load_config(CONFIGS / config_name)[0], stages=stages)
+    if stages == ("ab",):
+        label = f"ab_{transform_label(plan.transform)}"
+        seed_reports = tuple(
+            SeedReport(seed, (), (PairingRecord(label, detector.transform_ab_test(
+                plan.fault, plan.transform, plan.ab_samples, plan.alpha, seed)),), None, None)
+            for seed in plan.seeds)
+    else:
+        seed_reports = tuple(
+            SeedReport(seed, (), (), None, detector.fix_evaluation(
+                plan.fault, plan.fix_window, plan.fix_samples, plan.alpha, seed))
+            for seed in plan.seeds)
+    expected = ComparisonReport(plan, seed_reports).as_dict()
+    expected["flag_counts"] = dict(sorted(
+        _hand_built_flag_counts(seed_reports, plan.alpha).items()))
+    assert expected["flag_counts"]  # both configs flag: the counts are compared
+
+    def never(*args, **kwargs):
+        raise AssertionError("the compare stage ran")
+
+    monkeypatch.setattr(detector, "simulate_serial", never)
+    seeds = []
+    got = detector.run_experiment(plan, on_seed=lambda seed, runs: seeds.append((seed, runs)))
+    assert got.as_dict() == expected
+    assert seeds == [(seed, []) for seed in plan.seeds]
+
+
+def test_compare_plans_report_fix_phases_without_counting_them():
+    # detect and calibrate report [fix]'s phases but do not gate on them yet
+    plan, _ = config.load_config(CONFIGS / "fix_thinning.ini", seed_override=1)
+    assert plan.stages == detector.STAGES
+    result = detector.run_experiment(plan)
+    assert result.seed_reports[0].fix.before.diverged  # a counted phase would show
+    assert not [key for key in result.flag_counts if key.startswith("fix_")]
+    fix_only = detector.run_experiment(dataclasses.replace(plan, stages=("fix",)))
+    assert "fix_before:uniform_ks" in fix_only.flag_counts
