@@ -85,15 +85,13 @@ _PRESETS = {
 }
 
 
-def _banded_exit(report: ComparisonReport, key_prefix: str) -> int:
-    """3 on breach, 2 when some test exceeds its binomial flag band, else 0."""
+def _banded_exit(report: ComparisonReport, key_prefix: str, band: int) -> int:
+    """3 on breach, 2 when some test exceeds its binomial flag ``band``, else 0."""
     if report.any_breach:
         return 3
-    n_seeds = len(report.plan.seeds)
-    band = binomial_upper_band(n_seeds, report.plan.alpha)
     counts = {k: v for k, v in report.flag_counts.items() if k.startswith(key_prefix)}
     worst = max(counts.values(), default=0)
-    click.echo(f"max flags per test: {worst} (band: {band} over {n_seeds} seed(s))")
+    click.echo(f"max flags per test: {worst} (band: {band} over {len(report.plan.seeds)} seed(s))")
     return 2 if worst > band else 0
 
 
@@ -101,7 +99,9 @@ def _subcommand(name: str, preset: _Preset) -> None:
     """Register subcommand ``name``.  Its config errors (exit 1) come in
     this order: the config, the preset's required section, the output
     directory (made before any seed runs), then a bank too small to compare
-    (found once a seed has run; no report is written)."""
+    (found once a seed has run; no report is written).  A plan whose flag
+    band is its seed count cannot exit 2; it is told so on stderr before
+    the first seed runs."""
 
     @cli.command(name, help=preset.help)
     @click.option("--seed-override", type=click.IntRange(0, MASK64), default=None,
@@ -133,6 +133,11 @@ def _subcommand(name: str, preset: _Preset) -> None:
             click.echo(f"config error: cannot create output directory {target}: "
                        f"{exc.strerror or exc}", err=True)
             ctx.exit(1)
+        band = binomial_upper_band(len(plan.seeds), plan.alpha)
+        if band >= len(plan.seeds):
+            click.echo(f"warning: the flag band over {len(plan.seeds)} seed(s) at alpha "
+                       f"{plan.alpha:g} is {band}, every seed: no test can exceed it, so this "
+                       "run cannot exit 2", err=True)
         events = EventWriter(target) if "csv" in output.formats else None
         try:
             report = run_experiment(plan, on_seed=events)
@@ -150,7 +155,7 @@ def _subcommand(name: str, preset: _Preset) -> None:
         if preset.discard_rate:
             rates = [sr.fix.discard_rate for sr in report.seed_reports]
             click.echo(f"mean discard rate: {sum(rates) / len(rates):.4f}")
-        code = _banded_exit(report, preset.gate)
+        code = _banded_exit(report, preset.gate, band)
         click.echo(f"{name}: {preset.verdicts[code]}")
         ctx.exit(code)
 

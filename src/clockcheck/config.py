@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .detector import ExperimentPlan
-from .process import MAPPING_KINDS, StreamMode
 from .rng import IDEAL, MASK64, FaultModel, LowThinning, PowerBias, derived_seeds
 from .transforms import Compose, RescaleWindow, Reflect, RotateHalf, Transform
 
@@ -54,9 +53,11 @@ _SCHEMA = {
     "debug": {"corrupt_per_clock_run"},
 }
 
-#: the key behind each ExperimentPlan field; the plan's errors start with the field
+#: the key behind each ExperimentPlan field (and ``seed``, one of its seeds); the
+#: plan checks every value, and each of its errors starts with the field
 _PLAN_KEYS = {
     "seeds": "[experiment] seed",
+    "seed": "[experiment] seed",
     "n_clocks": "[experiment] n_clocks",
     "horizon": "[experiment] horizon",
     "alpha": "[experiment] alpha",
@@ -85,12 +86,14 @@ def _split_list(raw: str) -> list[str]:
     return [tok for tok in re.split(r"[,\s]+", raw.strip()) if tok]
 
 
-def _reject_duplicates(key: str, values) -> None:
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ConfigError(f"{key}: duplicate entry {value!r}")
-        seen.add(value)
+def _parse_ints(key: str, raw: str) -> tuple[int, ...]:
+    values = []
+    for tok in _split_list(raw):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ConfigError(f"{key}: expected integers, got {tok!r}") from None
+    return tuple(values)
 
 
 class _Section:
@@ -159,19 +162,7 @@ def _parse_seeds(section: _Section, seed_override: Optional[int]) -> tuple[int, 
     if raw_seed is not None and raw_count is not None:
         raise ConfigError("[experiment] seed and seed_count are mutually exclusive")
     if raw_seed is not None:
-        seeds = []
-        for tok in _split_list(raw_seed):
-            try:
-                value = int(tok)
-            except ValueError:
-                raise ConfigError(f"[experiment] seed: expected integers, got {tok!r}") from None
-            if not 0 <= value <= MASK64:
-                raise ConfigError(f"[experiment] seed: {value} does not fit in 64 bits")
-            seeds.append(value)
-        if not seeds:
-            raise ConfigError("[experiment] seed: empty list")
-        _reject_duplicates("[experiment] seed", seeds)
-        return tuple(seeds)
+        return _parse_ints("[experiment] seed", raw_seed)
     count = section.typed("seed_count", int, DEFAULT_SEED_COUNT)
     if count < 1:
         raise ConfigError(f"[experiment] seed_count: must be >= 1, got {count}")
@@ -242,34 +233,6 @@ def _parse_fix(section: _Section) -> Optional[RescaleWindow]:
         raise ConfigError(f"[fix] a/b: {exc}") from None
 
 
-def _parse_parallel(section: _Section) -> tuple[tuple[int, ...], tuple[str, ...], tuple[StreamMode, ...]]:
-    workers = []
-    for tok in _split_list(section.raw("workers") or "1"):
-        try:
-            p = int(tok)
-        except ValueError:
-            raise ConfigError(f"[parallel] workers: expected integers, got {tok!r}") from None
-        if p < 1:
-            raise ConfigError(f"[parallel] workers: must be >= 1, got {p}")
-        workers.append(p)
-    mappings = tuple(_split_list(section.raw("mappings") or "blocks"))
-    for name in mappings:
-        if name not in MAPPING_KINDS:
-            raise ConfigError(f"[parallel] mappings: unknown mapping name {name!r} "
-                              f"(expected one of {MAPPING_KINDS})")
-    modes = []
-    for tok in _split_list(section.raw("stream_modes") or "per_clock"):
-        try:
-            modes.append(StreamMode(tok.lower()))
-        except ValueError:
-            raise ConfigError(f"[parallel] stream_modes: unknown mode {tok!r} "
-                              "(expected per_clock or per_worker)") from None
-    _reject_duplicates("[parallel] workers", workers)
-    _reject_duplicates("[parallel] mappings", mappings)
-    _reject_duplicates("[parallel] stream_modes", [m.value for m in modes])
-    return tuple(workers), mappings, tuple(modes)
-
-
 def _parse_output(section: _Section) -> OutputConfig:
     directory = section.raw("directory") or "reports"
     formats = tuple(_split_list(section.raw("formats") or "json csv"))
@@ -287,8 +250,7 @@ def load_config(
 ) -> tuple[ExperimentPlan, OutputConfig]:
     """Parse and validate ``path``; raise :class:`ConfigError` on any defect."""
     sections = _read_sections(path)
-    experiment = sections["experiment"]
-    workers, mappings, modes = _parse_parallel(sections["parallel"])
+    experiment, parallel = sections["experiment"], sections["parallel"]
     try:
         plan = ExperimentPlan(
             seeds=_parse_seeds(experiment, seed_override),
@@ -297,9 +259,10 @@ def load_config(
             fault=_parse_fault(sections["fault"]),
             transform=_parse_transform(sections["transform"]),
             fix_window=_parse_fix(sections["fix"]),
-            worker_counts=workers,
-            mappings=mappings,
-            stream_modes=modes,
+            worker_counts=_parse_ints("[parallel] workers", parallel.raw("workers") or "1"),
+            mappings=tuple(_split_list(parallel.raw("mappings") or "blocks")),
+            stream_modes=tuple(tok.lower() for tok in
+                               _split_list(parallel.raw("stream_modes") or "per_clock")),
             alpha=experiment.typed("alpha", float, 0.01),
             ab_samples=experiment.typed("ab_samples", int, 100_000),
             fix_samples=experiment.typed("fix_samples", int, 10_000),

@@ -24,17 +24,27 @@ x stream-mode and returns a report that is a pure function of its plan.
 Every subcommand is one such call; the plan's ``stages`` pick what runs
 (``"compare"``: the serial/parallel runs and their pairings; ``"ab"``;
 ``"fix"``), and ``ComparisonReport.flag_counts`` alone counts the flags.
+``ExperimentPlan`` checks every field when it is built (a stream mode given
+as a str becomes its ``StreamMode``), so a bad plan fails before any seed.
+
+The records (``SeedReport``, ``RunRecord``, ``PairingRecord``, ``Verdict``,
+``Evidence``, ``FixReport``, and ``stats.DriftReport``) are the report's
+schema: ``report.sanitize`` writes each one as the dict of its fields.  Only
+``ExperimentPlan.as_dict`` (labels; ``stages`` left out) and
+``ComparisonReport.as_dict`` (``schema_version`` and the derived flag
+counts) are written by hand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .process import (
+    MAPPING_KINDS,
     ParallelConfig,
     SerialConfig,
     StreamMode,
@@ -110,9 +120,6 @@ class Evidence:
     statistic: float
     p_value: Optional[float]
 
-    def as_dict(self) -> dict:
-        return {"test": self.test, "statistic": self.statistic, "p_value": self.p_value}
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -139,14 +146,6 @@ class Verdict:
             determinism_breach=breach,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "alpha": self.alpha,
-            "determinism_breach": self.determinism_breach,
-            "evidence": [e.as_dict() for e in self.evidence],
-        }
-
 
 @dataclass(frozen=True)
 class FixReport:
@@ -155,13 +154,6 @@ class FixReport:
     before: Verdict
     after: Verdict
     discard_rate: float
-
-    def as_dict(self) -> dict:
-        return {
-            "before": self.before.as_dict(),
-            "after": self.after.as_dict(),
-            "discard_rate": self.discard_rate,
-        }
 
 
 # --------------------------------------------------------------------------
@@ -453,23 +445,28 @@ class ExperimentPlan:
             if not values:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
+                value = next(v for v, count in Counter(values).items() if count > 1)
+                raise ValueError(f"{name} must not repeat an entry, got {value!r} more than once")
+        for name, allowed in (("mappings", MAPPING_KINDS),
+                              ("stream_modes", tuple(m.value for m in StreamMode)),
+                              ("stages", STAGES)):
+            unknown = [v for v in getattr(self, name) if v not in allowed]
+            if unknown:
+                raise ValueError(f"{name} must be drawn from {list(allowed)}, got {unknown[0]!r}")
+        # a str equals its mode but is not it, and the simulators test identity
+        object.__setattr__(self, "stream_modes", tuple(map(StreamMode, self.stream_modes)))
         for seed in self.seeds:
             _validate_common(self.n_clocks, self.horizon, seed)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if any(p < 1 for p in self.worker_counts):
-            raise ValueError(f"worker_counts must be >= 1, got {list(self.worker_counts)}")
-        if self.ab_samples < _MIN_AB_SAMPLES:
-            raise ValueError(f"ab_samples must be >= {_MIN_AB_SAMPLES}, got {self.ab_samples}")
-        if self.fix_samples < _MIN_FIX_SAMPLES:
-            raise ValueError(f"fix_samples must be >= {_MIN_FIX_SAMPLES}, got {self.fix_samples}")
-        for name in ("ab_samples", "fix_samples"):
-            if getattr(self, name) > _MAX_SAMPLES:
-                raise ValueError(f"{name} must be <= {_MAX_SAMPLES} (2^22), "
-                                 f"got {getattr(self, name)}")
-        if not set(self.stages) <= set(STAGES):
-            raise ValueError(f"stages must be drawn from {list(STAGES)}, got {list(self.stages)}")
+        if min(self.worker_counts) < 1:
+            raise ValueError(f"worker_counts must be >= 1, got {min(self.worker_counts)}")
+        for name, low in (("ab_samples", _MIN_AB_SAMPLES), ("fix_samples", _MIN_FIX_SAMPLES)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value > _MAX_SAMPLES:
+                raise ValueError(f"{name} must be <= {_MAX_SAMPLES} (2^22), got {value}")
 
     def as_dict(self) -> dict:
         return {
@@ -502,30 +499,19 @@ class RunRecord:
     n_events: int
     final_time: float
     total_draws: int
+    mean_inter_event: Optional[float]  # None for a run without events
 
     @staticmethod
     def of(label: str, kind: str, traj: Trajectory) -> "RunRecord":
-        return RunRecord(label, kind, len(traj), traj.final_time, traj.total_draws)
-
-    def as_dict(self) -> dict:
-        n = self.n_events
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "n_events": n,
-            "final_time": self.final_time,
-            "total_draws": self.total_draws,
-            "mean_inter_event": self.final_time / n if n else None,
-        }
+        n, final_time = len(traj), traj.final_time
+        return RunRecord(label, kind, n, final_time, traj.total_draws,
+                         final_time / n if n else None)
 
 
 @dataclass(frozen=True)
 class PairingRecord:
     label: str
     verdict: Verdict
-
-    def as_dict(self) -> dict:
-        return {"label": self.label, "verdict": self.verdict.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -535,23 +521,6 @@ class SeedReport:
     pairings: tuple[PairingRecord, ...]
     drift: Optional[DriftReport]
     fix: Optional[FixReport]
-
-    def as_dict(self) -> dict:
-        drift = None
-        if self.drift is not None:
-            drift = {
-                "reported_time": self.drift.reported_time,
-                "expected_time": self.drift.expected_time,
-                "lag": self.drift.lag,
-                "ticks": self.drift.ticks,
-            }
-        return {
-            "seed": self.seed,
-            "runs": [r.as_dict() for r in self.runs],
-            "pairings": [p.as_dict() for p in self.pairings],
-            "drift": drift,
-            "fix": self.fix.as_dict() if self.fix else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -589,10 +558,12 @@ class ComparisonReport:
                    for s in self.seed_reports for p in s.pairings)
 
     def as_dict(self) -> dict:
+        """The report's top level.  The seed reports stay records: the
+        report writer turns each record into a dict of its fields."""
         return {
             "schema_version": 1,
             "plan": self.plan.as_dict(),
-            "seed_reports": [s.as_dict() for s in self.seed_reports],
+            "seed_reports": list(self.seed_reports),
             "flag_counts": dict(sorted(self.flag_counts.items())),
             "any_divergence": self.any_divergence,
             "any_determinism_breach": self.any_breach,
@@ -604,8 +575,7 @@ def _corrupted(traj: Trajectory) -> Trajectory:
         return traj
     times = traj.times.copy()
     times[0] *= 0.5
-    return Trajectory(times=times, marks=traj.marks, draw_indices=traj.draw_indices,
-                      total_draws=traj.total_draws, n_clocks=traj.n_clocks)
+    return replace(traj, times=times)
 
 
 def run_experiment(

@@ -182,6 +182,8 @@ class ParallelConfig:
     stream_mode: StreamMode = StreamMode.PER_CLOCK
 
     def __post_init__(self) -> None:
+        # a str equals its mode but is not it, and simulate_parallel tests identity
+        object.__setattr__(self, "stream_mode", StreamMode(self.stream_mode))
         _validate_common(self.n_clocks, self.horizon, self.seed)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")

@@ -37,9 +37,11 @@ run produces) are serialised as strings to keep the JSON standard-valid.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import shutil
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -64,25 +66,41 @@ EVENTS_HEADER = ("time", "mark", "draw_index")
 _CSV_ROWS = 1 << 14  # event rows formatted and written per chunk
 
 
+@functools.cache
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """A dataclass's field names, in order; None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def sanitize(obj):
-    """Recursively coerce to plain JSON types; non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
+    """Recursively coerce to plain JSON types: a dataclass record becomes the
+    dict of its fields, and non-finite floats become strings.  The commonest
+    leaves are tested first."""
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(obj, (str, type(None))):
+        return obj
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return value if math.isfinite(value) else repr(value)
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: sanitize(getattr(obj, name)) for name in names}
     return obj
 
 
 def report_json_text(report: ComparisonReport, generated_at: Optional[str] = None) -> str:
-    body = sanitize(report.as_dict())
-    body["generated_at"] = generated_at or datetime.now(timezone.utc).isoformat()
+    return _json_text(sanitize(report.as_dict()), generated_at)
+
+
+def _json_text(clean: dict, generated_at: Optional[str]) -> str:
+    body = dict(clean, generated_at=generated_at or datetime.now(timezone.utc).isoformat())
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
@@ -97,22 +115,20 @@ def _cell(value) -> str:
 def summary_rows(report: ComparisonReport) -> list[tuple]:
     """Flatten the report into summary-CSV rows, from the sanitized dict the
     JSON writer uses, so the two outputs agree to the byte."""
-    clean = sanitize(report.as_dict())
+    return _summary_rows(sanitize(report.as_dict()))
+
+
+def _summary_rows(clean: dict) -> list[tuple]:
     rows = []
     for sr in clean["seed_reports"]:
-        seed = sr["seed"]
-        for pairing in sr["pairings"]:
-            verdict = pairing["verdict"]
-            for e in verdict["evidence"]:
-                rows.append((seed, pairing["label"], e["test"],
-                             e["statistic"], e["p_value"], verdict["outcome"]))
-        fix = sr.get("fix")
+        seed, fix = sr["seed"], sr["fix"]
+        verdicts = [(p["label"], p["verdict"]) for p in sr["pairings"]]
         if fix:
-            for phase in ("before", "after"):
-                verdict = fix[phase]
-                for e in verdict["evidence"]:
-                    rows.append((seed, f"fix_{phase}", e["test"],
-                                 e["statistic"], e["p_value"], verdict["outcome"]))
+            verdicts += [("fix_before", fix["before"]), ("fix_after", fix["after"])]
+        for label, verdict in verdicts:
+            rows += [(seed, label, e["test"], e["statistic"], e["p_value"], verdict["outcome"])
+                     for e in verdict["evidence"]]
+        if fix:
             rows.append((seed, "fix", "discard_rate", fix["discard_rate"], None, None))
     return rows
 
@@ -413,17 +429,18 @@ def write_report_bundle(
     :class:`EventWriter` already wrote there passed in as ``events``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    clean = sanitize(report.as_dict())  # both files are written from this one dict
     written: dict = {"events": list(events)}
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(report_json_text(report, generated_at), encoding="utf-8")
+        path.write_text(_json_text(clean, generated_at), encoding="utf-8")
         written["report"] = path
     if "csv" in formats:
         path = out / "summary.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_HEADER)
-            for row in summary_rows(report):
+            for row in _summary_rows(clean):
                 writer.writerow([_cell(v) for v in row])
         written["summary"] = path
     return written

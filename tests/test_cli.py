@@ -240,6 +240,39 @@ def test_sample_count_above_the_cap_is_a_config_error(
     assert not out.exists()
 
 
+_BAND_WARNING_ONE_SEED = ("warning: the flag band over 1 seed(s) at alpha 0.01 is 1, every "
+                          "seed: no test can exceed it, so this run cannot exit 2\n")
+
+
+def test_a_run_that_cannot_exit_two_says_so_before_the_first_seed(capsys, tmp_path, monkeypatch):
+    # binomial_upper_band(1, 0.01) is 1: the one seed flags both A/B tests,
+    # yet stays inside the band; the exit code and stdout stay as they were
+    seen = []
+    real = cli.run_experiment
+
+    def spy(*args, **kwargs):
+        seen.append(capsys.readouterr().err)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    code = _run("ab-test", "--config", CONFIGS / "ab_reflect.ini", "--out", tmp_path,
+                "--seed-override", 7)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert seen == [_BAND_WARNING_ONE_SEED]
+    assert captured.err == ""
+    assert captured.out.endswith("max flags per test: 1 (band: 1 over 1 seed(s))\n"
+                                 "ab-test: consistent\n")
+
+
+def test_a_run_that_can_exit_two_prints_no_band_warning(capsys, tmp_path):
+    code = _run("ab-test", "--config", CONFIGS / "ab_reflect.ini", "--out", tmp_path)
+    captured = capsys.readouterr()
+    assert code == 2  # 4 seeds: band 3
+    assert captured.err == ""
+    assert "band: 3 over 4 seed(s)" in captured.out
+
+
 @pytest.mark.parametrize("command", ["detect", "calibrate"])
 def test_bank_below_the_comparison_floor_is_a_config_error(capsys, tmp_path, command):
     # 4 clocks over horizon 200 draw about 800 events a run, short of the
@@ -252,7 +285,8 @@ def test_bank_below_the_comparison_floor_is_a_config_error(capsys, tmp_path, com
     code = _run(command, "--config", config, "--out", out)
     err = capsys.readouterr().err
     assert code == 1
-    assert err == ("config error: [experiment] n_clocks, horizon: 4 clocks over horizon "
+    assert err == (_BAND_WARNING_ONE_SEED +
+                   "config error: [experiment] n_clocks, horizon: 4 clocks over horizon "
                    "200 give too few events: serial_parallel_compare requires >= 1000 "
                    "events per side, got 780 and 804\n")
     assert not (out / "report.json").exists()

@@ -145,6 +145,11 @@ def test_alpha_out_of_range_carries_name(tmp_path):
      "[experiment] ab_samples: must be <= 4194304 (2^22), got 10000000000000"),
     ("[experiment]\nfix_samples = 4194305\n",
      "[experiment] fix_samples: must be <= 4194304 (2^22), got 4194305"),
+    ("[experiment]\nseed = ,\n", "[experiment] seed: must be nonempty"),
+    ("[experiment]\nseed = 18446744073709551616\n",
+     "[experiment] seed: must fit in 64 bits, got 18446744073709551616"),
+    ("[experiment]\nseed = -1\n", "[experiment] seed: must fit in 64 bits, got -1"),
+    ("[parallel]\nworkers = 2 0\n", "[parallel] workers: must be >= 1, got 0"),
     ("[parallel]\nworkers = ,\n", "[parallel] workers: must be nonempty"),
     ("[parallel]\nmappings = ,\n", "[parallel] mappings: must be nonempty"),
     ("[parallel]\nstream_modes = ,\n", "[parallel] stream_modes: must be nonempty"),
@@ -230,30 +235,36 @@ def test_fix_invalid_window(tmp_path):
 def test_parallel_validation(tmp_path):
     with pytest.raises(ConfigError, match=r"workers: must be >= 1"):
         config.load_config(_write(tmp_path, "[parallel]\nworkers = 0\n"))
-    with pytest.raises(ConfigError, match="unknown mapping name 'striped'"):
+    with pytest.raises(ConfigError,
+                       match=r"\[parallel\] mappings: must be drawn from .*, got 'striped'$"):
         config.load_config(_write(tmp_path, "[parallel]\nmappings = striped\n"))
-    with pytest.raises(ConfigError, match="unknown mode 'per_thread'"):
+    with pytest.raises(ConfigError, match=r"\[parallel\] stream_modes: must be drawn from .*, "
+                                          r"got 'per_thread'$"):
         config.load_config(_write(tmp_path, "[parallel]\nstream_modes = per_thread\n"))
 
 
 def test_duplicate_seed_is_rejected(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[experiment\] seed: duplicate entry 3"):
+    with pytest.raises(ConfigError, match=r"\[experiment\] seed: must not repeat an entry, "
+                                          r"got 3 more than once"):
         config.load_config(_write(tmp_path, "[experiment]\nseed = 3 4, 3\n"))
 
 
 def test_duplicate_worker_count_is_rejected(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[parallel\] workers: duplicate entry 1"):
+    with pytest.raises(ConfigError, match=r"\[parallel\] workers: must not repeat an entry, "
+                                          r"got 1 more than once"):
         config.load_config(_write(tmp_path, "[parallel]\nworkers = 1 1\n"))
 
 
 def test_duplicate_mapping_is_rejected(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[parallel\] mappings: duplicate entry 'shuffle'"):
+    with pytest.raises(ConfigError, match=r"\[parallel\] mappings: must not repeat an entry, "
+                                          r"got 'shuffle' more than once"):
         config.load_config(_write(tmp_path, "[parallel]\nmappings = shuffle blocks shuffle\n"))
 
 
 def test_duplicate_stream_mode_is_rejected(tmp_path):
     # modes are case-insensitive, so these two spellings name one mode
-    with pytest.raises(ConfigError, match=r"\[parallel\] stream_modes: duplicate entry 'per_worker'"):
+    with pytest.raises(ConfigError, match=r"\[parallel\] stream_modes: must not repeat an entry, "
+                                          r"got 'per_worker' more than once"):
         config.load_config(_write(tmp_path, "[parallel]\nstream_modes = per_worker PER_WORKER\n"))
 
 

@@ -739,6 +739,31 @@ def test_plan_rejects_duplicate_entries():
             _small_plan(**{field: value})
 
 
+def test_plan_rejects_unknown_mappings_and_stream_modes_when_built():
+    # before, these failed only once a seed had run its serial simulation
+    with pytest.raises(ValueError, match="mappings must be drawn from .*, got 'striped'"):
+        _small_plan(mappings=("blocks", "striped"))
+    with pytest.raises(ValueError, match="stream_modes must be drawn from .*, got 'bogus'"):
+        _small_plan(stream_modes=("bogus",))
+
+
+def test_str_stream_modes_run_as_the_enum():
+    # a str equals its StreamMode but is not it; the plan and the config
+    # coerce it, so a str mode never runs the other simulator
+    plan = _small_plan(seeds=(0,), stream_modes=("per_clock", "per_worker"))
+    assert plan.stream_modes == (StreamMode.PER_CLOCK, StreamMode.PER_WORKER)
+    assert all(type(m) is StreamMode for m in plan.stream_modes)
+    enum_plan = _small_plan(seeds=(0,), stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    assert detector.run_experiment(plan) == detector.run_experiment(enum_plan)
+    for mode in StreamMode:
+        by_str = ParallelConfig(8, 150.0, 0, workers=2, stream_mode=mode.value)
+        assert by_str.stream_mode is mode
+        assert detector._bit_equal(process.simulate_parallel(by_str), process.simulate_parallel(
+            ParallelConfig(8, 150.0, 0, workers=2, stream_mode=mode)))
+    with pytest.raises(ValueError):
+        ParallelConfig(8, 150.0, 0, stream_mode="bogus")
+
+
 def test_plan_accepts_sample_counts_up_to_the_cap():
     # one above the cap is a config error (test_config)
     cap = 1 << 22
