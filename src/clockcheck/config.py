@@ -5,7 +5,8 @@ rejected, and every diagnostic names the offending key):
 
 * ``[experiment]`` — ``seed`` (one or more distinct 64-bit values,
   whitespace- or comma-separated) OR ``seed_count`` (expands to the
-  pre-registered list ``derived_seeds(count)``; default count 20),
+  pre-registered list ``derived_seeds(count)``; default count 20, at most
+  ``MAX_SEED_COUNT`` = 2^20),
   ``n_clocks`` (>= 1, default 16), ``horizon`` (positive and finite,
   default 250), ``alpha`` (default 0.01), ``ab_samples`` (default 100000),
   ``fix_samples`` (default 10000).
@@ -41,6 +42,9 @@ from .transforms import Compose, RescaleWindow, Reflect, RotateHalf, Transform
 __all__ = ["ConfigError", "OutputConfig", "load_config", "DEFAULT_SEED_COUNT"]
 
 DEFAULT_SEED_COUNT = 20
+# seed_count's cap: the derived list is built before any check or seed runs,
+# so a count with no bound would ask for its memory up front
+MAX_SEED_COUNT = 1 << 20
 
 _SCHEMA = {
     "experiment": {"seed", "seed_count", "n_clocks", "horizon", "alpha",
@@ -166,6 +170,9 @@ def _parse_seeds(section: _Section, seed_override: Optional[int]) -> tuple[int, 
     count = section.typed("seed_count", int, DEFAULT_SEED_COUNT)
     if count < 1:
         raise ConfigError(f"[experiment] seed_count: must be >= 1, got {count}")
+    if count > MAX_SEED_COUNT:
+        raise ConfigError(f"[experiment] seed_count: must be <= {MAX_SEED_COUNT} (2^20), "
+                          f"got {count}")
     return derived_seeds(count)
 
 

@@ -511,21 +511,45 @@ def _merge_arrays(
 
     A part may hold several clocks; each clock's events must come in the
     order they were emitted, in one part or across parts in order.  The
-    three lists are emptied as their columns are built, and the columns are
-    put in time order one at a time, so the parts, their concatenation and
-    the merged result are never all held at once.
+    result is in the order of ``np.lexsort((position, marks, times))`` over
+    the joined parts.  The three lists are emptied as their columns are
+    built, and the columns are put in time order one at a time, so the
+    parts, their concatenation and the merged result are never all held at
+    once.
+
+    The order comes from one in-place sort of packed ``uint64`` keys: a
+    time's float64 bits with the low ``ceil(log2 n)`` bits replaced by the
+    event's position among the ``n`` joined events.  Times are >= 0: the
+    bits of non-negative floats sort as the floats do (a negative time's
+    sign bit would sort it after every positive one), so the keys sort by
+    time up to those low bits, then by position.  Masking the high bits
+    off the sorted keys leaves the positions in the same buffer.  Events
+    whose times share their high bits (equal times, or times a few ulps
+    apart) form runs of adjacent keys, and each run is then reordered by
+    exact (time, mark, position).
     """
     if not all(map(_clocks_in_order, parts_t, parts_m)):
         raise RuntimeError("internal error: unsorted per-clock event list")
     times = _join(parts_t, np.float64)
     marks = _join(parts_m, np.int64)
-    order = np.argsort(times)
+    low = max(times.size - 1, 0).bit_length()  # bits that hold a position
+    mask = (1 << low) - 1
+    keys = times.view(np.uint64) & np.uint64(MASK64 ^ mask)
+    keys |= np.arange(times.size, dtype=np.uint64)
+    keys.sort()
+    high = keys >> np.uint64(low)
+    shared = np.flatnonzero(high[1:] == high[:-1])  # key i shares its high bits with key i + 1
+    del high
+    keys &= np.uint64(mask)
+    order = keys.view(np.int64)
+    if shared.size:
+        # every key of a run of shared high bits, in order; a run is
+        # contiguous and times rise from one run to the next, so sorting the
+        # gathered keys by exact (time, mark, position) reorders each run
+        run = np.unique(np.concatenate((shared, shared + 1)))
+        at = order[run]
+        order[run] = at[np.lexsort((at, marks[at], times[at]))]
     ordered = times[order]
-    if np.any(ordered[1:] == ordered[:-1]):
-        # Without ties the time order is unique; with them, sort stably by
-        # (time, mark) so equal events keep their emission order.
-        order = np.lexsort((marks, times))
-        ordered = times[order]
     del times
     marks = marks[order]
     draws = _join(parts_d, np.int64)[order]

@@ -13,6 +13,15 @@ one :class:`GeneratorState` or :class:`RowStates`, a grid with one stream
 per row; the single stream is the one-row case of the same kernel, and each
 row equals the single-stream call from its own state.
 
+The kernel makes a block in tiles of about 2**13 cells (counter-based
+generation, as in Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+3", SC 2011: word ``k`` of a row depends on the row's state and ``k``
+alone).  A tile is a run of whole rows, or an even stretch of one longer
+row; its Weyl add, scrambler and lattice map run in two scratch buffers that
+stay in cache, and it is written straight into the output.  The two lattice
+snaps then run once over the whole block.  A block that fits in one tile
+runs the loop once; the tiles change no bit.
+
 Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed:
 
 * id ``0``                 -- the serial (merged-clock) stream,
@@ -113,6 +122,12 @@ _V_GOLDEN = _U64(GOLDEN)
 _V_MULT1 = _U64(_MULT1)
 _V_MULT2 = _U64(_MULT2)
 _SH30, _SH27, _SH31, _SH11 = _U64(30), _U64(27), _U64(31), _U64(11)
+# Cells of the grid that _tiled makes at a time: its two uint64 scratch
+# buffers (64 KiB each) and the output tile stay in cache.  _STEPS holds the
+# Weyl offsets of a tile's columns, j * GOLDEN for j = 1 .. _TILE.
+_TILE = 1 << 13
+_STEPS = np.arange(1, _TILE + 1, dtype=np.uint64) * _V_GOLDEN
+_STEPS.flags.writeable = False
 
 
 def _check_u64(value: int, name: str) -> None:
@@ -170,14 +185,17 @@ class RowStates:
                          self.draw_count + draws)
 
 
-def _mix_words(z: np.ndarray) -> np.ndarray:
+def _mix_words(z: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
     """The output scrambler on advanced ``uint64`` words.
 
     A generator step adds ``GOLDEN`` (the stream position), then this
     xor/multiply cascade whitens the output.  Scrambles ``z`` in place
-    (callers pass a fresh array) and returns it.
+    (callers pass a fresh array), using ``shifted`` (an array of ``z``'s
+    shape) as scratch if given, and returns it.
     """
-    shifted = z >> _SH30
+    if shifted is None:
+        shifted = np.empty_like(z)
+    np.right_shift(z, _SH30, out=shifted)
     z ^= shifted
     z *= _V_MULT1
     np.right_shift(z, _SH27, out=shifted)
@@ -252,8 +270,7 @@ def raw_block(gs: "GeneratorState | RowStates", n: int) -> np.ndarray:
     A single stream gives a vector; :class:`RowStates` give a (rows x n) grid.
     """
     rows, single = as_rows(gs)
-    steps = np.arange(1, n + 1, dtype=np.uint64)
-    z = _mix_words(rows.state[:, None] + steps * _V_GOLDEN)
+    z = _tiled(rows, n, np.uint64)
     return z[0] if single else z
 
 
@@ -267,15 +284,47 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
     gives a vector and a :class:`GeneratorState`.
     """
     rows, single = as_rows(gs)
-    w = raw_block(rows, n)
-    w >>= _SH11
-    u = w.astype(np.float64)
-    u += 0.5
-    u *= _SCALE
+    u = _tiled(rows, n, np.float64)
     u[u == 0.5] = _SNAP_ABOVE_HALF
     u[u == 1.0] = _SNAP_BELOW_ONE
     out = (u, rows.advanced(n))
     return one_row(out) if single else out
+
+
+def _tiled(rows: RowStates, n: int, dtype) -> np.ndarray:
+    """The (rows x n) grid of output words (``uint64``) or of their lattice
+    images before the snap (``float64``), made tile by tile.
+
+    A tile is a run of whole rows, or a stretch of one row when a row is
+    longer than ``_TILE`` cells (its stretches then split it evenly).  The
+    Weyl add, the scrambler and the lattice map of a tile run in two scratch
+    buffers of one tile, which stay in cache, and the tile is written
+    straight into the output.  Word ``k`` of a row is a pure function of the
+    row's state and ``k``, so the tiles change no bit.
+    """
+    out = np.empty((len(rows), n), dtype=dtype)
+    if not out.size:
+        return out
+    width = -(-n // -(-n // _TILE))  # cells of a row per tile
+    height = min(len(rows), max(1, _TILE // width))  # rows per tile
+    z, shifted = np.empty((2, height, width), dtype=np.uint64)
+    unit = dtype == np.float64
+    for r in range(0, len(rows), height):
+        state = rows.state[r:r + height, None]
+        for c in range(0, n, width):
+            tile = out[r:r + height, c:c + width]
+            h, w = tile.shape
+            words = z[:h, :w] if unit else tile
+            # word c + j of a row: the row's state advanced c + j + 1 steps
+            np.add(state, _STEPS[:w], out=words)
+            if c:
+                words += _U64((c * GOLDEN) & MASK64)
+            _mix_words(words, shifted[:h, :w])
+            if unit:  # ((word >> 11) + 0.5) * 2**-53: below 2**53, int64 converts exactly
+                words >>= _SH11
+                np.add(words.view(np.int64), 0.5, out=tile)
+                tile *= _SCALE
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -240,6 +240,26 @@ def test_sample_count_above_the_cap_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [(1 << 20) + 1, 10**15])
+def test_seed_count_above_the_cap_is_a_config_error(capsys, tmp_path, monkeypatch, count):
+    # 10^15 derived seeds would ask for petabytes before the first check;
+    # the count is refused before the seed list is built, so nothing is
+    # allocated and no seed runs
+    def never(*args, **kwargs):
+        raise AssertionError("the seed list was built for an uncapped count")
+
+    monkeypatch.setattr("clockcheck.config.derived_seeds", never)
+    _forbid_seeds(monkeypatch, never)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[experiment]\nseed_count = {count}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = _run("detect", "--config", bad, "--out", out)
+    assert code == 1
+    assert capsys.readouterr().err == (f"config error: [experiment] seed_count: must be "
+                                       f"<= 1048576 (2^20), got {count}\n")
+    assert not out.exists()
+
+
 _BAND_WARNING_ONE_SEED = ("warning: the flag band over 1 seed(s) at alpha 0.01 is 1, every "
                           "seed: no test can exceed it, so this run cannot exit 2\n")
 

@@ -654,6 +654,36 @@ def test_merge_arrays_orders_like_lexsort():
             assert merged.draw_indices.tolist()[4:6] == [2, 3]
 
 
+@pytest.mark.parametrize("n", [255, 256, 257, 1023, 1024, 1025])
+def test_merge_arrays_orders_collisions_like_lexsort(n):
+    # The merge sorts keys that keep a time's high bits and hold the event's
+    # position in the low ceil(log2 n) bits, which widen by one bit just
+    # above a power of two.  Times one ulp apart, within one clock and across
+    # clocks, and exact ties share their high bits, so their order comes
+    # from the exact (time, mark, position) repair; some clusters sit on a
+    # boundary of the low bits, so ulp neighbours fall on either side of it.
+    r = np.random.default_rng(n)
+    bases = r.uniform(0.0, 250.0, size=n // 4).view(np.uint64)
+    bases[::3] |= np.uint64(0x3FF)  # all ones in the low 10 bits
+    cluster = [np.nextafter(b, np.inf, dtype=np.float64) if k % 2 else b
+               for b in bases.view(np.float64) for k in range(int(r.integers(1, 5)))]
+    times = np.sort(np.array(cluster + [np.nextafter(c, np.inf) for c in cluster])[:n])
+    marks = r.integers(0, 6, size=n)  # a clock's events come in time order
+    draws = r.permutation(n)
+    parts = []
+    for clocks in ([4, 1], [0, 5, 2], [3]):  # parts hold several clocks, in no mark order
+        rows = np.concatenate([np.flatnonzero(marks == c) for c in clocks])
+        parts.append((times[rows], marks[rows], draws[rows]))
+    t, m, d = (np.concatenate(x) for x in zip(*parts))
+    assert t.size == n
+    assert (t[1:] == t[:-1]).any() and (np.nextafter(t[:-1], np.inf) == t[1:]).any()
+    order = np.lexsort((np.arange(n), m, t))
+    merged = process._merge_arrays(*map(list, zip(*parts)), n_clocks=6, total_draws=0)
+    assert merged.times.tobytes() == t[order].tobytes()
+    assert merged.marks.tolist() == m[order].tolist()
+    assert merged.draw_indices.tolist() == d[order].tolist()
+
+
 def test_merge_arrays_rejects_a_clock_out_of_order():
     with pytest.raises(RuntimeError):
         process._merge_arrays([np.array([1.0, 3.0, 2.0])], [np.array([0, 1, 1])],

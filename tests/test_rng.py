@@ -542,6 +542,69 @@ def test_unit_block_rows_equal_one_call_per_row():
     assert [same.row(r) for r in range(3)] == starts
 
 
+# The kernels make a grid in tiles of rng._TILE cells: a run of whole rows,
+# or an even stretch of one longer row.  These shapes put rows of 1, T - 1, T
+# and T + 1 cells, rows split over two or three tiles, and grids whose rows
+# fill some tiles and leave a short last one.
+_T = rng._TILE
+_TILE_SHAPES = [(1, 1), (3, 1), (1, _T - 1), (1, _T), (1, _T + 1), (2, _T + 1),
+                (1, 2 * _T + 3), (3, 3000), (5, 1639), (4, _T // 4 + 1)]
+
+
+def _oracle_words(rows, n):
+    # word k of each row: the one-draw generator step from the row's state
+    # advanced k steps
+    return [[mix64((int(s) + k * GOLDEN) & MASK64) for k in range(n)] for s in rows.state]
+
+
+def _check_grid_against_oracle(rows, n):
+    words = _oracle_words(rows, n)
+    assert rng.raw_block(rows, n).tolist() == words
+    units, new = rng.unit_block(rows, n)
+    assert units.tolist() == [[oracle.unit_from_word(w) for w in row] for row in words]
+    assert new.state.tolist() == [(int(s) + n * GOLDEN) & MASK64 for s in rows.state]
+    assert new.draw_count.tolist() == (rows.draw_count + n).tolist()
+    return units
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_TILE_SHAPES),
+    st.lists(st.integers(min_value=0, max_value=MASK64), min_size=5, max_size=5),
+    st.lists(st.integers(min_value=0, max_value=10**12), min_size=5, max_size=5),
+)
+def test_tiled_kernels_match_the_one_draw_oracle_across_tile_edges(shape, states, counts):
+    # rows stand at unequal states after unequal draw counts
+    n_rows, n = shape
+    rows = rng.RowStates(np.array(states[:n_rows], dtype=np.uint64),
+                         np.array(counts[:n_rows], dtype=np.int64))
+    units = _check_grid_against_oracle(rows, n)
+    one = rows.row(0)  # a single stream is the one-row case of the same tiles
+    assert rng.raw_block(one, n).tolist() == rng.raw_block(rows, n)[0].tolist()
+    u, after = rng.unit_block(one, n)
+    assert u.tolist() == units[0].tolist()
+    assert after == one.advanced(n)
+
+
+@pytest.mark.parametrize("word", [2**52 << 11, (2**53 - 1) << 11], ids=["half", "one"])
+@pytest.mark.parametrize("n_rows, n, row, col", [
+    (1, _T, 0, _T - 1),           # the last cell of a row's only tile
+    (1, 2 * _T, 0, _T - 1),       # the last cell of a row's first tile
+    (1, 2 * _T, 0, _T),           # the first cell of its second tile
+    (2, _T // 2, 1, _T // 2 - 1),  # the last cell of a two-row tile
+])
+def test_snap_words_on_tile_edges(word, n_rows, n, row, col):
+    # the cells that binary64 folds onto 0.5 and 1.0 are snapped inside,
+    # wherever a tile puts them
+    states = [substream(6, i).state for i in range(n_rows)]
+    states[row] = (_state_before_word(word) - col * GOLDEN) & MASK64
+    rows = rng.RowStates(np.array(states, dtype=np.uint64), np.arange(n_rows, dtype=np.int64))
+    units = _check_grid_against_oracle(rows, n)
+    assert rng.raw_block(rows, n)[row, col] == word
+    assert units[row, col] == oracle.unit_from_word(word)
+    assert units[row, col] not in (0.5, 1.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=MASK64),
