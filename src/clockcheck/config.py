@@ -73,7 +73,12 @@ _PLAN_KEYS = {
 }
 
 _TRANSFORM_NAMES = {"reflect": Reflect, "rotate_half": RotateHalf}
-_FAULT_KINDS = ("ideal", "power_bias", "low_thinning")
+#: each fault kind's model and its ``[fault]`` keys, in the model's argument order
+_FAULT_KINDS = {
+    "ideal": (lambda: IDEAL, ()),
+    "power_bias": (PowerBias, ("gamma",)),
+    "low_thinning": (LowThinning, ("c", "q")),
+}
 
 
 class ConfigError(ValueError):
@@ -180,33 +185,17 @@ def _parse_fault(section: _Section) -> FaultModel:
     kind = (section.raw("kind") or "ideal").strip().lower()
     if kind not in _FAULT_KINDS:
         raise ConfigError(f"[fault] kind: unknown kind {kind!r} "
-                          f"(expected one of {_FAULT_KINDS})")
-    present = {k for k in ("gamma", "c", "q") if section.raw(k) is not None}
-    if kind == "ideal":
-        if present:
-            raise ConfigError(f"[fault] {sorted(present)[0]}: not valid for kind=ideal")
-        return IDEAL
-    if kind == "power_bias":
-        if present - {"gamma"}:
-            offender = sorted(present - {"gamma"})[0]
-            raise ConfigError(f"[fault] {offender}: not valid for kind=power_bias")
-        if "gamma" not in present:
-            raise ConfigError("[fault] gamma: required for kind=power_bias")
-        gamma = section.typed("gamma", float, None)
-        try:
-            return PowerBias(gamma)
-        except ValueError as exc:
-            raise ConfigError(f"[fault] gamma: {exc}") from None
-    if present - {"c", "q"}:
-        raise ConfigError("[fault] gamma: not valid for kind=low_thinning")
-    if present != {"c", "q"}:
-        missing = sorted({"c", "q"} - present)[0]
-        raise ConfigError(f"[fault] {missing}: required for kind=low_thinning")
-    c, q = section.typed("c", float, None), section.typed("q", float, None)
+                          f"(expected one of {tuple(_FAULT_KINDS)})")
+    model, keys = _FAULT_KINDS[kind]
+    present = set(section.items) - {"kind"}
+    for problem, names in (("not valid", present - set(keys)), ("required", set(keys) - present)):
+        if names:
+            raise ConfigError(f"[fault] {sorted(names)[0]}: {problem} for kind={kind}")
+    args = [section.typed(key, float, None) for key in keys]
     try:
-        return LowThinning(c, q)
+        return model(*args)
     except ValueError as exc:
-        raise ConfigError(f"[fault] c/q: {exc}") from None
+        raise ConfigError(f"[fault] {'/'.join(keys)}: {exc}") from None
 
 
 def _parse_transform(section: _Section) -> Optional[Transform]:

@@ -299,7 +299,7 @@ def _marks_evidence(traj: Trajectory, name: str) -> list[Evidence]:
 
 def _bit_equal(a: Trajectory, b: Trajectory) -> bool:
     """Whether two runs are the same bits: times, marks, draw indices,
-    ``total_draws`` and ``n_clocks`` (the per-clock determinism predicate)."""
+    ``total_draws`` and ``n_clocks``; the one test of trajectory identity."""
     return a is b or (
         a.total_draws == b.total_draws
         and a.n_clocks == b.n_clocks
@@ -630,12 +630,12 @@ def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]
 
     Each distinct cell is simulated once: cells with equal configs (every
     mapping at P = 1; ``blocks`` and ``round_robin`` at P = N) share one
-    trajectory through the seed's memo.  A per-clock cell bit-equal to the
-    seed's first per-clock run is replaced by that run, in the memo too, as
-    soon as it is simulated, so equal cells are held once; an unequal cell
-    is kept, and the cross-parallel check flags it.  The memo keeps the
-    first per-clock run as simulated, so under ``debug_corrupt_per_clock``
-    an equal-config twin is compared with the uncorrupted run and breaches.
+    trajectory through the seed's memo.  Here alone is it decided which runs
+    are one trajectory: a cell ``_bit_equal`` to an earlier run of the seed
+    is replaced by that run, in the memo too, so equal cells are held once.
+    Under ``debug_corrupt_per_clock`` the corrupted first per-clock cell is
+    shared with no one and never enters the memo, so an equal-config twin
+    is compared with the uncorrupted run and breaches.
 
     The serial run's pace, its events per clock per unit time, sizes the
     first pass of every parallel run of the seed, so a per-clock cell
@@ -651,7 +651,7 @@ def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]
     pairings: list[PairingRecord] = []
     parallel_cells: list[tuple[ParallelConfig, Trajectory]] = []
     gap_stats = GapMemo()  # this seed's pairings share each distinct gap sample
-    first_per_clock = None
+    corrupt = plan.debug_corrupt_per_clock
     memo: dict[ParallelConfig, Trajectory] = {}
     for mode in plan.stream_modes:
         for workers in plan.worker_counts:
@@ -668,13 +668,11 @@ def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]
                     stream_mode=mode,
                 )
                 traj = simulate_parallel(cfg, memo, pace=pace)
-                if mode is StreamMode.PER_CLOCK:
-                    if first_per_clock is None:
-                        if plan.debug_corrupt_per_clock:
-                            traj = _corrupted(traj)
-                        first_per_clock = traj
-                    elif _bit_equal(first_per_clock, traj):
-                        traj = memo[cfg] = first_per_clock
+                if corrupt and mode is StreamMode.PER_CLOCK:
+                    traj, corrupt = _corrupted(traj), False
+                else:  # the memo holds traj, after any earlier twin of it
+                    traj = memo[cfg] = next(t for t in (serial, *memo.values())
+                                            if _bit_equal(t, traj))
                 label = f"P{workers}-{mapping_name}-{mode.value}"
                 runs.append((label, traj))
                 parallel_cells.append((cfg, traj))

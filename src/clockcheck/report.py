@@ -22,8 +22,9 @@ Output contract, relied on by regression tests:
   benchmark's trajectories.  0.24-0.33 µs of CPU a row on a 2-vCPU host,
   against 1.0-1.7 µs with one ``%``-format call per chunk.  A
   seed's runs are often the same trajectory (per-clock runs agree bit for
-  bit under any worker count or mapping), so each distinct trajectory is
-  formatted once per seed and its twins' files are copies of that file.
+  bit under any worker count or mapping), held as one object by the driver:
+  each distinct trajectory is formatted once per seed, and a run that is an
+  earlier run's object gets a copy of that run's file.
 * ``summary.csv`` — header ``seed,pairing,test,statistic,p_value,verdict``;
   one row per evidence item per pairing (plus the fix before/after blocks
   and discard rate when a fix is configured).
@@ -53,8 +54,6 @@ from .process import Trajectory
 
 __all__ = [
     "sanitize",
-    "report_json_text",
-    "summary_rows",
     "write_report_bundle",
     "EventWriter",
     "SUMMARY_HEADER",
@@ -95,30 +94,9 @@ def sanitize(obj):
     return obj
 
 
-def report_json_text(report: ComparisonReport, generated_at: Optional[str] = None) -> str:
-    return _json_text(sanitize(report.as_dict()), generated_at)
-
-
-def _json_text(clean: dict, generated_at: Optional[str]) -> str:
-    body = dict(clean, generated_at=generated_at or datetime.now(timezone.utc).isoformat())
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def summary_rows(report: ComparisonReport) -> list[tuple]:
-    """Flatten the report into summary-CSV rows, from the sanitized dict the
+def _summary_table(clean: dict) -> list[tuple]:
+    """Flatten the sanitised report into summary-CSV rows, from the dict the
     JSON writer uses, so the two outputs agree to the byte."""
-    return _summary_rows(sanitize(report.as_dict()))
-
-
-def _summary_rows(clean: dict) -> list[tuple]:
     rows = []
     for sr in clean["seed_reports"]:
         seed, fix = sr["seed"], sr["fix"]
@@ -373,30 +351,15 @@ def _write_events_csv(path: Path, traj: Trajectory) -> None:
                                traj.draw_indices[lo:lo + _CSV_ROWS]))
 
 
-def _time_bits(traj: Trajectory) -> np.ndarray:
-    return np.asarray(traj.times, dtype=np.float64).view(np.uint64)
-
-
-def _same_rows(a: Trajectory, b: Trajectory) -> bool:
-    """Whether ``a`` and ``b`` give the same event-CSV bytes: the same object,
-    or bit-equal times (``0.0`` and ``-0.0`` print apart) and equal marks
-    and draw indices."""
-    return a is b or (
-        len(a) == len(b)
-        and np.array_equal(_time_bits(a), _time_bits(b))
-        and np.array_equal(a.marks, b.marks)
-        and np.array_equal(a.draw_indices, b.draw_indices)
-    )
-
-
 class EventWriter:
     """Writes each seed's event CSVs under ``out_dir`` as the seed finishes.
 
     Pass it as ``run_experiment``'s ``on_seed``; ``paths`` lists the files
     written so far, in order, for :func:`write_report_bundle`.  The
-    directory is made at once, before any seed runs.  A run whose rows equal
-    an earlier run's of the same seed gets a copy of that run's file, so
-    each distinct trajectory is formatted once per seed.
+    directory is made at once, before any seed runs.  A run that is the
+    same object as an earlier run of the seed gets a copy of that run's
+    file: ``run_experiment`` holds each distinct trajectory of a seed as one
+    object, so each is formatted once per seed.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
@@ -405,15 +368,14 @@ class EventWriter:
         self.paths: list[Path] = []
 
     def __call__(self, seed: int, runs: Sequence[tuple[str, Trajectory]]) -> None:
-        formatted: list[tuple[Trajectory, Path]] = []
+        formatted: dict[int, Path] = {}  # the file of each trajectory object, by id
         for label, traj in runs:
             path = self.out_dir / f"events_seed{seed}_{label}.csv"
-            twin = next((p for t, p in formatted if _same_rows(t, traj)), None)
-            if twin is None:
-                _write_events_csv(path, traj)
-                formatted.append((traj, path))
+            if id(traj) in formatted:
+                shutil.copyfile(formatted[id(traj)], path)
             else:
-                shutil.copyfile(twin, path)
+                _write_events_csv(path, traj)
+                formatted[id(traj)] = path
             self.paths.append(path)
 
 
@@ -433,14 +395,14 @@ def write_report_bundle(
     written: dict = {"events": list(events)}
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(_json_text(clean, generated_at), encoding="utf-8")
+        body = dict(clean, generated_at=generated_at or datetime.now(timezone.utc).isoformat())
+        path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         written["report"] = path
     if "csv" in formats:
         path = out / "summary.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_HEADER)
-            for row in _summary_rows(clean):
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(_summary_table(clean))  # None as "", a float as its repr
         written["summary"] = path
     return written

@@ -81,7 +81,6 @@ __all__ = [
     "substream",
     "substream_rows",
     "unit_block",
-    "raw_block",
     "as_rows",
     "one_row",
     "fault_block",
@@ -264,16 +263,6 @@ def one_row(result: tuple) -> tuple:
     )
 
 
-def raw_block(gs: "GeneratorState | RowStates", n: int) -> np.ndarray:
-    """The next ``n`` output words of each row as ``uint64`` (state not consumed).
-
-    A single stream gives a vector; :class:`RowStates` give a (rows x n) grid.
-    """
-    rows, single = as_rows(gs)
-    z = _tiled(rows, n, np.uint64)
-    return z[0] if single else z
-
-
 def unit_block(gs: "GeneratorState | RowStates", n: int):
     """``n`` unit samples per row plus the advanced state.
 
@@ -284,16 +273,16 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
     gives a vector and a :class:`GeneratorState`.
     """
     rows, single = as_rows(gs)
-    u = _tiled(rows, n, np.float64)
+    u = _tiled(rows, n)
     u[u == 0.5] = _SNAP_ABOVE_HALF
     u[u == 1.0] = _SNAP_BELOW_ONE
     out = (u, rows.advanced(n))
     return one_row(out) if single else out
 
 
-def _tiled(rows: RowStates, n: int, dtype) -> np.ndarray:
-    """The (rows x n) grid of output words (``uint64``) or of their lattice
-    images before the snap (``float64``), made tile by tile.
+def _tiled(rows: RowStates, n: int) -> np.ndarray:
+    """The (rows x n) grid of the output words' lattice images before the
+    snap, made tile by tile.
 
     A tile is a run of whole rows, or a stretch of one row when a row is
     longer than ``_TILE`` cells (its stretches then split it evenly).  The
@@ -302,28 +291,27 @@ def _tiled(rows: RowStates, n: int, dtype) -> np.ndarray:
     straight into the output.  Word ``k`` of a row is a pure function of the
     row's state and ``k``, so the tiles change no bit.
     """
-    out = np.empty((len(rows), n), dtype=dtype)
+    out = np.empty((len(rows), n), dtype=np.float64)
     if not out.size:
         return out
     width = -(-n // -(-n // _TILE))  # cells of a row per tile
     height = min(len(rows), max(1, _TILE // width))  # rows per tile
     z, shifted = np.empty((2, height, width), dtype=np.uint64)
-    unit = dtype == np.float64
     for r in range(0, len(rows), height):
         state = rows.state[r:r + height, None]
         for c in range(0, n, width):
             tile = out[r:r + height, c:c + width]
             h, w = tile.shape
-            words = z[:h, :w] if unit else tile
+            words = z[:h, :w]
             # word c + j of a row: the row's state advanced c + j + 1 steps
             np.add(state, _STEPS[:w], out=words)
             if c:
                 words += _U64((c * GOLDEN) & MASK64)
             _mix_words(words, shifted[:h, :w])
-            if unit:  # ((word >> 11) + 0.5) * 2**-53: below 2**53, int64 converts exactly
-                words >>= _SH11
-                np.add(words.view(np.int64), 0.5, out=tile)
-                tile *= _SCALE
+            # ((word >> 11) + 0.5) * 2**-53: below 2**53, int64 converts exactly
+            words >>= _SH11
+            np.add(words.view(np.int64), 0.5, out=tile)
+            tile *= _SCALE
     return out
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "kolmogorov_sf",
     "uniform_cdf",
     "binomial_upper_band",
+    "BAND_TAIL",
     "MIN_KS_N",
 ]
 
@@ -41,6 +42,8 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 
 #: below this sample size KS p-values are refused (statistic still computed)
 MIN_KS_N = 8
+#: the chance, under the null, that a test's flag count passes its band
+BAND_TAIL = 1e-6
 
 _WELFORD_CHUNK = 1 << 16  # values summarize turns into Python floats at a time
 _KS_CHUNK = 1 << 13  # sorted pooled keys ks_two_sample reads at a time
@@ -288,8 +291,8 @@ def uniform_cdf(x: ArrayLike) -> np.ndarray:
     return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
 
-def binomial_upper_band(n: int, p: float, tail: float = 1e-6) -> int:
-    """Smallest B with P(Binomial(n, p) > B) < tail.
+def binomial_upper_band(n: int, p: float) -> int:
+    """Smallest B with P(Binomial(n, p) > B) < :data:`BAND_TAIL`.
 
     Used to turn "false-alarm rate ~= p over n independent seeds" into a
     hard ceiling on flag counts: e.g. B = 8 at (n=100, p=0.01).  The tail
@@ -300,5 +303,5 @@ def binomial_upper_band(n: int, p: float, tail: float = 1e-6) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     survival = bdtrc(np.arange(n + 1), n, p)  # P(Binomial(n, p) > B) for each B
-    below = np.flatnonzero(survival < tail)
+    below = np.flatnonzero(survival < BAND_TAIL)
     return int(below[0]) if below.size else n

@@ -594,13 +594,41 @@ def test_equal_per_clock_records_share_one_trajectory():
     assert len({id(t) for t in per_worker}) == 3
 
     # after a [debug] breach the corrupted first cell shares with no one,
-    # while the two sound cells, bit-equal to each other, are still simulated
-    # and kept apart
+    # while the two sound cells, bit-equal to each other, are one object
     report, (runs,) = _run_keeping_trajectories(
         dataclasses.replace(plan, debug_corrupt_per_clock=True))
     assert report.any_breach
     per_clock = [t for label, t in runs if label.endswith("per_clock")]
-    assert len({id(t) for t in per_clock}) == 3
+    assert len({id(t) for t in per_clock}) == 2
+    corrupted, sound, twin = per_clock
+    assert twin is sound and not detector._bit_equal(corrupted, sound)
+
+
+def test_any_parallel_cell_bit_equal_to_an_earlier_run_is_held_as_it(monkeypatch):
+    # The driver's one identity rule holds for per-worker cells too.  Here
+    # every per-worker simulation returns a fresh object with the P1 cell's
+    # bits, so the P2 and P4 cells become the P1 run, and in the memo too:
+    # by the seed's cross-parallel check, while the memo still lives, only
+    # the first simulation is alive.
+    plan = _small_plan(seeds=(0,), worker_counts=(1, 2, 4),
+                       stream_modes=(StreamMode.PER_WORKER,))
+    first_cell = _cells(plan, 0)[0]
+    real = process._simulate_per_worker
+    simulated = []
+
+    def copy_of_first(cfg, pace):
+        traj = real(first_cell, pace)
+        simulated.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(process, "_simulate_per_worker", copy_of_first)
+    alive = _alive_at_cross_check(monkeypatch, simulated)
+    report, (runs,) = _run_keeping_trajectories(plan)
+    assert [label for label, _ in runs] == [
+        "serial", "P1-blocks-per_worker", "P2-blocks-per_worker", "P4-blocks-per_worker"]
+    assert runs[3][1] is runs[2][1] is runs[1][1]
+    assert alive == [[True, False, False]]
+    assert not report.any_breach
 
 
 def test_equal_config_cells_are_simulated_once(monkeypatch):
@@ -633,9 +661,20 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     assert [p.verdict for p in sr.pairings] == expected
 
 
+def _alive_at_cross_check(monkeypatch, simulated):
+    # which weakly held simulations are alive when the seed's cross-parallel
+    # check runs: the compare stage's memo is alive then too
+    alive = []
+    real = detector.cross_parallel_compare
+    monkeypatch.setattr(detector, "cross_parallel_compare", lambda *args, **kwargs: alive.append(
+        [ref() is not None for ref in simulated]) or real(*args, **kwargs))
+    return alive
+
+
 def test_the_memo_lets_replaced_cells_go(monkeypatch):
     # Cells bit-equal to the first per-clock run are replaced by it, in the
-    # memo too: while the seed's sink runs, only the first of the three
+    # memo too: by the seed's cross-parallel check, while the memo still
+    # lives, and while the seed's sink runs, only the first of the three
     # per-clock simulations is still alive.
     simulated = []
     real = process._simulate_per_clock
@@ -646,11 +685,11 @@ def test_the_memo_lets_replaced_cells_go(monkeypatch):
         return traj
 
     monkeypatch.setattr(process, "_simulate_per_clock", kept_weakly)
-    alive = []
+    alive = _alive_at_cross_check(monkeypatch, simulated)
     detector.run_experiment(
         _small_plan(seeds=(0,), worker_counts=(1, 2, 4)),
         on_seed=lambda seed, runs: alive.append([ref() is not None for ref in simulated]))
-    assert alive == [[True, False, False]]
+    assert alive == [[True, False, False]] * 2
 
 
 def test_equal_config_twin_of_a_corrupted_cell_still_breaches():

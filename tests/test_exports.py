@@ -1,7 +1,10 @@
-"""Every exported name resolves: ``clockcheck.__all__`` and each module's."""
+"""Every exported name resolves: ``clockcheck.__all__`` and each module's;
+and every top-level definition of the package is used by the package."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +26,36 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from clockcheck import *", namespace)
     assert set(clockcheck.__all__) <= namespace.keys()
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and constants a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_top_level_definition_is_used_by_the_package():
+    # Code that only a test reaches, or that is only re-exported, goes: each
+    # top-level function, class or constant of a module must be loaded by
+    # some module of the package or imported by name into one.  The
+    # package's __init__ re-exports the public surface, so its imports do
+    # not count.
+    source = Path(clockcheck.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(source.glob("*.py"))}
+    used = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
+                used.update(alias.name for alias in node.names)
+    unused = [f"{name}:{n}" for name, tree in trees.items()
+              for n in _top_level_names(tree) if n not in used]
+    assert unused == []

@@ -18,13 +18,7 @@ import oracle
 from clockcheck import cli, detector, process, report
 from clockcheck.detector import Evidence, ExperimentPlan, RunRecord
 from clockcheck.process import StreamMode, Trajectory
-from clockcheck.report import (
-    EVENTS_HEADER,
-    SUMMARY_HEADER,
-    report_json_text,
-    sanitize,
-    summary_rows,
-)
+from clockcheck.report import EVENTS_HEADER, SUMMARY_HEADER, sanitize
 from clockcheck.rng import IDEAL, LowThinning
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
 
@@ -145,25 +139,32 @@ def test_report_shapes_outside_the_benchmark_are_pinned(
     assert _report_digest(tmp_path) == digest
 
 
-def test_report_json_text_is_deterministic_given_timestamp(small_report):
-    a = report_json_text(small_report, generated_at="T")
-    b = report_json_text(small_report, generated_at="T")
+def test_report_json_text_is_deterministic_given_timestamp(tmp_path, small_report):
+    a, b = (report.write_report_bundle(small_report, tmp_path / name, formats=("json",),
+                                       generated_at="T")["report"].read_bytes()
+            for name in ("a", "b"))
     assert a == b
-    assert a.endswith("\n")
+    assert a.endswith(b"\n")
     body = json.loads(a)
     assert body["generated_at"] == "T"
     assert body["schema_version"] == 1
 
 
-def test_summary_rows_cover_pairings_and_fix(small_report):
-    rows = summary_rows(small_report)
+def test_summary_rows_cover_pairings_and_fix(tmp_path, small_report):
+    path = report.write_report_bundle(small_report, tmp_path, formats=("csv",))["summary"]
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert tuple(header) == SUMMARY_HEADER
     assert all(len(r) == len(SUMMARY_HEADER) for r in rows)
+    for r in rows:  # statistic and p-value: a float's repr, or "" for None
+        assert all(cell == "" or repr(float(cell)) == cell for cell in r[3:5])
+    assert any(r[4] == "" for r in rows)
     pairing_labels = {r[1] for r in rows}
     assert "serial_vs_P1-blocks-per_clock" in pairing_labels
     assert "fix_before" in pairing_labels and "fix_after" in pairing_labels
     rate_rows = [r for r in rows if r[2] == "discard_rate"]
     assert len(rate_rows) == 1
-    assert rate_rows[0][3] == pytest.approx(0.5, abs=0.02)
+    assert float(rate_rows[0][3]) == pytest.approx(0.5, abs=0.02)
 
 
 def test_write_report_bundle_respects_formats(tmp_path, small_run):
@@ -329,16 +330,6 @@ def test_each_distinct_trajectory_is_formatted_once_per_seed(
     assert len(writer.paths) == 2 * n_runs
     assert names == [f"events_seed{seed}_{label}.csv" for seed in (4, 9) for label in formatted]
     _assert_match_oracle(writer.paths, trajectories)
-
-
-def test_equal_content_in_a_distinct_object_is_copied(tmp_path, monkeypatch):
-    monkeypatch.setattr(report, "_CSV_ROWS", 3)
-    names = _count_formats(monkeypatch)
-    a = _random_trajectory(8, seed=3)
-    b = _trajectory(a.times.copy(), a.marks.copy(), a.draw_indices.copy())
-    paths = _write_events(tmp_path, [a, b, a])
-    assert names == ["events_seed0_t0.csv"]
-    _assert_match_oracle(paths, [a, b, a])
 
 
 @pytest.mark.parametrize("change", ["time", "negative_zero", "mark", "draw_index", "length"])

@@ -28,7 +28,6 @@ from clockcheck.rng import (
     clock_stream,
     derived_seeds,
     fault_label,
-    raw_block,
     substream,
     worker_stream,
 )
@@ -63,11 +62,12 @@ def test_sequence_from_state_zero_matches_frozen_vectors():
     assert tuple(words) == _FROZEN_SEQUENCE
 
 
-def test_raw_block_matches_frozen_vectors():
-    words = raw_block(GeneratorState(0), 3)
-    assert tuple(int(w) for w in words) == _FROZEN_SEQUENCE
-    # raw_block peeks ahead without consuming; stepping the state by hand
-    # must land on the same third word.
+def test_unit_block_matches_frozen_vectors():
+    units, after = rng.unit_block(GeneratorState(0), 3)
+    assert units.tolist() == [oracle.unit_from_word(w) for w in _FROZEN_SEQUENCE]
+    # unit_block consumes its draws; stepping the state by hand must land on
+    # the same third word.
+    assert after == GeneratorState(0).advanced(3)
     assert mix64(GeneratorState(0).advanced(2).state) == _FROZEN_SEQUENCE[2]
 
 
@@ -559,12 +559,11 @@ def _oracle_words(rows, n):
 
 def _check_grid_against_oracle(rows, n):
     words = _oracle_words(rows, n)
-    assert rng.raw_block(rows, n).tolist() == words
     units, new = rng.unit_block(rows, n)
     assert units.tolist() == [[oracle.unit_from_word(w) for w in row] for row in words]
     assert new.state.tolist() == [(int(s) + n * GOLDEN) & MASK64 for s in rows.state]
     assert new.draw_count.tolist() == (rows.draw_count + n).tolist()
-    return units
+    return units, words
 
 
 @settings(max_examples=30, deadline=None)
@@ -578,9 +577,8 @@ def test_tiled_kernels_match_the_one_draw_oracle_across_tile_edges(shape, states
     n_rows, n = shape
     rows = rng.RowStates(np.array(states[:n_rows], dtype=np.uint64),
                          np.array(counts[:n_rows], dtype=np.int64))
-    units = _check_grid_against_oracle(rows, n)
+    units, _ = _check_grid_against_oracle(rows, n)
     one = rows.row(0)  # a single stream is the one-row case of the same tiles
-    assert rng.raw_block(one, n).tolist() == rng.raw_block(rows, n)[0].tolist()
     u, after = rng.unit_block(one, n)
     assert u.tolist() == units[0].tolist()
     assert after == one.advanced(n)
@@ -599,8 +597,8 @@ def test_snap_words_on_tile_edges(word, n_rows, n, row, col):
     states = [substream(6, i).state for i in range(n_rows)]
     states[row] = (_state_before_word(word) - col * GOLDEN) & MASK64
     rows = rng.RowStates(np.array(states, dtype=np.uint64), np.arange(n_rows, dtype=np.int64))
-    units = _check_grid_against_oracle(rows, n)
-    assert rng.raw_block(rows, n)[row, col] == word
+    units, words = _check_grid_against_oracle(rows, n)
+    assert words[row][col] == word
     assert units[row, col] == oracle.unit_from_word(word)
     assert units[row, col] not in (0.5, 1.0)
 
