@@ -18,9 +18,16 @@ the two sides differently.
 Draws pass through a three-stage pipeline: fault model (the injected
 defect), optional measure-preserving transform, optional window
 rejection-rescale repair.  ``pipeline_block`` is the one implementation of
-that pipeline; every simulator and every detector stage draws through it in
-numpy blocks, of one stream or of a grid of streams, one per row.  The tests keep a one-draw-at-a-time twin of the pipeline and
-the simulators as an oracle and require bit-identical results.
+that pipeline, in numpy blocks of one stream or of a grid of streams, one
+per row; every simulator and detector stage draws through it.  The serial
+and per-clock runs call it a tile at a time (``_pass_tiles``): when every
+sample is one raw draw (no thinning, no window), a pass is made in blocks of
+about ``TILE_CELLS`` cells, each a stretch of columns of the rows that have
+not yet passed the horizon, and each goes from generator words to kept
+events while it is in cache; a pass stops making tiles once its rows have
+passed the horizon.  Any other pass is one tile.  The tests keep a
+one-draw-at-a-time twin of the pipeline and the simulators as an oracle and
+require bit-identical results.
 
 Horizon rule: an event whose time would exceed the horizon is suppressed
 (its time draw is still consumed), and the trajectory ends at the last
@@ -50,6 +57,7 @@ from .rng import (
     IDEAL,
     LowThinning,
     RowStates,
+    TILE_CELLS,
     as_rows,
     clock_stream,
     fault_block,
@@ -292,6 +300,68 @@ def _ticks_to_pass(left: float, pace: float, cap: int) -> int:
     return max(1, int(min(mean + 5.0 * math.sqrt(mean) + 32.0, cap)))
 
 
+def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.ndarray,
+                align: int = 1):
+    """A pass of ``n`` pipeline samples per row, as tiles that each hold a
+    stretch of columns of the live rows: yields ``(live, samples,
+    at_draw)``, :func:`pipeline_block`'s samples and draw counts for the
+    rows ``live`` lists.  Those are the rows still set in ``alive``, which
+    the caller clears as its rows finish; the pass ends when no row is left.
+
+    When every sample is one raw draw (``Ideal`` or ``PowerBias``, any
+    transform, no window), a tile is a block of about ``TILE_CELLS`` cells
+    (columns a multiple of ``align``, but the last), and its column ``j`` is
+    sample ``c + j`` of a row: the pipeline from the row's state ``c`` draws
+    on.  Any other pass is one tile.  The caller may overwrite a tile.
+    """
+    per_draw = window is None and not isinstance(fault, LowThinning)
+    c = 0
+    while c < n:
+        live = np.flatnonzero(alive)
+        if not live.size:
+            return
+        w = min(n - c, max(align, TILE_CELLS // live.size // align * align)) if per_draw else n
+        samples, at_draw, _, _ = pipeline_block(fault, transform, window,
+                                                rows.take(live).advanced(c), w)
+        yield live, samples, at_draw
+        c += w
+
+
+class _Events:
+    """The time, mark and draw-count columns that a run's passes write
+    their kept events into, end to end.  Room is made ahead for the events
+    a run expects; a tile that overflows it grows the columns by a quarter
+    more.  :meth:`take` cuts the columns to the events written, in place."""
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.columns = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def reserve(self, events: int) -> None:
+        """Room for ``events`` more, in new columns: numpy hints huge pages
+        for a large new array, which the merge's gathers need, and a grown
+        one gets none."""
+        if self.size + events > self.columns[0].size:
+            columns = tuple(np.empty(self.size + events, dtype=c.dtype) for c in self.columns)
+            for new, old in zip(columns, self.columns):
+                new[:self.size] = old[:self.size]
+            self.columns = columns
+
+    def put(self, times: np.ndarray, marks, draws) -> None:
+        if self.size + times.size > self.columns[0].size:
+            self.reserve(times.size + self.size // 4)
+        lo, self.size = self.size, self.size + times.size
+        for column, values in zip(self.columns, (times, marks, draws)):
+            column[lo:self.size] = values
+
+    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three columns, cut to the events written; the buffer lets go of them."""
+        columns, self.columns = self.columns, ()
+        for column in columns:
+            column.resize(self.size, refcheck=False)
+        return columns
+
+
 # --------------------------------------------------------------------------
 # simulators
 
@@ -309,35 +379,37 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     unit time, and each later one the pace the run has shown so far.  Each
     pass goes on from the stream state and the time the last one reached, so
     the pass size changes no bit of the result.
+
+    A pass is drawn in tiles of whole (time, mark) pairs
+    (:func:`_pass_tiles`): each tile's times are summed on from the last
+    tile's, and its events up to the horizon are written straight into the
+    run's columns, with the draw count after each mark.  No tile after the
+    suppressed event is made.
     """
     n = cfg.n_clocks
-    gs = substream(cfg.seed, SERIAL_STREAM)
-    now, pace, events = 0.0, 1.0, 0  # pace: events per clock per unit time
-    parts_t, parts_m, parts_d = [], [], []
+    rows = substream_rows(cfg.seed, [SERIAL_STREAM])
+    now, pace = 0.0, 1.0  # pace: events per clock per unit time
+    events = _Events()
+    alive = np.ones(1, dtype=bool)
     while True:
         m = 2 * _ticks_to_pass(n * (cfg.horizon - now), pace, MAX_PASS_CELLS // 2)
-        samples, at_draw, _, _ = pipeline_block(cfg.fault, cfg.transform, cfg.fix_window, gs, m)
-        times = np.log(samples[0::2])  # the gaps, -log(u1) / N, summed in place
-        np.negative(times, out=times)
-        times /= n
-        times[0] += now
-        np.cumsum(times, out=times)
-        k = int(np.searchsorted(times, cfg.horizon, side="right"))
-        # a view of the pass's times, copied when over half the pass is slack
-        parts_t.append(times[:k] if 2 * k >= times.size else times[:k].copy())
-        parts_m.append(np.minimum((samples[1::2][:k] * n).astype(np.int64), n - 1))
-        parts_d.append(at_draw[1:2 * k:2])
-        if k < times.size:  # saw the suppressed event
-            return Trajectory(
-                times=_join(parts_t, np.float64),
-                marks=_join(parts_m, np.int64),
-                draw_indices=_join(parts_d, np.int64),
-                total_draws=int(at_draw[2 * k]),
-                n_clocks=n,
-            )
-        gs = gs.advanced(int(at_draw[-1]) - gs.draw_count)
-        now, events = float(times[-1]), events + k
-        pace = events / (n * now)
+        events.reserve(m // 2)
+        for _, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
+                                               rows, m, alive, align=2):
+            u, at = samples[0], at_draw[0]
+            times = np.log(u[0::2])  # the gaps, -log(u1) / N, summed on from now
+            np.negative(times, out=times)
+            times /= n
+            times[0] += now
+            np.cumsum(times, out=times)
+            k = int(np.searchsorted(times, cfg.horizon, side="right"))
+            events.put(times[:k], np.minimum((u[1:2 * k:2] * n).astype(np.int64), n - 1),
+                       at[1:2 * k:2])
+            if k < times.size:  # the suppressed event: no tile after it is made
+                return Trajectory(*events.take(), total_draws=int(at[2 * k]), n_clocks=n)
+            now = float(times[-1])
+        rows = rows.advanced(at[-1] - rows.draw_count)
+        pace = events.size / (n * now)
 
 
 def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None,
@@ -366,58 +438,68 @@ def _simulate_per_clock(cfg: ParallelConfig, pace: float) -> Trajectory:
     """Each worker's clocks run as the rows of one grid, merged across workers.
 
     Row ``r`` of a worker's grid is the stream of its ``r``-th clock
-    (``mapping == w``, ascending id); a pass draws the same number of
+    (``mapping == w``, ascending id); a pass takes up to the same number of
     pipeline samples for every row, cumulative-sums each row from the
-    clock's current time and cuts it at the horizon.  The first pass is
-    sized to the ticks a clock needs to pass the horizon at ``pace``, plus a
-    margin (:func:`_ticks_to_pass`), so at the expected pace a row almost
-    always ends in it.  A row that has not passed the horizon by the end of
-    a pass goes on in the next pass from its advanced state; that pass is
-    sized to what the earliest live row still needs at its pace so far.  A
-    worker's rows are taken in batches of at most ``MAX_PASS_CELLS``
-    samples a pass; the window, if any, draws its own multiple of that in
-    batches of the same bound.  A stream's samples do not depend on how
-    many are asked for, so the pass sizes change no bit of the result.
+    clock's current time and cuts it at the horizon.  It is drawn tile by
+    tile (:func:`_pass_tiles`), each tile a stretch of columns of the rows
+    that have not yet passed the horizon: the sums go on from the last
+    tile's, a row drops out of the tiles once it has passed the horizon, and
+    each tile's kept events go, row by row, straight into columns sized for
+    the events the bank needs at ``pace``, which the merge then reads.  The
+    first pass is sized to the ticks a clock needs to pass the horizon at
+    ``pace``, plus a margin (:func:`_ticks_to_pass`), so at the expected
+    pace a row almost always ends in it.  A row that has not passed the
+    horizon by the end of a pass goes on in the next pass from its advanced
+    state; that pass is sized to what the earliest live row still needs at
+    its pace so far.  A worker's rows are taken in batches of at most
+    ``MAX_PASS_CELLS`` samples a pass; the window, if any, draws its own
+    multiple of that in batches of the same bound.  A stream's samples do
+    not depend on how many are asked for, so the pass sizes change no bit
+    of the result.
     """
     mapping = np.asarray(cfg.mapping)
     width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
     batch = max(1, MAX_PASS_CELLS // width)
-    parts = ([], [], [])  # times, marks, draw counts
+    events = _Events()
+    # the events the bank needs to pass the horizon at the pace, plus a margin
+    events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
         for lo in range(0, clocks.size, batch):
-            total += _clock_grid(cfg, clocks[lo:lo + batch], width, *parts)
-    return _merge_arrays(*parts, n_clocks=cfg.n_clocks, total_draws=total)
+            total += _clock_grid(cfg, clocks[lo:lo + batch], width, events)
+    return _merge_arrays(*([column] for column in events.take()),
+                         n_clocks=cfg.n_clocks, total_draws=total)
 
 
-def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int,
-                parts_t: list, parts_m: list, parts_d: list) -> int:
+def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int, events: _Events) -> int:
     """Draw ``clocks`` as grid rows, ``width`` samples a row in the first
-    pass, append each pass's (times, marks, draw counts), flattened row by
-    row, to the three lists, and return the raw draws the rows consumed."""
+    pass, write each tile's kept events, row by row, into ``events``, and
+    return the raw draws the rows consumed."""
     rows = substream_rows(cfg.seed, clock_stream(clocks))
-    now = np.zeros(clocks.size)
+    now = np.zeros(clocks.size)  # each row's time, at the end of its last tile
     consumed = 0
     done = 0  # ticks each live row has taken
     while True:
-        samples, at_draw, _, _ = pipeline_block(
-            cfg.fault, cfg.transform, cfg.fix_window, rows, width
-        )
-        times = np.negative(np.log(samples, out=samples), out=samples)  # the gaps
-        times[:, 0] += now
-        np.cumsum(times, axis=1, out=times)
-        ticks = np.count_nonzero(times <= cfg.horizon, axis=1)
-        kept = np.arange(width) < ticks[:, None]
-        parts_t.append(times[kept])
-        parts_m.append(np.repeat(clocks, ticks))
-        parts_d.append(at_draw[kept])
-        alive = ticks == width  # no tick of these rows passed the horizon yet
-        consumed += int(at_draw[~alive, ticks[~alive]].sum())
+        alive = np.ones(clocks.size, dtype=bool)  # rows that have not passed the horizon
+        for live, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
+                                                  rows, width, alive):
+            times = np.negative(np.log(samples, out=samples), out=samples)  # the gaps
+            times[:, 0] += now[live]
+            np.cumsum(times, axis=1, out=times)
+            now[live] = times[:, -1]
+            kept = times <= cfg.horizon  # a prefix of each row
+            ticks = np.count_nonzero(kept, axis=1)
+            out = np.flatnonzero(ticks < times.shape[1])  # rows past the horizon
+            consumed += int(at_draw[out, ticks[out]].sum())  # to each one's suppressed tick
+            events.put(times[kept], np.repeat(clocks[live], ticks), at_draw[kept])
+            alive[live[out]] = False
         if not alive.any():
             return consumed
-        rows = rows.take(alive).advanced(at_draw[alive, -1] - rows.draw_count[alive])
-        clocks, now, done = clocks[alive], times[alive, -1], done + width
+        # the last tile holds every row still alive, at the end of the pass
+        end = at_draw[alive[live], -1]
+        rows = rows.take(alive).advanced(end - rows.draw_count[alive])
+        clocks, now, done = clocks[alive], now[alive], done + width
         lo = now.min()  # the earliest live row needs the most ticks at its pace
         width = _ticks_to_pass(cfg.horizon - lo, done / lo, MAX_PASS_CELLS // clocks.size)
 

@@ -13,14 +13,13 @@ one :class:`GeneratorState` or :class:`RowStates`, a grid with one stream
 per row; the single stream is the one-row case of the same kernel, and each
 row equals the single-stream call from its own state.
 
-The kernel makes a block in tiles of about 2**13 cells (counter-based
-generation, as in Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
-3", SC 2011: word ``k`` of a row depends on the row's state and ``k``
-alone).  A tile is a run of whole rows, or an even stretch of one longer
-row; its Weyl add, scrambler and lattice map run in two scratch buffers that
-stay in cache, and it is written straight into the output.  The two lattice
-snaps then run once over the whole block.  A block that fits in one tile
-runs the loop once; the tiles change no bit.
+The kernel makes a block in tiles of about ``TILE_CELLS`` = 2**15 cells
+(counter-based generation, as in Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC 2011: word ``k`` of a row depends on the row's state
+and ``k`` alone).  A tile is a run of whole rows, or an even stretch of one
+longer row; its Weyl add, scrambler, lattice map and the two lattice snaps
+run in one scratch buffer and the output tile, which stay in cache.  A
+block that fits in one tile runs the loop once; the tiles change no bit.
 
 Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed:
 
@@ -121,11 +120,13 @@ _V_GOLDEN = _U64(GOLDEN)
 _V_MULT1 = _U64(_MULT1)
 _V_MULT2 = _U64(_MULT2)
 _SH30, _SH27, _SH31, _SH11 = _U64(30), _U64(27), _U64(31), _U64(11)
-# Cells of the grid that _tiled makes at a time: its two uint64 scratch
-# buffers (64 KiB each) and the output tile stay in cache.  _STEPS holds the
-# Weyl offsets of a tile's columns, j * GOLDEN for j = 1 .. _TILE.
-_TILE = 1 << 13
-_STEPS = np.arange(1, _TILE + 1, dtype=np.uint64) * _V_GOLDEN
+# Cells a block is made in at a time: unit_block's tiles, whose uint64
+# scratch buffer (256 KiB) and output tile stay in cache, and the tiles of
+# the serial and per-clock passes, each a block of this size at most.
+# _STEPS holds the Weyl offsets of a tile's columns, j * GOLDEN for
+# j = 1 .. TILE_CELLS.
+TILE_CELLS = 1 << 15
+_STEPS = np.arange(1, TILE_CELLS + 1, dtype=np.uint64) * _V_GOLDEN
 _STEPS.flags.writeable = False
 
 
@@ -273,30 +274,26 @@ def unit_block(gs: "GeneratorState | RowStates", n: int):
     gives a vector and a :class:`GeneratorState`.
     """
     rows, single = as_rows(gs)
-    u = _tiled(rows, n)
-    u[u == 0.5] = _SNAP_ABOVE_HALF
-    u[u == 1.0] = _SNAP_BELOW_ONE
-    out = (u, rows.advanced(n))
+    out = (_tiled(rows, n), rows.advanced(n))
     return one_row(out) if single else out
 
 
 def _tiled(rows: RowStates, n: int) -> np.ndarray:
-    """The (rows x n) grid of the output words' lattice images before the
-    snap, made tile by tile.
+    """The (rows x n) grid of the output words' unit samples, made tile by tile.
 
     A tile is a run of whole rows, or a stretch of one row when a row is
-    longer than ``_TILE`` cells (its stretches then split it evenly).  The
-    Weyl add, the scrambler and the lattice map of a tile run in two scratch
-    buffers of one tile, which stay in cache, and the tile is written
-    straight into the output.  Word ``k`` of a row is a pure function of the
+    longer than ``TILE_CELLS`` cells (its stretches then split it evenly).
+    The Weyl add, the scrambler, the lattice map and the two snaps of a tile
+    run in one scratch buffer of one tile and in the output tile itself,
+    which stay in cache.  Word ``k`` of a row is a pure function of the
     row's state and ``k``, so the tiles change no bit.
     """
     out = np.empty((len(rows), n), dtype=np.float64)
     if not out.size:
         return out
-    width = -(-n // -(-n // _TILE))  # cells of a row per tile
-    height = min(len(rows), max(1, _TILE // width))  # rows per tile
-    z, shifted = np.empty((2, height, width), dtype=np.uint64)
+    width = -(-n // -(-n // TILE_CELLS))  # cells of a row per tile
+    height = min(len(rows), max(1, TILE_CELLS // width))  # rows per tile
+    z = np.empty((height, width), dtype=np.uint64)
     for r in range(0, len(rows), height):
         state = rows.state[r:r + height, None]
         for c in range(0, n, width):
@@ -307,11 +304,13 @@ def _tiled(rows: RowStates, n: int) -> np.ndarray:
             np.add(state, _STEPS[:w], out=words)
             if c:
                 words += _U64((c * GOLDEN) & MASK64)
-            _mix_words(words, shifted[:h, :w])
+            _mix_words(words, tile.view(np.uint64))  # the tile, not yet written, is scratch
             # ((word >> 11) + 0.5) * 2**-53: below 2**53, int64 converts exactly
             words >>= _SH11
             np.add(words.view(np.int64), 0.5, out=tile)
             tile *= _SCALE
+            tile[tile == 0.5] = _SNAP_ABOVE_HALF
+            tile[tile == 1.0] = _SNAP_BELOW_ONE
     return out
 
 

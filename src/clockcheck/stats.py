@@ -45,7 +45,6 @@ MIN_KS_N = 8
 #: the chance, under the null, that a test's flag count passes its band
 BAND_TAIL = 1e-6
 
-_WELFORD_CHUNK = 1 << 16  # values summarize turns into Python floats at a time
 _KS_CHUNK = 1 << 13  # sorted pooled keys ks_two_sample reads at a time
 
 
@@ -86,10 +85,11 @@ class DriftReport:
 def summarize(samples: ArrayLike) -> SampleSummary:
     """Welford mean/variance: one pass, compensated update, exact on constants.
 
-    The values become Python floats ``_WELFORD_CHUNK`` at a time, so a long
-    sample is never one list of floats.  The count ``k`` is a float, exact
-    below 2**53, so ``delta / k`` divides by the same double an int count
-    would give, and the result has the bits of the one-list loop.
+    The loop reads the values as Python floats through a ``memoryview`` of
+    the contiguous float64 array, so no list of them is ever built.  The
+    count ``k`` is a float, exact below 2**53, so ``delta / k`` divides by
+    the same double an int count would give, and the result has the bits of
+    the per-value loop.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     n = x.size
@@ -98,12 +98,10 @@ def summarize(samples: ArrayLike) -> SampleSummary:
     mean = 0.0
     m2 = 0.0
     k = 0.0
-    for lo in range(0, n, _WELFORD_CHUNK):
-        for v in x[lo:lo + _WELFORD_CHUNK].tolist():
-            k += 1.0
-            delta = v - mean
-            mean += delta / k
-            m2 += delta * (v - mean)
+    for v in memoryview(x):
+        k += 1.0
+        mean += (delta := v - mean) / k
+        m2 += delta * (v - mean)
     variance = m2 / (n - 1) if n >= 2 else None
     return SampleSummary(n=n, mean=mean, variance=variance)
 

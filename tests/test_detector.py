@@ -448,18 +448,21 @@ def test_run_experiment_debug_corruption_breaches():
 
 
 def test_wrong_cross_worker_merge_breaches_without_debug(monkeypatch):
-    # A merge that labels each worker's events with the clock's position in
-    # that worker's grid (worker-local ids) is right for one worker and wrong
-    # for two; the bit-equality check must see it with [debug] off.
-    real = process._merge_arrays
+    # A grid pass that labels each worker's events with the clock's position
+    # in that worker's grid (worker-local ids) is right for one worker and
+    # wrong for two; the bit-equality check must see it with [debug] off.
+    real = process._clock_grid
 
-    def local_ids(parts_t, parts_m, parts_d, **kw):
-        local = [np.unique(m, return_inverse=True)[1] for m in parts_m]
-        return real(parts_t, local, parts_d, **kw)
+    def local_ids(cfg, clocks, width, events):
+        own = process._Events()
+        consumed = real(cfg, clocks, width, own)
+        times, marks, draws = own.take()
+        events.put(times, np.searchsorted(clocks, marks), draws)
+        return consumed
 
     plan = _small_plan(seeds=(0,))
     assert not detector.run_experiment(plan).any_breach
-    monkeypatch.setattr(process, "_merge_arrays", local_ids)
+    monkeypatch.setattr(process, "_clock_grid", local_ids)
     report = detector.run_experiment(plan)
     cross = report.seed_reports[0].pairings[-1]
     assert cross.label == "cross_parallel"

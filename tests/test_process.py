@@ -6,12 +6,13 @@ simulators in ``oracle``, which accept a fed source; the block simulators
 must then match the oracle bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle
-from clockcheck import process
+from clockcheck import process, rng
 from clockcheck.process import (
     MAPPING_KINDS,
     ParallelConfig,
@@ -182,6 +183,20 @@ def _count_pipeline_calls(monkeypatch):
     return calls
 
 
+def _count_passes(monkeypatch):
+    # the (rows, samples per row) of each serial or per-clock pass: each
+    # process._pass_tiles call is one pass, drawn tile by tile
+    passes = []
+    real = process._pass_tiles
+
+    def counted(fault, transform, window, rows, n, *rest, **kw):
+        passes.append((len(rows), n))
+        return real(fault, transform, window, rows, n, *rest, **kw)
+
+    monkeypatch.setattr(process, "_pass_tiles", counted)
+    return passes
+
+
 @pytest.mark.parametrize("cells", [64, 1000])
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_serial_passes_equal_one_pass(monkeypatch, fault, transform, window, cells):
@@ -194,9 +209,9 @@ def test_serial_passes_equal_one_pass(monkeypatch, fault, transform, window, cel
     )
     uncapped = process.simulate_serial(cfg)
     monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
-    calls = _count_pipeline_calls(monkeypatch)
+    passes = _count_passes(monkeypatch)
     capped = process.simulate_serial(cfg)
-    assert len(calls) >= 2 and all(n <= cells and n % 2 == 0 for n in calls)
+    assert len(passes) >= 2 and all(n <= cells and n % 2 == 0 for _, n in passes)
     _assert_same(capped, uncapped)
     _assert_same(capped, oracle.simulate_serial(cfg))
 
@@ -207,9 +222,10 @@ def test_serial_run_outrunning_its_estimate_takes_another_pass(monkeypatch):
     # the second pass, sized at the pace the first one showed, goes on where
     # the first stopped and reaches the horizon.
     cfg = SerialConfig(n_clocks=4, horizon=100.0, seed=9, fault=PowerBias(4.0))
-    calls = _count_pipeline_calls(monkeypatch)
+    passes = _count_passes(monkeypatch)
     fast = process.simulate_serial(cfg)
     first = int(4 * 100.0 + 5 * math.sqrt(4 * 100.0)) + 32
+    calls = [n for _, n in passes]
     assert calls[0] == 2 * first and len(calls) == 2 and calls[1] > calls[0]
     assert len(fast) > first
     _assert_same(fast, oracle.simulate_serial(cfg))
@@ -223,13 +239,14 @@ def test_first_passes_draw_what_the_horizon_needs(monkeypatch):
     # ask for 320,064 samples and a width of 657.  A per-worker buffer first
     # holds H + 8 rounds of its clocks and is refilled at most once.
     n, h = 256, 250.0
-    calls = _count_pipeline_calls(monkeypatch)
+    passes = _count_passes(monkeypatch)
     process.simulate_serial(SerialConfig(n, h, seed=3))
-    assert calls == [calls[0]] and calls[0] <= 2 * (n * h + 5 * math.sqrt(n * h) + 32)
-    del calls[:]
+    assert passes == [(1, passes[0][1])]
+    assert passes[0][1] <= 2 * (n * h + 5 * math.sqrt(n * h) + 32)
+    del passes[:]
     process.simulate_parallel(ParallelConfig(n, h, seed=3), pace=1.0)
-    assert calls == [calls[0]] and calls[0] <= h + 5 * math.sqrt(h) + 32
-    del calls[:]
+    assert passes == [(n, passes[0][1])] and passes[0][1] <= h + 5 * math.sqrt(h) + 32
+    calls = _count_pipeline_calls(monkeypatch)  # the serial and per-clock tiles call it too
     process.simulate_parallel(
         ParallelConfig(n, h, seed=3, workers=4, stream_mode=StreamMode.PER_WORKER), pace=1.0)
     assert 4 <= len(calls) <= 8 and max(calls) <= n // 4 * (h + 8)
@@ -255,24 +272,29 @@ def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
     most = 1 + slow["P1"].per_clock_ticks.max()  # samples of the longest clock
     used = {"serial": 2 * len(slow["serial"]) + 1, "P1": most, "per_worker": 6 * most}
     ticks = process._ticks_to_pass
-    asked = _count_pipeline_calls(monkeypatch)
+    passes = _count_passes(monkeypatch)
+    calls = _count_pipeline_calls(monkeypatch)  # a per-worker run's passes
+
+    def asked(name):
+        return list(calls) if name == "per_worker" else [n for _, n in passes]
+
     for factor in (0.05, 0.5, 1, 4, 50):
         hinted, scaled = {}, {}
         for name, cfg in cells.items():
-            del asked[:]
+            del passes[:], calls[:]
             _assert_same(process.simulate_parallel(cfg, pace=factor), slow[name])
-            hinted[name] = list(asked)
+            hinted[name] = asked(name)
         with monkeypatch.context() as patch:
             # each pass sized as if the pace were `factor` times what the
             # run assumes or has shown
             patch.setattr(process, "_ticks_to_pass",
                           lambda left, pace, cap: ticks(left, factor * pace, cap))
             for name in ("serial", "P1", "P3"):
-                del asked[:]
+                del passes[:]
                 run = (process.simulate_serial(serial_cfg) if name == "serial"
                        else process.simulate_parallel(cells[name]))
                 _assert_same(run, slow[name])
-                scaled[name] = list(asked)
+                scaled[name] = asked(name)
         if factor == 0.05:
             assert len(scaled["serial"]) >= 3 and len(scaled["P1"]) >= 3
             assert len(hinted["per_worker"]) >= 2
@@ -312,16 +334,10 @@ def test_per_clock_grid_cap_splits_rows_and_passes(monkeypatch, cells):
         mapping=(0, 0, 0, 0, 1),
     )
     uncapped = process.simulate_parallel(cfg)
-    calls = []
-    real = process.pipeline_block
-
-    def counted(fault, transform, window, gs, n):
-        calls.append(len(gs))
-        return real(fault, transform, window, gs, n)
-
     monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
-    monkeypatch.setattr(process, "pipeline_block", counted)
+    passes = _count_passes(monkeypatch)
     _assert_same(process.simulate_parallel(cfg), uncapped)
+    calls = [rows for rows, _ in passes]
     batch = max(1, cells // 82)
     assert max(calls) <= batch
     assert len(calls) > -(-4 // batch) + 1  # more passes than batches: a row went on
@@ -370,6 +386,122 @@ def test_window_draws_rows_in_capped_passes(monkeypatch):
     assert {rows for rows, m in shapes if m == 2416} == {2}
     assert {rows for rows, m in shapes if m == 4832} == {1}
     assert all(rows * m <= 5000 for rows, m in shapes)
+
+
+def _record_tiles(monkeypatch, tile):
+    # (pass samples, first column, columns, live rows) of each tile a serial
+    # or per-clock pass makes, with the tile size set to `tile` cells
+    monkeypatch.setattr(process, "TILE_CELLS", tile)
+    monkeypatch.setattr(rng, "TILE_CELLS", tile)
+    tiles = []
+    real = process._pass_tiles
+
+    def recorded(fault, transform, window, rows, n, alive, align=1):
+        c = 0
+        for live, samples, at_draw in real(fault, transform, window, rows, n, alive, align):
+            tiles.append((n, c, samples.shape[1], live))
+            c += samples.shape[1]
+            yield live, samples, at_draw
+
+    monkeypatch.setattr(process, "_pass_tiles", recorded)
+    return tiles
+
+
+def _short_last_tile(tiles):
+    # a pass's last tile, narrower than the tile before it over as many rows
+    return any(n == n0 and c == c0 + w0 and c + w == n and w < w0 and live.size == live0.size
+               for (n0, c0, w0, live0), (n, c, w, live) in zip(tiles, tiles[1:]))
+
+
+_TILED_PIPELINES = [
+    (IDEAL, None),
+    (PowerBias(2.0), Reflect()),
+    (PowerBias(0.7), Compose([RotateHalf(), Reflect()])),
+]
+
+
+@pytest.mark.parametrize("fault,transform", _TILED_PIPELINES)
+def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
+    # A tile holds a stretch of columns of a pass's live rows: at 6 clocks a
+    # tile of 1 or 7 cells is one column, 12 cells two, 64 cells ten, and
+    # the serial run takes 2, 6, 12 or 64 samples (whole pairs) a tile.
+    # Passes sized for a pace 0.05 times the right one end on their last
+    # tile, often a short one; at 8 times it a per-clock run ends in one pass
+    # and its rows end at every place in a tile.  Every run equals the
+    # scalar oracle, and the edge cases the runs are meant to cover occur.
+    common = dict(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform)
+    serial_cfg = SerialConfig(**common)
+    cells = [ParallelConfig(**common, workers=p, mapping=make_mapping("round_robin", 6, p))
+             for p in (1, 3)]
+    slow_serial = oracle.simulate_serial(serial_cfg)
+    slow = oracle.simulate_parallel(cells[0])
+    ticks = slow.per_clock_ticks
+    ticks_to_pass = process._ticks_to_pass
+    seen = set()
+    for tile in (1, 7, 12, 64, 1 << 15):
+        with monkeypatch.context() as patch:
+            tiles = _record_tiles(patch, tile)
+            for factor in (0.05, 1, 8):
+                patch.setattr(process, "_ticks_to_pass",
+                              lambda left, pace, cap, f=factor: ticks_to_pass(left, f * pace, cap))
+                del tiles[:]
+                _assert_same(process.simulate_serial(serial_cfg), slow_serial)
+                if any(c for _, c, _, _ in tiles):
+                    seen.add("serial pass over several tiles")
+                if _short_last_tile(tiles):
+                    seen.add("short last tile")
+                for cfg in cells:
+                    del tiles[:]
+                    _assert_same(process.simulate_parallel(cfg), slow)
+                    if any(c for _, c, _, _ in tiles):
+                        seen.add("edge inside a row")
+                    if _short_last_tile(tiles):
+                        seen.add("short last tile")
+                    if cfg.workers == 1 and all(n == tiles[0][0] for n, _, _, _ in tiles):
+                        # one pass over one grid, whose row r is clock r: a
+                        # row's first suppressed tick is its tick count
+                        for _, c, w, live in tiles:
+                            ends = ticks[live]
+                            if (ends == c + w).any():
+                                seen.add("row's last tick on a tile's last cell")
+                            if ((c < ends) & (ends < c + w)).any():
+                                seen.add("horizon inside a tile")
+    assert seen == {"serial pass over several tiles", "short last tile", "edge inside a row",
+                    "row's last tick on a tile's last cell", "horizon inside a tile"}
+
+
+@pytest.mark.parametrize("fault,transform,window", _PIPELINES[2:])
+def test_thinning_and_window_passes_ignore_the_tile_size(monkeypatch, fault, transform, window):
+    # These pipelines give a pass as one tile, pipeline_block's result.
+    common = dict(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
+                  fix_window=window)
+    tiles = _record_tiles(monkeypatch, 7)
+    _assert_same(process.simulate_serial(SerialConfig(**common)),
+                 oracle.simulate_serial(SerialConfig(**common)))
+    cfg = ParallelConfig(**common, workers=3)
+    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    assert tiles and all(c == 0 and w == n for n, c, w, _ in tiles)
+
+
+def test_per_clock_pass_memory_stays_near_its_output():
+    # One pass of 1024 clocks to H=250 writes about 256k events (24 bytes
+    # each) into columns sized for the bank.  Tile by tile it holds about
+    # six tile-sized arrays on top of them; one full grid of samples (1024 x
+    # 361 floats) would pass the allowance of eight.
+    cfg = ParallelConfig(1024, 250.0, seed=5)
+    width = process._ticks_to_pass(cfg.horizon, 1.0, process.MAX_PASS_CELLS)
+    allowance = 8 * 8 * process.TILE_CELLS
+    assert 8 * cfg.n_clocks * width > allowance
+    tracemalloc.start()
+    try:
+        events = process._Events()
+        events.reserve(process._ticks_to_pass(cfg.horizon, cfg.n_clocks, cfg.n_clocks * width))
+        process._clock_grid(cfg, np.arange(cfg.n_clocks), width, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events.size > 250_000
+    assert peak <= sum(column.nbytes for column in events.columns) + allowance
 
 
 def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):

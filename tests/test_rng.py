@@ -542,11 +542,12 @@ def test_unit_block_rows_equal_one_call_per_row():
     assert [same.row(r) for r in range(3)] == starts
 
 
-# The kernels make a grid in tiles of rng._TILE cells: a run of whole rows,
-# or an even stretch of one longer row.  These shapes put rows of 1, T - 1, T
-# and T + 1 cells, rows split over two or three tiles, and grids whose rows
-# fill some tiles and leave a short last one.
-_T = rng._TILE
+# The kernels make a grid in tiles of rng.TILE_CELLS cells: a run of whole
+# rows, or an even stretch of one longer row.  These tests set the tile to
+# _T cells (every tile size gives the same bits), and these shapes put rows
+# of 1, T - 1, T and T + 1 cells, rows split over two or three tiles, and
+# grids whose rows fill some tiles and leave a short last one.
+_T = 1 << 13
 _TILE_SHAPES = [(1, 1), (3, 1), (1, _T - 1), (1, _T), (1, _T + 1), (2, _T + 1),
                 (1, 2 * _T + 3), (3, 3000), (5, 1639), (4, _T // 4 + 1)]
 
@@ -557,9 +558,15 @@ def _oracle_words(rows, n):
     return [[mix64((int(s) + k * GOLDEN) & MASK64) for k in range(n)] for s in rows.state]
 
 
+def _unit_block_in_t_tiles(gs, n):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "TILE_CELLS", _T)
+        return rng.unit_block(gs, n)
+
+
 def _check_grid_against_oracle(rows, n):
     words = _oracle_words(rows, n)
-    units, new = rng.unit_block(rows, n)
+    units, new = _unit_block_in_t_tiles(rows, n)
     assert units.tolist() == [[oracle.unit_from_word(w) for w in row] for row in words]
     assert new.state.tolist() == [(int(s) + n * GOLDEN) & MASK64 for s in rows.state]
     assert new.draw_count.tolist() == (rows.draw_count + n).tolist()
@@ -579,7 +586,7 @@ def test_tiled_kernels_match_the_one_draw_oracle_across_tile_edges(shape, states
                          np.array(counts[:n_rows], dtype=np.int64))
     units, _ = _check_grid_against_oracle(rows, n)
     one = rows.row(0)  # a single stream is the one-row case of the same tiles
-    u, after = rng.unit_block(one, n)
+    u, after = _unit_block_in_t_tiles(one, n)
     assert u.tolist() == units[0].tolist()
     assert after == one.advanced(n)
 

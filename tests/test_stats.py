@@ -62,15 +62,17 @@ def test_summarize_agrees_with_numpy():
     assert abs(s.mean - 1.0) < 0.02
 
 
-_CHUNK = 1 << 16
-
-
-@pytest.mark.parametrize("n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("n", [1, 2, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
 def test_summarize_is_bit_equal_to_one_value_welford(n):
-    # summarize reads the values in 2**16-value chunks with a float counter;
-    # the bits must be those of the plain per-value loop, at every chunk edge.
-    u, _ = rng.unit_block(substream(9, 0), n)
-    for xs in (-np.log(u), np.full(n, 0.1), u.tolist()):
+    # summarize counts with a float and reads the values through a
+    # memoryview of one contiguous float64 array, whatever it was given: the
+    # bits must be those of the plain per-value loop over the same floats,
+    # for a strided view, a float32 array (widened exactly) and a list too.
+    u, _ = rng.unit_block(substream(9, 0), 2 * n)
+    strided = (-np.log(u))[::2]
+    assert not strided.flags.c_contiguous or n == 1
+    for xs in (-np.log(u[:n]), np.full(n, 0.1), u[:n].tolist(), strided,
+               u[:n].astype(np.float32)):
         s, ref = stats.summarize(xs), oracle.welford(xs)
         assert s.n == ref.n == n
         assert s.mean == ref.mean
