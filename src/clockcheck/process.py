@@ -5,10 +5,10 @@ stream: each event costs two pipeline draws (one exponential time increment
 at rate N, one uniform mark pick).  The *parallel* run hosts the N rate-1
 clocks on workers and merges the workers' event lists afterwards.  In
 per-clock stream mode each clock owns a stream, and a worker draws all of
-its clocks at once as the rows of one (clocks x steps) grid: the mapping
-decides which grid a clock is drawn in, not its numbers, so every worker
-count and mapping must give the same bits.  In per-worker mode each worker
-owns a stream that its clocks share round-robin.
+its clocks at once as the rows of one grid: the mapping decides which grid
+a clock is drawn in, not its numbers, so every worker count and mapping
+must give the same bits.  In per-worker mode each worker owns a stream that
+its clocks share round-robin.
 Superposition makes the two processes the same in law whenever the sample
 source is actually uniform — so any statistical daylight between them is
 evidence against the source, and that asymmetry (two draws per serial event
@@ -19,15 +19,21 @@ Draws pass through a three-stage pipeline: fault model (the injected
 defect), optional measure-preserving transform, optional window
 rejection-rescale repair.  ``pipeline_block`` is the one implementation of
 that pipeline, in numpy blocks of one stream or of a grid of streams, one
-per row; every simulator and detector stage draws through it.  The serial
-and per-clock runs call it a tile at a time (``_pass_tiles``): when every
-sample is one raw draw (no thinning, no window), a pass is made in blocks of
-about ``TILE_CELLS`` cells, each a stretch of columns of the rows that have
-not yet passed the horizon, and each goes from generator words to kept
-events while it is in cache; a pass stops making tiles once its rows have
-passed the horizon.  Any other pass is one tile.  The tests keep a
-one-draw-at-a-time twin of the pipeline and the simulators as an oracle and
-require bit-identical results.
+per row; every simulator and detector stage draws through it.
+
+The serial and per-clock runs are one loop, ``_run_to_horizon``, over a set
+of stream rows: a per-clock grid is a row per rate-1 clock, one sample a
+tick, marked with the clock's id; the serial sweep is one row of rate N,
+two samples a tick, the second picking the mark.  The loop draws its rows
+in passes sized to the ticks left to the horizon, a pass in tiles
+(``_pass_tiles``): when every sample is one raw draw (no thinning, no
+window), a tile is about ``TILE_CELLS`` cells, a stretch of columns of the
+rows that have not yet passed the horizon, taken from generator words to
+kept events while it is in cache.  Any other pass is one tile.  Every
+simulator writes its kept events into one set of columns (``_Events``),
+which the parallel merge then sorts.  The tests keep a one-draw-at-a-time
+twin of the pipeline and the simulators as an oracle and require
+bit-identical results.
 
 Horizon rule: an event whose time would exceed the horizon is suppressed
 (its time draw is still consumed), and the trajectory ends at the last
@@ -211,7 +217,7 @@ def pipeline_block(
     fault: FaultModel,
     transform: Optional[Transform],
     window: Optional[RescaleWindow],
-    gs: "GeneratorState | RowStates",
+    gs: GeneratorState | RowStates,
     n: int,
 ):
     """First ``n`` pipeline samples from ``gs`` with their draw accounting.
@@ -328,10 +334,10 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
 
 
 class _Events:
-    """The time, mark and draw-count columns that a run's passes write
-    their kept events into, end to end.  Room is made ahead for the events
-    a run expects; a tile that overflows it grows the columns by a quarter
-    more.  :meth:`take` cuts the columns to the events written, in place."""
+    """The time, mark and draw-count columns that a simulator writes its
+    kept events into, end to end.  Room is made ahead for the events a run
+    expects; a write that overflows it grows the columns by a quarter more.
+    :meth:`take` cuts the columns to the events written, in place."""
 
     def __init__(self) -> None:
         self.size = 0
@@ -367,49 +373,21 @@ class _Events:
 
 
 def simulate_serial(cfg: SerialConfig) -> Trajectory:
-    """Run the merged clock to the horizon.
+    """Run the merged clock to the horizon: the one-row, rate-N case of
+    :func:`_run_to_horizon`.
 
     Each event consumes two pipeline draws: u1 sets the time increment
-    ``-log(u1) / N``, u2 sets the mark ``min(floor(u2*N), N-1)``.  The loop
+    ``-log(u1) / N``, u2 sets the mark ``min(floor(u2*N), N-1)``.  The run
     stops at the first event whose time would exceed the horizon (that
-    event's u1 is consumed, its u2 is not).  The draws come in passes of an
-    even number of samples, ``MAX_PASS_CELLS`` at most, each sized to the
-    events the merged clock still needs to pass the horizon, plus a margin
-    (:func:`_ticks_to_pass`): the first pass assumes one event per clock per
-    unit time, and each later one the pace the run has shown so far.  Each
-    pass goes on from the stream state and the time the last one reached, so
-    the pass size changes no bit of the result.
-
-    A pass is drawn in tiles of whole (time, mark) pairs
-    (:func:`_pass_tiles`): each tile's times are summed on from the last
-    tile's, and its events up to the horizon are written straight into the
-    run's columns, with the draw count after each mark.  No tile after the
-    suppressed event is made.
+    event's u1 is consumed, its u2 is not).  Its first pass is sized for one
+    event per clock per unit time, and the event columns are reserved for
+    it.
     """
     n = cfg.n_clocks
-    rows = substream_rows(cfg.seed, [SERIAL_STREAM])
-    now, pace = 0.0, 1.0  # pace: events per clock per unit time
     events = _Events()
-    alive = np.ones(1, dtype=bool)
-    while True:
-        m = 2 * _ticks_to_pass(n * (cfg.horizon - now), pace, MAX_PASS_CELLS // 2)
-        events.reserve(m // 2)
-        for _, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
-                                               rows, m, alive, align=2):
-            u, at = samples[0], at_draw[0]
-            times = np.log(u[0::2])  # the gaps, -log(u1) / N, summed on from now
-            np.negative(times, out=times)
-            times /= n
-            times[0] += now
-            np.cumsum(times, out=times)
-            k = int(np.searchsorted(times, cfg.horizon, side="right"))
-            events.put(times[:k], np.minimum((u[1:2 * k:2] * n).astype(np.int64), n - 1),
-                       at[1:2 * k:2])
-            if k < times.size:  # the suppressed event: no tile after it is made
-                return Trajectory(*events.take(), total_draws=int(at[2 * k]), n_clocks=n)
-            now = float(times[-1])
-        rows = rows.advanced(at[-1] - rows.draw_count)
-        pace = events.size / (n * now)
+    events.reserve(_ticks_to_pass(cfg.horizon, n, MAX_PASS_CELLS // 2))
+    total = _run_to_horizon(cfg, substream_rows(cfg.seed, [SERIAL_STREAM]), None, n, events)
+    return Trajectory(*events.take(), total_draws=total, n_clocks=n)
 
 
 def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None,
@@ -435,73 +413,99 @@ def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None,
 
 
 def _simulate_per_clock(cfg: ParallelConfig, pace: float) -> Trajectory:
-    """Each worker's clocks run as the rows of one grid, merged across workers.
+    """Each worker's clocks run as the rows of :func:`_run_to_horizon`, one
+    rate-1 row per clock, merged across workers.
 
-    Row ``r`` of a worker's grid is the stream of its ``r``-th clock
-    (``mapping == w``, ascending id); a pass takes up to the same number of
-    pipeline samples for every row, cumulative-sums each row from the
-    clock's current time and cuts it at the horizon.  It is drawn tile by
-    tile (:func:`_pass_tiles`), each tile a stretch of columns of the rows
-    that have not yet passed the horizon: the sums go on from the last
-    tile's, a row drops out of the tiles once it has passed the horizon, and
-    each tile's kept events go, row by row, straight into columns sized for
-    the events the bank needs at ``pace``, which the merge then reads.  The
-    first pass is sized to the ticks a clock needs to pass the horizon at
-    ``pace``, plus a margin (:func:`_ticks_to_pass`), so at the expected
-    pace a row almost always ends in it.  A row that has not passed the
-    horizon by the end of a pass goes on in the next pass from its advanced
-    state; that pass is sized to what the earliest live row still needs at
-    its pace so far.  A worker's rows are taken in batches of at most
-    ``MAX_PASS_CELLS`` samples a pass; the window, if any, draws its own
-    multiple of that in batches of the same bound.  A stream's samples do
-    not depend on how many are asked for, so the pass sizes change no bit
-    of the result.
+    A worker's clocks (``mapping == w``, ascending id) go in batches of at
+    most ``MAX_PASS_CELLS`` samples a pass at ``pace``.  The event columns
+    are reserved once for the events the whole bank needs at ``pace``, plus
+    a margin, so at the expected pace a row almost always ends in its first
+    pass and the columns are made once.
     """
     mapping = np.asarray(cfg.mapping)
     width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
     batch = max(1, MAX_PASS_CELLS // width)
     events = _Events()
-    # the events the bank needs to pass the horizon at the pace, plus a margin
     events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
         for lo in range(0, clocks.size, batch):
-            total += _clock_grid(cfg, clocks[lo:lo + batch], width, events)
-    return _merge_arrays(*([column] for column in events.take()),
-                         n_clocks=cfg.n_clocks, total_draws=total)
+            part = clocks[lo:lo + batch]
+            total += _run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(part)), part,
+                                     pace, events)
+    return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
 
 
-def _clock_grid(cfg: ParallelConfig, clocks: np.ndarray, width: int, events: _Events) -> int:
-    """Draw ``clocks`` as grid rows, ``width`` samples a row in the first
-    pass, write each tile's kept events, row by row, into ``events``, and
-    return the raw draws the rows consumed."""
-    rows = substream_rows(cfg.seed, clock_stream(clocks))
-    now = np.zeros(clocks.size)  # each row's time, at the end of its last tile
-    consumed = 0
-    done = 0  # ticks each live row has taken
+def _run_to_horizon(cfg, rows: RowStates, clocks: Optional[np.ndarray], pace: float,
+                    events: _Events) -> int:
+    """Run each of ``rows`` to the horizon, write its kept events into
+    ``events`` and return the raw draws the rows consumed.
+
+    With ``clocks``, row ``r`` is the stream of clock ``clocks[r]``: a tick
+    is one pipeline sample ``u``, its gap ``-log(u)`` and its mark the
+    clock's id.  Without, the one row is the serial sweep's merged clock of
+    rate N = ``cfg.n_clocks``: a tick is a pair ``(u1, u2)``, its gap
+    ``-log(u1) / N`` and its mark ``min(floor(u2*N), N-1)``.  A kept event's
+    draw count is the draw after its tick's last sample; a row's consumed
+    draws end after the time sample of its first tick past the horizon,
+    whose mark sample, if any, is not drawn.
+
+    The ticks come in passes, the same number for every live row, each sized
+    to what the earliest live row still needs at its pace, plus a margin
+    (:func:`_ticks_to_pass`): ``pace`` ticks per unit time for the first
+    pass, the pace shown so far for later ones, and at most
+    ``MAX_PASS_CELLS`` samples in all.  A pass is drawn in tiles of whole
+    ticks (:func:`_pass_tiles`): each tile's times are summed on from the
+    last tile's, its kept events go row by row into ``events``, and a row
+    leaves the tiles once it has passed the horizon.  A row left at the end
+    of a pass goes on in the next from its advanced state, and ``events`` is
+    first given room for all that pass can write; the caller reserves for
+    the first.  A stream's samples do not depend on how many are asked for,
+    so the pass sizes change no bit of the result.
+    """
+    per_tick = 1 if clocks is not None else 2
+    n, horizon = cfg.n_clocks, cfg.horizon
+    now = np.zeros(len(rows))  # each row's time, at the end of its last tile
+    consumed = done = 0  # done: the ticks each live row has taken
+    width = _ticks_to_pass(horizon, pace, MAX_PASS_CELLS // (per_tick * len(rows)))
     while True:
-        alive = np.ones(clocks.size, dtype=bool)  # rows that have not passed the horizon
+        alive = np.ones(len(rows), dtype=bool)  # rows that have not passed the horizon
         for live, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
-                                                  rows, width, alive):
-            times = np.negative(np.log(samples, out=samples), out=samples)  # the gaps
-            times[:, 0] += now[live]
-            np.cumsum(times, axis=1, out=times)
+                                                  rows, per_tick * width, alive, per_tick):
+            if clocks is not None:
+                gaps = np.negative(np.log(samples, out=samples), out=samples)
+            else:  # into a new array: log in place over a stride-2 view is twice as slow
+                gaps = np.log(samples[:, 0::2])
+                gaps /= -n
+            gaps[:, 0] += now[live]
+            times = np.cumsum(gaps, axis=1, out=gaps)
             now[live] = times[:, -1]
-            kept = times <= cfg.horizon  # a prefix of each row
-            ticks = np.count_nonzero(kept, axis=1)
-            out = np.flatnonzero(ticks < times.shape[1])  # rows past the horizon
-            consumed += int(at_draw[out, ticks[out]].sum())  # to each one's suppressed tick
-            events.put(times[kept], np.repeat(clocks[live], ticks), at_draw[kept])
-            alive[live[out]] = False
+            out = np.flatnonzero(times[:, -1] > horizon)  # rows past the horizon
+            ticks, kept = times.shape[1], slice(None)  # all, but for rows past the horizon
+            if out.size:
+                kept = times <= horizon
+                ticks = np.count_nonzero(kept, axis=1)
+                consumed += int(at_draw[out, per_tick * ticks[out]].sum())  # to its time sample
+                alive[live[out]] = False
+                kept = kept.ravel()
+            # made in column order: a tile's marks made before its times left
+            # the heap without a hole for the merge's arrays in some runs
+            events.put(times.ravel()[kept],
+                       np.repeat(clocks[live], ticks) if clocks is not None
+                       else np.minimum((samples[:, 1::2] * n).astype(np.int64), n - 1).ravel()[kept],
+                       at_draw[:, per_tick - 1::per_tick].ravel()[kept])
         if not alive.any():
             return consumed
         # the last tile holds every row still alive, at the end of the pass
         end = at_draw[alive[live], -1]
         rows = rows.take(alive).advanced(end - rows.draw_count[alive])
-        clocks, now, done = clocks[alive], now[alive], done + width
+        now, done = now[alive], done + width
+        if clocks is not None:
+            clocks = clocks[alive]
         lo = now.min()  # the earliest live row needs the most ticks at its pace
-        width = _ticks_to_pass(cfg.horizon - lo, done / lo, MAX_PASS_CELLS // clocks.size)
+        width = _ticks_to_pass(horizon - lo, done / lo, MAX_PASS_CELLS // (per_tick * now.size))
+        events.reserve(now.size * width)
 
 
 def _simulate_per_worker(cfg: ParallelConfig, pace: float) -> Trajectory:
@@ -529,7 +533,7 @@ def _simulate_per_worker(cfg: ParallelConfig, pace: float) -> Trajectory:
     samples, window draws included, at most (one round when a round alone
     is more).
     """
-    parts_t, parts_m, parts_d = [], [], []
+    events = _Events()
     mapping = np.asarray(cfg.mapping)
     budget = int(MAX_PASS_CELLS / _draws_per_sample(cfg.fix_window))
     total = 0
@@ -566,42 +570,31 @@ def _simulate_per_worker(cfg: ParallelConfig, pace: float) -> Trajectory:
             alive = times[-1] <= cfg.horizon
             kept = cut - 1 + alive  # ticks per clock in this epoch
             ticked = (np.arange(cut)[:, None] < kept).T  # clock by clock
-            parts_t.append(times.T[ticked])
-            parts_m.append(np.repeat(clocks, kept))
-            parts_d.append(draws.T[ticked])
+            events.put(times.T[ticked], np.repeat(clocks, kept), draws.T[ticked])
             used = int(draws[-1, -1])
             pos += cut * k
             done += cut
             clocks, now = clocks[alive], times[-1, alive]
         total += used
-    return _merge_arrays(parts_t, parts_m, parts_d, n_clocks=cfg.n_clocks, total_draws=total)
+    return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
 
 
 # --------------------------------------------------------------------------
 # merging
 
 
-def _merge_arrays(
-    parts_t: list[np.ndarray],
-    parts_m: list[np.ndarray],
-    parts_d: list[np.ndarray],
-    *,
-    n_clocks: int,
-    total_draws: int,
-) -> Trajectory:
-    """Time-sorted merge, ties broken by ascending mark.
+def _merge_arrays(events: _Events, *, n_clocks: int, total_draws: int) -> Trajectory:
+    """The events' time-sorted merge, ties broken by ascending mark.
 
-    A part may hold several clocks; each clock's events must come in the
-    order they were emitted, in one part or across parts in order.  The
-    result is in the order of ``np.lexsort((position, marks, times))`` over
-    the joined parts.  The three lists are emptied as their columns are
-    built, and the columns are put in time order one at a time, so the
-    parts, their concatenation and the merged result are never all held at
-    once.
+    The columns hold the events of many clocks; each clock's events must
+    come in the order they were emitted.  The result is in the order of
+    ``np.lexsort((position, marks, times))`` over the columns.  ``events``
+    lets go of its columns, and they are put in time order one at a time,
+    so the columns and the merged result are never all held at once.
 
     The order comes from one in-place sort of packed ``uint64`` keys: a
     time's float64 bits with the low ``ceil(log2 n)`` bits replaced by the
-    event's position among the ``n`` joined events.  Times are >= 0: the
+    event's position among the ``n`` events.  Times are >= 0: the
     bits of non-negative floats sort as the floats do (a negative time's
     sign bit would sort it after every positive one), so the keys sort by
     time up to those low bits, then by position.  Masking the high bits
@@ -610,10 +603,10 @@ def _merge_arrays(
     apart) form runs of adjacent keys, and each run is then reordered by
     exact (time, mark, position).
     """
-    if not all(map(_clocks_in_order, parts_t, parts_m)):
+    times, marks, draws = events.take()
+    down = np.flatnonzero(times[1:] < times[:-1])  # time may go back only between clocks
+    if np.any(marks[down] == marks[down + 1]):
         raise RuntimeError("internal error: unsorted per-clock event list")
-    times = _join(parts_t, np.float64)
-    marks = _join(parts_m, np.int64)
     low = max(times.size - 1, 0).bit_length()  # bits that hold a position
     mask = (1 << low) - 1
     keys = times.view(np.uint64) & np.uint64(MASK64 ^ mask)
@@ -634,7 +627,7 @@ def _merge_arrays(
     ordered = times[order]
     del times
     marks = marks[order]
-    draws = _join(parts_d, np.int64)[order]
+    draws = draws[order]
     return Trajectory(
         times=ordered,
         marks=marks,
@@ -642,24 +635,6 @@ def _merge_arrays(
         total_draws=total_draws,
         n_clocks=n_clocks,
     )
-
-
-def _clocks_in_order(t: np.ndarray, m: np.ndarray) -> bool:
-    """Whether time goes back in part ``t`` only where the part passes from
-    one clock to the next."""
-    down = np.flatnonzero(t[1:] < t[:-1])
-    return not np.any(m[down] == m[down + 1])
-
-
-def _join(parts: list[np.ndarray], dtype) -> np.ndarray:
-    """The parts end to end (an empty ``dtype`` array for none), and
-    ``parts`` emptied: a lone contiguous part is returned without a copy."""
-    if len(parts) == 1:
-        joined = np.ascontiguousarray(parts[0])
-    else:
-        joined = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-    parts.clear()
-    return joined
 
 
 # --------------------------------------------------------------------------

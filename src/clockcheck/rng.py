@@ -180,7 +180,7 @@ class RowStates:
 
     def advanced(self, draws) -> "RowStates":
         """States after ``draws`` further raw draws: one count for all rows or one per row."""
-        draws = np.broadcast_to(np.asarray(draws, dtype=np.int64), self.draw_count.shape)
+        draws = np.asarray(draws, dtype=np.int64)
         return RowStates(self.state + draws.astype(np.uint64) * _V_GOLDEN,
                          self.draw_count + draws)
 

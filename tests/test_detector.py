@@ -448,21 +448,24 @@ def test_run_experiment_debug_corruption_breaches():
 
 
 def test_wrong_cross_worker_merge_breaches_without_debug(monkeypatch):
-    # A grid pass that labels each worker's events with the clock's position
-    # in that worker's grid (worker-local ids) is right for one worker and
-    # wrong for two; the bit-equality check must see it with [debug] off.
-    real = process._clock_grid
+    # A per-clock loop that labels each worker's events with the clock's
+    # position in that worker's grid (worker-local ids) is right for one
+    # worker and wrong for two; the bit-equality check must see it with
+    # [debug] off.  The serial run goes through the loop untouched.
+    real = process._run_to_horizon
 
-    def local_ids(cfg, clocks, width, events):
+    def local_ids(cfg, rows, clocks, pace, events):
+        if clocks is None:
+            return real(cfg, rows, clocks, pace, events)
         own = process._Events()
-        consumed = real(cfg, clocks, width, own)
+        consumed = real(cfg, rows, clocks, pace, own)
         times, marks, draws = own.take()
         events.put(times, np.searchsorted(clocks, marks), draws)
         return consumed
 
     plan = _small_plan(seeds=(0,))
     assert not detector.run_experiment(plan).any_breach
-    monkeypatch.setattr(process, "_clock_grid", local_ids)
+    monkeypatch.setattr(process, "_run_to_horizon", local_ids)
     report = detector.run_experiment(plan)
     cross = report.seed_reports[0].pairings[-1]
     assert cross.label == "cross_parallel"

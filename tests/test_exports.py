@@ -40,22 +40,33 @@ def _top_level_names(tree: ast.Module) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
+def _imported_names(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind, ``__future__`` features aside."""
+    return [(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_top_level_definition_is_used_by_the_package():
     # Code that only a test reaches, or that is only re-exported, goes: each
     # top-level function, class or constant of a module must be loaded by
-    # some module of the package or imported by name into one.  The
-    # package's __init__ re-exports the public surface, so its imports do
-    # not count.
+    # some module of the package.  An import counts for nothing, so every
+    # name a module imports must be loaded there too; the package's
+    # __init__ re-exports the public surface, so its imports are exempt.
     source = Path(clockcheck.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(source.glob("*.py"))}
-    used = set()
-    for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
-                used.update(alias.name for alias in node.names)
+    loaded = {name: _loaded_names(tree) for name, tree in trees.items()}
+    used = set().union(*loaded.values())
     unused = [f"{name}:{n}" for name, tree in trees.items()
               for n in _top_level_names(tree) if n not in used]
     assert unused == []
+    dead_imports = [f"{name}:{n}" for name, tree in trees.items() if name != "__init__.py"
+                    for n in _imported_names(tree) if n not in loaded[name]]
+    assert dead_imports == []

@@ -24,7 +24,16 @@ from clockcheck.process import (
     round_robin_mapping,
     shuffle_mapping,
 )
-from clockcheck.rng import IDEAL, LowThinning, PowerBias, RowStates, substream, worker_stream
+from clockcheck.rng import (
+    IDEAL,
+    LowThinning,
+    PowerBias,
+    RowStates,
+    clock_stream,
+    substream,
+    substream_rows,
+    worker_stream,
+)
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf
 
 _INV_E = math.exp(-1.0)
@@ -489,6 +498,7 @@ def test_per_clock_pass_memory_stays_near_its_output():
     # six tile-sized arrays on top of them; one full grid of samples (1024 x
     # 361 floats) would pass the allowance of eight.
     cfg = ParallelConfig(1024, 250.0, seed=5)
+    clocks = np.arange(cfg.n_clocks)
     width = process._ticks_to_pass(cfg.horizon, 1.0, process.MAX_PASS_CELLS)
     allowance = 8 * 8 * process.TILE_CELLS
     assert 8 * cfg.n_clocks * width > allowance
@@ -496,12 +506,73 @@ def test_per_clock_pass_memory_stays_near_its_output():
     try:
         events = process._Events()
         events.reserve(process._ticks_to_pass(cfg.horizon, cfg.n_clocks, cfg.n_clocks * width))
-        process._clock_grid(cfg, np.arange(cfg.n_clocks), width, events)
+        process._run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(clocks)), clocks,
+                                1.0, events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert events.size > 250_000
     assert peak <= sum(column.nbytes for column in events.columns) + allowance
+
+
+def test_serial_run_memory_stays_near_its_output():
+    # The serial sweep at N=1024, H=250 writes about 256k events into
+    # columns reserved for its one pass, and stays within the per-clock
+    # pass's allowance of eight float64 tiles above them; the pass's
+    # samples as one block (2 x 258,562 floats) would pass it.
+    cfg = SerialConfig(1024, 250.0, seed=5)
+    reserved = process._ticks_to_pass(cfg.horizon, cfg.n_clocks, process.MAX_PASS_CELLS // 2)
+    allowance = 8 * 8 * process.TILE_CELLS
+    assert 8 * 2 * reserved > allowance
+    tracemalloc.start()
+    try:
+        traj = process.simulate_serial(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) > 250_000
+    assert peak <= 24 * reserved + allowance
+
+
+def _count_column_allocations(monkeypatch):
+    # the size of each new set of event columns an _Events makes
+    made = []
+    real = process._Events.reserve
+
+    def counted(self, events):
+        before = self.columns[0]
+        real(self, events)
+        if self.columns[0] is not before:
+            made.append(self.columns[0].size)
+
+    monkeypatch.setattr(process._Events, "reserve", counted)
+    return made
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_clock_cell_at_the_serial_pace_makes_its_columns_once(monkeypatch, workers):
+    # A bank of 1024 power_bias(2) clocks at the serial run's pace: the cell
+    # reserves its columns once for the whole bank, and neither a second
+    # worker nor a later pass for a few slow rows makes them again.
+    serial = process.simulate_serial(SerialConfig(1024, 250.0, seed=1, fault=PowerBias(2.0)))
+    pace = len(serial) / (1024 * 250.0)
+    cfg = ParallelConfig(1024, 250.0, seed=1, fault=PowerBias(2.0), workers=workers,
+                         mapping=make_mapping("shuffle", 1024, workers, seed=1))
+    made = _count_column_allocations(monkeypatch)
+    traj = process.simulate_parallel(cfg, pace=pace)
+    assert len(made) == 1 and made[0] >= len(traj)
+
+
+def test_serial_run_makes_its_columns_at_most_once_a_pass(monkeypatch):
+    # power_bias(2) runs the merged clock at about twice the pace its first
+    # pass is sized for: a later pass reserves what it can write at the
+    # pace shown, so the columns are not grown a quarter at a time.
+    cfg = SerialConfig(256, 250.0, seed=4, fault=PowerBias(2.0))
+    passes = _count_passes(monkeypatch)
+    made = _count_column_allocations(monkeypatch)
+    traj = process.simulate_serial(cfg)
+    assert len(traj) > 1.5 * 256 * 250.0
+    assert len(passes) >= 2 and len(made) <= len(passes)
 
 
 def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):
@@ -756,6 +827,14 @@ def test_trajectory_gaps_and_tick_counts():
     assert empty.per_clock_ticks.tolist() == [0, 0]
 
 
+def _events(parts):
+    # the (times, marks, draws) parts written end to end into one _Events
+    events = process._Events()
+    for part in parts:
+        events.put(*part)
+    return events
+
+
 def test_merge_arrays_orders_like_lexsort():
     # Parts hold several clocks each, as the per-worker grids do, and come in
     # no mark order.  Clock 3 ticks twice at 1.0 (a tie inside one clock);
@@ -777,7 +856,7 @@ def test_merge_arrays_orders_like_lexsort():
         parts = [part(2, 0, spread=spread), part(3, 1, spread=spread)]
         t, m, d = (np.concatenate(x) for x in zip(*parts))
         order = np.lexsort((m, t))
-        merged = process._merge_arrays(*map(list, zip(*parts)), n_clocks=4, total_draws=0)
+        merged = process._merge_arrays(_events(parts), n_clocks=4, total_draws=0)
         assert merged.times.tolist() == t[order].tolist()
         assert merged.marks.tolist() == m[order].tolist()
         assert merged.draw_indices.tolist() == d[order].tolist()
@@ -810,7 +889,7 @@ def test_merge_arrays_orders_collisions_like_lexsort(n):
     assert t.size == n
     assert (t[1:] == t[:-1]).any() and (np.nextafter(t[:-1], np.inf) == t[1:]).any()
     order = np.lexsort((np.arange(n), m, t))
-    merged = process._merge_arrays(*map(list, zip(*parts)), n_clocks=6, total_draws=0)
+    merged = process._merge_arrays(_events(parts), n_clocks=6, total_draws=0)
     assert merged.times.tobytes() == t[order].tobytes()
     assert merged.marks.tolist() == m[order].tolist()
     assert merged.draw_indices.tolist() == d[order].tolist()
@@ -818,8 +897,8 @@ def test_merge_arrays_orders_collisions_like_lexsort(n):
 
 def test_merge_arrays_rejects_a_clock_out_of_order():
     with pytest.raises(RuntimeError):
-        process._merge_arrays([np.array([1.0, 3.0, 2.0])], [np.array([0, 1, 1])],
-                              [np.array([1, 1, 2])], n_clocks=2, total_draws=0)
+        process._merge_arrays(_events([(np.array([1.0, 3.0, 2.0]), [0, 1, 1], [1, 1, 2])]),
+                              n_clocks=2, total_draws=0)
 
 
 # ---------------------------------------------------------------------------
