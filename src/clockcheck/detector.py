@@ -56,7 +56,15 @@ from .process import (
     simulate_parallel,
     simulate_serial,
 )
-from .rng import IDEAL, SERIAL_STREAM, FaultModel, fault_label, substream
+from .rng import (
+    IDEAL,
+    SERIAL_STREAM,
+    TILE_CELLS,
+    FaultModel,
+    GeneratorState,
+    fault_label,
+    substream,
+)
 from .stats import (
     DriftReport,
     KsResult,
@@ -64,7 +72,6 @@ from .stats import (
     clock_drift,
     chi_square_uniform,
     ks_one_sample,
-    ks_pooled,
     ks_two_sample,
     summarize,
     uniform_cdf,
@@ -169,21 +176,64 @@ def transform_ab_test(
     a within-stream A/B rather than a paired evaluation, because the strong
     negative coupling between ``-log(u)`` and ``-log(f(u))`` on the *same*
     draw would make independence-assuming tests anticonservative.  Under a
-    uniform source both arms are Exp(1) whatever the transform.
+    uniform source both arms are Exp(1) whatever the transform.  The arms
+    are drawn in tiles straight into one pooled key buffer
+    (:func:`_ab_keys`), so the stage holds its keys and a few tiles.
     """
     if n < _MIN_AB_SAMPLES:
         raise ValueError(f"transform_ab_test requires n >= {_MIN_AB_SAMPLES}, got {n}")
-    gs = substream(seed, SERIAL_STREAM)
-    samples, _, _, _ = pipeline_block(fault, None, None, gs, 2 * n)
-    arm_raw = -np.log(samples[:n])
-    arm_transformed = -np.log(transform_block(transform, samples[n:]))
-    return _ab_verdict(arm_raw, arm_transformed, alpha)
+    keys, _ = _ab_keys(fault, None, transform, substream(seed, SERIAL_STREAM), n)
+    return _ab_verdict(keys, n, alpha)
 
 
-def _ab_verdict(arm_raw: np.ndarray, arm_transformed: np.ndarray, alpha: float) -> Verdict:
-    s_raw = summarize(arm_raw)
-    s_tr = summarize(arm_transformed)
-    ks = ks_two_sample(arm_raw, arm_transformed)
+def _draw_into(out: np.ndarray, fault: FaultModel, window: Optional[RescaleWindow],
+               gs: GeneratorState, transform: Optional[Transform] = None,
+               log: bool = True) -> tuple[GeneratorState, int]:
+    """Write the next ``out.size`` pipeline samples of ``gs`` into ``out``,
+    each mapped by ``transform`` and then, with ``log``, to ``-log(x)``;
+    return the state after the last one and the candidates the fault model
+    and the window threw away on the way.
+
+    The samples come in tiles of at most ``TILE_CELLS``, one
+    :func:`pipeline_block` call each, from the state after the last tile's
+    last sample.  A stream's samples do not depend on how many are asked
+    for, and the rejections of consecutive tiles add up, so the tiles
+    change no bit and no count.
+    """
+    discards = 0
+    for lo in range(0, out.size, TILE_CELLS):
+        samples, at_draw, fault_rejected, window_rejected = pipeline_block(
+            fault, None, window, gs, min(TILE_CELLS, out.size - lo))
+        gs = gs.advanced(int(at_draw[-1]) - gs.draw_count)
+        discards += fault_rejected + window_rejected
+        tile = out[lo:lo + samples.size]
+        tile[...] = samples if transform is None else transform_block(transform, samples)
+        if log:
+            np.negative(np.log(tile, out=tile), out=tile)
+    return gs, discards
+
+
+def _ab_keys(fault: FaultModel, window: Optional[RescaleWindow], transform: Transform,
+             gs: GeneratorState, n: int) -> tuple[np.ndarray, int]:
+    """The pooled key buffer of an A/B on the next ``2n`` pipeline samples
+    of ``gs``, and the candidates thrown away on the way: through its
+    float64 view, ``-log(y)`` of the first ``n`` samples, then
+    ``-log(transform(y))`` of the next ``n``."""
+    keys = np.empty(2 * n, dtype=np.uint64)
+    values = keys.view(np.float64)
+    gs, raw_discards = _draw_into(values[:n], fault, window, gs)
+    _, transformed_discards = _draw_into(values[n:], fault, window, gs, transform)
+    return keys, raw_discards + transformed_discards
+
+
+def _ab_verdict(keys: np.ndarray, n: int, alpha: float) -> Verdict:
+    """The A/B evidence of the two arms a pooled key buffer holds as float64
+    bits, the raw arm first (``n`` values): each arm's summary, then the
+    two-sample KS, which uses the buffer up."""
+    values = keys.view(np.float64)
+    s_raw = summarize(values[:n])
+    s_tr = summarize(values[n:])
+    ks = ks_two_sample(keys, n)
     evidence = [
         Evidence("ab_mean_welch", abs(s_raw.mean - s_tr.mean), welch_t(s_raw, s_tr)),
         Evidence("ab_ks", ks.statistic, ks.p_value),
@@ -199,8 +249,7 @@ class TooFewEvents(ValueError):
 
 
 def serial_parallel_compare(
-    serial: Trajectory, parallel: Trajectory, alpha: float,
-    *, gap_stats: Optional[GapMemo] = None,
+    serial: Trajectory, parallel: Trajectory, alpha: float, *, gap_stats: GapMemo,
 ) -> Verdict:
     """Test that two trajectories realise the same marked point process.
 
@@ -208,7 +257,8 @@ def serial_parallel_compare(
     their means; each side's marks are tested against the uniform clock
     distribution by chi-square (skipped when there are fewer than 2 clocks
     or under 5 expected events per clock).  A caller making several
-    pairings passes the same ``gap_stats`` memo to each call: it is keyed on
+    pairings passes the same ``gap_stats`` memo to each call, and one
+    making a single pairing a fresh :class:`GapMemo`.  The memo is keyed on
     the trajectories' times (confirmed by exact equality), so each distinct
     gap sample is summarised once, and each distinct pair of them is KS- and
     Welch-tested once.
@@ -218,7 +268,7 @@ def serial_parallel_compare(
             f"serial_parallel_compare requires >= {_MIN_COMPARE_EVENTS} events per side, "
             f"got {len(serial)} and {len(parallel)}"
         )
-    evidence = _pair_evidence(serial, parallel, "", gap_stats or GapMemo())
+    evidence = _pair_evidence(serial, parallel, "", gap_stats)
     evidence += _marks_evidence(serial, "serial_marks_chi2")
     evidence += _marks_evidence(parallel, "parallel_marks_chi2")
     return Verdict.from_evidence(evidence, alpha)
@@ -248,8 +298,8 @@ class GapMemo:
     ordered pair of ``GapStats`` are kept too.  Meant to live for one
     seed's pairings: it holds the summaries and the times it has seen, and
     no gaps; a pair's KS writes both runs' gaps, from their times, straight
-    into one pooled key buffer (:func:`~clockcheck.stats.ks_pooled`), so a
-    KS holds the pooled bytes once.
+    into one pooled key buffer (:func:`~clockcheck.stats.ks_two_sample`), so
+    a KS holds the pooled bytes once.
     """
 
     def __init__(self) -> None:
@@ -275,7 +325,7 @@ class GapMemo:
             values = keys.view(np.float64)  # each side's gaps go straight into the keys
             _gaps(a.times, out=values[:n])
             _gaps(b.times, out=values[n:])
-            hit = self._pairs[a, b] = (ks_pooled(keys, n), welch_t(a.summary, b.summary))
+            hit = self._pairs[a, b] = (ks_two_sample(keys, n), welch_t(a.summary, b.summary))
         return hit
 
 
@@ -310,8 +360,7 @@ def _bit_equal(a: Trajectory, b: Trajectory) -> bool:
 
 
 def cross_parallel_compare(
-    runs: Sequence[tuple[ParallelConfig, Trajectory]], alpha: float,
-    *, gap_stats: Optional[GapMemo] = None,
+    runs: Sequence[tuple[ParallelConfig, Trajectory]], alpha: float, *, gap_stats: GapMemo,
 ) -> Verdict:
     """Compare parallel runs of one experiment cell against each other.
 
@@ -325,7 +374,6 @@ def cross_parallel_compare(
     confirmed by exact equality, so per-worker runs with equal times share
     their gap statistics and nothing else).
     """
-    gap_stats = gap_stats or GapMemo()
     if len(runs) < 2:
         raise ValueError("cross_parallel_compare requires at least 2 runs")
     basis = None
@@ -375,7 +423,9 @@ def fix_evaluation(
     uniformity check and n per A/B arm (the A/B transform is fixed to the
     reflection, the canonical involution).  The discard rate is measured on
     the repaired pipeline: rejected candidates (fault retries plus window
-    rejections) over all attempts.
+    rejections) over all attempts.  A phase draws in tiles: its uniformity
+    part into one float64 buffer, which is let go after its KS, then its
+    arms straight into one pooled key buffer (:func:`_ab_keys`).
     """
     if window is None:
         raise ValueError("fix_evaluation requires a window")
@@ -393,14 +443,14 @@ def _fix_phase(
     alpha: float,
     seed: int,
 ) -> tuple[Verdict, float]:
-    gs = substream(seed, SERIAL_STREAM)
-    samples, _, fault_discards, window_discards = pipeline_block(fault, None, window, gs, 3 * n)
-    arm_raw = -np.log(samples[n:2 * n])
-    arm_reflected = -np.log(transform_block(Reflect(), samples[2 * n:]))
-    ks = ks_one_sample(samples[:n], uniform_cdf)
-    ab = _ab_verdict(arm_raw, arm_reflected, alpha)
+    uniform = np.empty(n)
+    gs, discards = _draw_into(uniform, fault, window, substream(seed, SERIAL_STREAM), log=False)
+    ks = ks_one_sample(uniform, uniform_cdf)
+    del uniform
+    keys, ab_discards = _ab_keys(fault, window, Reflect(), gs, n)
+    ab = _ab_verdict(keys, n, alpha)
     evidence = (Evidence("uniform_ks", ks.statistic, ks.p_value),) + ab.evidence
-    discards = fault_discards + window_discards
+    discards += ab_discards
     rate = discards / (discards + 3 * n)
     return Verdict.from_evidence(evidence, alpha), rate
 

@@ -390,25 +390,21 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     return Trajectory(*events.take(), total_draws=total, n_clocks=n)
 
 
-def simulate_parallel(cfg: ParallelConfig, memo: Optional[dict] = None,
-                      pace: float = 1.0) -> Trajectory:
+def simulate_parallel(cfg: ParallelConfig, memo: dict, pace: float) -> Trajectory:
     """Run N independent rate-1 clocks and merge their event lists.
 
-    ``memo``, if given, is a dict from configs to the trajectories returned
-    for them, kept by the caller: a config equal to one in it is not run
-    again, and a new one is run and stored.  ``pace``, the ticks per clock
-    per unit time the run is expected to show, only sizes the first pass of
-    draws; later passes use the pace the run has shown.  It changes no bit
+    ``memo`` is a dict from configs to the trajectories returned for them,
+    kept by the caller: a config equal to one in it is not run again, and a
+    new one is run and stored.  ``pace``, the ticks per clock per unit time
+    the run is expected to show, sizes the first pass of draws and the event
+    columns; later passes use the pace the run has shown.  It changes no bit
     of the result and is no part of the memo key.
     """
-    traj = None if memo is None else memo.get(cfg)
+    traj = memo.get(cfg)
     if traj is None:
-        if cfg.stream_mode is StreamMode.PER_CLOCK:
-            traj = _simulate_per_clock(cfg, pace)
-        else:
-            traj = _simulate_per_worker(cfg, pace)
-        if memo is not None:
-            memo[cfg] = traj
+        simulate = (_simulate_per_clock if cfg.stream_mode is StreamMode.PER_CLOCK
+                    else _simulate_per_worker)
+        traj = memo[cfg] = simulate(cfg, pace)
     return traj
 
 
@@ -418,15 +414,14 @@ def _simulate_per_clock(cfg: ParallelConfig, pace: float) -> Trajectory:
 
     A worker's clocks (``mapping == w``, ascending id) go in batches of at
     most ``MAX_PASS_CELLS`` samples a pass at ``pace``.  The event columns
-    are reserved once for the events the whole bank needs at ``pace``, plus
-    a margin, so at the expected pace a row almost always ends in its first
-    pass and the columns are made once.
+    are reserved once for the whole bank (:func:`_bank_events`), so at the
+    expected pace a row almost always ends in its first pass and the
+    columns are made once.
     """
     mapping = np.asarray(cfg.mapping)
     width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
     batch = max(1, MAX_PASS_CELLS // width)
-    events = _Events()
-    events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
+    events = _bank_events(cfg, pace)
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
@@ -435,6 +430,16 @@ def _simulate_per_clock(cfg: ParallelConfig, pace: float) -> Trajectory:
             total += _run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(part)), part,
                                      pace, events)
     return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
+
+
+def _bank_events(cfg: ParallelConfig, pace: float) -> _Events:
+    """Event columns with room for the events the bank of ``cfg`` makes at
+    ``pace`` ticks per clock per unit time, plus the margin of
+    :func:`_ticks_to_pass`; at most a first pass's ticks per clock."""
+    events = _Events()
+    width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
+    events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
+    return events
 
 
 def _run_to_horizon(cfg, rows: RowStates, clocks: Optional[np.ndarray], pace: float,
@@ -531,9 +536,10 @@ def _simulate_per_worker(cfg: ParallelConfig, pace: float) -> Trajectory:
     depend on where the epochs split it, so the buffer changes no bit of
     the result.  The buffer holds about ``MAX_PASS_CELLS`` pipeline
     samples, window draws included, at most (one round when a round alone
-    is more).
+    is more).  The event columns are reserved once, for the bank at
+    ``pace`` (:func:`_bank_events`).
     """
-    events = _Events()
+    events = _bank_events(cfg, pace)
     mapping = np.asarray(cfg.mapping)
     budget = int(MAX_PASS_CELLS / _draws_per_sample(cfg.fix_window))
     total = 0
@@ -672,7 +678,7 @@ def shuffle_mapping(n_clocks: int, workers: int, seed: int) -> tuple[int, ...]:
 MAPPING_KINDS = ("blocks", "round_robin", "shuffle")
 
 
-def make_mapping(kind: str, n_clocks: int, workers: int, seed: int = 0) -> tuple[int, ...]:
+def make_mapping(kind: str, n_clocks: int, workers: int, seed: int) -> tuple[int, ...]:
     if kind == "blocks":
         return block_mapping(n_clocks, workers)
     if kind == "round_robin":

@@ -382,7 +382,7 @@ class EventWriter:
 def write_report_bundle(
     report: ComparisonReport,
     out_dir: Union[str, Path],
-    formats: Sequence[str] = ("json", "csv"),
+    formats: Sequence[str],
     generated_at: Optional[str] = None,
     events: Sequence[Path] = (),
 ) -> dict:

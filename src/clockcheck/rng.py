@@ -121,8 +121,9 @@ _V_MULT1 = _U64(_MULT1)
 _V_MULT2 = _U64(_MULT2)
 _SH30, _SH27, _SH31, _SH11 = _U64(30), _U64(27), _U64(31), _U64(11)
 # Cells a block is made in at a time: unit_block's tiles, whose uint64
-# scratch buffer (256 KiB) and output tile stay in cache, and the tiles of
-# the serial and per-clock passes, each a block of this size at most.
+# scratch buffer (256 KiB) and output tile stay in cache, the tiles of the
+# serial and per-clock passes, each a block of this size at most, and the
+# samples of one pipeline call of the A/B and fix stages.
 # _STEPS holds the Weyl offsets of a tile's columns, j * GOLDEN for
 # j = 1 .. TILE_CELLS.
 TILE_CELLS = 1 << 15

@@ -1,7 +1,9 @@
 """Statistical machinery for comparing simulation runs.
 
 Summaries, goodness-of-fit and two-sample tests, and clock-drift
-measurement.  Everything here is a pure function over immutable inputs.
+measurement.  Everything here is a pure function over immutable inputs,
+but for the two-sample KS, which sorts the pooled buffer it is given in
+place.
 
 p-values are asymptotic and guarded by minimum-n checks: one-sample KS
 computes its statistic for any nonempty sample but refuses to attach a
@@ -27,7 +29,6 @@ __all__ = [
     "summarize",
     "ks_one_sample",
     "ks_two_sample",
-    "ks_pooled",
     "chi_square_uniform",
     "welch_t",
     "clock_drift",
@@ -45,7 +46,7 @@ MIN_KS_N = 8
 #: the chance, under the null, that a test's flag count passes its band
 BAND_TAIL = 1e-6
 
-_KS_CHUNK = 1 << 13  # sorted pooled keys ks_two_sample reads at a time
+_KS_CHUNK = 1 << 13  # sorted values or pooled keys a KS pass reads at a time
 
 
 @dataclass(frozen=True)
@@ -131,53 +132,48 @@ def ks_one_sample(samples: ArrayLike, cdf: Callable[[np.ndarray], np.ndarray]) -
 
     ``D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)`` over the sorted
     sample.  The cdf is called once on the sorted sample array and must
-    return one value per sample, monotone nondecreasing within [0, 1], else
-    ValueError.  The statistic is computed for any n >= 1; the p-value is
-    None for n < 8.
+    return one value per sample, monotone nondecreasing within [0, 1] (no
+    NaN), else ValueError.  The statistic is computed for any n >= 1; the
+    p-value is None for n < 8.  Beside the sorted copy and the cdf values,
+    the pass holds only ``_KS_CHUNK``-sized temporaries.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     n = xs.size
     if n == 0:
         raise ValueError("ks_one_sample requires at least one sample")
     f = np.asarray(cdf(xs), dtype=np.float64)
-    if f.shape != xs.shape or np.any(np.diff(f) < 0.0) or f.min() < 0.0 or f.max() > 1.0:
+    if f.shape != xs.shape or not (f.min() >= 0.0 and f.max() <= 1.0) or np.any(f[1:] < f[:-1]):
         raise ValueError("cdf probe failed: it must give one value per sample point, "
                          "monotone nondecreasing within [0, 1]")
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d = float(np.maximum(i / n - f, f - (i - 1) / n).max())
+    d = 0.0  # D >= 1/(2n) > 0: the two terms at any i sum to 1/n
+    for lo in range(0, n, _KS_CHUNK):
+        fc = f[lo:lo + _KS_CHUNK]
+        i = np.arange(lo + 1, lo + 1 + fc.size, dtype=np.float64)
+        above = i / n
+        above -= fc  # i/n - F
+        i -= 1.0
+        i /= n
+        np.subtract(fc, i, out=i)  # F - (i-1)/n
+        d = max(d, float(above.max()), float(i.max()))
     p = _ks_p(d, n) if n >= MIN_KS_N else None
     return KsResult(statistic=d, p_value=p, n=n)
 
 
-def ks_two_sample(a: ArrayLike, b: ArrayLike) -> KsResult:
-    """Two-sample KS: sup |F_a - F_b| over the pooled points.
+def ks_two_sample(keys: np.ndarray, n: int) -> KsResult:
+    """Two-sample KS of the samples a ``uint64`` buffer holds as float64
+    bits, the first ``n`` values sample a and the rest sample b: sup |F_a -
+    F_b| over the pooled points.
 
-    The samples come in any order; every value must be >= 0 (``-0.0``
-    counts as 0), else ValueError, as is a NaN.  Both sides need >= 8
-    points; the p-value uses the one-sample asymptotic with effective
-    n = n*m/(n+m).  The two samples are copied into one pooled buffer for
-    :func:`ks_pooled`.
-    """
-    xa = np.asarray(a, dtype=np.float64).ravel()
-    xb = np.asarray(b, dtype=np.float64).ravel()
-    keys = np.empty(xa.size + xb.size, dtype=np.uint64)
-    values = keys.view(np.float64)
-    values[:xa.size] = xa
-    values[xa.size:] = xb
-    return ks_pooled(keys, xa.size)
-
-
-def ks_pooled(keys: np.ndarray, n: int) -> KsResult:
-    """:func:`ks_two_sample` of the two samples a ``uint64`` buffer holds as
-    float64 bits: the first ``n`` values are sample a, the rest sample b.
-
-    A caller can write both samples straight into the buffer (through its
-    float64 view) and so hold the pooled bytes once.  The buffer is used up:
-    each value becomes, in place, the key ``bits << 1 | side`` (side 1 for
-    a), because a non-negative double's bit pattern orders as the double
-    does, and the shift folds ``-0.0`` onto ``+0.0``; one in-place sort then
-    orders both samples.  See :func:`_pooled_statistic` for the pass over
-    the sorted keys.
+    A caller writes both samples straight into the buffer (through its
+    float64 view), so the pooled bytes are held once.  The samples come in
+    any order; every value must be >= 0 (``-0.0`` counts as 0), else
+    ValueError, as is a NaN.  Both sides need >= 8 points; the p-value uses
+    the one-sample asymptotic with effective n = n*m/(n+m).  The buffer is
+    used up: each value becomes, in place, the key ``bits << 1 | side``
+    (side 1 for a), because a non-negative double's bit pattern orders as
+    the double does, and the shift folds ``-0.0`` onto ``+0.0``; one
+    in-place sort then orders both samples.  See :func:`_pooled_statistic`
+    for the pass over the sorted keys.
     """
     m = keys.size - n
     if n < MIN_KS_N or m < MIN_KS_N:

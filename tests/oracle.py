@@ -7,7 +7,8 @@ unit-lattice map of one word, each fault model and each transform on one
 float, the window rejection-rescale, the simulators built on them,
 Welford's summary one value at a time, the two-sample KS statistic in
 its two-``searchsorted`` form, and event-CSV rows with ``repr`` of each
-time.  It also holds the single-run check that
+time.  ``pooled`` copies two samples into the one key buffer that the
+package's two-sample KS and A/B verdict take.  It also holds the single-run check that
 the package leaves out on purpose (``fitted_exponential_check``) and the
 exponential CDF it tests against.
 Every simulator here also takes a hand-made draw source (any object with
@@ -162,6 +163,18 @@ def ks_two_sample_statistic(a, b):
     xa = np.sort(np.asarray(a, dtype=np.float64).ravel())
     xb = np.sort(np.asarray(b, dtype=np.float64).ravel())
     return max(_ks_side(xa, xb), _ks_side(xb, xa))
+
+
+def pooled(a, b):
+    """``a`` then ``b`` as float64 bits in one new ``uint64`` buffer, and
+    the size of ``a``: the arguments of ``stats.ks_two_sample`` and, with
+    alpha, of ``detector._ab_verdict``."""
+    xa = np.asarray(a, dtype=np.float64).ravel()
+    xb = np.asarray(b, dtype=np.float64).ravel()
+    keys = np.empty(xa.size + xb.size, dtype=np.uint64)
+    keys.view(np.float64)[:xa.size] = xa
+    keys.view(np.float64)[xa.size:] = xb
+    return keys, xa.size
 
 
 def _ks_side(x, y):
@@ -353,7 +366,7 @@ def _fix_phase(fault, window, n, alpha, seed):
     arm_reflected = -np.log(np.array([transform_scalar(reflect, pipe.next())
                                       for _ in range(n)]))
     ks = stats.ks_one_sample(uniform, stats.uniform_cdf)
-    ab = detector._ab_verdict(arm_raw, arm_reflected, alpha)
+    ab = detector._ab_verdict(*pooled(arm_raw, arm_reflected), alpha)
     evidence = (detector.Evidence("uniform_ks", ks.statistic, ks.p_value),) + ab.evidence
     discards = pipe.fault_discards + pipe.window_discards
     return detector.Verdict.from_evidence(evidence, alpha), discards / (discards + 3 * n)

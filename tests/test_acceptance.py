@@ -56,7 +56,7 @@ def test_criterion_01_bit_identical_under_remapping():
                 workers=workers,
                 mapping=make_mapping(kind, 64, workers, seed=_SEEDS_100[0]),
             )
-            traj = process.simulate_parallel(cfg)
+            traj = process.simulate_parallel(cfg, {}, pace=1.0)
             runs += 1
             if base is None:
                 base = traj
@@ -78,8 +78,9 @@ def test_criterion_02_type_one_calibration():
     ab_flags = 0
     for seed in _SEEDS_100:
         serial = process.simulate_serial(SerialConfig(16, 100.0, seed))
-        parallel = process.simulate_parallel(ParallelConfig(16, 100.0, seed))
-        verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01)
+        parallel = process.simulate_parallel(ParallelConfig(16, 100.0, seed), {}, pace=1.0)
+        verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01,
+                                                   gap_stats=detector.GapMemo())
         for e in verdict.evidence:
             if e.p_value is not None and e.p_value < 0.01:
                 flags[e.test] = flags.get(e.test, 0) + 1
@@ -102,9 +103,10 @@ def test_criterion_03_detection_power():
     detected = 0
     for seed in _SEEDS_100:
         serial = process.simulate_serial(SerialConfig(16, 3200.0, seed, _PB2))
-        parallel = process.simulate_parallel(ParallelConfig(16, 3200.0, seed, _PB2))
+        parallel = process.simulate_parallel(ParallelConfig(16, 3200.0, seed, _PB2), {}, pace=1.0)
         assert len(serial) >= 100_000 and len(parallel) >= 100_000
-        verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01)
+        verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01,
+                                                   gap_stats=detector.GapMemo())
         p_values = [e.p_value for e in verdict.evidence if e.p_value is not None]
         if verdict.diverged and min(p_values) < 1e-3:
             detected += 1
@@ -192,7 +194,8 @@ def test_criterion_07_serial_mark_skew():
         p = (2 * k + 1) / 16.0
         se = math.sqrt(n * p * (1.0 - p))
         assert abs(counts[k] - n * p) <= 3.0 * se, (k, counts[k], n * p)
-    parallel = process.simulate_parallel(ParallelConfig(4, 13_000.0, _SEEDS_100[0], _PB2))
+    parallel = process.simulate_parallel(ParallelConfig(4, 13_000.0, _SEEDS_100[0], _PB2), {},
+                                         pace=1.0)
     chi = stats.chi_square_uniform(parallel.per_clock_ticks)
     assert chi.p_value > 0.01
     freqs = ", ".join(f"{c / n:.4f}" for c in counts)

@@ -19,13 +19,14 @@ import numpy as np
 import pytest
 
 import oracle
-from clockcheck import config, detector, process, report, stats
+from clockcheck import config, detector, process, report, stats, transforms
 from clockcheck.detector import (
     CONSISTENT,
     DIVERGENCE,
     ComparisonReport,
     Evidence,
     ExperimentPlan,
+    GapMemo,
     PairingRecord,
     SeedReport,
     Verdict,
@@ -37,7 +38,7 @@ from clockcheck.process import (
     StreamMode,
     make_mapping,
 )
-from clockcheck.rng import IDEAL, LowThinning, PowerBias
+from clockcheck.rng import IDEAL, TILE_CELLS, LowThinning, PowerBias, substream
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf, transform_label
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -88,6 +89,65 @@ def test_ab_requires_enough_samples():
         detector.transform_ab_test(IDEAL, Reflect(), 999, alpha=0.01, seed=0)
 
 
+def _asked_samples(monkeypatch):
+    # the samples each pipeline_block call of a detector stage asks for
+    asked = []
+    real = detector.pipeline_block
+
+    def counted(fault, transform, window, gs, n):
+        asked.append(n)
+        return real(fault, transform, window, gs, n)
+
+    monkeypatch.setattr(detector, "pipeline_block", counted)
+    return asked
+
+
+def test_ab_and_fix_stages_ask_for_at_most_a_tile_a_call(monkeypatch):
+    n = 2 * TILE_CELLS + 5  # each part: two whole tiles and a short one
+    asked = _asked_samples(monkeypatch)
+    detector.transform_ab_test(_PB2, Reflect(), n, alpha=0.01, seed=0)
+    assert max(asked) <= TILE_CELLS and sum(asked) == 2 * n
+    del asked[:]
+    detector.fix_evaluation(LowThinning(0.5, 1.0), RescaleWindow(0.5, 1.0), n, alpha=0.01, seed=0)
+    assert max(asked) <= TILE_CELLS and sum(asked) == 2 * 3 * n
+
+
+@pytest.mark.parametrize("fault", [IDEAL, _PB2, LowThinning(0.5, 0.5)])
+@pytest.mark.parametrize("transform", [Reflect(), Compose([RotateHalf(), Reflect()])])
+def test_ab_in_tiles_equals_the_ab_of_one_block(monkeypatch, fault, transform):
+    # Tiles of 777 samples cut each arm into 7 tiles and a short one; the
+    # verdict must be the one of a single pipeline_block call for both arms.
+    n, seed = 6000, 9
+    samples, _, _, _ = process.pipeline_block(fault, None, None, substream(seed, 0), 2 * n)
+    arms = -np.log(samples[:n]), -np.log(transforms.transform_block(transform, samples[n:]))
+    expected = detector._ab_verdict(*oracle.pooled(*arms), 0.01)
+    monkeypatch.setattr(detector, "TILE_CELLS", 777)
+    assert detector.transform_ab_test(fault, transform, n, alpha=0.01, seed=seed) == expected
+
+
+@pytest.mark.parametrize("stage, held", [("fix", 24), ("ab", 16)])
+def test_ab_and_fix_stages_hold_their_buffers_and_a_few_tiles(stage, held):
+    # numpy reports its buffers to tracemalloc.  At n = 2^20 the A/B holds
+    # its pooled keys (16 bytes a sample pair); a fix phase holds its
+    # uniform part and, while its one-sample KS runs, the sorted copy and
+    # the cdf values (24 bytes a sample), then its keys.  Beside those, each
+    # stage may hold eight tiles (2 MiB).  Drawn in one block, the stages
+    # peaked at 48 and 363 MiB on these calls.
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        if stage == "ab":
+            detector.transform_ab_test(_PB2, Reflect(), n, alpha=0.01, seed=5)
+        else:
+            detector.fix_evaluation(LowThinning(0.5, 1.0), RescaleWindow(0.5, 1.0), n,
+                                    alpha=0.01, seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= held * n + 8 * 8 * TILE_CELLS
+
+
 # ---------------------------------------------------------------------------
 # serial vs parallel
 # ---------------------------------------------------------------------------
@@ -95,12 +155,13 @@ def test_ab_requires_enough_samples():
 
 def _pair(fault, seed=0, n_clocks=8, horizon=250.0):
     serial = process.simulate_serial(SerialConfig(n_clocks, horizon, seed, fault))
-    parallel = process.simulate_parallel(ParallelConfig(n_clocks, horizon, seed, fault))
+    parallel = process.simulate_parallel(ParallelConfig(n_clocks, horizon, seed, fault), {},
+                                         pace=1.0)
     return serial, parallel
 
 
 def test_serial_parallel_ideal_is_consistent():
-    verdict = detector.serial_parallel_compare(*_pair(IDEAL), alpha=0.01)
+    verdict = detector.serial_parallel_compare(*_pair(IDEAL), alpha=0.01, gap_stats=GapMemo())
     assert verdict.outcome == CONSISTENT
     names = set(_by_name(verdict))
     assert names == {
@@ -115,7 +176,7 @@ def test_serial_parallel_power_bias_flags_marks_not_gaps():
     # power_bias(2) turns every clock into a rate-2 Poisson clock, so the
     # merged gaps still look exponential on both sides; what betrays it is
     # the serial mark draw, which is biased toward high clock indices.
-    verdict = detector.serial_parallel_compare(*_pair(_PB2), alpha=0.01)
+    verdict = detector.serial_parallel_compare(*_pair(_PB2), alpha=0.01, gap_stats=GapMemo())
     assert verdict.diverged
     rows = _by_name(verdict)
     assert rows["serial_marks_chi2"].p_value < 1e-3
@@ -126,12 +187,12 @@ def test_serial_parallel_power_bias_flags_marks_not_gaps():
 def test_serial_parallel_rejects_thin_trajectories():
     serial, parallel = _pair(IDEAL, horizon=20.0)
     with pytest.raises(ValueError, match="events per side"):
-        detector.serial_parallel_compare(serial, parallel, alpha=0.01)
+        detector.serial_parallel_compare(serial, parallel, alpha=0.01, gap_stats=GapMemo())
 
 
 def test_self_comparison_is_clean():
     serial, _ = _pair(IDEAL)
-    verdict = detector.serial_parallel_compare(serial, serial, alpha=0.01)
+    verdict = detector.serial_parallel_compare(serial, serial, alpha=0.01, gap_stats=GapMemo())
     assert verdict.outcome == CONSISTENT
     rows = _by_name(verdict)
     assert rows["inter_event_ks"].statistic == 0.0
@@ -145,8 +206,8 @@ def test_gap_memo_ks_equals_ks_of_the_gap_arrays():
         serial, parallel = _pair(fault)
         memo = detector.GapMemo()
         ks, _ = memo.pair(memo(serial), memo(parallel))
-        assert ks == stats.ks_two_sample(serial.inter_event_times(),
-                                         parallel.inter_event_times())
+        assert ks == stats.ks_two_sample(*oracle.pooled(serial.inter_event_times(),
+                                                        parallel.inter_event_times()))
 
 
 def test_gap_memo_ks_holds_the_pooled_bytes_once():
@@ -199,7 +260,7 @@ def _cell(workers, mapping, mode, seed=0, n_clocks=8, horizon=250.0):
         mapping=make_mapping(mapping, n_clocks, workers, seed),
         stream_mode=mode,
     )
-    return cfg, process.simulate_parallel(cfg)
+    return cfg, process.simulate_parallel(cfg, {}, pace=1.0)
 
 
 def test_cross_parallel_per_clock_runs_are_bit_identical():
@@ -208,7 +269,7 @@ def test_cross_parallel_per_clock_runs_are_bit_identical():
         _cell(2, "round_robin", StreamMode.PER_CLOCK),
         _cell(4, "shuffle", StreamMode.PER_CLOCK),
     ]
-    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01, gap_stats=GapMemo())
     assert verdict.outcome == CONSISTENT
     assert not verdict.determinism_breach
     rows = _by_name(verdict)
@@ -223,7 +284,7 @@ def test_cross_parallel_reports_breach_on_corruption():
     ]
     cfg, traj = runs[1]
     runs[1] = (cfg, _corrupted(traj))
-    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01, gap_stats=GapMemo())
     assert verdict.determinism_breach
     assert verdict.diverged
     assert _by_name(verdict)["per_clock_bit_equality_1_vs_0"].statistic == 0.0
@@ -239,7 +300,7 @@ def test_cross_parallel_breaches_on_draw_or_clock_count(field):
     ]
     cfg, traj = runs[1]
     runs[1] = (cfg, dataclasses.replace(traj, **{field: getattr(traj, field) + 1}))
-    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01, gap_stats=GapMemo())
     assert verdict.determinism_breach
     assert _by_name(verdict)["per_clock_bit_equality_1_vs_0"].statistic == 0.0
 
@@ -249,7 +310,7 @@ def test_cross_parallel_per_worker_uses_statistics():
         _cell(2, "blocks", StreamMode.PER_WORKER),
         _cell(2, "round_robin", StreamMode.PER_WORKER),
     ]
-    verdict = detector.cross_parallel_compare(runs, alpha=0.01)
+    verdict = detector.cross_parallel_compare(runs, alpha=0.01, gap_stats=GapMemo())
     assert verdict.outcome == CONSISTENT
     names = set(_by_name(verdict))
     assert "per_worker_0_vs_1_inter_event_ks" in names
@@ -259,13 +320,14 @@ def test_cross_parallel_per_worker_uses_statistics():
 
 def test_cross_parallel_validates_basis_and_arity():
     with pytest.raises(ValueError, match="at least 2"):
-        detector.cross_parallel_compare([_cell(1, "blocks", StreamMode.PER_CLOCK)], alpha=0.01)
+        detector.cross_parallel_compare([_cell(1, "blocks", StreamMode.PER_CLOCK)], alpha=0.01,
+                                        gap_stats=GapMemo())
     mixed = [
         _cell(1, "blocks", StreamMode.PER_CLOCK, seed=0),
         _cell(1, "blocks", StreamMode.PER_CLOCK, seed=1),
     ]
     with pytest.raises(ValueError, match="share"):
-        detector.cross_parallel_compare(mixed, alpha=0.01)
+        detector.cross_parallel_compare(mixed, alpha=0.01, gap_stats=GapMemo())
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +404,22 @@ def test_fix_evaluation_matches_oracle(fault, window):
     # Verdicts, p-values and the discard rate all compare exactly.
     fast = detector.fix_evaluation(fault, window, 10_000, alpha=0.01, seed=123)
     slow = oracle.fix_evaluation(fault, window, 10_000, alpha=0.01, seed=123)
+    assert fast.before == slow.before
+    assert fast.after == slow.after
+    assert fast.discard_rate == slow.discard_rate
+
+
+@pytest.mark.parametrize("fault,window", [
+    (LowThinning(0.5, 0.5), RescaleWindow(0.5, 1.0)),
+    (LowThinning(0.3, 1.0), RescaleWindow(0.1, 0.8)),
+    (PowerBias(2.0), RescaleWindow(0.2, 0.9)),
+])
+def test_fix_evaluation_in_small_tiles_matches_oracle(monkeypatch, fault, window):
+    # Tiles of 777 samples cut each part into 12 tiles and a short one: each
+    # tile goes on from the state after the last, and the rejections add up.
+    monkeypatch.setattr(detector, "TILE_CELLS", 777)
+    fast = detector.fix_evaluation(fault, window, 10_000, alpha=0.01, seed=321)
+    slow = oracle.fix_evaluation(fault, window, 10_000, alpha=0.01, seed=321)
     assert fast.before == slow.before
     assert fast.after == slow.after
     assert fast.discard_rate == slow.discard_rate
@@ -553,7 +631,7 @@ def test_shared_gap_memo_equals_a_fresh_memo_per_pairing(monkeypatch):
     # per-worker cells: every pairing's evidence must be what each call
     # computes with a memo of its own.
     seen = _record_calls(monkeypatch, "summarize")
-    ks_calls = _record_calls(monkeypatch, "ks_pooled")
+    ks_calls = _record_calls(monkeypatch, "ks_two_sample")
     plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER),
                        debug_corrupt_per_clock=True)
@@ -565,11 +643,12 @@ def test_shared_gap_memo_equals_a_fresh_memo_per_pairing(monkeypatch):
 
     for pairing, traj in zip(sr.pairings, cells):
         assert pairing.label.startswith("serial_vs_")
-        assert pairing.verdict == detector.serial_parallel_compare(serial, traj, plan.alpha)
+        assert pairing.verdict == detector.serial_parallel_compare(serial, traj, plan.alpha,
+                                                                   gap_stats=GapMemo())
     cross = sr.pairings[len(cells)]
     assert cross.label == "cross_parallel"
     assert cross.verdict == detector.cross_parallel_compare(
-        list(zip(_cells(plan, 0), cells)), plan.alpha)
+        list(zip(_cells(plan, 0), cells)), plan.alpha, gap_stats=GapMemo())
 
     corrupted, sound = cells[0], cells[1]
     assert not np.array_equal(corrupted.times, sound.times)
@@ -645,7 +724,7 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
     cells = _cells(plan, 0)
-    fresh = [process.simulate_parallel(cfg) for cfg in cells]
+    fresh = [process.simulate_parallel(cfg, {}, pace=1.0) for cfg in cells]
     simulated = []
     for name in ("_simulate_per_clock", "_simulate_per_worker"):
         real = getattr(process, name)
@@ -662,8 +741,10 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     serial = process.simulate_serial(SerialConfig(plan.n_clocks, plan.horizon, 0))
     assert {pace for _, pace in simulated} == {len(serial) / (plan.n_clocks * plan.horizon)}
     assert len(serial) != plan.n_clocks * plan.horizon  # the pace is measured, not 1
-    expected = [detector.serial_parallel_compare(serial, traj, plan.alpha) for traj in fresh]
-    expected.append(detector.cross_parallel_compare(list(zip(cells, fresh)), plan.alpha))
+    expected = [detector.serial_parallel_compare(serial, traj, plan.alpha, gap_stats=GapMemo())
+                for traj in fresh]
+    expected.append(detector.cross_parallel_compare(list(zip(cells, fresh)), plan.alpha,
+                                                    gap_stats=GapMemo()))
     assert [p.verdict for p in sr.pairings] == expected
 
 
@@ -708,7 +789,8 @@ def test_equal_config_twin_of_a_corrupted_cell_still_breaches():
     assert cross.label == "cross_parallel"
     assert cross.verdict.determinism_breach and report.any_breach
     corrupted, twin = runs[1][1], runs[2][1]
-    assert np.array_equal(twin.times, process.simulate_parallel(_cells(plan, 0)[1]).times)
+    rerun = process.simulate_parallel(_cells(plan, 0)[1], {}, pace=1.0)
+    assert np.array_equal(twin.times, rerun.times)
     assert not np.array_equal(corrupted.times, twin.times)
 
 
@@ -803,8 +885,9 @@ def test_str_stream_modes_run_as_the_enum():
     for mode in StreamMode:
         by_str = ParallelConfig(8, 150.0, 0, workers=2, stream_mode=mode.value)
         assert by_str.stream_mode is mode
-        assert detector._bit_equal(process.simulate_parallel(by_str), process.simulate_parallel(
-            ParallelConfig(8, 150.0, 0, workers=2, stream_mode=mode)))
+        assert detector._bit_equal(process.simulate_parallel(by_str, {}, pace=1.0),
+                                   process.simulate_parallel(ParallelConfig(
+                                       8, 150.0, 0, workers=2, stream_mode=mode), {}, pace=1.0))
     with pytest.raises(ValueError):
         ParallelConfig(8, 150.0, 0, stream_mode="bogus")
 

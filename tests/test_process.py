@@ -253,11 +253,11 @@ def test_first_passes_draw_what_the_horizon_needs(monkeypatch):
     assert passes == [(1, passes[0][1])]
     assert passes[0][1] <= 2 * (n * h + 5 * math.sqrt(n * h) + 32)
     del passes[:]
-    process.simulate_parallel(ParallelConfig(n, h, seed=3), pace=1.0)
+    process.simulate_parallel(ParallelConfig(n, h, seed=3), {}, pace=1.0)
     assert passes == [(n, passes[0][1])] and passes[0][1] <= h + 5 * math.sqrt(h) + 32
     calls = _count_pipeline_calls(monkeypatch)  # the serial and per-clock tiles call it too
     process.simulate_parallel(
-        ParallelConfig(n, h, seed=3, workers=4, stream_mode=StreamMode.PER_WORKER), pace=1.0)
+        ParallelConfig(n, h, seed=3, workers=4, stream_mode=StreamMode.PER_WORKER), {}, pace=1.0)
     assert 4 <= len(calls) <= 8 and max(calls) <= n // 4 * (h + 8)
 
 
@@ -272,7 +272,7 @@ def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
     common = dict(n_clocks=6, horizon=200.0, seed=31, fault=fault, transform=transform,
                   fix_window=window)
     cells = {f"P{p}": ParallelConfig(**common, workers=p,
-                                     mapping=make_mapping("round_robin", 6, p))
+                                     mapping=make_mapping("round_robin", 6, p, seed=0))
              for p in (1, 3)}
     cells["per_worker"] = ParallelConfig(**common, stream_mode=StreamMode.PER_WORKER)
     serial_cfg = SerialConfig(**common)
@@ -291,7 +291,7 @@ def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
         hinted, scaled = {}, {}
         for name, cfg in cells.items():
             del passes[:], calls[:]
-            _assert_same(process.simulate_parallel(cfg, pace=factor), slow[name])
+            _assert_same(process.simulate_parallel(cfg, {}, pace=factor), slow[name])
             hinted[name] = asked(name)
         with monkeypatch.context() as patch:
             # each pass sized as if the pace were `factor` times what the
@@ -301,7 +301,7 @@ def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
             for name in ("serial", "P1", "P3"):
                 del passes[:]
                 run = (process.simulate_serial(serial_cfg) if name == "serial"
-                       else process.simulate_parallel(cells[name]))
+                       else process.simulate_parallel(cells[name], {}, pace=1.0))
                 _assert_same(run, slow[name])
                 scaled[name] = asked(name)
         if factor == 0.05:
@@ -329,7 +329,7 @@ def test_parallel_block_path_equals_scalar_path(fault, transform, window):
                 fix_window=window, workers=workers,
                 mapping=make_mapping(kind, 6, workers, seed=77),
             )
-            _assert_same(process.simulate_parallel(cfg), slow)
+            _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), slow)
 
 
 @pytest.mark.parametrize("cells", [5, 200])
@@ -342,10 +342,10 @@ def test_per_clock_grid_cap_splits_rows_and_passes(monkeypatch, cells):
         n_clocks=5, horizon=20.0, seed=12, fault=PowerBias(4.0), workers=2,
         mapping=(0, 0, 0, 0, 1),
     )
-    uncapped = process.simulate_parallel(cfg)
+    uncapped = process.simulate_parallel(cfg, {}, pace=1.0)
     monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
     passes = _count_passes(monkeypatch)
-    _assert_same(process.simulate_parallel(cfg), uncapped)
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), uncapped)
     calls = [rows for rows, _ in passes]
     batch = max(1, cells // 82)
     assert max(calls) <= batch
@@ -440,7 +440,7 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
     # scalar oracle, and the edge cases the runs are meant to cover occur.
     common = dict(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform)
     serial_cfg = SerialConfig(**common)
-    cells = [ParallelConfig(**common, workers=p, mapping=make_mapping("round_robin", 6, p))
+    cells = [ParallelConfig(**common, workers=p, mapping=make_mapping("round_robin", 6, p, seed=0))
              for p in (1, 3)]
     slow_serial = oracle.simulate_serial(serial_cfg)
     slow = oracle.simulate_parallel(cells[0])
@@ -461,7 +461,7 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
                     seen.add("short last tile")
                 for cfg in cells:
                     del tiles[:]
-                    _assert_same(process.simulate_parallel(cfg), slow)
+                    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), slow)
                     if any(c for _, c, _, _ in tiles):
                         seen.add("edge inside a row")
                     if _short_last_tile(tiles):
@@ -488,7 +488,7 @@ def test_thinning_and_window_passes_ignore_the_tile_size(monkeypatch, fault, tra
     _assert_same(process.simulate_serial(SerialConfig(**common)),
                  oracle.simulate_serial(SerialConfig(**common)))
     cfg = ParallelConfig(**common, workers=3)
-    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
     assert tiles and all(c == 0 and w == n for n, c, w, _ in tiles)
 
 
@@ -559,7 +559,27 @@ def test_per_clock_cell_at_the_serial_pace_makes_its_columns_once(monkeypatch, w
     cfg = ParallelConfig(1024, 250.0, seed=1, fault=PowerBias(2.0), workers=workers,
                          mapping=make_mapping("shuffle", 1024, workers, seed=1))
     made = _count_column_allocations(monkeypatch)
-    traj = process.simulate_parallel(cfg, pace=pace)
+    traj = process.simulate_parallel(cfg, {}, pace=pace)
+    assert len(made) == 1 and made[0] >= len(traj)
+
+
+@pytest.mark.parametrize("n_clocks, workers, fault", [
+    (16, 1, LowThinning(0.5, 0.5)), (16, 4, LowThinning(0.5, 0.5)),
+    (1024, 2, LowThinning(0.5, 0.5)), (256, 2, PowerBias(2.0)),
+])
+def test_per_worker_cell_at_the_serial_pace_makes_its_columns_once(monkeypatch, n_clocks,
+                                                                   workers, fault):
+    # A per-worker cell at the serial run's pace reserves its columns once
+    # for the whole bank, as a per-clock cell does, instead of growing them
+    # as its epochs overflow them, each time a copy of all events so far.
+    pipeline = dict(fault=fault, transform=Reflect())
+    serial = process.simulate_serial(SerialConfig(n_clocks, 250.0, seed=1, **pipeline))
+    pace = len(serial) / (n_clocks * 250.0)
+    cfg = ParallelConfig(n_clocks, 250.0, seed=1, **pipeline, workers=workers,
+                         mapping=make_mapping("round_robin", n_clocks, workers, seed=1),
+                         stream_mode=StreamMode.PER_WORKER)
+    made = _count_column_allocations(monkeypatch)
+    traj = process.simulate_parallel(cfg, {}, pace=pace)
     assert len(made) == 1 and made[0] >= len(traj)
 
 
@@ -586,7 +606,7 @@ def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):
     shapes = []
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 30_000)
     _counting_fault_block(monkeypatch, shapes)
-    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
     assert max(rows for rows, _ in shapes) > 1
     assert all(rows * m <= 30_000 for rows, m in shapes)
 
@@ -602,7 +622,7 @@ def test_per_worker_block_path_equals_scalar_path(fault, transform, window, work
         mapping=make_mapping(kind, 10, workers, seed=4242),
         stream_mode=StreamMode.PER_WORKER,
     )
-    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
 
 
 def test_per_worker_epochs_cap_their_draws(monkeypatch):
@@ -612,7 +632,7 @@ def test_per_worker_epochs_cap_their_draws(monkeypatch):
         n_clocks=5, horizon=20.0, seed=3, fault=LowThinning(0.5, 0.5), workers=2,
         stream_mode=StreamMode.PER_WORKER,
     )
-    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
 
 
 def test_per_worker_epochs_count_their_window_draws(monkeypatch):
@@ -626,7 +646,7 @@ def test_per_worker_epochs_count_their_window_draws(monkeypatch):
     shapes = []
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 3000)
     _counting_fault_block(monkeypatch, shapes)
-    _assert_same(process.simulate_parallel(cfg), oracle.simulate_parallel(cfg))
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
     assert max(m for _, m in shapes) <= 3016
     assert len(shapes) > 1
 
@@ -642,7 +662,7 @@ def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
         stream_mode=StreamMode.PER_WORKER,
     )
     calls = _count_pipeline_calls(monkeypatch)
-    fast = process.simulate_parallel(cfg)
+    fast = process.simulate_parallel(cfg, {}, pace=1.0)
     assert 1 <= len(calls) <= 2
     _assert_same(fast, oracle.simulate_parallel(cfg))
 
@@ -655,12 +675,12 @@ def test_per_worker_buffer_refills_mid_run(monkeypatch, cells):
     cfg = ParallelConfig(
         n_clocks=12, horizon=60.0, seed=17, fault=LowThinning(0.5, 0.5),
         fix_window=RescaleWindow(0.5, 1.0), workers=2,
-        mapping=make_mapping("round_robin", 12, 2), stream_mode=StreamMode.PER_WORKER,
+        mapping=make_mapping("round_robin", 12, 2, seed=0), stream_mode=StreamMode.PER_WORKER,
     )
-    uncapped = process.simulate_parallel(cfg)
+    uncapped = process.simulate_parallel(cfg, {}, pace=1.0)
     monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
     calls = _count_pipeline_calls(monkeypatch)
-    capped = process.simulate_parallel(cfg)
+    capped = process.simulate_parallel(cfg, {}, pace=1.0)
     assert len(calls) > 2 * 366 // (cells // 3) and max(calls) <= cells // 3
     _assert_same(capped, uncapped)
     _assert_same(capped, oracle.simulate_parallel(cfg))
@@ -711,7 +731,7 @@ def test_per_worker_default_equals_explicit_factory():
         n_clocks=5, horizon=30.0, seed=9, workers=2,
         stream_mode=StreamMode.PER_WORKER,
     )
-    fast = process.simulate_parallel(cfg)
+    fast = process.simulate_parallel(cfg, {}, pace=1.0)
     slow = oracle.simulate_parallel(
         cfg, source_factory=lambda w: oracle.PipelineSource(cfg.seed, worker_stream(w))
     )
@@ -734,7 +754,7 @@ def test_per_clock_result_ignores_worker_count_and_mapping():
                 workers=workers,
                 mapping=make_mapping(kind, 12, workers, seed=31),
             )
-            traj = process.simulate_parallel(cfg)
+            traj = process.simulate_parallel(cfg, {}, pace=1.0)
             if base is None:
                 base = traj
             else:
@@ -756,7 +776,7 @@ def test_per_worker_labels_move_with_mapping_but_law_holds():
         )
         for kind in ("blocks", "round_robin")
     ]
-    a, b = (process.simulate_parallel(c) for c in cfgs)
+    a, b = (process.simulate_parallel(c, {}, pace=1.0) for c in cfgs)
     assert not np.array_equal(a.marks, b.marks)
     mean, sd = 800.0, math.sqrt(800.0)
     for traj in (a, b):
@@ -766,7 +786,8 @@ def test_per_worker_labels_move_with_mapping_but_law_holds():
 def test_event_volume_matches_poisson_band():
     # N*T = 1600 expected events, checked at 4 sigma on both paths.
     serial = process.simulate_serial(SerialConfig(n_clocks=16, horizon=100.0, seed=11))
-    parallel = process.simulate_parallel(ParallelConfig(n_clocks=16, horizon=100.0, seed=11))
+    parallel = process.simulate_parallel(ParallelConfig(n_clocks=16, horizon=100.0, seed=11), {},
+                                         pace=1.0)
     mean, sd = 1600.0, math.sqrt(1600.0)
     assert abs(len(serial) - mean) < 4.0 * sd
     assert abs(len(parallel) - mean) < 4.0 * sd
@@ -957,7 +978,7 @@ def test_shuffle_mapping_equals_oracle_fisher_yates(n_clocks):
 
 def test_make_mapping_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown mapping"):
-        make_mapping("striped", 8, 2)
+        make_mapping("striped", 8, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------

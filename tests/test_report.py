@@ -476,7 +476,8 @@ def test_kernel_formats_nearly_every_simulated_time(mode):
         traj = process.simulate_serial(process.SerialConfig(256, 250.0, 3, IDEAL))
     else:
         traj = process.simulate_parallel(
-            process.ParallelConfig(256, 250.0, 3, IDEAL, workers=2, stream_mode=mode))
+            process.ParallelConfig(256, 250.0, 3, IDEAL, workers=2, stream_mode=mode), {},
+            pace=1.0)
     assert len(traj) > 60_000
     assert report._shortest_decimal(traj.times)[3].mean() < 0.01
     _assert_rows_equal_repr(traj.times, traj.marks, traj.draw_indices)

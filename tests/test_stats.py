@@ -139,6 +139,19 @@ def test_ks_one_sample_statistic_matches_scipy():
     assert res.p_value == pytest.approx(float(asymp.pvalue), abs=0.02)
 
 
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 50, 1000])
+def test_ks_one_sample_in_chunks_has_the_bits_of_the_whole_array_form(monkeypatch, n):
+    # Chunks of 7 values: the statistic must be the bits of the one-pass
+    # max(i/n - F, F - (i-1)/n) over the whole sorted sample.
+    monkeypatch.setattr(stats, "_KS_CHUNK", 7)
+    gen = np.random.default_rng(n)
+    for xs in (gen.uniform(size=n), gen.uniform(size=n) ** 3, np.round(gen.uniform(size=n), 1)):
+        f = np.sort(xs)
+        i = np.arange(1, n + 1, dtype=np.float64)
+        whole = float(np.maximum(i / n - f, f - (i - 1) / n).max())
+        assert stats.ks_one_sample(xs, uniform_cdf).statistic == whole
+
+
 def test_ks_one_sample_rejects_broken_cdf():
     with pytest.raises(ValueError):
         stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: 1.0 - np.asarray(x))  # decreasing
@@ -148,6 +161,8 @@ def test_ks_one_sample_rejects_broken_cdf():
         stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: 0.5)  # one value, not one per sample
     with pytest.raises(ValueError):
         stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: np.asarray(x)[:, None])  # a column
+    with pytest.raises(ValueError):
+        stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: np.full(3, np.nan))  # no value at all
 
 
 def test_ks_one_sample_flags_thinned_stream():
@@ -159,8 +174,8 @@ def test_ks_one_sample_flags_thinned_stream():
 def test_ks_two_sample_extremes():
     a = np.linspace(0.1, 0.4, 20)
     b = np.linspace(0.6, 0.9, 20)
-    assert stats.ks_two_sample(a, a).statistic == 0.0
-    res = stats.ks_two_sample(a, b)
+    assert stats.ks_two_sample(*oracle.pooled(a, a)).statistic == 0.0
+    res = stats.ks_two_sample(*oracle.pooled(a, b))
     assert res.statistic == 1.0
     assert res.p_value < 1e-6
 
@@ -182,15 +197,15 @@ def test_ks_two_sample_equals_pooled_formula_with_ties(decimals):
         a, b = gen.exponential(1.0, n), gen.exponential(1.2, m)
         if decimals is not None:
             a, b = np.round(a, decimals), np.round(b, decimals)
-        res = stats.ks_two_sample(a, b)
+        res = stats.ks_two_sample(*oracle.pooled(a, b))
         assert res.statistic == _pooled_ks_statistic(a, b)
         assert res.statistic == oracle.ks_two_sample_statistic(a, b)
-        ordered = stats.ks_two_sample(np.sort(a), np.sort(b))
+        ordered = stats.ks_two_sample(*oracle.pooled(np.sort(a), np.sort(b)))
         assert ordered.statistic == res.statistic
 
 
 def _assert_ks_bits(a, b):
-    res = stats.ks_two_sample(a, b)
+    res = stats.ks_two_sample(*oracle.pooled(a, b))
     assert res.statistic == oracle.ks_two_sample_statistic(a, b)
     assert res.statistic == _pooled_ks_statistic(a, b)
     assert (res.n, res.m) == (np.size(a), np.size(b))
@@ -221,9 +236,9 @@ def test_ks_two_sample_signed_zeros_are_one_value(monkeypatch):
             b[b == 0.0] = -0.0
         assert np.signbit(a).any() or np.signbit(b).any()
         res = _assert_ks_bits(a, b)
-        flipped = stats.ks_two_sample(np.abs(a), np.abs(b))
+        flipped = stats.ks_two_sample(*oracle.pooled(np.abs(a), np.abs(b)))
         assert flipped.statistic == res.statistic
-    assert stats.ks_two_sample(np.full(8, -0.0), np.zeros(9)).statistic == 0.0
+    assert stats.ks_two_sample(*oracle.pooled(np.full(8, -0.0), np.zeros(9))).statistic == 0.0
 
 
 def test_ks_two_sample_with_infinities():
@@ -232,8 +247,9 @@ def test_ks_two_sample_with_infinities():
     b = gen.exponential(1.0, 60)
     a[:5], b[:2] = np.inf, np.inf
     _assert_ks_bits(a, b)
-    assert stats.ks_two_sample(np.full(10, np.inf), np.full(8, np.inf)).statistic == 0.0
-    assert stats.ks_two_sample(np.full(10, np.inf), np.ones(8)).statistic == 1.0
+    infinities = oracle.pooled(np.full(10, np.inf), np.full(8, np.inf))
+    assert stats.ks_two_sample(*infinities).statistic == 0.0
+    assert stats.ks_two_sample(*oracle.pooled(np.full(10, np.inf), np.ones(8))).statistic == 1.0
 
 
 def test_ks_two_sample_one_side_constant():
@@ -262,9 +278,9 @@ def test_ks_two_sample_rejects_negative_and_nan(bad):
     spoiled = ok.copy()
     spoiled[3] = bad
     with pytest.raises(ValueError, match="values >= 0"):
-        stats.ks_two_sample(spoiled, ok)
+        stats.ks_two_sample(*oracle.pooled(spoiled, ok))
     with pytest.raises(ValueError, match="values >= 0"):
-        stats.ks_two_sample(ok, spoiled)
+        stats.ks_two_sample(*oracle.pooled(ok, spoiled))
 
 
 def test_ks_two_sample_memory_stays_near_the_pooled_keys():
@@ -275,7 +291,7 @@ def test_ks_two_sample_memory_stays_near_the_pooled_keys():
     a, b = gen.exponential(1.0, 2**17), gen.exponential(1.0, 2**17)
     tracemalloc.start()
     try:
-        stats.ks_two_sample(a, b)
+        stats.ks_two_sample(*oracle.pooled(a, b))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,13 +300,13 @@ def test_ks_two_sample_memory_stays_near_the_pooled_keys():
 
 def test_ks_two_sample_needs_eight_per_side():
     with pytest.raises(ValueError):
-        stats.ks_two_sample([0.1] * 7, [0.2] * 100)
+        stats.ks_two_sample(*oracle.pooled([0.1] * 7, [0.2] * 100))
 
 
 def test_ks_two_sample_statistic_matches_scipy():
     a, _ = rng.unit_block(substream(8, 0), 400)
     b, _ = rng.unit_block(substream(8, 1), 300)
-    res = stats.ks_two_sample(a, b)
+    res = stats.ks_two_sample(*oracle.pooled(a, b))
     ref = scipy.stats.ks_2samp(np.asarray(a), np.asarray(b))
     assert res.statistic == pytest.approx(float(ref.statistic), abs=1e-14)
 
@@ -300,8 +316,8 @@ def test_ks_two_sample_statistic_matches_scipy():
 def test_ks_two_sample_invariant_under_monotone_maps(seed):
     a, _ = rng.unit_block(substream(seed, 0), 64)
     b, _ = rng.unit_block(substream(seed, 1), 64)
-    d_raw = stats.ks_two_sample(a, b).statistic
-    d_log = stats.ks_two_sample(-np.log(a), -np.log(b)).statistic
+    d_raw = stats.ks_two_sample(*oracle.pooled(a, b)).statistic
+    d_log = stats.ks_two_sample(*oracle.pooled(-np.log(a), -np.log(b))).statistic
     assert d_raw == pytest.approx(d_log, abs=1e-15)
 
 
