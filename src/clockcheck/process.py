@@ -21,19 +21,20 @@ rejection-rescale repair.  ``pipeline_block`` is the one implementation of
 that pipeline, in numpy blocks of one stream or of a grid of streams, one
 per row; every simulator and detector stage draws through it.
 
-The serial and per-clock runs are one loop, ``_run_to_horizon``, over a set
-of stream rows: a per-clock grid is a row per rate-1 clock, one sample a
-tick, marked with the clock's id; the serial sweep is one row of rate N,
-two samples a tick, the second picking the mark.  The loop draws its rows
-in passes sized to the ticks left to the horizon, a pass in tiles
-(``_pass_tiles``): when every sample is one raw draw (no thinning, no
-window), a tile is about ``TILE_CELLS`` cells, a stretch of columns of the
-rows that have not yet passed the horizon, taken from generator words to
-kept events while it is in cache.  Any other pass is one tile.  Every
-simulator writes its kept events into one set of columns (``_Events``),
-which the parallel merge then sorts.  The tests keep a one-draw-at-a-time
-twin of the pipeline and the simulators as an oracle and require
-bit-identical results.
+The serial, per-clock and per-worker runs are one loop, ``_run_to_horizon``,
+over stream rows, each a row of clock lanes that tick one sample each per
+round, marked with the clock's id: a per-clock grid is a row per clock with
+one lane, a worker's stream one row with a lane per clock, and the serial
+sweep one rate-N row whose tick is two samples, the second picking the
+mark.  The loop draws its rows in passes sized to the ticks left to the
+horizon, a pass in tiles (``_pass_tiles``): when every sample is one raw
+draw (no thinning, no window), a tile is about ``TILE_CELLS`` cells, a
+stretch of columns of the rows that have not yet passed the horizon, taken
+from generator words to kept events while it is in cache.  Any other pass
+is one tile.  Every simulator writes its kept events into one set of
+columns (``_Events``), which the parallel merge then sorts.  The tests keep
+a one-draw-at-a-time twin of the pipeline and the simulators as an oracle
+and require bit-identical results.
 
 Horizon rule: an event whose time would exceed the horizon is suppressed
 (its time draw is still consumed), and the trajectory ends at the last
@@ -297,6 +298,12 @@ def _draws_per_sample(window: Optional[RescaleWindow]) -> float:
     return 1.0 if window is None else 1.5 / max(window.width, 1e-3)
 
 
+def _pass_cap(window: Optional[RescaleWindow]) -> int:
+    """Pipeline samples one pass of rows may ask for in all: ``MAX_PASS_CELLS``
+    draws, with a window's first draws per kept sample counted."""
+    return int(MAX_PASS_CELLS / _draws_per_sample(window))
+
+
 def _ticks_to_pass(left: float, pace: float, cap: int) -> int:
     """Ticks that carry a clock ``left`` more time at ``pace`` ticks per unit
     time, plus five Poisson standard deviations and 32: the size of a pass
@@ -304,6 +311,11 @@ def _ticks_to_pass(left: float, pace: float, cap: int) -> int:
     1, at most ``cap`` (or 1 when ``cap`` is below 1)."""
     mean = left * pace
     return max(1, int(min(mean + 5.0 * math.sqrt(mean) + 32.0, cap)))
+
+
+def _per_draw(fault: FaultModel, window: Optional[RescaleWindow]) -> bool:
+    """Whether every pipeline sample is one raw draw (no thinning, no window)."""
+    return window is None and not isinstance(fault, LowThinning)
 
 
 def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.ndarray,
@@ -314,13 +326,13 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
     rows ``live`` lists.  Those are the rows still set in ``alive``, which
     the caller clears as its rows finish; the pass ends when no row is left.
 
-    When every sample is one raw draw (``Ideal`` or ``PowerBias``, any
-    transform, no window), a tile is a block of about ``TILE_CELLS`` cells
-    (columns a multiple of ``align``, but the last), and its column ``j`` is
-    sample ``c + j`` of a row: the pipeline from the row's state ``c`` draws
-    on.  Any other pass is one tile.  The caller may overwrite a tile.
+    When every sample is one raw draw (:func:`_per_draw`), a tile is a block
+    of about ``TILE_CELLS`` cells (columns a multiple of ``align``, but the
+    last), and its column ``j`` is sample ``c + j`` of a row: the pipeline
+    from the row's state ``c`` draws on.  Any other pass is one tile.  The
+    caller may overwrite a tile.
     """
-    per_draw = window is None and not isinstance(fault, LowThinning)
+    per_draw = _per_draw(fault, window)
     c = 0
     while c < n:
         live = np.flatnonzero(alive)
@@ -385,7 +397,7 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     """
     n = cfg.n_clocks
     events = _Events()
-    events.reserve(_ticks_to_pass(cfg.horizon, n, MAX_PASS_CELLS // 2))
+    events.reserve(_ticks_to_pass(cfg.horizon, n, _pass_cap(cfg.fix_window) // 2))
     total = _run_to_horizon(cfg, substream_rows(cfg.seed, [SERIAL_STREAM]), None, n, events)
     return Trajectory(*events.take(), total_draws=total, n_clocks=n)
 
@@ -402,187 +414,167 @@ def simulate_parallel(cfg: ParallelConfig, memo: dict, pace: float) -> Trajector
     """
     traj = memo.get(cfg)
     if traj is None:
-        simulate = (_simulate_per_clock if cfg.stream_mode is StreamMode.PER_CLOCK
-                    else _simulate_per_worker)
-        traj = memo[cfg] = simulate(cfg, pace)
+        traj = memo[cfg] = _simulate_bank(cfg, pace)
     return traj
 
 
-def _simulate_per_clock(cfg: ParallelConfig, pace: float) -> Trajectory:
-    """Each worker's clocks run as the rows of :func:`_run_to_horizon`, one
-    rate-1 row per clock, merged across workers.
-
-    A worker's clocks (``mapping == w``, ascending id) go in batches of at
-    most ``MAX_PASS_CELLS`` samples a pass at ``pace``.  The event columns
-    are reserved once for the whole bank (:func:`_bank_events`), so at the
-    expected pace a row almost always ends in its first pass and the
-    columns are made once.
+def _simulate_bank(cfg: ParallelConfig, pace: float) -> Trajectory:
+    """Each worker's clocks (``mapping == w``, ascending id) run through
+    :func:`_run_to_horizon`, merged across workers: in per-clock mode as
+    rows of one lane, in batches of at most :func:`_pass_cap` samples a pass
+    at ``pace``, in per-worker mode as the lanes of the worker's row.  The
+    event columns are reserved once for the whole bank.
     """
     mapping = np.asarray(cfg.mapping)
-    width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
-    batch = max(1, MAX_PASS_CELLS // width)
-    events = _bank_events(cfg, pace)
+    per_worker = cfg.stream_mode is StreamMode.PER_WORKER
+    streams = substream_rows(cfg.seed, worker_stream(np.arange(cfg.workers)) if per_worker
+                             else clock_stream(np.arange(cfg.n_clocks)))
+    cap = _pass_cap(cfg.fix_window)
+    width = _ticks_to_pass(cfg.horizon, pace, cap)
+    batch = max(1, cap // width)
+    events = _Events()  # room for the bank's events at pace, plus a margin
+    events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
     total = 0
     for w in range(cfg.workers):
         clocks = np.flatnonzero(mapping == w)
-        for lo in range(0, clocks.size, batch):
-            part = clocks[lo:lo + batch]
-            total += _run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(part)), part,
-                                     pace, events)
+        per_grid = clocks.size if per_worker else batch
+        for lo in range(0, clocks.size, per_grid or 1):
+            part = clocks[lo:lo + per_grid]
+            rows, lanes = ((streams.take([w]), part[None]) if per_worker
+                           else (streams.take(part), part[:, None]))
+            total += _run_to_horizon(cfg, rows, lanes, pace, events)
     return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
 
 
-def _bank_events(cfg: ParallelConfig, pace: float) -> _Events:
-    """Event columns with room for the events the bank of ``cfg`` makes at
-    ``pace`` ticks per clock per unit time, plus the margin of
-    :func:`_ticks_to_pass`; at most a first pass's ticks per clock."""
-    events = _Events()
-    width = _ticks_to_pass(cfg.horizon, pace, MAX_PASS_CELLS)
-    events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
-    return events
-
-
-def _run_to_horizon(cfg, rows: RowStates, clocks: Optional[np.ndarray], pace: float,
+def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: float,
                     events: _Events) -> int:
     """Run each of ``rows`` to the horizon, write its kept events into
     ``events`` and return the raw draws the rows consumed.
 
-    With ``clocks``, row ``r`` is the stream of clock ``clocks[r]``: a tick
-    is one pipeline sample ``u``, its gap ``-log(u)`` and its mark the
-    clock's id.  Without, the one row is the serial sweep's merged clock of
-    rate N = ``cfg.n_clocks``: a tick is a pair ``(u1, u2)``, its gap
-    ``-log(u1) / N`` and its mark ``min(floor(u2*N), N-1)``.  A kept event's
-    draw count is the draw after its tick's last sample; a row's consumed
-    draws end after the time sample of its first tick past the horizon,
-    whose mark sample, if any, is not drawn.
+    ``lanes`` is a grid of clock ids, a row of it per stream row: one lane a
+    row (a per-clock grid), or one row (a worker's stream).  A row's lanes
+    take a tick each per round, ascending id: one pipeline sample ``u``, its
+    gap ``-log(u)`` and its mark the lane's clock id; a lane leaves its row
+    in the round that takes it past the horizon (:func:`_epochs`).  Without
+    ``lanes``, the one row is the serial sweep's merged clock of rate N =
+    ``cfg.n_clocks``: a tick is a pair ``(u1, u2)``, its gap ``-log(u1) /
+    N`` and its mark ``min(floor(u2*N), N-1)``.  A kept event's draw count
+    is the draw after its tick's last sample; a row's consumed draws end
+    after the time sample of its last tick past the horizon, whose mark
+    sample, if any, is not drawn.
 
-    The ticks come in passes, the same number for every live row, each sized
-    to what the earliest live row still needs at its pace, plus a margin
-    (:func:`_ticks_to_pass`): ``pace`` ticks per unit time for the first
-    pass, the pace shown so far for later ones, and at most
-    ``MAX_PASS_CELLS`` samples in all.  A pass is drawn in tiles of whole
-    ticks (:func:`_pass_tiles`): each tile's times are summed on from the
-    last tile's, its kept events go row by row into ``events``, and a row
-    leaves the tiles once it has passed the horizon.  A row left at the end
-    of a pass goes on in the next from its advanced state, and ``events`` is
-    first given room for all that pass can write; the caller reserves for
-    the first.  A stream's samples do not depend on how many are asked for,
-    so the pass sizes change no bit of the result.
+    The rounds come in passes, the same number for every live row, sized to
+    the lane ticks the earliest live row still needs, plus a margin
+    (:func:`_ticks_to_pass`), in whole rounds: at ``pace`` ticks a lane per
+    unit time for the first pass, at the pace shown so far for later ones,
+    of at most :func:`_pass_cap` samples in all.  A pass of a row of lanes
+    drawn in one tile (thinning or a window) keeps a margin of at most 8
+    rounds instead, as all its samples are drawn up front.  A pass comes in
+    tiles of whole rounds (:func:`_pass_tiles`); each tile's times are
+    summed on from the last tile's, its kept events go clock by clock into
+    ``events``, and a row leaves the tiles once it has passed the horizon.
+    A row left at the end of a pass (for a row of lanes, at the first tile
+    with no whole round left for them) goes on in the next from the sample
+    after its last one read, and ``events`` is first given room for all
+    that pass can write; the caller reserves for the first.  A stream's
+    samples do not depend on how many are asked for, so the pass sizes
+    change no bit of the result.
     """
-    per_tick = 1 if clocks is not None else 2
     n, horizon = cfg.n_clocks, cfg.horizon
-    now = np.zeros(len(rows))  # each row's time, at the end of its last tile
-    consumed = done = 0  # done: the ticks each live row has taken
-    width = _ticks_to_pass(horizon, pace, MAX_PASS_CELLS // (per_tick * len(rows)))
+    step = 2 if lanes is None else 1  # samples a lane's tick
+    now = np.zeros((len(rows), 1 if lanes is None else lanes.shape[1]))  # each lane's time
+    consumed = done = 0  # done: the ticks each live lane has taken
+    lo, rate = 0.0, pace  # the earliest row's mean lane time, the ticks a lane took per unit of it
     while True:
+        k = now.shape[1]
+        cap = _pass_cap(cfg.fix_window) // (step * k * len(rows))
+        width = -(-_ticks_to_pass(horizon - lo, k * rate, k * cap) // k)
+        if k > 1 and not _per_draw(cfg.fault, cfg.fix_window):  # drawn up front in one tile
+            width = min(width, int((horizon - lo) * rate) + 8)  # a margin of 8 rounds
+        if done:
+            events.reserve(len(rows) * k * width)
         alive = np.ones(len(rows), dtype=bool)  # rows that have not passed the horizon
         for live, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
-                                                  rows, per_tick * width, alive, per_tick):
-            if clocks is not None:
+                                                  rows, step * k * width, alive, step * k):
+            if now.shape[1] > 1:  # one row of lanes
+                read, ticks, times, lanes = _epochs(samples[0], at_draw[0], now[0], lanes[0],
+                                                    horizon, events)
+                now, lanes, done = times[None], lanes[None], done + ticks
+                if not lanes.size:
+                    consumed += int(at_draw[0, read - 1])
+                    alive[0] = False
+                elif read < samples.shape[1]:  # no whole round left: the row goes on next pass
+                    at_draw = at_draw[:, :read]
+                    break
+                continue
+            if lanes is not None:
                 gaps = np.negative(np.log(samples, out=samples), out=samples)
             else:  # into a new array: log in place over a stride-2 view is twice as slow
                 gaps = np.log(samples[:, 0::2])
                 gaps /= -n
-            gaps[:, 0] += now[live]
+            gaps[:, 0] += now[live, 0]
             times = np.cumsum(gaps, axis=1, out=gaps)
-            now[live] = times[:, -1]
+            now[live, 0] = times[:, -1]
+            done += times.shape[1]
             out = np.flatnonzero(times[:, -1] > horizon)  # rows past the horizon
             ticks, kept = times.shape[1], slice(None)  # all, but for rows past the horizon
             if out.size:
                 kept = times <= horizon
                 ticks = np.count_nonzero(kept, axis=1)
-                consumed += int(at_draw[out, per_tick * ticks[out]].sum())  # to its time sample
+                consumed += int(at_draw[out, step * ticks[out]].sum())  # to its time sample
                 alive[live[out]] = False
                 kept = kept.ravel()
             # made in column order: a tile's marks made before its times left
             # the heap without a hole for the merge's arrays in some runs
             events.put(times.ravel()[kept],
-                       np.repeat(clocks[live], ticks) if clocks is not None
+                       np.repeat(lanes[live, 0], ticks) if lanes is not None
                        else np.minimum((samples[:, 1::2] * n).astype(np.int64), n - 1).ravel()[kept],
-                       at_draw[:, per_tick - 1::per_tick].ravel()[kept])
+                       at_draw[:, step - 1::step].ravel()[kept])
         if not alive.any():
             return consumed
-        # the last tile holds every row still alive, at the end of the pass
+        # the last tile holds every row still alive, at the end of its pass
         end = at_draw[alive[live], -1]
         rows = rows.take(alive).advanced(end - rows.draw_count[alive])
-        now, done = now[alive], done + width
-        if clocks is not None:
-            clocks = clocks[alive]
-        lo = now.min()  # the earliest live row needs the most ticks at its pace
-        width = _ticks_to_pass(horizon - lo, done / lo, MAX_PASS_CELLS // (per_tick * now.size))
-        events.reserve(now.size * width)
+        now = now[alive]
+        if lanes is not None:
+            lanes = lanes[alive]
+        lo = now.mean(axis=1).min()  # the earliest live row needs the most ticks at its pace
+        rate = done / lo
 
 
-def _simulate_per_worker(cfg: ParallelConfig, pace: float) -> Trajectory:
-    """Each worker's live clocks take one tick each per round, ascending id.
-
-    While the set of live clocks stays the same, a worker's draws form a
-    (rounds x live clocks) matrix: each column, summed from that clock's
-    current time, gives its tick times.  An epoch is cut at the first round
-    in which some clock passes the horizon (every live clock still draws in
-    that round); the next epoch repeats with the clocks still alive, from
-    the sample after the cut.
-
-    A worker's pipeline samples sit in one buffer that the epochs read in
-    order; an epoch reads the rounds the buffer holds, up to ``horizon -
-    latest clock time + 8``.  When not one round is left, the unread rest
-    is kept and one ``pipeline_block`` call goes on from the stream state
-    after the last buffered sample, sized to the rounds the earliest live
-    clock still needs at its pace so far, plus 8 (at ``pace`` for the first
-    fill), so a worker usually draws once or twice.  A refill costs little,
-    so this margin is smaller than the five-sigma one of the serial and
-    per-clock passes (:func:`_ticks_to_pass`).  A stream's samples do not
-    depend on how many are asked for, and a round-by-round sum does not
-    depend on where the epochs split it, so the buffer changes no bit of
-    the result.  The buffer holds about ``MAX_PASS_CELLS`` pipeline
-    samples, window draws included, at most (one round when a round alone
-    is more).  The event columns are reserved once, for the bank at
-    ``pace`` (:func:`_bank_events`).
+def _epochs(gaps: np.ndarray, at_draw: np.ndarray, now: np.ndarray, lanes: np.ndarray,
+            horizon: float, events: _Events):
+    """Read a tile of a row of lanes in epochs of whole rounds, each a (rounds
+    x lanes) block whose columns, made ``-log(u)`` in place and summed from
+    the lanes' times ``now``, give their tick times.  An epoch ends at the
+    first round in which some lane passes the horizon, after at most
+    ``horizon - latest lane time + 8`` rounds, or at the tile's last whole
+    round; the lanes left go on from the next sample.  Its kept events go
+    into ``events`` lane by lane, side by side for the merge's order check.
+    Returns the samples read, the rounds the live lanes took, and their
+    times and clock ids.
     """
-    events = _bank_events(cfg, pace)
-    mapping = np.asarray(cfg.mapping)
-    budget = int(MAX_PASS_CELLS / _draws_per_sample(cfg.fix_window))
-    total = 0
-    for w in range(cfg.workers):
-        clocks = np.flatnonzero(mapping == w)
-        gs = substream(cfg.seed, worker_stream(w))  # the state after the buffer's end
-        gaps, at = np.empty(0), np.empty(0, dtype=np.int64)  # -log(sample), draw count
-        pos = 0  # the first unread sample
-        now = np.zeros(clocks.size)
-        used = 0  # raw draws up to the last sample an epoch used
-        done = 0  # rounds taken so far, the ticks of each live clock
-        while clocks.size:
-            k = clocks.size
-            if gaps.size - pos < k:  # not one round left
-                # the rounds the earliest live clock needs at its pace so far
-                lo = now.min()
-                left = (cfg.horizon - lo) * (done / lo if done else pace)
-                want = max(k, min((int(left) + 8) * k, budget))
-                samples, at_draw, _, _ = pipeline_block(
-                    cfg.fault, cfg.transform, cfg.fix_window, gs, want - (gaps.size - pos)
-                )
-                np.negative(np.log(samples, out=samples), out=samples)
-                if pos < gaps.size:
-                    samples = np.concatenate((gaps[pos:], samples))
-                    at_draw = np.concatenate((at[pos:], at_draw))
-                gaps, at, pos = samples, at_draw, 0
-                gs = gs.advanced(int(at[-1]) - gs.draw_count)
-            rounds = min(int(cfg.horizon - now.max()) + 8, (gaps.size - pos) // k)
-            epoch = gaps[pos:pos + rounds * k].reshape(rounds, k)
-            times = np.cumsum(np.vstack([now, epoch]), axis=0)[1:]
-            passed = (times > cfg.horizon).any(axis=1)
-            cut = int(passed.argmax()) + 1 if passed.any() else rounds
-            times, draws = times[:cut], at[pos:pos + cut * k].reshape(cut, k)
-            alive = times[-1] <= cfg.horizon
-            kept = cut - 1 + alive  # ticks per clock in this epoch
-            ticked = (np.arange(cut)[:, None] < kept).T  # clock by clock
-            events.put(times.T[ticked], np.repeat(clocks, kept), draws.T[ticked])
-            used = int(draws[-1, -1])
-            pos += cut * k
-            done += cut
-            clocks, now = clocks[alive], times[-1, alive]
-        total += used
-    return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
+    np.negative(np.log(gaps, out=gaps), out=gaps)
+    read = ticks = 0
+    while lanes.size:
+        k = lanes.size
+        rounds = min(int(horizon - now.max()) + 8, (gaps.size - read) // k)
+        if not rounds:
+            break
+        times = gaps[read:read + rounds * k].reshape(rounds, k).copy()
+        times[0] += now
+        np.cumsum(times, axis=0, out=times)
+        # the first round whose latest lane is past the horizon: a lane's times only rise
+        cut = min(int(np.searchsorted(times.max(axis=1), horizon, side="right")) + 1, rounds)
+        times, draws = times[:cut], at_draw[read:read + cut * k].reshape(cut, k)
+        alive = times[-1] <= horizon
+        kept = cut - 1 + alive  # ticks per lane in this epoch
+        ticked = np.arange(cut) < kept[:, None]  # lane by lane
+        events.put(times.T[ticked], np.repeat(lanes, kept), draws.T[ticked])
+        read += cut * k
+        ticks += cut
+        lanes, now = lanes[alive], times[-1, alive]
+    return read, ticks, now, lanes
 
 
 # --------------------------------------------------------------------------

@@ -106,7 +106,7 @@ _SNAP_BELOW_ONE = 1.0 - 2.0**-53
 # Positive floor for a sample that underflows to 0 (smallest subnormal).
 _TINY = 5e-324
 # Cells one vectorised pass over a grid of rows may hold, at most: the
-# LowThinning chunks here, per-worker epochs and per-clock grid passes.
+# LowThinning chunks here and the simulators' passes over stream rows.
 MAX_PASS_CELLS = 1 << 20
 # Raw draws per row and LowThinning pass in fault_block, at most: a pass over
 # many rows takes narrower chunks (>= 256 draws, MAX_PASS_CELLS in all), and

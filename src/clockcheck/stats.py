@@ -131,23 +131,27 @@ def ks_one_sample(samples: ArrayLike, cdf: Callable[[np.ndarray], np.ndarray]) -
     """Kolmogorov–Smirnov distance of ``samples`` from the law given by ``cdf``.
 
     ``D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)`` over the sorted
-    sample.  The cdf is called once on the sorted sample array and must
-    return one value per sample, monotone nondecreasing within [0, 1] (no
-    NaN), else ValueError.  The statistic is computed for any n >= 1; the
-    p-value is None for n < 8.  Beside the sorted copy and the cdf values,
-    the pass holds only ``_KS_CHUNK``-sized temporaries.
+    sample.  The cdf is called on each ``_KS_CHUNK`` of the sorted sample
+    and must return one value per point, monotone nondecreasing within [0,
+    1] (no NaN) within a chunk and across chunk edges, else ValueError.  The
+    statistic is computed for any n >= 1; the p-value is None for n < 8.
+    Beside the sorted copy, the pass holds only ``_KS_CHUNK``-sized
+    temporaries.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     n = xs.size
     if n == 0:
         raise ValueError("ks_one_sample requires at least one sample")
-    f = np.asarray(cdf(xs), dtype=np.float64)
-    if f.shape != xs.shape or not (f.min() >= 0.0 and f.max() <= 1.0) or np.any(f[1:] < f[:-1]):
-        raise ValueError("cdf probe failed: it must give one value per sample point, "
-                         "monotone nondecreasing within [0, 1]")
     d = 0.0  # D >= 1/(2n) > 0: the two terms at any i sum to 1/n
+    last = 0.0  # the cdf at the point before the chunk
     for lo in range(0, n, _KS_CHUNK):
-        fc = f[lo:lo + _KS_CHUNK]
+        xc = xs[lo:lo + _KS_CHUNK]
+        fc = np.asarray(cdf(xc), dtype=np.float64)
+        if (fc.shape != xc.shape or not (fc.min() >= last and fc.max() <= 1.0)
+                or np.any(fc[1:] < fc[:-1])):
+            raise ValueError("cdf probe failed: it must give one value per sample point, "
+                             "monotone nondecreasing within [0, 1]")
+        last = fc[-1]
         i = np.arange(lo + 1, lo + 1 + fc.size, dtype=np.float64)
         above = i / n
         above -= fc  # i/n - F

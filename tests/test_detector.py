@@ -128,11 +128,13 @@ def test_ab_in_tiles_equals_the_ab_of_one_block(monkeypatch, fault, transform):
 @pytest.mark.parametrize("stage, held", [("fix", 24), ("ab", 16)])
 def test_ab_and_fix_stages_hold_their_buffers_and_a_few_tiles(stage, held):
     # numpy reports its buffers to tracemalloc.  At n = 2^20 the A/B holds
-    # its pooled keys (16 bytes a sample pair); a fix phase holds its
-    # uniform part and, while its one-sample KS runs, the sorted copy and
-    # the cdf values (24 bytes a sample), then its keys.  Beside those, each
-    # stage may hold eight tiles (2 MiB).  Drawn in one block, the stages
-    # peaked at 48 and 363 MiB on these calls.
+    # its pooled keys (16 bytes a sample pair).  A fix phase holds its
+    # uniform part and, while its one-sample KS runs, the sorted copy (16
+    # bytes a sample; the cdf comes a chunk at a time), then its keys and
+    # the window tiles drawn into them (about 20 bytes a sample at this n);
+    # 24 bytes a sample bounds them all.  Beside those, each stage may hold
+    # eight tiles (2 MiB).  Drawn in one block, the stages peaked at 48 and
+    # 363 MiB on these calls.
     n = 1 << 20
     tracemalloc.start()
     try:
@@ -532,13 +534,13 @@ def test_wrong_cross_worker_merge_breaches_without_debug(monkeypatch):
     # [debug] off.  The serial run goes through the loop untouched.
     real = process._run_to_horizon
 
-    def local_ids(cfg, rows, clocks, pace, events):
-        if clocks is None:
-            return real(cfg, rows, clocks, pace, events)
+    def local_ids(cfg, rows, lanes, pace, events):
+        if lanes is None:
+            return real(cfg, rows, lanes, pace, events)
         own = process._Events()
-        consumed = real(cfg, rows, clocks, pace, own)
+        consumed = real(cfg, rows, lanes, pace, own)
         times, marks, draws = own.take()
-        events.put(times, np.searchsorted(clocks, marks), draws)
+        events.put(times, np.searchsorted(lanes[:, 0], marks), draws)
         return consumed
 
     plan = _small_plan(seeds=(0,))
@@ -698,7 +700,7 @@ def test_any_parallel_cell_bit_equal_to_an_earlier_run_is_held_as_it(monkeypatch
     plan = _small_plan(seeds=(0,), worker_counts=(1, 2, 4),
                        stream_modes=(StreamMode.PER_WORKER,))
     first_cell = _cells(plan, 0)[0]
-    real = process._simulate_per_worker
+    real = process._simulate_bank
     simulated = []
 
     def copy_of_first(cfg, pace):
@@ -706,7 +708,7 @@ def test_any_parallel_cell_bit_equal_to_an_earlier_run_is_held_as_it(monkeypatch
         simulated.append(weakref.ref(traj))
         return traj
 
-    monkeypatch.setattr(process, "_simulate_per_worker", copy_of_first)
+    monkeypatch.setattr(process, "_simulate_bank", copy_of_first)
     alive = _alive_at_cross_check(monkeypatch, simulated)
     report, (runs,) = _run_keeping_trajectories(plan)
     assert [label for label, _ in runs] == [
@@ -726,10 +728,9 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     cells = _cells(plan, 0)
     fresh = [process.simulate_parallel(cfg, {}, pace=1.0) for cfg in cells]
     simulated = []
-    for name in ("_simulate_per_clock", "_simulate_per_worker"):
-        real = getattr(process, name)
-        monkeypatch.setattr(process, name, lambda cfg, pace, real=real:
-                            simulated.append((cfg, pace)) or real(cfg, pace))
+    real = process._simulate_bank
+    monkeypatch.setattr(process, "_simulate_bank",
+                        lambda cfg, pace: simulated.append((cfg, pace)) or real(cfg, pace))
     report = detector.run_experiment(plan)
     assert len(simulated) == len(set(simulated)) == 6
 
@@ -764,14 +765,14 @@ def test_the_memo_lets_replaced_cells_go(monkeypatch):
     # lives, and while the seed's sink runs, only the first of the three
     # per-clock simulations is still alive.
     simulated = []
-    real = process._simulate_per_clock
+    real = process._simulate_bank
 
     def kept_weakly(cfg, pace):
         traj = real(cfg, pace)
         simulated.append(weakref.ref(traj))
         return traj
 
-    monkeypatch.setattr(process, "_simulate_per_clock", kept_weakly)
+    monkeypatch.setattr(process, "_simulate_bank", kept_weakly)
     alive = _alive_at_cross_check(monkeypatch, simulated)
     detector.run_experiment(
         _small_plan(seeds=(0,), worker_counts=(1, 2, 4)),

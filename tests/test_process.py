@@ -245,8 +245,10 @@ def test_first_passes_draw_what_the_horizon_needs(monkeypatch):
     # unit time, the serial run asks for two samples per expected event plus
     # a 5-sigma + 32 margin and a per-clock grid is H + 5·sqrt(H) + 32 wide;
     # each ends in one pass.  Sizing for 2.5 times the expected ticks would
-    # ask for 320,064 samples and a width of 657.  A per-worker buffer first
-    # holds H + 8 rounds of its clocks and is refilled at most once.
+    # ask for 320,064 samples and a width of 657.  A worker's row of 64
+    # lanes is a merged clock of rate 64: its first pass asks for 64·H +
+    # 5·sqrt(64·H) + 32 samples, rounded up to whole rounds, in one tile,
+    # and one more pass at most.
     n, h = 256, 250.0
     passes = _count_passes(monkeypatch)
     process.simulate_serial(SerialConfig(n, h, seed=3))
@@ -258,17 +260,19 @@ def test_first_passes_draw_what_the_horizon_needs(monkeypatch):
     calls = _count_pipeline_calls(monkeypatch)  # the serial and per-clock tiles call it too
     process.simulate_parallel(
         ParallelConfig(n, h, seed=3, workers=4, stream_mode=StreamMode.PER_WORKER), {}, pace=1.0)
-    assert 4 <= len(calls) <= 8 and max(calls) <= n // 4 * (h + 8)
+    lanes = n // 4
+    assert 4 <= len(calls) <= 8
+    assert max(calls) <= lanes * h + 5 * math.sqrt(lanes * h) + 32 + lanes - 1
 
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
     # 800 to 2400 events at N=6, H=200, by pipeline.  The parallel runs take
-    # pace hints from 0.05 to 50; the serial and per-clock runs are also run
-    # with every pass sized for a pace off by those factors.  At 0.05 a run
-    # takes three or more passes (a per-worker run, whose later fills follow
-    # its own pace, two or more), at 50 its first pass asks for over ten
-    # times the samples it uses.  Every run equals the scalar oracle.
+    # pace hints from 0.05 to 50; every run is also run with every pass
+    # sized for a pace off by those factors.  At 0.05 a run takes three or
+    # more passes (a per-worker run, whose later passes follow its own pace,
+    # two or more), at 50 its first pass asks for over ten times the
+    # samples it uses.  Every run equals the scalar oracle.
     common = dict(n_clocks=6, horizon=200.0, seed=31, fault=fault, transform=transform,
                   fix_window=window)
     cells = {f"P{p}": ParallelConfig(**common, workers=p,
@@ -298,14 +302,15 @@ def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
             # run assumes or has shown
             patch.setattr(process, "_ticks_to_pass",
                           lambda left, pace, cap: ticks(left, factor * pace, cap))
-            for name in ("serial", "P1", "P3"):
-                del passes[:]
+            for name in ("serial", "P1", "P3", "per_worker"):
+                del passes[:], calls[:]
                 run = (process.simulate_serial(serial_cfg) if name == "serial"
                        else process.simulate_parallel(cells[name], {}, pace=1.0))
                 _assert_same(run, slow[name])
                 scaled[name] = asked(name)
         if factor == 0.05:
-            assert len(scaled["serial"]) >= 3 and len(scaled["P1"]) >= 3
+            for name in ("serial", "P1", "per_worker"):
+                assert len(scaled[name]) >= 3
             assert len(hinted["per_worker"]) >= 2
         if factor == 50:
             assert scaled["serial"][0] >= 10 * used["serial"]
@@ -436,20 +441,37 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
     # the serial run takes 2, 6, 12 or 64 samples (whole pairs) a tile.
     # Passes sized for a pace 0.05 times the right one end on their last
     # tile, often a short one; at 8 times it a per-clock run ends in one pass
-    # and its rows end at every place in a tile.  Every run equals the
-    # scalar oracle, and the edge cases the runs are meant to cover occur.
+    # and its rows end at every place in a tile.  A per-worker run of six
+    # one-clock workers draws each row in tiles, and a worker's row of three
+    # or six lanes takes whole rounds a tile (six lanes: 6, 6, 12 or 60
+    # samples at 1, 7, 12 or 64 cells); some row's lanes drop to one inside
+    # a tile, and the last one reads on in the pass's next tiles.  Every run equals the scalar oracle, and the
+    # edge cases the runs are meant to cover occur.
     common = dict(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform)
     serial_cfg = SerialConfig(**common)
     cells = [ParallelConfig(**common, workers=p, mapping=make_mapping("round_robin", 6, p, seed=0))
              for p in (1, 3)]
+    workers = {p: ParallelConfig(**common, workers=p, mapping=block_mapping(6, p),
+                                 stream_mode=StreamMode.PER_WORKER) for p in (1, 2, 6)}
     slow_serial = oracle.simulate_serial(serial_cfg)
     slow = oracle.simulate_parallel(cells[0])
+    slow_workers = {p: oracle.simulate_parallel(cfg) for p, cfg in workers.items()}
     ticks = slow.per_clock_ticks
     ticks_to_pass = process._ticks_to_pass
+    epochs = process._epochs
     seen = set()
     for tile in (1, 7, 12, 64, 1 << 15):
         with monkeypatch.context() as patch:
             tiles = _record_tiles(patch, tile)
+            drops = []  # the tile of each _epochs call whose lanes fell from several to one
+
+            def recorded(gaps, at_draw, now, lanes, horizon, events):
+                out = epochs(gaps, at_draw, now, lanes, horizon, events)
+                if lanes.size > 1 and out[3].size == 1:
+                    drops.append(len(tiles) - 1)
+                return out
+
+            patch.setattr(process, "_epochs", recorded)
             for factor in (0.05, 1, 8):
                 patch.setattr(process, "_ticks_to_pass",
                               lambda left, pace, cap, f=factor: ticks_to_pass(left, f * pace, cap))
@@ -475,8 +497,17 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
                                 seen.add("row's last tick on a tile's last cell")
                             if ((c < ends) & (ends < c + w)).any():
                                 seen.add("horizon inside a tile")
+                for p, cfg in workers.items():
+                    del tiles[:], drops[:]
+                    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), slow_workers[p])
+                    if p == 6 and any(c for _, c, _, _ in tiles):
+                        seen.add("one-clock worker row over several tiles")
+                    if p < 6 and any(i + 1 < len(tiles) and tiles[i + 1][1] for i in drops):
+                        seen.add("one lane left in the middle of a pass")
     assert seen == {"serial pass over several tiles", "short last tile", "edge inside a row",
-                    "row's last tick on a tile's last cell", "horizon inside a tile"}
+                    "row's last tick on a tile's last cell", "horizon inside a tile",
+                    "one-clock worker row over several tiles",
+                    "one lane left in the middle of a pass"}
 
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES[2:])
@@ -506,8 +537,8 @@ def test_per_clock_pass_memory_stays_near_its_output():
     try:
         events = process._Events()
         events.reserve(process._ticks_to_pass(cfg.horizon, cfg.n_clocks, cfg.n_clocks * width))
-        process._run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(clocks)), clocks,
-                                1.0, events)
+        process._run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(clocks)),
+                                clocks[:, None], 1.0, events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -626,7 +657,7 @@ def test_per_worker_block_path_equals_scalar_path(fault, transform, window, work
 
 
 def test_per_worker_epochs_cap_their_draws(monkeypatch):
-    # One round per epoch: every epoch ends early and the next one resumes.
+    # One round a pass: every epoch ends early and the next pass resumes it.
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 1)
     cfg = ParallelConfig(
         n_clocks=5, horizon=20.0, seed=3, fault=LowThinning(0.5, 0.5), workers=2,
@@ -637,7 +668,7 @@ def test_per_worker_epochs_cap_their_draws(monkeypatch):
 
 def test_per_worker_epochs_count_their_window_draws(monkeypatch):
     # A 0.1-wide window first draws 15 pipeline samples per kept one, so a
-    # cap of 3000 cells gives epochs of at most 200 samples (40 rounds of 5
+    # cap of 3000 cells gives passes of at most 200 samples (40 rounds of 5
     # clocks) and window passes of at most 3000 + 16 draws.
     cfg = ParallelConfig(
         n_clocks=5, horizon=60.0, seed=8, fault=PowerBias(2.0),
@@ -653,9 +684,10 @@ def test_per_worker_epochs_count_their_window_draws(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
-    # One worker's 16 clocks need about 16 x 251 samples; the buffer's first
-    # fill asks for 16 x 258, and a second fill covers the clocks that
-    # outrun it.  Re-drawing after every epoch cut took about 14 calls.
+    # One worker's 16 clocks need about 16 x 251 samples.  A thinning and
+    # window pass is drawn up front in one tile, so it keeps a margin of 8
+    # rounds: the first asks for 16 x 258, and a second covers the clocks
+    # that outrun it.  Drawing after every epoch cut took about 14 calls.
     cfg = ParallelConfig(
         n_clocks=16, horizon=250.0, seed=seed, fault=LowThinning(0.5, 0.5),
         transform=Reflect(), fix_window=RescaleWindow(0.5, 1.0),
@@ -663,15 +695,16 @@ def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
     )
     calls = _count_pipeline_calls(monkeypatch)
     fast = process.simulate_parallel(cfg, {}, pace=1.0)
-    assert 1 <= len(calls) <= 2
+    assert calls[0] == 16 * 258 and 1 <= len(calls) <= 2
     _assert_same(fast, oracle.simulate_parallel(cfg))
 
 
 @pytest.mark.parametrize("cells", [300, 1200])
-def test_per_worker_buffer_refills_mid_run(monkeypatch, cells):
-    # The window draws 3 pipeline samples per kept one, so the buffer holds
-    # at most 100 or 400 samples: 6 clocks over horizon 60 need about 366
-    # per worker, so refills come mid-epoch, each keeping the unread rest.
+def test_per_worker_passes_go_on_mid_run(monkeypatch, cells):
+    # The window draws 3 pipeline samples per kept one, so a pass holds at
+    # most 100 or 400 samples: 6 clocks over horizon 60 need about 366 per
+    # worker, so passes end mid-epoch, each next one going on from the
+    # sample after the last one read.
     cfg = ParallelConfig(
         n_clocks=12, horizon=60.0, seed=17, fault=LowThinning(0.5, 0.5),
         fix_window=RescaleWindow(0.5, 1.0), workers=2,
@@ -854,6 +887,25 @@ def _events(parts):
     for part in parts:
         events.put(*part)
     return events
+
+
+def test_worker_row_events_let_the_merge_see_a_clock_out_of_order():
+    # A worker's row writes each epoch's events clock by clock, so the first
+    # epoch, in which both clocks tick until one passes the horizon, starts
+    # with clock 0's ticks side by side, and the merge's order check, which
+    # compares neighbours only, sees two of them swapped.  Written round by
+    # round, the epoch's events would alternate between the clocks.
+    cfg = ParallelConfig(n_clocks=2, horizon=30.0, seed=5, stream_mode=StreamMode.PER_WORKER)
+    events = process._Events()
+    total = process._run_to_horizon(cfg, substream_rows(cfg.seed, [worker_stream(0)]),
+                                    np.array([[0, 1]]), 1.0, events)
+    times, marks, draws = (column[:events.size].copy() for column in events.columns)
+    _assert_same(process._merge_arrays(events, n_clocks=2, total_draws=total),
+                 oracle.simulate_parallel(cfg))
+    assert marks[0] == marks[1] == 0 and times[0] < times[1]
+    times[[0, 1]] = times[[1, 0]]
+    with pytest.raises(RuntimeError, match="unsorted per-clock event list"):
+        process._merge_arrays(_events([(times, marks, draws)]), n_clocks=2, total_draws=total)
 
 
 def test_merge_arrays_orders_like_lexsort():

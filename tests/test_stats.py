@@ -165,6 +165,23 @@ def test_ks_one_sample_rejects_broken_cdf():
         stats.ks_one_sample([0.1, 0.4, 0.8], lambda x: np.full(3, np.nan))  # no value at all
 
 
+def test_ks_one_sample_rejects_a_cdf_that_steps_down_across_a_chunk_edge(monkeypatch):
+    # Chunks of 4 points, the cdf called once a chunk: this cdf rises within
+    # each chunk but steps down from 0.4 to 0.2 from one chunk to the next.
+    monkeypatch.setattr(stats, "_KS_CHUNK", 4)
+    xs = np.arange(1, 9) / 10
+    sizes = []
+
+    def cdf(x):
+        sizes.append(x.size)
+        return np.where(x < 0.45, x, x - 0.3)
+
+    assert stats.ks_one_sample(xs, uniform_cdf).n == 8
+    with pytest.raises(ValueError, match="cdf probe failed"):
+        stats.ks_one_sample(xs, cdf)
+    assert sizes == [4, 4]
+
+
 def test_ks_one_sample_flags_thinned_stream():
     samples, _, _, _ = rng.fault_block(LowThinning(0.5, 1.0), substream(2, 0), 10_000)
     res = stats.ks_one_sample(samples, uniform_cdf)
