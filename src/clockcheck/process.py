@@ -93,6 +93,7 @@ __all__ = [
 ]
 
 _STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
+_MAX_CLOCKS = (1 << 31) - 1  # a mark is an int32 clock id
 _MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
 
 
@@ -100,10 +101,10 @@ _MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
 class Trajectory:
     """A time-sorted event record plus draw accounting.
 
-    ``times``/``marks``/``draw_indices`` are parallel arrays.  ``total_draws``
-    counts every raw draw the run consumed, including draws behind suppressed
-    events and rejection retries, so it generally exceeds the draws visible
-    in ``draw_indices``.
+    ``times``/``marks``/``draw_indices`` are parallel arrays: float64, int32
+    and int64, 20 bytes an event.  ``total_draws`` counts every raw draw the
+    run consumed, including draws behind suppressed events and rejection
+    retries, so it generally exceeds the draws visible in ``draw_indices``.
     """
 
     times: np.ndarray
@@ -153,6 +154,9 @@ class StreamMode(str, Enum):
 def _validate_common(n_clocks: int, horizon: float, seed: int) -> None:
     if n_clocks < 1:
         raise ValueError(f"n_clocks must be >= 1, got {n_clocks}")
+    if n_clocks > _MAX_CLOCKS:
+        raise ValueError(f"n_clocks must be <= {_MAX_CLOCKS} (2^31 - 1, marks are int32), "
+                         f"got {n_clocks}")
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0 <= seed <= MASK64:
@@ -346,19 +350,21 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
 
 
 class _Events:
-    """The time, mark and draw-count columns that a simulator writes its
-    kept events into, end to end.  Room is made ahead for the events a run
-    expects; a write that overflows it grows the columns by a quarter more.
-    :meth:`take` cuts the columns to the events written, in place."""
+    """The time, mark and draw-count columns (float64, int32, int64) that a
+    simulator writes its kept events into, end to end.  Room is made ahead
+    for the events a run expects; a write that overflows it grows the
+    columns by a quarter more.  :meth:`take` cuts the columns to the events
+    written, in place."""
 
     def __init__(self) -> None:
         self.size = 0
-        self.columns = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        self.columns = (np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
 
     def reserve(self, events: int) -> None:
-        """Room for ``events`` more, in new columns: numpy hints huge pages
-        for a large new array, which the merge's gathers need, and a grown
-        one gets none."""
+        """Room for ``events`` more, in new columns that the events written
+        so far are copied into.  numpy hints huge pages only for an array of
+        4 MiB or more: a 512,738-event time column is 3.91 MiB, so only the
+        columns of larger banks get them."""
         if self.size + events > self.columns[0].size:
             columns = tuple(np.empty(self.size + events, dtype=c.dtype) for c in self.columns)
             for new, old in zip(columns, self.columns):
@@ -436,7 +442,7 @@ def _simulate_bank(cfg: ParallelConfig, pace: float) -> Trajectory:
     events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
     total = 0
     for w in range(cfg.workers):
-        clocks = np.flatnonzero(mapping == w)
+        clocks = np.flatnonzero(mapping == w).astype(np.int32)  # the marks of its events
         per_grid = clocks.size if per_worker else batch
         for lo in range(0, clocks.size, per_grid or 1):
             part = clocks[lo:lo + per_grid]
@@ -528,7 +534,7 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
             # the heap without a hole for the merge's arrays in some runs
             events.put(times.ravel()[kept],
                        np.repeat(lanes[live, 0], ticks) if lanes is not None
-                       else np.minimum((samples[:, 1::2] * n).astype(np.int64), n - 1).ravel()[kept],
+                       else np.minimum((samples[:, 1::2] * n).astype(np.int32), n - 1).ravel()[kept],
                        at_draw[:, step - 1::step].ravel()[kept])
         if not alive.any():
             return consumed
@@ -587,8 +593,10 @@ def _merge_arrays(events: _Events, *, n_clocks: int, total_draws: int) -> Trajec
     The columns hold the events of many clocks; each clock's events must
     come in the order they were emitted.  The result is in the order of
     ``np.lexsort((position, marks, times))`` over the columns.  ``events``
-    lets go of its columns, and they are put in time order one at a time,
-    so the columns and the merged result are never all held at once.
+    lets go of its columns, and they are put in time order one at a time:
+    the times into a new column, the draw counts into the times' old
+    buffer, then the marks into a new int32 column, so the merge allocates
+    one new 8-byte column where it would otherwise need three.
 
     The order comes from one in-place sort of packed ``uint64`` keys: a
     time's float64 bits with the low ``ceil(log2 n)`` bits replaced by the
@@ -622,10 +630,12 @@ def _merge_arrays(events: _Events, *, n_clocks: int, total_draws: int) -> Trajec
         run = np.unique(np.concatenate((shared, shared + 1)))
         at = order[run]
         order[run] = at[np.lexsort((at, marks[at], times[at]))]
-    ordered = times[order]
+    # order holds exactly the positions 0..n-1, so mode "clip" clips none;
+    # unlike "raise", it does not buffer the output
+    ordered = np.take(times, order, mode="clip")
+    draws = np.take(draws, order, out=times.view(np.int64), mode="clip")
     del times
-    marks = marks[order]
-    draws = draws[order]
+    marks = np.take(marks, order, mode="clip")
     return Trajectory(
         times=ordered,
         marks=marks,

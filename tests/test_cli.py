@@ -171,7 +171,8 @@ def test_unusable_out_dir_is_a_config_error_before_any_seed_runs(
 
 @pytest.mark.parametrize("command", ["detect", "calibrate"])
 @pytest.mark.parametrize("key, value", [
-    ("n_clocks", "0"), ("horizon", "-5"), ("horizon", "inf"), ("horizon", "nan"),
+    ("n_clocks", "0"), ("n_clocks", "2147483648"),
+    ("horizon", "-5"), ("horizon", "inf"), ("horizon", "nan"),
 ])
 def test_bad_clock_count_or_horizon_is_a_config_error(
         capsys, tmp_path, monkeypatch, command, key, value):

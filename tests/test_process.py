@@ -164,6 +164,7 @@ _PIPELINES = [
 
 
 def _assert_same(fast, slow):
+    assert fast.marks.dtype == np.int32  # 20 bytes an event
     assert np.array_equal(fast.times, slow.times)
     assert np.array_equal(fast.marks, slow.marks)
     assert np.array_equal(fast.draw_indices, slow.draw_indices)
@@ -1041,6 +1042,9 @@ def test_make_mapping_rejects_unknown_kind():
 def test_config_validation():
     with pytest.raises(ValueError):
         SerialConfig(n_clocks=0, horizon=10.0, seed=0)
+    with pytest.raises(ValueError, match=r"n_clocks must be <= 2147483647 \(2\^31 - 1"):
+        SerialConfig(n_clocks=2 ** 31, horizon=1e-9, seed=0)  # marks are int32
+    SerialConfig(n_clocks=2 ** 31 - 1, horizon=1e-9, seed=0)
     with pytest.raises(ValueError):
         SerialConfig(n_clocks=4, horizon=0.0, seed=0)
     with pytest.raises(ValueError):

@@ -379,7 +379,7 @@ def test_corrupted_per_clock_cell_gets_its_own_file(tmp_path, monkeypatch, corru
 
 def _assert_rows_equal_repr(times, marks=None, draws=None):
     times = np.asarray(times, dtype=np.float64)
-    marks = np.zeros(times.size, dtype=np.int64) if marks is None else np.asarray(marks, np.int64)
+    marks = np.zeros(times.size, dtype=np.int32) if marks is None else np.asarray(marks)
     draws = np.arange(times.size, dtype=np.int64) if draws is None else np.asarray(draws, np.int64)
     for lo in range(0, max(times.size, 1), report._CSV_ROWS):
         part = slice(lo, lo + report._CSV_ROWS)
@@ -413,6 +413,13 @@ def test_every_time_cell_is_repr(times):
 def test_every_int_cell_is_str(ints):
     marks, draws = zip(*ints)
     _assert_rows_equal_repr(np.linspace(0.5, 250.0, len(ints)), marks, draws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2**31, 2**31 - 1), min_size=1, max_size=40))
+def test_every_int32_mark_cell_is_str(marks):
+    # a trajectory's marks are int32: its cells, the dtype's extremes included
+    _assert_rows_equal_repr(np.linspace(0.5, 250.0, len(marks)), np.array(marks, dtype=np.int32))
 
 
 def _sweep():
