@@ -19,7 +19,12 @@ Draws pass through a three-stage pipeline: fault model (the injected
 defect), optional measure-preserving transform, optional window
 rejection-rescale repair.  ``pipeline_block`` is the one implementation of
 that pipeline, in numpy blocks of one stream or of a grid of streams, one
-per row; every simulator and detector stage draws through it.
+per row; every simulator and detector stage draws through it.  A window
+keeps only the draws that land inside it, so each row draws in passes, each
+from the state the last one ended at, and appends what every pass keeps: the
+first sized for 1.5 / width draws a sample, later ones for the acceptance the
+row has shown, each with a five-sigma margin, and no pass holds more than
+``MAX_PASS_CELLS`` draws in all, a single row's included.
 
 The serial, per-clock and per-worker runs are one loop, ``_run_to_horizon``,
 over stream rows, each a row of clock lanes that tick one sample each per
@@ -236,10 +241,21 @@ def pipeline_block(
     the samples and draw counts are (rows x n) grids and the rejections are
     counted per row.  A single stream is the one-row case.
 
+    With a window, each row draws on in passes from the state its last pass
+    ended at and appends the samples each pass keeps.  The first pass asks
+    for ``n`` samples at 1.5 / width draws each, a row still short for what
+    it lacks at the acceptance it has shown, both plus five standard
+    deviations and 32 (:func:`_ticks_to_pass`); a row that has kept nothing
+    doubles its draws.  A pass holds at most ``MAX_PASS_CELLS`` draws in
+    all, a single row's too, so the memory is bounded whatever the window's
+    width.  A stream's samples do not depend on how many are asked for, and
+    the rejections of the passes add up, so the passes change no bit and no
+    count.
+
     A window the pipeline lands in with odds below 1e-4 (one aimed where a
     transform moved the mass away, or one only 1e-7 wide) is not supported:
-    it raises once ``_STARVATION_DRAWS`` pipeline draws have been made,
-    instead of doubling its draw count until memory runs out.
+    it raises once a row still short has made ``_STARVATION_DRAWS`` pipeline
+    draws, instead of drawing on until its stream runs out.
     """
     rows, single = as_rows(gs)
     out = _pipeline_rows(fault, transform, window, rows, n)
@@ -252,53 +268,87 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
         if transform is not None:
             samples = transform_block(transform, samples)
         return samples, at_draw, rejected, np.zeros(len(rows), dtype=np.int64)
-    # Each row draws m pipeline samples and keeps its first n inside the
-    # window; a row with fewer inside draws again from its start with 2m.
-    # The rows go in batches of at most MAX_PASS_CELLS draws (one row when m
-    # alone is more).
+    # The window's passes (see pipeline_block): a pass asks each of its rows
+    # for the same m pipeline draws, in batches of at most MAX_PASS_CELLS
+    # draws in all, and a row goes on from its state and its counts.
     y = np.empty((len(rows), n), dtype=np.float64)
     kept_at = np.empty((len(rows), n), dtype=np.int64)
+    got = np.zeros(len(rows), dtype=np.int64)  # samples kept so far
+    drawn = np.zeros(len(rows), dtype=np.int64)  # pipeline draws, up to the n-th kept at the end
     fault_rejected = np.zeros(len(rows), dtype=np.int64)
-    drawn = np.zeros(len(rows), dtype=np.int64)  # pipeline draws up to the n-th kept
-    todo = np.arange(len(rows))
-    m = max(64, int(n * _draws_per_sample(window)) + 16)
+    state, count = rows.state.copy(), rows.draw_count.copy()
+    todo = np.arange(len(rows)) if n else np.empty(0, dtype=np.int64)
+    m = _ticks_to_pass(n, _draws_per_sample(window), MAX_PASS_CELLS)
     while todo.size:
         batch = max(1, MAX_PASS_CELLS // m)
         short = []
         for lo in range(0, todo.size, batch):
             part = todo[lo:lo + batch]
-            samples, at_draw, _, _ = fault_block(fault, rows.take(part), m)
+            samples, at_draw, new, _ = fault_block(fault, RowStates(state[part], count[part]), m)
             below = samples < fault.c if isinstance(fault, LowThinning) else None
             if transform is not None:
                 samples = transform_block(transform, samples)
             inside = (samples > window.a) & (samples < window.b)
-            accepted = np.count_nonzero(inside, axis=1)
-            ok = accepted >= n
-            if m >= _STARVATION_DRAWS and (accepted[~ok] < _MIN_ACCEPTANCE * m).any():
+            rank = np.cumsum(inside, axis=1, dtype=np.int32)
+            need = n - got[part]
+            ok = rank[:, -1] >= need
+            kept = np.minimum(rank[:, -1], need)
+            inside &= rank <= need[:, None]  # each row's first `need` inside
+            del rank
+            # the kept draws in row-major order, and each one's cell in y
+            flat = np.flatnonzero(inside)
+            del inside
+            ends = np.cumsum(kept)
+            at = np.repeat(part * n + got[part] - ends + kept, kept)
+            at += np.arange(flat.size)
+            values = samples.ravel()[flat]
+            values -= window.a
+            values /= window.width
+            y.ravel()[at] = values
+            kept_at.ravel()[at] = at_draw.ravel()[flat]
+            taken = np.full(part.size, m, dtype=np.int64)  # a finished row's draws to its n-th
+            taken[ok] = flat[ends[ok] - 1] - np.flatnonzero(ok) * m + 1
+            if below is not None:
+                fault_rejected[part] += fault_rejections(at_draw, below, count[part], upto=taken)
+            got[part] += kept
+            drawn[part] += taken
+            state[part], count[part] = new.state, new.draw_count
+            left = part[~ok]
+            starved = left[(drawn[left] >= _STARVATION_DRAWS)
+                           & (got[left] < _MIN_ACCEPTANCE * drawn[left])]
+            if starved.size:
+                r = starved[0]
                 raise RuntimeError(
-                    f"window ({window.a}, {window.b}) accepted {accepted.min()} of {m} "
+                    f"window ({window.a}, {window.b}) accepted {got[r]} of {drawn[r]} "
                     "pipeline draws: the pipeline never lands inside it, or with odds "
                     f"below {_MIN_ACCEPTANCE:g}, which is not supported"
                 )
-            short.append(part[~ok])
-            done = part[ok]
-            samples, at_draw, inside = samples[ok], at_draw[ok], inside[ok]
-            used = inside & (np.cumsum(inside, axis=1) <= n)  # each row's first n inside
-            y[done] = ((samples[used] - window.a) / window.width).reshape(done.size, n)
-            kept_at[done] = at_draw[used].reshape(done.size, n)
-            if n:
-                drawn[done] = m - np.argmax(used[:, ::-1], axis=1)
-            if below is not None:
-                fault_rejected[done] = fault_rejections(at_draw, below[ok], rows.draw_count[done],
-                                                        upto=drawn[done])
-        todo, m = np.concatenate(short), 2 * m
+            short.append(left)
+        todo = np.concatenate(short)
+        if todo.size:
+            m = _window_pass(n - got[todo], got[todo], drawn[todo])
     y[y >= 1.0] = _SNAP_BELOW_ONE
     y[y <= 0.0] = _TINY
     return y, kept_at, fault_rejected, drawn - n
 
 
+def _window_pass(need: np.ndarray, got: np.ndarray, drawn: np.ndarray) -> int:
+    """Pipeline draws the next window pass asks of each short row: the most
+    that a row needs for the ``need`` samples it lacks at the acceptance it
+    has shown (``got`` kept of ``drawn``), plus the margin of
+    :func:`_ticks_to_pass`; a row that has kept nothing doubles its draws.
+    At most ``MAX_PASS_CELLS``."""
+    shown = got > 0
+    m = 1 if shown.all() else min(int(drawn[~shown].max()), MAX_PASS_CELLS)
+    if shown.any():
+        mean = float((need[shown] * drawn[shown] / got[shown]).max())
+        m = max(m, _ticks_to_pass(mean, 1.0, MAX_PASS_CELLS))
+    return m
+
+
 def _draws_per_sample(window: Optional[RescaleWindow]) -> float:
-    """Pipeline draws a stream first takes per sample its window keeps."""
+    """Pipeline draws a stream first takes per sample its window keeps: its
+    first window pass asks for this many per sample, plus a margin."""
     return 1.0 if window is None else 1.5 / max(window.width, 1e-3)
 
 
@@ -473,9 +523,7 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
     the lane ticks the earliest live row still needs, plus a margin
     (:func:`_ticks_to_pass`), in whole rounds: at ``pace`` ticks a lane per
     unit time for the first pass, at the pace shown so far for later ones,
-    of at most :func:`_pass_cap` samples in all.  A pass of a row of lanes
-    drawn in one tile (thinning or a window) keeps a margin of at most 8
-    rounds instead, as all its samples are drawn up front.  A pass comes in
+    of at most :func:`_pass_cap` samples in all.  A pass comes in
     tiles of whole rounds (:func:`_pass_tiles`); each tile's times are
     summed on from the last tile's, its kept events go clock by clock into
     ``events``, and a row leaves the tiles once it has passed the horizon.
@@ -495,8 +543,6 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
         k = now.shape[1]
         cap = _pass_cap(cfg.fix_window) // (step * k * len(rows))
         width = -(-_ticks_to_pass(horizon - lo, k * rate, k * cap) // k)
-        if k > 1 and not _per_draw(cfg.fault, cfg.fix_window):  # drawn up front in one tile
-            width = min(width, int((horizon - lo) * rate) + 8)  # a margin of 8 rounds
         if done:
             events.reserve(len(rows) * k * width)
         alive = np.ones(len(rows), dtype=bool)  # rows that have not passed the horizon

@@ -385,22 +385,70 @@ def _counting_fault_block(monkeypatch, shapes):
 
 
 def test_window_draws_rows_in_capped_passes(monkeypatch):
-    # A 0.05-wide window draws m = 2416 pipeline samples per row for 80
-    # kept: a cap of 5000 cells takes two rows a pass.  Under PowerBias(2)
-    # the window holds 3.25% of the mass, so about half the rows fall short
-    # and redraw 4832 samples, one row a pass.
+    # A 0.05-wide window first asks 1.5 / 0.05 = 30 pipeline draws per kept
+    # sample, 2400 for 80, plus five sigmas and 32: m = 2676, and a cap of
+    # 6000 cells takes two rows a pass.  Under PowerBias(2) the window holds
+    # 3.25% of the mass, so a third of the rows fall short; they draw on
+    # together from where each stopped, at the acceptance each has shown,
+    # instead of drawing 2m again from the start.
     window = RescaleWindow(0.3, 0.35)
     starts = RowStates.of([substream(6, i) for i in range(30)])
     uncapped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
     shapes = []
-    monkeypatch.setattr(process, "MAX_PASS_CELLS", 5000)
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 6000)
     _counting_fault_block(monkeypatch, shapes)
     capped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
     for got, want in zip(capped, uncapped):
         assert np.array_equal(got, want)
-    assert {rows for rows, m in shapes if m == 2416} == {2}
-    assert {rows for rows, m in shapes if m == 4832} == {1}
-    assert all(rows * m <= 5000 for rows, m in shapes)
+    assert process._ticks_to_pass(80, 30.0, 6000) == 2676
+    assert shapes[:15] == [(2, 2676)] * 15
+    assert len(shapes) > 15 and all(m < 2676 for _, m in shapes[15:])
+    assert all(rows * m <= 6000 for rows, m in shapes)
+
+
+# (fault, window, n, passes of the single row): under Reflect, PowerBias(2)
+# has the density 2(1 - y) and LowThinning(0.5, 0.5) 4/3 on (0, 0.5) and 2/3
+# on (0.5, 1), against a first pass sized for an acceptance of width / 1.5.
+_DRAW_ON = [
+    (PowerBias(2.0), RescaleWindow(0.0, 0.5), 200, 1),  # 0.75 against 1/3
+    (PowerBias(2.0), RescaleWindow(0.6, 0.8), 200, 2),  # 0.12 against 0.133
+    (PowerBias(2.0), RescaleWindow(0.9, 0.95), 60, 3),  # 0.0075 against 0.033
+    (PowerBias(2.0), RescaleWindow(0.99, 0.995), 1, 5),  # 0.000075 against 0.0033: doubling
+    (LowThinning(0.5, 0.5), RescaleWindow(0.1, 0.4), 200, 1),  # 0.4 against 0.2
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 60, 2),  # 4500 draws, 4000 a pass
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 120, 4),  # 9000 draws
+]
+
+
+@pytest.mark.parametrize("fault,window,n,passes", _DRAW_ON)
+def test_window_rows_draw_on_in_capped_passes(monkeypatch, fault, window, n, passes):
+    # A cap of 4000 draws bounds every pass, a single row's too.  A row the
+    # window leaves short draws on from the state its last pass ended at, so
+    # a single row and a grid of six give the one-draw twin's samples, draw
+    # counts and rejections, and those of the uncapped call, in any number
+    # of passes.
+    single, grid = substream(1, 0), substream_rows(1, np.arange(6))
+    uncapped = process.pipeline_block(fault, Reflect(), window, grid, n)
+    shapes = []
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 4000)
+    _counting_fault_block(monkeypatch, shapes)
+    one = process.pipeline_block(fault, Reflect(), window, single, n)
+    assert len(shapes) == passes
+    rows = process.pipeline_block(fault, Reflect(), window, grid, n)
+    assert all(r * m <= 4000 for r, m in shapes)
+    for got, want in zip(rows, uncapped):
+        assert np.array_equal(got, want)
+    for got, want in zip(one, rows):
+        assert np.array_equal(got, want[0])
+    for r in range(6):
+        pipe = oracle.PipelineSource(1, r, fault, Reflect(), window)
+        expected, counts = [], []
+        for _ in range(n):
+            expected.append(pipe.next())
+            counts.append(pipe.raw_draws)
+        assert rows[0][r].tolist() == expected
+        assert rows[1][r].tolist() == counts
+        assert (rows[2][r], rows[3][r]) == (pipe.fault_discards, pipe.window_discards)
 
 
 def _record_tiles(monkeypatch, tile):
@@ -670,7 +718,8 @@ def test_per_worker_epochs_cap_their_draws(monkeypatch):
 def test_per_worker_epochs_count_their_window_draws(monkeypatch):
     # A 0.1-wide window first draws 15 pipeline samples per kept one, so a
     # cap of 3000 cells gives passes of at most 200 samples (40 rounds of 5
-    # clocks) and window passes of at most 3000 + 16 draws.
+    # clocks), and every window pass, a single row's too, holds at most 3000
+    # draws.
     cfg = ParallelConfig(
         n_clocks=5, horizon=60.0, seed=8, fault=PowerBias(2.0),
         fix_window=RescaleWindow(0.5, 0.6), stream_mode=StreamMode.PER_WORKER,
@@ -679,16 +728,16 @@ def test_per_worker_epochs_count_their_window_draws(monkeypatch):
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 3000)
     _counting_fault_block(monkeypatch, shapes)
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
-    assert max(m for _, m in shapes) <= 3016
+    assert max(rows * m for rows, m in shapes) <= 3000
     assert len(shapes) > 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
-    # One worker's 16 clocks need about 16 x 251 samples.  A thinning and
-    # window pass is drawn up front in one tile, so it keeps a margin of 8
-    # rounds: the first asks for 16 x 258, and a second covers the clocks
-    # that outrun it.  Drawing after every epoch cut took about 14 calls.
+    # One worker's 16 clocks need about 16 x 251 samples.  The first pass
+    # asks for 4000 ticks plus five sigmas and 32 in whole rounds, 16 x 272,
+    # and a second covers the clocks that outrun it.  Drawing after every
+    # epoch cut took about 14 calls.
     cfg = ParallelConfig(
         n_clocks=16, horizon=250.0, seed=seed, fault=LowThinning(0.5, 0.5),
         transform=Reflect(), fix_window=RescaleWindow(0.5, 1.0),
@@ -696,7 +745,7 @@ def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
     )
     calls = _count_pipeline_calls(monkeypatch)
     fast = process.simulate_parallel(cfg, {}, pace=1.0)
-    assert calls[0] == 16 * 258 and 1 <= len(calls) <= 2
+    assert calls[0] == 16 * 272 and 1 <= len(calls) <= 2
     _assert_same(fast, oracle.simulate_parallel(cfg))
 
 
