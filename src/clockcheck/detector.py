@@ -202,9 +202,9 @@ def _draw_into(out: np.ndarray, fault: FaultModel, window: Optional[RescaleWindo
     """
     discards = 0
     for lo in range(0, out.size, TILE_CELLS):
-        samples, at_draw, fault_rejected, window_rejected = pipeline_block(
-            fault, None, window, gs, min(TILE_CELLS, out.size - lo))
-        gs = gs.advanced(int(at_draw[-1]) - gs.draw_count)
+        samples, last, fault_rejected, window_rejected = pipeline_block(
+            fault, None, window, gs, min(TILE_CELLS, out.size - lo), grid=False)
+        gs = gs.advanced(last - gs.draw_count)
         discards += fault_rejected + window_rejected
         tile = out[lo:lo + samples.size]
         tile[...] = samples if transform is None else transform_block(transform, samples)

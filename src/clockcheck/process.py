@@ -23,8 +23,14 @@ per row; every simulator and detector stage draws through it.  A window
 keeps only the draws that land inside it, so each row draws in passes, each
 from the state the last one ended at, and appends what every pass keeps: the
 first sized for 1.5 / width draws a sample, later ones for the acceptance the
-row has shown, each with a five-sigma margin, and no pass holds more than
-``MAX_PASS_CELLS`` draws in all, a single row's included.
+row has shown, each with a five-sigma margin (Poisson for the first, the
+negative-binomial spread of the draws a short row still needs for later
+ones), and no pass holds more than ``MAX_PASS_CELLS`` draws in all, a
+single row's included.  The grid of each sample's draw count is built only
+for the callers that read it: the simulators' thinning and window passes.
+The A/B and fix tiles read only each row's count after its last sample,
+and the simulators' passes of one raw draw a sample count each kept event's
+draws from its row's start and its column.
 
 The serial, per-clock and per-worker runs are one loop, ``_run_to_horizon``,
 over stream rows, each a row of clock lanes that tick one sample each per
@@ -229,6 +235,7 @@ def pipeline_block(
     window: Optional[RescaleWindow],
     gs: GeneratorState | RowStates,
     n: int,
+    grid: bool = True,
 ):
     """First ``n`` pipeline samples from ``gs`` with their draw accounting.
 
@@ -241,16 +248,25 @@ def pipeline_block(
     the samples and draw counts are (rows x n) grids and the rejections are
     counted per row.  A single stream is the one-row case.
 
+    As with :func:`~clockcheck.rng.fault_block`, only a caller that reads a
+    draw count per sample asks for that grid: with ``grid=False``,
+    ``at_draw`` is each row's draw count after its ``n``-th sample (for a
+    single stream an ``int``), and neither this function nor the fault
+    model builds a grid it does not need.  The simulators' thinning and
+    window passes read the grid; the A/B and fix tiles and the simulators'
+    passes of one raw draw a sample do not.
+
     With a window, each row draws on in passes from the state its last pass
     ended at and appends the samples each pass keeps.  The first pass asks
-    for ``n`` samples at 1.5 / width draws each, a row still short for what
-    it lacks at the acceptance it has shown, both plus five standard
-    deviations and 32 (:func:`_ticks_to_pass`); a row that has kept nothing
-    doubles its draws.  A pass holds at most ``MAX_PASS_CELLS`` draws in
-    all, a single row's too, so the memory is bounded whatever the window's
-    width.  A stream's samples do not depend on how many are asked for, and
-    the rejections of the passes add up, so the passes change no bit and no
-    count.
+    for ``n`` samples at 1.5 / width draws each, plus five Poisson standard
+    deviations and 32 (:func:`_ticks_to_pass`); a row still short asks for
+    what it lacks at the acceptance it has shown, plus five of the
+    negative-binomial standard deviations of the draws that takes and 32
+    (:func:`_window_pass`); a row that has kept nothing doubles its draws.
+    A pass holds at most ``MAX_PASS_CELLS`` draws in all, a single row's
+    too, so the memory is bounded whatever the window's width.  A stream's
+    samples do not depend on how many are asked for, and the rejections of
+    the passes add up, so the passes change no bit and no count.
 
     A window the pipeline lands in with odds below 1e-4 (one aimed where a
     transform moved the mass away, or one only 1e-7 wide) is not supported:
@@ -258,21 +274,30 @@ def pipeline_block(
     draws, instead of drawing on until its stream runs out.
     """
     rows, single = as_rows(gs)
-    out = _pipeline_rows(fault, transform, window, rows, n)
+    out = _pipeline_rows(fault, transform, window, rows, n, grid)
     return one_row(out) if single else out
 
 
-def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
+def _pipeline_rows(fault, transform, window, rows: RowStates, n: int, grid: bool = True):
+    """:func:`pipeline_block` on a grid of rows.  Its window passes ask the
+    fault model for a draw-count grid only under thinning, whose counts
+    they read (each kept sample's, and the one at a row's ``n``-th sample
+    for its rejections); under any other fault, draw ``j`` of a pass is the
+    row's count before the pass plus ``j + 1``.  The kept samples' grid is
+    built only with ``grid``; without it, each row's count after its
+    ``n``-th sample is returned instead."""
     if window is None:
-        samples, at_draw, _, rejected = fault_block(fault, rows, n)
+        samples, at_draw, _, rejected = fault_block(fault, rows, n, grid=grid)
         if transform is not None:
             samples = transform_block(transform, samples)
         return samples, at_draw, rejected, np.zeros(len(rows), dtype=np.int64)
     # The window's passes (see pipeline_block): a pass asks each of its rows
     # for the same m pipeline draws, in batches of at most MAX_PASS_CELLS
     # draws in all, and a row goes on from its state and its counts.
+    thinning = isinstance(fault, LowThinning)
     y = np.empty((len(rows), n), dtype=np.float64)
-    kept_at = np.empty((len(rows), n), dtype=np.int64)
+    kept_at = np.empty((len(rows), n), dtype=np.int64) if grid else None
+    last = rows.draw_count.copy()  # the draw count after a row's n-th sample
     got = np.zeros(len(rows), dtype=np.int64)  # samples kept so far
     drawn = np.zeros(len(rows), dtype=np.int64)  # pipeline draws, up to the n-th kept at the end
     fault_rejected = np.zeros(len(rows), dtype=np.int64)
@@ -284,32 +309,54 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
         short = []
         for lo in range(0, todo.size, batch):
             part = todo[lo:lo + batch]
-            samples, at_draw, new, _ = fault_block(fault, RowStates(state[part], count[part]), m)
-            below = samples < fault.c if isinstance(fault, LowThinning) else None
+            samples, at_draw, new, _ = fault_block(fault, RowStates(state[part], count[part]), m,
+                                                   grid=thinning)
+            below = samples < fault.c if thinning else None
             if transform is not None:
                 samples = transform_block(transform, samples)
             inside = (samples > window.a) & (samples < window.b)
-            rank = np.cumsum(inside, axis=1, dtype=np.int32)
             need = n - got[part]
-            ok = rank[:, -1] >= need
-            kept = np.minimum(rank[:, -1], need)
-            inside &= rank <= need[:, None]  # each row's first `need` inside
-            del rank
-            # the kept draws in row-major order, and each one's cell in y
-            flat = np.flatnonzero(inside)
-            del inside
-            ends = np.cumsum(kept)
-            at = np.repeat(part * n + got[part] - ends + kept, kept)
-            at += np.arange(flat.size)
-            values = samples.ravel()[flat]
-            values -= window.a
-            values /= window.width
-            y.ravel()[at] = values
-            kept_at.ravel()[at] = at_draw.ravel()[flat]
+            if part.size == 1:  # one row: its kept draws, cut at its need, by slice
+                r = part[0]
+                flat = np.flatnonzero(inside[0])[:need[0]]
+                del inside
+                kept = ends = np.array([flat.size])
+                lo, hi = got[r], got[r] + flat.size
+                # mode "clip" clips nothing here and, unlike "raise", writes unbuffered
+                values = np.take(samples[0], flat, out=y[r, lo:hi], mode="clip")
+                values -= window.a
+                values /= window.width
+                if grid:
+                    kept_at[r, lo:hi] = at_draw[0, flat] if thinning else flat + (count[r] + 1)
+            else:
+                rank = np.cumsum(inside, axis=1, dtype=np.int32)
+                kept = np.minimum(rank[:, -1], need)
+                inside &= rank <= need[:, None]  # each row's first `need` inside
+                del rank
+                # the kept draws in row-major order, and each one's cell in y
+                flat = np.flatnonzero(inside)
+                del inside
+                ends = np.cumsum(kept)
+                at = np.repeat(part * n + got[part] - ends + kept, kept)
+                at += np.arange(flat.size)
+                values = samples.ravel()[flat]
+                values -= window.a
+                values /= window.width
+                y.ravel()[at] = values
+                if grid:
+                    kept_at.ravel()[at] = (at_draw.ravel()[flat] if thinning else flat + np.repeat(
+                        count[part] + 1 - np.arange(part.size) * m, kept))
+            ok = kept == need
             taken = np.full(part.size, m, dtype=np.int64)  # a finished row's draws to its n-th
             taken[ok] = flat[ends[ok] - 1] - np.flatnonzero(ok) * m + 1
-            if below is not None:
-                fault_rejected[part] += fault_rejections(at_draw, below, count[part], upto=taken)
+            if thinning:  # one row counts by slice, to its n-th sample or its pass's end
+                fault_rejected[part] += (
+                    fault_rejections(at_draw[:, :taken[0]], below[:, :taken[0]], count[part])
+                    if part.size == 1 else
+                    fault_rejections(at_draw, below, count[part], upto=taken))
+                last[part[ok]] = at_draw[ok, taken[ok] - 1]
+            else:
+                last[part[ok]] = count[part[ok]] + taken[ok]
             got[part] += kept
             drawn[part] += taken
             state[part], count[part] = new.state, new.draw_count
@@ -329,20 +376,22 @@ def _pipeline_rows(fault, transform, window, rows: RowStates, n: int):
             m = _window_pass(n - got[todo], got[todo], drawn[todo])
     y[y >= 1.0] = _SNAP_BELOW_ONE
     y[y <= 0.0] = _TINY
-    return y, kept_at, fault_rejected, drawn - n
+    return y, last if kept_at is None else kept_at, fault_rejected, drawn - n
 
 
 def _window_pass(need: np.ndarray, got: np.ndarray, drawn: np.ndarray) -> int:
     """Pipeline draws the next window pass asks of each short row: the most
-    that a row needs for the ``need`` samples it lacks at the acceptance it
-    has shown (``got`` kept of ``drawn``), plus the margin of
-    :func:`_ticks_to_pass`; a row that has kept nothing doubles its draws.
-    At most ``MAX_PASS_CELLS``."""
+    that a row needs for the ``need`` samples it lacks at the acceptance
+    ``p`` it has shown (``got`` kept of ``drawn``), ``need / p``, plus five
+    standard deviations of that negative-binomial count, ``sqrt(need (1 -
+    p)) / p``, and 32; a row that has kept nothing doubles its draws.  At
+    least 1, at most ``MAX_PASS_CELLS``."""
     shown = got > 0
     m = 1 if shown.all() else min(int(drawn[~shown].max()), MAX_PASS_CELLS)
     if shown.any():
-        mean = float((need[shown] * drawn[shown] / got[shown]).max())
-        m = max(m, _ticks_to_pass(mean, 1.0, MAX_PASS_CELLS))
+        k, p = need[shown], got[shown] / drawn[shown]
+        draws = float(((k + 5.0 * np.sqrt(k * (1.0 - p))) / p).max()) + 32.0
+        m = max(m, int(min(draws, MAX_PASS_CELLS)))
     return m
 
 
@@ -383,8 +432,10 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
     When every sample is one raw draw (:func:`_per_draw`), a tile is a block
     of about ``TILE_CELLS`` cells (columns a multiple of ``align``, but the
     last), and its column ``j`` is sample ``c + j`` of a row: the pipeline
-    from the row's state ``c`` draws on.  Any other pass is one tile.  The
-    caller may overwrite a tile.
+    from the row's state ``c`` draws on.  Such a tile comes without a grid:
+    ``at_draw`` holds each row's draw count after the tile, and sample ``j``
+    of a tile of ``w`` columns is draw ``at_draw - w + j + 1``.  Any other
+    pass is one tile, with the grid.  The caller may overwrite a tile.
     """
     per_draw = _per_draw(fault, window)
     c = 0
@@ -394,7 +445,8 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
             return
         w = min(n - c, max(align, TILE_CELLS // live.size // align * align)) if per_draw else n
         samples, at_draw, _, _ = pipeline_block(fault, transform, window,
-                                                rows.take(live).advanced(c), w)
+                                                rows.take(live).advanced(c), w,
+                                                grid=not per_draw)
         yield live, samples, at_draw
         c += w
 
@@ -548,15 +600,18 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
         alive = np.ones(len(rows), dtype=bool)  # rows that have not passed the horizon
         for live, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
                                                   rows, step * k * width, alive, step * k):
+            w = samples.shape[1]
+            grid = at_draw.ndim == 2  # else each row's count after the tile (_pass_tiles)
             if now.shape[1] > 1:  # one row of lanes
-                read, ticks, times, lanes = _epochs(samples[0], at_draw[0], now[0], lanes[0],
+                row = at_draw[0] if grid else np.arange(at_draw[0] - w + 1, at_draw[0] + 1)
+                read, ticks, times, lanes = _epochs(samples[0], row, now[0], lanes[0],
                                                     horizon, events)
                 now, lanes, done = times[None], lanes[None], done + ticks
                 if not lanes.size:
-                    consumed += int(at_draw[0, read - 1])
+                    consumed += int(row[read - 1])
                     alive[0] = False
-                elif read < samples.shape[1]:  # no whole round left: the row goes on next pass
-                    at_draw = at_draw[:, :read]
+                elif read < w:  # no whole round left: the row goes on next pass
+                    at_draw = row[None, :read]
                     break
                 continue
             if lanes is not None:
@@ -568,12 +623,17 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
             times = np.cumsum(gaps, axis=1, out=gaps)
             now[live, 0] = times[:, -1]
             done += times.shape[1]
+            # the draw count after each tick's last sample
+            marked = (at_draw[:, step - 1::step] if grid
+                      else (at_draw - w)[:, None] + np.arange(step, w + 1, step))
             out = np.flatnonzero(times[:, -1] > horizon)  # rows past the horizon
             ticks, kept = times.shape[1], slice(None)  # all, but for rows past the horizon
             if out.size:
                 kept = times <= horizon
                 ticks = np.count_nonzero(kept, axis=1)
-                consumed += int(at_draw[out, step * ticks[out]].sum())  # to its time sample
+                # to its time sample
+                consumed += int(at_draw[out, step * ticks[out]].sum() if grid
+                                else (at_draw[out] - w + step * ticks[out] + 1).sum())
                 alive[live[out]] = False
                 kept = kept.ravel()
             # made in column order: a tile's marks made before its times left
@@ -581,11 +641,11 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
             events.put(times.ravel()[kept],
                        np.repeat(lanes[live, 0], ticks) if lanes is not None
                        else np.minimum((samples[:, 1::2] * n).astype(np.int32), n - 1).ravel()[kept],
-                       at_draw[:, step - 1::step].ravel()[kept])
+                       marked.ravel()[kept])
         if not alive.any():
             return consumed
         # the last tile holds every row still alive, at the end of its pass
-        end = at_draw[alive[live], -1]
+        end = at_draw[alive[live], -1] if at_draw.ndim == 2 else at_draw[alive[live]]
         rows = rows.take(alive).advanced(end - rows.draw_count[alive])
         now = now[alive]
         if lanes is not None:

@@ -48,14 +48,19 @@ Three sample defects ("fault models") can be wired in front of a consumer:
 ``draw_count`` on :class:`GeneratorState` counts *raw* draws, including
 candidates a fault model rejected, so consumers can account for every word
 pulled off a stream; :func:`fault_block` reports the rejections as well.
+The grid of each sample's draw count is built only for callers that read
+it (the simulators' and the window's thinning passes); the others get each
+row's count after its last sample.
 
 ``LowThinning`` runs in passes over a chunk of raw draws per row, with no
 per-sample loop.  A draw is a candidate unless it is the auxiliary draw of a
 candidate below ``c``, so the candidates follow from the mask of draws below
 ``c`` alone: each pass packs that mask into one Python int and finds them
-with a few whole-int bit operations, one carry-add among them.  Every pass
-ends each row on a candidate boundary, so the chunk width sets how many
-words a pass generates, never a sample, a draw count or an end state.
+with a few whole-int bit operations, one carry-add among them.  The kept
+draws are found once a pass and written by slice for a single row, in one
+copy for rows that finish from the same fill.  Every pass ends each row on a
+candidate boundary, so the chunk width sets how many words a pass
+generates, never a sample, a draw count or an end state.
 """
 
 from __future__ import annotations
@@ -371,7 +376,7 @@ def fault_label(model: FaultModel) -> str:
     return f"low_thinning(c={model.c:g}, q={model.q:g})"
 
 
-def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
+def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, grid: bool = True):
     """``n`` samples through ``model`` plus raw-draw and rejection accounting.
 
     Returns ``(samples, at_draw, new_state, rejected)`` where ``at_draw[i]``
@@ -381,6 +386,14 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
     ``n`` samples from its own stream: ``samples`` and ``at_draw`` are
     (rows x n) grids and ``rejected`` holds one count per row.  A single
     stream is the one-row case.
+
+    Only a caller that reads a draw count per sample asks for that grid.
+    With ``grid=False`` none is built, and ``at_draw`` is each row's draw
+    count after its last sample instead, which is ``new_state``'s (for a
+    single stream an ``int``).  The thinning passes of the simulators and of
+    the window read the grid; the A/B and fix tiles do not, and neither do
+    the passes over ``Ideal`` and ``PowerBias`` draws, where each sample is
+    one raw draw and its count follows from its row's start and column.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -391,20 +404,26 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int):
             np.power(u, 1.0 / model.gamma, out=u)
             u[u >= 1.0] = _SNAP_BELOW_ONE
             u[u <= 0.0] = _TINY
-        at_draw = rows.draw_count[:, None] + np.arange(1, n + 1, dtype=np.int64)
+        at_draw = rows.draw_count[:, None] + np.arange(1, n + 1, dtype=np.int64) if grid else None
         rejected = np.zeros(len(rows), dtype=np.int64)
     elif isinstance(model, LowThinning):
-        u, at_draw, new = _thinning_rows(model, rows, n)
-        rejected = fault_rejections(at_draw, u < model.c, rows.draw_count)
+        u, at_draw, new = _thinning_rows(model, rows, n, grid)
+        # a row ends right after its last sample: fault_rejections' count over all of them
+        spent = new.draw_count - rows.draw_count - n - np.count_nonzero(u < model.c, axis=1)
+        rejected = spent >> 1
     else:
         raise TypeError(f"unknown fault model: {model!r}")
-    out = (u, at_draw, new, rejected)
+    out = (u, new.draw_count if at_draw is None else at_draw, new, rejected)
     return one_row(out) if single else out
 
 
 def _thinning_rows(
-    model: LowThinning, rows: RowStates, n: int
-) -> tuple[np.ndarray, np.ndarray, RowStates]:
+    model: LowThinning, rows: RowStates, n: int, grid: bool = True
+) -> tuple[np.ndarray, "np.ndarray | None", RowStates]:
+    """``n`` LowThinning samples per row, the grid of their draw counts
+    (``None`` unless ``grid``: :func:`fault_block` asks for it only for a
+    caller that reads it) and the rows' states right after their last
+    samples."""
     # A raw draw is a candidate unless it is the auxiliary draw of a
     # candidate below c.  So a draw right after one at or above c is always a
     # candidate, and inside a run of draws below c the candidates alternate
@@ -412,10 +431,16 @@ def _thinning_rows(
     # Each pass draws a chunk for every row that still needs samples and
     # ends each row on a candidate boundary (past a pending auxiliary draw),
     # so the next chunk starts on a candidate, as every row of the mask
-    # does, and the result does not depend on the chunk width.
+    # does, and the result does not depend on the chunk width.  The kept
+    # draws are found once a pass (flatnonzero) and cut at each row's need:
+    # a single row writes them by slice from its fill; several rows gather
+    # them as a (rows x k) grid, written in one copy when every row takes k
+    # from the same fill, through a mask otherwise.  A kept draw's count is
+    # the row's count before the chunk, plus its column and one, plus one
+    # for its auxiliary draw when it lies below c.
     c, q = model.c, model.q
     out = np.empty((len(rows), n), dtype=np.float64)
-    at_draw = np.empty((len(rows), n), dtype=np.int64)
+    at_draw = np.empty((len(rows), n), dtype=np.int64) if grid else None
     filled = np.zeros(len(rows), dtype=np.int64)
     state, count = rows.state.copy(), rows.draw_count.copy()
     live = np.arange(len(rows)) if n else np.empty(0, dtype=np.int64)
@@ -426,33 +451,55 @@ def _thinning_rows(
         u, _ = unit_block(RowStates(state[live], count[live]), width)
         below = u < c
         candidate = _candidates(below)
-        pending = candidate[:, -1] & below[:, -1]  # keep a pending aux draw
         kept = candidate & ~below
         kept[:, :-1] |= candidate[:, :-1] & below[:, :-1] & (u[:, 1:] >= q)
-        # kept draws in row-major order; each row takes its first `need`
-        flat = np.flatnonzero(kept)
-        row_start = np.arange(live.size) * width
-        starts = np.searchsorted(flat, row_start)
-        counts = np.searchsorted(flat, row_start + width) - starts
-        done = counts >= need
-        got = np.minimum(counts, need)
-        # a finished row ends right after its need-th kept draw (and its aux draw)
-        last = flat[(starts + need - 1)[done]]
-        step = width - pending.astype(np.int64)
-        step[done] = last - row_start[done] + 1 + below.ravel()[last]
-        if (counts > need).any():  # drop what finished rows drew past their need
-            flat = flat[np.arange(flat.size) < np.repeat(starts + need, counts)]
-        into = live * n + filled[live]  # where each row's new samples go in the flat grid
-        # each kept draw's cell in the flat grid, and its row's draw count
-        # after the row's draw 0
-        cell = np.repeat(into - np.cumsum(got) + got, got) + np.arange(flat.size)
-        first = np.repeat(count[live] + 1 - row_start, got)
-        out.ravel()[cell] = u.ravel()[flat]
-        at_draw.ravel()[cell] = first + flat + below.ravel()[flat]
-        filled[live] += got
+        step = width - (candidate[:, -1] & below[:, -1])  # a short row keeps a pending aux draw
+        del candidate, below
+        if live.size == 1:  # one row: its kept draws by slice
+            r = live[0]
+            cols = np.flatnonzero(kept[0])[:need[0]]
+            lo, hi = filled[r], filled[r] + cols.size
+            # mode "clip" clips nothing here and, unlike "raise", writes unbuffered
+            values = np.take(u[0], cols, out=out[r, lo:hi], mode="clip")
+            if grid:
+                draws = np.add(cols, values < c, out=at_draw[r, lo:hi])
+                draws += count[r] + 1
+            if hi == n:
+                step[0] = cols[-1] + 1 + (values[-1] < c)
+            filled[r] = hi
+        else:
+            # the flat positions of each row's first kept draws, up to its
+            # need, as a (rows x k) grid: a row that keeps fewer than k has
+            # its tail masked off
+            counts = np.count_nonzero(kept, axis=1)
+            got = np.minimum(counts, need)
+            k = int(got.max())
+            flat = np.flatnonzero(kept)
+            del kept
+            at = flat[np.minimum((np.cumsum(counts) - counts)[:, None] + np.arange(k), flat.size - 1)]
+            del flat
+            values = np.take(u, at)
+            at -= (np.arange(live.size) * width)[:, None]  # their columns
+            done = np.flatnonzero(got == need)
+            ends = got[done] - 1
+            step[done] = at[done, ends] + 1 + (values[done, ends] < c)
+            at += values < c  # now their draw counts
+            at += count[live, None] + 1
+            fill = filled[live[0]]
+            if (got == k).all() and (filled[live] == fill).all():  # one copy
+                out[live, fill:fill + k] = values
+                if grid:
+                    at_draw[live, fill:fill + k] = at
+            else:
+                ok = np.arange(k) < got[:, None]
+                cells = ((live * n + filled[live])[:, None] + np.arange(k))[ok]
+                out.ravel()[cells] = values[ok]
+                if grid:
+                    at_draw.ravel()[cells] = at[ok]
+            filled[live] += got
         state[live] += step.astype(np.uint64) * _V_GOLDEN
         count[live] += step
-        live = live[~done]
+        live = live[filled[live] < n]
     return out, at_draw, RowStates(state, count)
 
 

@@ -185,9 +185,9 @@ def _count_pipeline_calls(monkeypatch):
     calls = []
     real = process.pipeline_block
 
-    def counted(fault, transform, window, gs, n):
+    def counted(fault, transform, window, gs, n, **kw):
         calls.append(n)
-        return real(fault, transform, window, gs, n)
+        return real(fault, transform, window, gs, n, **kw)
 
     monkeypatch.setattr(process, "pipeline_block", counted)
     return calls
@@ -377,9 +377,9 @@ def test_pipeline_block_rows_equal_one_call_per_row(fault, transform, window):
 def _counting_fault_block(monkeypatch, shapes):
     real = process.fault_block
 
-    def counted(model, gs, n):
+    def counted(model, gs, n, **kw):
         shapes.append((len(gs), n))
-        return real(model, gs, n)
+        return real(model, gs, n, **kw)
 
     monkeypatch.setattr(process, "fault_block", counted)
 
@@ -416,7 +416,8 @@ _DRAW_ON = [
     (PowerBias(2.0), RescaleWindow(0.99, 0.995), 1, 5),  # 0.000075 against 0.0033: doubling
     (LowThinning(0.5, 0.5), RescaleWindow(0.1, 0.4), 200, 1),  # 0.4 against 0.2
     (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 60, 2),  # 4500 draws, 4000 a pass
-    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 120, 4),  # 9000 draws
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 120, 3),  # 9000 draws
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 170, 4),  # 12750 draws
 ]
 
 
@@ -449,6 +450,76 @@ def test_window_rows_draw_on_in_capped_passes(monkeypatch, fault, window, n, pas
         assert rows[0][r].tolist() == expected
         assert rows[1][r].tolist() == counts
         assert (rows[2][r], rows[3][r]) == (pipe.fault_discards, pipe.window_discards)
+
+
+def test_short_window_row_draws_on_for_its_negative_binomial_spread(monkeypatch):
+    # LowThinning(0.5, 0.5) under Reflect lands in (0.6, 0.62) with odds of
+    # about 1/75.  The first pass of 4000 draws leaves the row a few samples
+    # short; the draws those take spread as a negative binomial, sqrt(k (1 -
+    # p)) / p, about sqrt(1/p) times the Poisson sqrt(k / p), so a pass
+    # sized with the Poisson margin (140 draws, then 144) fell short again.
+    window = RescaleWindow(0.6, 0.62)
+    shapes = []
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 4000)
+    _counting_fault_block(monkeypatch, shapes)
+    samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
+        LowThinning(0.5, 0.5), Reflect(), window, substream(0, 0), 60)
+    assert shapes[0] == (1, 4000) and len(shapes) == 2
+    pipe = oracle.PipelineSource(0, 0, LowThinning(0.5, 0.5), Reflect(), window)
+    expected, counts = [], []
+    for _ in range(60):
+        expected.append(pipe.next())
+        counts.append(pipe.raw_draws)
+    assert samples.tolist() == expected
+    assert at_draw.tolist() == counts
+    assert (fault_rejected, window_rejected) == (pipe.fault_discards, pipe.window_discards)
+
+
+@pytest.mark.parametrize("fault", [IDEAL, PowerBias(2.0), LowThinning(0.5, 0.5)])
+@pytest.mark.parametrize("window", [None, RescaleWindow(0.6, 0.62), RescaleWindow(0.3, 0.9)])
+def test_pipeline_without_the_grid_equals_the_grid_call(monkeypatch, fault, window):
+    # Without the grid, the second item is each row's draw count after its
+    # n-th sample; samples and rejections stay those of the grid call, on
+    # one row (the slice path) and on six rows, in capped passes too.
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 4000)
+    single, grid = substream(2, 0).advanced(7), substream_rows(2, np.arange(6))
+    for n in (0, 1, 60):
+        for gs in (single, grid):
+            samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
+                fault, Reflect(), window, gs, n)
+            bare = process.pipeline_block(fault, Reflect(), window, gs, n, grid=False)
+            assert np.array_equal(bare[0], samples)
+            if gs is single:
+                assert bare[1] == (at_draw[-1] if n else gs.draw_count)
+            else:
+                assert np.array_equal(bare[1], at_draw[:, -1] if n else gs.draw_count)
+            assert np.array_equal(bare[2], fault_rejected)
+            assert np.array_equal(bare[3], window_rejected)
+
+
+@pytest.mark.parametrize("fault", [IDEAL, PowerBias(2.0)])
+def test_per_draw_runs_count_their_draws_without_a_grid(monkeypatch, fault):
+    # With one raw draw a sample, the serial, per-clock and per-worker runs
+    # take each event's draw count from its row's start and its column, not
+    # from a grid: in tiny passes and tiles, they equal the runs that read
+    # the grid (the one-tile pass that thinning and windows take) and the
+    # one-draw oracle.
+    common = dict(n_clocks=5, horizon=30.0, seed=19, fault=fault, transform=Reflect())
+    cfgs = [SerialConfig(**common),
+            ParallelConfig(**common, workers=2, mapping=round_robin_mapping(5, 2)),
+            ParallelConfig(**common, workers=2, mapping=block_mapping(5, 2),
+                           stream_mode=StreamMode.PER_WORKER)]
+    run = [process.simulate_serial] + [lambda cfg: process.simulate_parallel(cfg, {}, 1.0)] * 2
+    slow = [oracle.simulate_serial(cfgs[0])] + [oracle.simulate_parallel(c) for c in cfgs[1:]]
+    monkeypatch.setattr(process, "MAX_PASS_CELLS", 60)
+    monkeypatch.setattr(process, "TILE_CELLS", 8)
+    monkeypatch.setattr(rng, "TILE_CELLS", 8)
+    fast = [f(cfg) for f, cfg in zip(run, cfgs)]
+    monkeypatch.setattr(process, "_per_draw", lambda fault, window: False)
+    with_grid = [f(cfg) for f, cfg in zip(run, cfgs)]
+    for arithmetic, read, want in zip(fast, with_grid, slow):
+        _assert_same(arithmetic, want)
+        _assert_same(read, want)
 
 
 def _record_tiles(monkeypatch, tile):

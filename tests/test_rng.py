@@ -414,16 +414,68 @@ def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
         _assert_matches_oracle(LowThinning(c, q), substream(8, chunk), max(300, chunk))
 
 
+def _count_unit_blocks(monkeypatch):
+    # the rows of each unit_block call: one call a LowThinning pass
+    rows = []
+    real = rng.unit_block
+
+    def counted(gs, n):
+        rows.append(len(gs))
+        return real(gs, n)
+
+    monkeypatch.setattr(rng, "unit_block", counted)
+    return rows
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 17, None])
+@pytest.mark.parametrize("c,q", [(0.5, 0.5), (0.5, 0.0), (0.5, 1.0), (0.99, 0.5)])
+def test_thinning_slice_paths_equal_the_oracle(monkeypatch, chunk, c, q):
+    # One row writes its kept draws by slice.  Four rows from different
+    # mid-stream starts finish in one pass at the production chunk, from the
+    # same fill, and go in one copy; a tiny chunk leaves them at different
+    # fills, written through a mask.  Every row equals the one-draw oracle
+    # (samples, draw counts, end state, rejections), and a call without the
+    # grid gives the same samples, end states and rejections.
+    if chunk is not None:
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+    model = LowThinning(c, q)
+    starts = [substream(41, i).advanced(3 * i + 1) for i in range(4)]
+    n = 150
+    _assert_matches_oracle(model, starts[0], n)
+    passes = _count_unit_blocks(monkeypatch)
+    samples, at_draw, new, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
+    if chunk is None:
+        assert passes == [4]
+    else:  # rows leave the passes at different times
+        assert passes[0] == 4 and 1 <= passes[-1] < 4
+    for r, gs in enumerate(starts):
+        values, counts, end, rejected_s = _oracle_walk(model, gs, n)
+        assert samples[r].tolist() == values
+        assert at_draw[r].tolist() == counts
+        assert new.row(r) == end
+        assert rejected[r] == rejected_s
+    bare = rng.fault_block(model, rng.RowStates.of(starts), n, grid=False)
+    assert np.array_equal(bare[0], samples)
+    assert np.array_equal(bare[1], new.draw_count)
+    assert np.array_equal(bare[2].state, new.state)
+    assert np.array_equal(bare[2].draw_count, new.draw_count)
+    assert np.array_equal(bare[3], rejected)
+    one = rng.fault_block(model, starts[1], n, grid=False)
+    assert one[0].tolist() == samples[1].tolist()
+    assert one[1:] == (new.row(1).draw_count, new.row(1), rejected[1])
+
+
 @pytest.mark.parametrize("rows,n,bound", [
-    (1, 200_000, 2.25),  # wide passes, 2**15 draws each: 1.48x measured
-    (16, 2_000, 6.0),    # one narrow pass over 16 rows: 5.4x measured
+    (1, 200_000, 5_000_000),  # wide passes, 2**15 draws each: 4,221,240 measured
+    (16, 2_000, 2_400_000),   # one narrow pass over 16 rows: 1,994,427 measured
 ])
 def test_low_thinning_transients_stay_near_the_output(rows, n, bound):
     # numpy reports its buffers to tracemalloc, and Python ints count too.
-    # A pass holds about 30-50 bytes per draw of its chunk, so at 200k
-    # samples a 2**17-draw chunk already reads 2.9 times the output; the
-    # 16-row pass, narrower than any chunk, bounds the bytes per draw alone
-    # (four int32 temporaries per draw read 6.7 times).
+    # The bound is in bytes, above the output (3,200,000 and 512,000 bytes
+    # of samples and draw counts).  A pass holds about 30-50 bytes per draw
+    # of its chunk, so at 200k samples a 2**17-draw chunk alone would pass
+    # the bound; the 16-row pass, narrower than any chunk, bounds the bytes
+    # per draw (four int32 temporaries per draw read 3.4 MB).
     starts = rng.substream_rows(5, np.arange(1, rows + 1))
     tracemalloc.start()
     try:
@@ -433,7 +485,7 @@ def test_low_thinning_transients_stay_near_the_output(rows, n, bound):
     finally:
         tracemalloc.stop()
     assert samples.shape == (rows, n)
-    assert peak - before <= bound * (samples.nbytes + at_draw.nbytes)
+    assert peak - before <= bound
 
 
 def _gap_rejections(at_draw, start, upto):
@@ -528,6 +580,25 @@ def test_fault_block_rows_equal_one_call_per_row(monkeypatch, model, chunk):
         assert at_draw[r].tolist() == one[1].tolist()
         assert new.row(r) == one[2]
         assert rejected[r] == one[3]
+
+
+@pytest.mark.parametrize("model", _ROW_MODELS, ids=fault_label)
+def test_no_grid_call_equals_the_grid_call(model):
+    # Without the grid, the second item is each row's draw count after its
+    # last sample, which is its end state's; n = 0 leaves every row where it
+    # started.
+    starts = rng.RowStates.of([substream(3, i).advanced(i) for i in range(3)])
+    for n in (0, 1, 257):
+        samples, at_draw, new, rejected = rng.fault_block(model, starts, n)
+        bare = rng.fault_block(model, starts, n, grid=False)
+        assert np.array_equal(bare[0], samples)
+        assert np.array_equal(bare[1], new.draw_count)
+        if n:
+            assert np.array_equal(at_draw[:, -1], new.draw_count)
+        else:
+            assert np.array_equal(new.draw_count, starts.draw_count)
+        assert np.array_equal(bare[2].state, new.state)
+        assert np.array_equal(bare[3], rejected)
 
 
 def test_unit_block_rows_equal_one_call_per_row():
