@@ -15,11 +15,11 @@ rejected, and every diagnostic names the offending key):
 * ``[transform]`` — ``names``: ordered list from {reflect, rotate_half},
   applied left to right (two or more names compose).
 * ``[fix]`` — ``a`` and ``b``: the trusted window, 0 <= a < b <= 1.
-* ``[parallel]`` — ``workers``: list of worker counts (default "1");
-  ``mappings``: list from {blocks, round_robin, shuffle} (default
-  "blocks"); ``stream_modes``: list from {per_clock, per_worker} (default
-  "per_clock").  No list may repeat an entry: a repeated cell would write
-  over its twin's event file and count its tests twice.
+* ``[parallel]`` — ``workers``: list of worker counts, each at most 2^31 - 1
+  (default "1"); ``mappings``: list from {blocks, round_robin, shuffle}
+  (default "blocks"); ``stream_modes``: list from {per_clock, per_worker}
+  (default "per_clock").  No list may repeat an entry: a repeated cell would
+  write over its twin's event file and count its tests twice.
 * ``[output]`` — ``directory`` (default "reports"); ``formats``: nonempty
   list from {json, csv} (default both).
 * ``[debug]`` — ``corrupt_per_clock_run``: bool (default false); damages

@@ -49,6 +49,7 @@ from .process import (
     SerialConfig,
     StreamMode,
     Trajectory,
+    _MAX_CLOCKS,
     _gaps,
     _validate_common,
     make_mapping,
@@ -511,6 +512,8 @@ class ExperimentPlan:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if min(self.worker_counts) < 1:
             raise ValueError(f"worker_counts must be >= 1, got {min(self.worker_counts)}")
+        if max(self.worker_counts) > _MAX_CLOCKS:  # worker ids are int32
+            raise ValueError(f"worker_counts must be <= 2^31 - 1, got {max(self.worker_counts)}")
         for name, low in (("ab_samples", _MIN_AB_SAMPLES), ("fix_samples", _MIN_FIX_SAMPLES)):
             value = getattr(self, name)
             if value < low:

@@ -50,15 +50,16 @@ and require bit-identical results.
 Horizon rule: an event whose time would exceed the horizon is suppressed
 (its time draw is still consumed), and the trajectory ends at the last
 emitted event.  Stream ids are fixed: serial = 0, clock i = 1 + i, worker w
-= 10**6 + w, so any run can be replayed stream-by-stream.
+= 10**6 + w, so any run can be replayed stream-by-stream.  A clock -> worker
+mapping is a read-only int32 array of worker ids, made by :func:`make_mapping`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -96,9 +97,6 @@ __all__ = [
     "simulate_serial",
     "simulate_parallel",
     "pipeline_block",
-    "block_mapping",
-    "round_robin_mapping",
-    "shuffle_mapping",
     "make_mapping",
     "MAPPING_KINDS",
 ]
@@ -193,13 +191,12 @@ class SerialConfig:
 class ParallelConfig:
     """Per-clock run: N independent rate-1 clocks hosted by ``workers`` workers.
 
-    ``mapping[i]`` is the worker hosting clock ``i``.  In per-clock stream
-    mode each clock owns stream ``1 + i`` and the mapping only decides in
-    which worker's grid the clock is drawn, so it must not change the
-    result; in per-worker mode clocks draw round-robin from their worker's
-    stream (id ``10**6 + w``), so the mapping changes the numbers but not
-    the law.
-    """
+    ``mapping[i]`` is the worker hosting clock ``i``: a read-only int32 copy
+    (``blocks`` by default), by whose bytes configs compare and hash.  In
+    per-clock mode each clock owns stream ``1 + i`` and the mapping only
+    decides in which worker's grid the clock is drawn, so it must not change
+    the result; in per-worker mode clocks draw round-robin from their worker's
+    stream (id ``10**6 + w``): the mapping changes the numbers, not the law."""
 
     n_clocks: int
     horizon: float
@@ -208,21 +205,25 @@ class ParallelConfig:
     transform: Optional[Transform] = None
     fix_window: Optional[RescaleWindow] = None
     workers: int = 1
-    mapping: Optional[tuple[int, ...]] = None
+    mapping: Optional[np.ndarray] = field(default=None, compare=False)
     stream_mode: StreamMode = StreamMode.PER_CLOCK
+    _mapping_bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # a str equals its mode but is not it, and simulate_parallel tests identity
         object.__setattr__(self, "stream_mode", StreamMode(self.stream_mode))
         _validate_common(self.n_clocks, self.horizon, self.seed)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.mapping is None:
-            object.__setattr__(self, "mapping", block_mapping(self.n_clocks, self.workers))
-        if len(self.mapping) != self.n_clocks:
+        if not 1 <= self.workers <= _MAX_CLOCKS:
+            raise ValueError(f"workers must lie in [1, {_MAX_CLOCKS}], got {self.workers}")
+        mapping = np.asarray(make_mapping("blocks", self.n_clocks, self.workers, self.seed)
+                             if self.mapping is None else self.mapping)
+        if mapping.shape != (self.n_clocks,):
             raise ValueError("mapping must assign every clock a worker")
-        if any(not 0 <= w < self.workers for w in self.mapping):
+        if mapping.min() < 0 or mapping.max() >= self.workers:
             raise ValueError(f"mapping worker ids must lie in [0, {self.workers})")
+        content = mapping.astype(np.int32, copy=False).tobytes()
+        object.__setattr__(self, "_mapping_bytes", content)
+        object.__setattr__(self, "mapping", np.frombuffer(content, dtype=np.int32))
 
 
 # --------------------------------------------------------------------------
@@ -530,12 +531,14 @@ def _simulate_bank(cfg: ParallelConfig, pace: float) -> Trajectory:
     """Each worker's clocks (``mapping == w``, ascending id) run through
     :func:`_run_to_horizon`, merged across workers: in per-clock mode as
     rows of one lane, in batches of at most :func:`_pass_cap` samples a pass
-    at ``pace``, in per-worker mode as the lanes of the worker's row.  The
-    event columns are reserved once for the whole bank.
-    """
-    mapping = np.asarray(cfg.mapping)
+    at ``pace``, in per-worker mode as the lanes of the worker's row.  One
+    stable argsort groups them, and a worker without clocks costs nothing.
+    The event columns are reserved once for the whole bank."""
     per_worker = cfg.stream_mode is StreamMode.PER_WORKER
-    streams = substream_rows(cfg.seed, worker_stream(np.arange(cfg.workers)) if per_worker
+    order = np.argsort(cfg.mapping, kind="stable").astype(np.int32)  # by worker: the marks
+    hosts = cfg.mapping[order]
+    starts = np.flatnonzero(np.r_[True, hosts[1:] != hosts[:-1]])  # each hosting worker's first
+    streams = substream_rows(cfg.seed, worker_stream(hosts[starts].astype(np.int64)) if per_worker
                              else clock_stream(np.arange(cfg.n_clocks)))
     cap = _pass_cap(cfg.fix_window)
     width = _ticks_to_pass(cfg.horizon, pace, cap)
@@ -543,12 +546,11 @@ def _simulate_bank(cfg: ParallelConfig, pace: float) -> Trajectory:
     events = _Events()  # room for the bank's events at pace, plus a margin
     events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
     total = 0
-    for w in range(cfg.workers):
-        clocks = np.flatnonzero(mapping == w).astype(np.int32)  # the marks of its events
-        per_grid = clocks.size if per_worker else batch
-        for lo in range(0, clocks.size, per_grid or 1):
-            part = clocks[lo:lo + per_grid]
-            rows, lanes = ((streams.take([w]), part[None]) if per_worker
+    for k, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], order.size))):
+        step = hi - lo if per_worker else batch
+        for at in range(lo, hi, step):
+            part = order[at:min(at + step, hi)]
+            rows, lanes = ((streams.take([k]), part[None]) if per_worker
                            else (streams.take(part), part[:, None]))
             total += _run_to_horizon(cfg, rows, lanes, pace, events)
     return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
@@ -752,45 +754,36 @@ def _merge_arrays(events: _Events, *, n_clocks: int, total_draws: int) -> Trajec
 
 
 # --------------------------------------------------------------------------
-# clock -> worker mapping generators
-
-
-def block_mapping(n_clocks: int, workers: int) -> tuple[int, ...]:
-    """Contiguous blocks: clock i -> worker i*P//N."""
-    return tuple(i * workers // n_clocks for i in range(n_clocks))
-
-
-def round_robin_mapping(n_clocks: int, workers: int) -> tuple[int, ...]:
-    """Cyclic: clock i -> worker i mod P."""
-    return tuple(i % workers for i in range(n_clocks))
-
-
-def shuffle_mapping(n_clocks: int, workers: int, seed: int) -> tuple[int, ...]:
-    """Blocks over a seed-determined permutation of the clocks.
-
-    The permutation is a Fisher–Yates shuffle driven by the reserved mapping
-    substream, so the mapping is a pure function of (seed, N, P).
-    """
-    u, _ = unit_block(substream(seed, MAPPING_STREAM), n_clocks - 1)
-    bound = np.arange(n_clocks, 1, -1)  # i + 1 for i = N-1 down to 1, one uniform each
-    swaps = np.minimum((u * bound).astype(np.int64), bound - 1)
-    perm = list(range(n_clocks))
-    for i, j in zip(range(n_clocks - 1, 0, -1), swaps.tolist()):
-        perm[i], perm[j] = perm[j], perm[i]
-    mapping = [0] * n_clocks
-    for position, clock in enumerate(perm):
-        mapping[clock] = position * workers // n_clocks
-    return tuple(mapping)
+# clock -> worker mappings
 
 
 MAPPING_KINDS = ("blocks", "round_robin", "shuffle")
 
 
-def make_mapping(kind: str, n_clocks: int, workers: int, seed: int) -> tuple[int, ...]:
-    if kind == "blocks":
-        return block_mapping(n_clocks, workers)
-    if kind == "round_robin":
-        return round_robin_mapping(n_clocks, workers)
+def make_mapping(kind: str, n_clocks: int, workers: int, seed: int) -> np.ndarray:
+    """The worker of each clock, a read-only int32 array: ``blocks`` puts clock ``i`` on
+    ``i*P//N`` (P < 2^31, so it fits int64), ``round_robin`` on ``i % P``, and ``shuffle``
+    the ``k``-th clock of the seed's Fisher–Yates order (:func:`_clock_order`) on ``k*P//N``."""
+    if kind not in MAPPING_KINDS:
+        raise ValueError(f"unknown mapping name: {kind!r} (expected one of {MAPPING_KINDS})")
+    i = np.arange(n_clocks, dtype=np.int64)
+    mapping = (i % workers if kind == "round_robin" else i * workers // n_clocks).astype(np.int32)
     if kind == "shuffle":
-        return shuffle_mapping(n_clocks, workers, seed)
-    raise ValueError(f"unknown mapping name: {kind!r} (expected one of {MAPPING_KINDS})")
+        mapping[_clock_order(n_clocks, seed)] = mapping.copy()
+    mapping.flags.writeable = False
+    return mapping
+
+
+@lru_cache(maxsize=1)  # the shuffle cells of one seed share its order
+def _clock_order(n_clocks: int, seed: int) -> np.ndarray:
+    """The clocks, Fisher–Yates shuffled by the mapping stream's uniforms:
+    ``u`` swaps positions ``i`` and ``floor(u (i+1))``, ``i`` = N-1 down to 1."""
+    u, _ = unit_block(substream(seed, MAPPING_STREAM), n_clocks - 1)
+    bound = np.arange(n_clocks, 1, -1)  # i + 1
+    swaps = np.minimum((u * bound).astype(np.int64), bound - 1)
+    order = list(range(n_clocks))
+    for i, j in zip(range(n_clocks - 1, 0, -1), swaps.tolist()):
+        order[i], order[j] = order[j], order[i]
+    order = np.array(order, dtype=np.int32)
+    order.flags.writeable = False  # the cache hands it to every caller
+    return order

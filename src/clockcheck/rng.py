@@ -21,12 +21,15 @@ longer row; its Weyl add, scrambler, lattice map and the two lattice snaps
 run in one scratch buffer and the output tile, which stay in cache.  A
 block that fits in one tile runs the loop once; the tiles change no bit.
 
-Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed:
+Streams are keyed by ``(seed, stream_id)``.  The id layout is fixed, and its
+roles share no id while N < 10**6 and P <= 10**6 (P workers):
 
 * id ``0``                 -- the serial (merged-clock) stream,
 * ids ``1 .. N``           -- one stream per clock in per-clock mode,
-* ids ``10**6 + w``        -- one stream per worker in per-worker mode,
-* id ``2 * 10**6``         -- reserved for the shuffle mapping generator.
+* ids ``10**6 + w``        -- one stream per worker in per-worker mode, worker
+  0's shared by clock ``10**6 - 1`` once N >= 10**6,
+* id ``2 * 10**6``         -- the shuffle mapping generator, shared by clock
+  ``2 * 10**6 - 1`` once N >= 2 * 10**6 and by worker ``10**6`` once P > 10**6.
 
 Unit samples are drawn on the half-offset 53-bit lattice
 ``u = ((word >> 11) + 0.5) * 2**-53`` so that 0, 0.5 and 1 are never hit.

@@ -151,6 +151,8 @@ def test_alpha_out_of_range_carries_name(tmp_path):
     ("[experiment]\nseed = -1\n", "[experiment] seed: must fit in 64 bits, got -1"),
     ("[parallel]\nworkers = 2 0\n", "[parallel] workers: must be >= 1, got 0"),
     ("[parallel]\nworkers = ,\n", "[parallel] workers: must be nonempty"),
+    ("[parallel]\nworkers = 1 2147483648\n",
+     "[parallel] workers: must be <= 2^31 - 1, got 2147483648"),
     ("[parallel]\nmappings = ,\n", "[parallel] mappings: must be nonempty"),
     ("[parallel]\nstream_modes = ,\n", "[parallel] stream_modes: must be nonempty"),
 ])

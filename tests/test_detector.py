@@ -38,7 +38,7 @@ from clockcheck.process import (
     StreamMode,
     make_mapping,
 )
-from clockcheck.rng import IDEAL, TILE_CELLS, LowThinning, PowerBias, substream
+from clockcheck.rng import IDEAL, MAPPING_STREAM, TILE_CELLS, LowThinning, PowerBias, substream
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf, transform_label
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -747,6 +747,28 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     expected.append(detector.cross_parallel_compare(list(zip(cells, fresh)), plan.alpha,
                                                     gap_stats=GapMemo()))
     assert [p.verdict for p in sr.pairings] == expected
+
+
+def test_compare_shuffles_the_clocks_once_a_seed(monkeypatch):
+    # Six shuffle cells a seed (workers 1, 2 and 4 in both stream modes)
+    # read one Fisher–Yates order: the swap loop runs once a seed, and every
+    # cell's mapping is the oracle's.
+    shuffled = []  # the seed of each Fisher–Yates run: each opens the mapping stream once
+    real_substream = process.substream
+    monkeypatch.setattr(process, "substream", lambda seed, stream_id: shuffled.append(
+        (seed, stream_id)) or real_substream(seed, stream_id))
+    process._clock_order.cache_clear()
+    mappings = []
+    real = process.simulate_parallel
+    monkeypatch.setattr(detector, "simulate_parallel", lambda cfg, memo, pace: mappings.append(
+        (cfg.seed, cfg.workers, cfg.mapping.tolist())) or real(cfg, memo, pace))
+    plan = _small_plan(seeds=(0, 1, 2), worker_counts=(1, 2, 4), mappings=("shuffle",),
+                       stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    detector.run_experiment(dataclasses.replace(plan, stages=("compare",)))
+    assert shuffled == [(seed, MAPPING_STREAM) for seed in (0, 1, 2)]
+    assert len(mappings) == 18
+    for seed, workers, mapping in mappings:
+        assert mapping == list(oracle.shuffle_mapping(plan.n_clocks, workers, seed))
 
 
 def _alive_at_cross_check(monkeypatch, simulated):

@@ -19,10 +19,7 @@ from clockcheck.process import (
     SerialConfig,
     StreamMode,
     Trajectory,
-    block_mapping,
     make_mapping,
-    round_robin_mapping,
-    shuffle_mapping,
 )
 from clockcheck.rng import (
     IDEAL,
@@ -506,8 +503,8 @@ def test_per_draw_runs_count_their_draws_without_a_grid(monkeypatch, fault):
     # one-draw oracle.
     common = dict(n_clocks=5, horizon=30.0, seed=19, fault=fault, transform=Reflect())
     cfgs = [SerialConfig(**common),
-            ParallelConfig(**common, workers=2, mapping=round_robin_mapping(5, 2)),
-            ParallelConfig(**common, workers=2, mapping=block_mapping(5, 2),
+            ParallelConfig(**common, workers=2, mapping=make_mapping("round_robin", 5, 2, seed=0)),
+            ParallelConfig(**common, workers=2, mapping=make_mapping("blocks", 5, 2, seed=0),
                            stream_mode=StreamMode.PER_WORKER)]
     run = [process.simulate_serial] + [lambda cfg: process.simulate_parallel(cfg, {}, 1.0)] * 2
     slow = [oracle.simulate_serial(cfgs[0])] + [oracle.simulate_parallel(c) for c in cfgs[1:]]
@@ -571,7 +568,7 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
     serial_cfg = SerialConfig(**common)
     cells = [ParallelConfig(**common, workers=p, mapping=make_mapping("round_robin", 6, p, seed=0))
              for p in (1, 3)]
-    workers = {p: ParallelConfig(**common, workers=p, mapping=block_mapping(6, p),
+    workers = {p: ParallelConfig(**common, workers=p, mapping=make_mapping("blocks", 6, p, seed=0),
                                  stream_mode=StreamMode.PER_WORKER) for p in (1, 2, 6)}
     slow_serial = oracle.simulate_serial(serial_cfg)
     slow = oracle.simulate_parallel(cells[0])
@@ -1123,30 +1120,47 @@ def test_trajectory_event_iteration_round_trips():
 # ---------------------------------------------------------------------------
 
 
+def _worker_counts(n_clocks):
+    # one worker, a few, one a clock, and more workers than clocks
+    return (1, 2, 3, n_clocks, n_clocks + 1, 3 * n_clocks)
+
+
+def _assert_mapping(mapping, want):
+    assert mapping.dtype == np.int32 and not mapping.flags.writeable
+    assert mapping.tolist() == list(want)
+
+
 def test_block_mapping_layout():
-    assert block_mapping(8, 2) == (0, 0, 0, 0, 1, 1, 1, 1)
-    assert block_mapping(3, 3) == (0, 1, 2)
+    _assert_mapping(make_mapping("blocks", 8, 2, seed=0), (0, 0, 0, 0, 1, 1, 1, 1))
+    _assert_mapping(make_mapping("blocks", 3, 3, seed=0), (0, 1, 2))
+    for n in (1, 2, 17, 1024):
+        for p in _worker_counts(n):
+            _assert_mapping(make_mapping("blocks", n, p, seed=0), [i * p // n for i in range(n)])
 
 
 def test_round_robin_layout():
-    assert round_robin_mapping(5, 2) == (0, 1, 0, 1, 0)
+    _assert_mapping(make_mapping("round_robin", 5, 2, seed=0), (0, 1, 0, 1, 0))
+    for n in (1, 2, 17, 1024):
+        for p in _worker_counts(n):
+            _assert_mapping(make_mapping("round_robin", n, p, seed=0), [i % p for i in range(n)])
 
 
 def test_shuffle_mapping_is_seeded_and_balanced():
-    a = shuffle_mapping(16, 4, seed=1)
-    b = shuffle_mapping(16, 4, seed=1)
-    c = shuffle_mapping(16, 4, seed=2)
-    assert a == b
-    assert a != c  # overwhelmingly likely; same-law, different layout
-    assert sorted(np.bincount(a, minlength=4)) == sorted(np.bincount(block_mapping(16, 4), minlength=4))
+    a = make_mapping("shuffle", 16, 4, seed=1)
+    b = make_mapping("shuffle", 16, 4, seed=1)
+    c = make_mapping("shuffle", 16, 4, seed=2)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)  # overwhelmingly likely; same-law, different layout
+    assert sorted(np.bincount(a, minlength=4)) == \
+        sorted(np.bincount(make_mapping("blocks", 16, 4, seed=1), minlength=4))
 
 
 @pytest.mark.parametrize("n_clocks", [1, 2, 17, 1024])
 def test_shuffle_mapping_equals_oracle_fisher_yates(n_clocks):
-    for workers in (1, 3, 8):
+    for workers in _worker_counts(n_clocks) + (8,):
         for seed in (0, 5, 2**64 - 1):
-            assert shuffle_mapping(n_clocks, workers, seed) == \
-                oracle.shuffle_mapping(n_clocks, workers, seed)
+            _assert_mapping(make_mapping("shuffle", n_clocks, workers, seed),
+                            oracle.shuffle_mapping(n_clocks, workers, seed))
 
 
 def test_make_mapping_rejects_unknown_kind():
@@ -1171,8 +1185,75 @@ def test_config_validation():
         SerialConfig(n_clocks=4, horizon=10.0, seed=-1)
     with pytest.raises(ValueError):
         ParallelConfig(n_clocks=4, horizon=10.0, seed=0, workers=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mapping must assign every clock a worker$"):
         ParallelConfig(n_clocks=4, horizon=10.0, seed=0, workers=2, mapping=(0, 1))
-    with pytest.raises(ValueError):
-        ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2, mapping=(0, 5))
+    with pytest.raises(ValueError, match=r"^mapping must assign every clock a worker$"):
+        ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2, mapping=[[0, 1]])
+    for bad in ((0, 5), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match=r"^mapping worker ids must lie in \[0, 2\)$"):
+            ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2, mapping=bad)
+    with pytest.raises(ValueError, match=r"workers must lie in \[1, 2147483647\]"):
+        ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2 ** 31)
     assert StreamMode("per_worker") is StreamMode.PER_WORKER
+
+
+def test_configs_compare_and_hash_by_mapping_content():
+    # blocks and round_robin at P = N are one mapping, whatever form it is
+    # given in: one memo key.  The config holds it as a read-only int32 copy.
+    common = dict(n_clocks=6, horizon=10.0, seed=3, workers=6)
+    blocks = ParallelConfig(**common, mapping=make_mapping("blocks", 6, 6, seed=3))
+    same = [ParallelConfig(**common, mapping=m)
+            for m in (make_mapping("round_robin", 6, 6, seed=3), tuple(range(6)),
+                      np.arange(6, dtype=np.int64))]
+    for cfg in same:
+        assert cfg == blocks and hash(cfg) == hash(blocks)
+        assert cfg.mapping.dtype == np.int32 and not cfg.mapping.flags.writeable
+    assert len({blocks, *same}) == 1
+    assert ParallelConfig(**common, mapping=make_mapping("shuffle", 6, 6, seed=3)) != blocks
+    assert ParallelConfig(**dict(common, workers=7), mapping=tuple(range(6))) != blocks
+
+
+@pytest.mark.parametrize("mode", list(StreamMode))
+@pytest.mark.parametrize("kind", MAPPING_KINDS)
+def test_idle_workers_change_no_bit(kind, mode):
+    # 3N workers host N clocks: at least two of every three workers are idle
+    cfg = ParallelConfig(n_clocks=7, horizon=30.0, seed=8, fault=PowerBias(2.0), workers=21,
+                         mapping=make_mapping(kind, 7, 21, seed=8), stream_mode=mode)
+    assert np.unique(cfg.mapping).size == 7
+    _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
+
+
+@pytest.mark.parametrize("kind", MAPPING_KINDS)
+def test_a_cell_allocates_nothing_the_size_of_its_worker_count(kind):
+    # 10**6 workers host 16 clocks: the mapping, the clocks' grouping by
+    # worker and the worker streams are sized by the clocks, so the cell,
+    # its config and its mapping included, peaks below a byte a worker.
+    workers = 10 ** 6
+    tracemalloc.start()
+    try:
+        cfg = ParallelConfig(n_clocks=16, horizon=10.0, seed=2, workers=workers,
+                             mapping=make_mapping(kind, 16, workers, seed=2),
+                             stream_mode=StreamMode.PER_WORKER)
+        traj = process.simulate_parallel(cfg, {}, pace=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) > 100
+    assert peak < workers
+
+
+def test_cell_configs_hold_four_bytes_a_clock():
+    # A seed's six cells of 2^16 clocks (every kind at P = 1 and 2) hold
+    # their mappings as int32 bytes, and the seed's shuffle order is one
+    # more int32 array: 4 bytes a clock each, plus 64 KiB for the objects.
+    n = 1 << 16
+    process._clock_order.cache_clear()
+    tracemalloc.start()
+    try:
+        cells = [ParallelConfig(n_clocks=n, horizon=1.0, seed=1, workers=p,
+                                mapping=make_mapping(kind, n, p, seed=1))
+                 for kind in MAPPING_KINDS for p in (1, 2)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= (len(cells) + 1) * 4 * n + 65536

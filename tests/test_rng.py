@@ -138,6 +138,15 @@ def test_stream_id_layout_keeps_roles_apart():
     assert len(states) == len(ids)
 
 
+def test_stream_id_roles_meet_where_the_docs_say():
+    # disjoint while N < 10**6 and P <= 10**6; each first shared id
+    assert clock_stream(10**6 - 2) < worker_stream(0)
+    assert clock_stream(10**6 - 1) == worker_stream(0)
+    assert worker_stream(10**6 - 1) < MAPPING_STREAM
+    assert worker_stream(10**6) == MAPPING_STREAM
+    assert clock_stream(2 * 10**6 - 1) == MAPPING_STREAM
+
+
 def test_derived_seeds_are_mix_of_counter():
     for count in (1, 5, 20, 1000):
         seeds = derived_seeds(count)
