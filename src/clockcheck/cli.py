@@ -40,7 +40,7 @@ import click
 from .config import ConfigError, load_config
 from .detector import STAGES, ComparisonReport, TooFewEvents, run_experiment
 from .report import EventWriter, write_report_bundle
-from .rng import IDEAL, MASK64, fault_label
+from .rng import IDEAL, MASK64, StarvedWindow, fault_label
 from .stats import binomial_upper_band
 
 __all__ = ["cli", "main"]
@@ -99,7 +99,8 @@ def _subcommand(name: str, preset: _Preset) -> None:
     """Register subcommand ``name``.  Its config errors (exit 1) come in
     this order: the config, the preset's required section, the output
     directory (made before any seed runs), then a bank too small to compare
-    (found once a seed has run; no report is written).  A plan whose flag
+    (found once a seed has run; no report is written) or a window the
+    pipeline starves (found when it is drawn).  A plan whose flag
     band is its seed count cannot exit 2; it is told so on stderr before
     the first seed runs."""
 
@@ -144,6 +145,9 @@ def _subcommand(name: str, preset: _Preset) -> None:
         except TooFewEvents as exc:
             click.echo(f"config error: [experiment] n_clocks, horizon: {plan.n_clocks} clocks "
                        f"over horizon {plan.horizon:g} give too few events: {exc}", err=True)
+            ctx.exit(1)
+        except StarvedWindow as exc:
+            click.echo(f"config error: [fix] a/b: {exc}", err=True)
             ctx.exit(1)
         written = write_report_bundle(report, target, output.formats,
                                       events=events.paths if events else ())

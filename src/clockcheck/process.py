@@ -20,17 +20,15 @@ defect), optional measure-preserving transform, optional window
 rejection-rescale repair.  ``pipeline_block`` is the one implementation of
 that pipeline, in numpy blocks of one stream or of a grid of streams, one
 per row; every simulator and detector stage draws through it.  A window
-keeps only the draws that land inside it, so each row draws in passes, each
-from the state the last one ended at, and appends what every pass keeps: the
-first sized for 1.5 / width draws a sample, later ones for the acceptance the
-row has shown, each with a five-sigma margin (Poisson for the first, the
-negative-binomial spread of the draws a short row still needs for later
-ones), and no pass holds more than ``MAX_PASS_CELLS`` draws in all, a
-single row's included.  The grid of each sample's draw count is built only
-for the callers that read it: the simulators' thinning and window passes.
-The A/B and fix tiles read only each row's count after its last sample,
-and the simulators' passes of one raw draw a sample count each kept event's
-draws from its row's start and its column.
+is a keep map in the fault model's draw-on kernel
+(:func:`~clockcheck.rng.fault_block`): each pass keeps the fault samples
+that land inside it and moves each row on from where it stopped, under the
+kernel's one pass rule, so no pass holds more than ``MAX_PASS_CELLS`` draws
+and none builds a draw-count grid no caller reads.  The grid is built only
+for the simulators' thinning and window passes; the A/B and fix tiles read
+only each row's count after its last sample, and the simulators' passes of
+one raw draw a sample count each kept event's draws from its row's start
+and its column.
 
 The serial, per-clock and per-worker runs are one loop, ``_run_to_horizon``,
 over stream rows, each a row of clock lanes that tick one sample each per
@@ -80,7 +78,6 @@ from .rng import (
     as_rows,
     clock_stream,
     fault_block,
-    fault_rejections,
     one_row,
     substream,
     substream_rows,
@@ -101,9 +98,7 @@ __all__ = [
     "MAPPING_KINDS",
 ]
 
-_STARVATION_DRAWS = 524_288  # window draws after which a starved window is an error
 _MAX_CLOCKS = (1 << 31) - 1  # a mark is an int32 clock id
-_MIN_ACCEPTANCE = 1e-4  # window acceptance odds below this are not supported
 
 
 @dataclass(frozen=True)
@@ -219,6 +214,8 @@ class ParallelConfig:
                              if self.mapping is None else self.mapping)
         if mapping.shape != (self.n_clocks,):
             raise ValueError("mapping must assign every clock a worker")
+        if mapping.dtype.kind not in "iu":
+            raise ValueError(f"mapping worker ids must be integers, got dtype {mapping.dtype}")
         if mapping.min() < 0 or mapping.max() >= self.workers:
             raise ValueError(f"mapping worker ids must lie in [0, {self.workers})")
         content = mapping.astype(np.int32, copy=False).tobytes()
@@ -252,153 +249,64 @@ def pipeline_block(
     As with :func:`~clockcheck.rng.fault_block`, only a caller that reads a
     draw count per sample asks for that grid: with ``grid=False``,
     ``at_draw`` is each row's draw count after its ``n``-th sample (for a
-    single stream an ``int``), and neither this function nor the fault
-    model builds a grid it does not need.  The simulators' thinning and
-    window passes read the grid; the A/B and fix tiles and the simulators'
-    passes of one raw draw a sample do not.
+    single stream an ``int``), and no grid is built.  The simulators'
+    thinning and window passes read the grid; the A/B and fix tiles and the
+    simulators' passes of one raw draw a sample do not.
 
-    With a window, each row draws on in passes from the state its last pass
-    ended at and appends the samples each pass keeps.  The first pass asks
-    for ``n`` samples at 1.5 / width draws each, plus five Poisson standard
-    deviations and 32 (:func:`_ticks_to_pass`); a row still short asks for
-    what it lacks at the acceptance it has shown, plus five of the
-    negative-binomial standard deviations of the draws that takes and 32
-    (:func:`_window_pass`); a row that has kept nothing doubles its draws.
-    A pass holds at most ``MAX_PASS_CELLS`` draws in all, a single row's
-    too, so the memory is bounded whatever the window's width.  A stream's
-    samples do not depend on how many are asked for, and the rejections of
-    the passes add up, so the passes change no bit and no count.
-
-    A window the pipeline lands in with odds below 1e-4 (one aimed where a
-    transform moved the mass away, or one only 1e-7 wide) is not supported:
-    it raises once a row still short has made ``_STARVATION_DRAWS`` pipeline
-    draws, instead of drawing on until its stream runs out.
+    A window is a keep map in the fault model's draw-on passes
+    (:class:`_WindowKeep`): each pass maps its fault samples through the
+    transform, keeps the ones inside the window, and moves each row to just
+    past its ``n``-th kept sample or to the pass end.  One pass rule sizes
+    every pass (:func:`~clockcheck.rng._pass_draws`), at most ``_CHUNK``
+    draws a row and ``MAX_PASS_CELLS`` in all.  A window the pipeline lands
+    in with odds below 1e-4 (one aimed where a transform moved the mass
+    away, or one only 1e-7 wide) is not supported: it raises
+    :class:`~clockcheck.rng.StarvedWindow` once a row still short has made
+    524,288 pipeline draws, instead of drawing on until its stream runs
+    out.
     """
     rows, single = as_rows(gs)
-    out = _pipeline_rows(fault, transform, window, rows, n, grid)
-    return one_row(out) if single else out
-
-
-def _pipeline_rows(fault, transform, window, rows: RowStates, n: int, grid: bool = True):
-    """:func:`pipeline_block` on a grid of rows.  Its window passes ask the
-    fault model for a draw-count grid only under thinning, whose counts
-    they read (each kept sample's, and the one at a row's ``n``-th sample
-    for its rejections); under any other fault, draw ``j`` of a pass is the
-    row's count before the pass plus ``j + 1``.  The kept samples' grid is
-    built only with ``grid``; without it, each row's count after its
-    ``n``-th sample is returned instead."""
     if window is None:
         samples, at_draw, _, rejected = fault_block(fault, rows, n, grid=grid)
         if transform is not None:
             samples = transform_block(transform, samples)
-        return samples, at_draw, rejected, np.zeros(len(rows), dtype=np.int64)
-    # The window's passes (see pipeline_block): a pass asks each of its rows
-    # for the same m pipeline draws, in batches of at most MAX_PASS_CELLS
-    # draws in all, and a row goes on from its state and its counts.
-    thinning = isinstance(fault, LowThinning)
-    y = np.empty((len(rows), n), dtype=np.float64)
-    kept_at = np.empty((len(rows), n), dtype=np.int64) if grid else None
-    last = rows.draw_count.copy()  # the draw count after a row's n-th sample
-    got = np.zeros(len(rows), dtype=np.int64)  # samples kept so far
-    drawn = np.zeros(len(rows), dtype=np.int64)  # pipeline draws, up to the n-th kept at the end
-    fault_rejected = np.zeros(len(rows), dtype=np.int64)
-    state, count = rows.state.copy(), rows.draw_count.copy()
-    todo = np.arange(len(rows)) if n else np.empty(0, dtype=np.int64)
-    m = _ticks_to_pass(n, _draws_per_sample(window), MAX_PASS_CELLS)
-    while todo.size:
-        batch = max(1, MAX_PASS_CELLS // m)
-        short = []
-        for lo in range(0, todo.size, batch):
-            part = todo[lo:lo + batch]
-            samples, at_draw, new, _ = fault_block(fault, RowStates(state[part], count[part]), m,
-                                                   grid=thinning)
-            below = samples < fault.c if thinning else None
-            if transform is not None:
-                samples = transform_block(transform, samples)
-            inside = (samples > window.a) & (samples < window.b)
-            need = n - got[part]
-            if part.size == 1:  # one row: its kept draws, cut at its need, by slice
-                r = part[0]
-                flat = np.flatnonzero(inside[0])[:need[0]]
-                del inside
-                kept = ends = np.array([flat.size])
-                lo, hi = got[r], got[r] + flat.size
-                # mode "clip" clips nothing here and, unlike "raise", writes unbuffered
-                values = np.take(samples[0], flat, out=y[r, lo:hi], mode="clip")
-                values -= window.a
-                values /= window.width
-                if grid:
-                    kept_at[r, lo:hi] = at_draw[0, flat] if thinning else flat + (count[r] + 1)
-            else:
-                rank = np.cumsum(inside, axis=1, dtype=np.int32)
-                kept = np.minimum(rank[:, -1], need)
-                inside &= rank <= need[:, None]  # each row's first `need` inside
-                del rank
-                # the kept draws in row-major order, and each one's cell in y
-                flat = np.flatnonzero(inside)
-                del inside
-                ends = np.cumsum(kept)
-                at = np.repeat(part * n + got[part] - ends + kept, kept)
-                at += np.arange(flat.size)
-                values = samples.ravel()[flat]
-                values -= window.a
-                values /= window.width
-                y.ravel()[at] = values
-                if grid:
-                    kept_at.ravel()[at] = (at_draw.ravel()[flat] if thinning else flat + np.repeat(
-                        count[part] + 1 - np.arange(part.size) * m, kept))
-            ok = kept == need
-            taken = np.full(part.size, m, dtype=np.int64)  # a finished row's draws to its n-th
-            taken[ok] = flat[ends[ok] - 1] - np.flatnonzero(ok) * m + 1
-            if thinning:  # one row counts by slice, to its n-th sample or its pass's end
-                fault_rejected[part] += (
-                    fault_rejections(at_draw[:, :taken[0]], below[:, :taken[0]], count[part])
-                    if part.size == 1 else
-                    fault_rejections(at_draw, below, count[part], upto=taken))
-                last[part[ok]] = at_draw[ok, taken[ok] - 1]
-            else:
-                last[part[ok]] = count[part[ok]] + taken[ok]
-            got[part] += kept
-            drawn[part] += taken
-            state[part], count[part] = new.state, new.draw_count
-            left = part[~ok]
-            starved = left[(drawn[left] >= _STARVATION_DRAWS)
-                           & (got[left] < _MIN_ACCEPTANCE * drawn[left])]
-            if starved.size:
-                r = starved[0]
-                raise RuntimeError(
-                    f"window ({window.a}, {window.b}) accepted {got[r]} of {drawn[r]} "
-                    "pipeline draws: the pipeline never lands inside it, or with odds "
-                    f"below {_MIN_ACCEPTANCE:g}, which is not supported"
-                )
-            short.append(left)
-        todo = np.concatenate(short)
-        if todo.size:
-            m = _window_pass(n - got[todo], got[todo], drawn[todo])
-    y[y >= 1.0] = _SNAP_BELOW_ONE
-    y[y <= 0.0] = _TINY
-    return y, last if kept_at is None else kept_at, fault_rejected, drawn - n
+        dropped = np.zeros(len(rows), dtype=np.int64)
+    else:
+        samples, at_draw, _, rejected, dropped = fault_block(
+            fault, rows, n, grid=grid, keep=_WindowKeep(transform, window))
+        samples -= window.a
+        samples /= window.width
+        samples[samples >= 1.0] = _SNAP_BELOW_ONE
+        samples[samples <= 0.0] = _TINY
+    out = (samples, at_draw, rejected, dropped)
+    return one_row(out) if single else out
 
 
-def _window_pass(need: np.ndarray, got: np.ndarray, drawn: np.ndarray) -> int:
-    """Pipeline draws the next window pass asks of each short row: the most
-    that a row needs for the ``need`` samples it lacks at the acceptance
-    ``p`` it has shown (``got`` kept of ``drawn``), ``need / p``, plus five
-    standard deviations of that negative-binomial count, ``sqrt(need (1 -
-    p)) / p``, and 32; a row that has kept nothing doubles its draws.  At
-    least 1, at most ``MAX_PASS_CELLS``."""
-    shown = got > 0
-    m = 1 if shown.all() else min(int(drawn[~shown].max()), MAX_PASS_CELLS)
-    if shown.any():
-        k, p = need[shown], got[shown] / drawn[shown]
-        draws = float(((k + 5.0 * np.sqrt(k * (1.0 - p))) / p).max()) + 32.0
-        m = max(m, int(min(draws, MAX_PASS_CELLS)))
-    return m
+@dataclass(frozen=True)
+class _WindowKeep:
+    """The transform and the window as a keep map for
+    :func:`~clockcheck.rng.fault_block`: a pass's fault samples, each mapped
+    by the transform, and whether it lands strictly inside the window."""
+
+    transform: Optional[Transform]
+    window: RescaleWindow
+
+    def __call__(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = samples if self.transform is None else transform_block(self.transform, samples)
+        return values, (values > self.window.a) & (values < self.window.b)
+
+    @property
+    def cost(self) -> float:
+        """Fault samples a row's first pass assumes a kept one takes."""
+        return _draws_per_sample(self.window)
+
+    def __str__(self) -> str:
+        return f"window ({self.window.a}, {self.window.b})"
 
 
 def _draws_per_sample(window: Optional[RescaleWindow]) -> float:
-    """Pipeline draws a stream first takes per sample its window keeps: its
-    first window pass asks for this many per sample, plus a margin."""
+    """Pipeline draws a stream is first assumed to take per sample its
+    window keeps."""
     return 1.0 if window is None else 1.5 / max(window.width, 1e-3)
 
 

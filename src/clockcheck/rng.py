@@ -52,16 +52,17 @@ Three sample defects ("fault models") can be wired in front of a consumer:
 candidates a fault model rejected, so consumers can account for every word
 pulled off a stream; :func:`fault_block` reports the rejections as well.
 The grid of each sample's draw count is built only for callers that read
-it (the simulators' and the window's thinning passes); the others get each
-row's count after its last sample.
+it; the others get each row's count after its last sample.
 
-``LowThinning`` runs in passes over a chunk of raw draws per row, with no
-per-sample loop.  A draw is a candidate unless it is the auxiliary draw of a
-candidate below ``c``, so the candidates follow from the mask of draws below
-``c`` alone: each pass packs that mask into one Python int and finds them
-with a few whole-int bit operations, one carry-add among them.  The kept
-draws are found once a pass and written by slice for a single row, in one
-copy for rows that finish from the same fill.  Every pass ends each row on a
+Drawing on is one kernel, with no per-sample loop: ``LowThinning`` and a
+keep map (the draw pipeline's window, in ``clockcheck.process``) run in
+passes over a chunk of raw draws per row, one pass rule sizing them all.  A
+draw is a candidate unless it is the auxiliary draw of a candidate below
+``c``, so the candidates follow from the mask of draws below ``c`` alone:
+each pass packs that mask into one Python int and finds them with a few
+whole-int bit operations, one carry-add among them.  The kept draws are
+found once a pass and written by slice for a single row, in one copy for
+rows that finish from the same fill.  Every pass ends each row on a
 candidate boundary, so the chunk width sets how many words a pass
 generates, never a sample, a draw count or an end state.
 """
@@ -91,7 +92,7 @@ __all__ = [
     "as_rows",
     "one_row",
     "fault_block",
-    "fault_rejections",
+    "StarvedWindow",
     "derived_seeds",
     "clock_stream",
     "worker_stream",
@@ -114,14 +115,16 @@ _SNAP_BELOW_ONE = 1.0 - 2.0**-53
 # Positive floor for a sample that underflows to 0 (smallest subnormal).
 _TINY = 5e-324
 # Cells one vectorised pass over a grid of rows may hold, at most: the
-# LowThinning chunks here and the simulators' passes over stream rows.
+# draw-on passes here and the simulators' passes over stream rows.
 MAX_PASS_CELLS = 1 << 20
-# Raw draws per row and LowThinning pass in fault_block, at most: a pass over
-# many rows takes narrower chunks (>= 256 draws, MAX_PASS_CELLS in all), and
-# one that needs few samples takes only about as many as it needs.  A pass
-# costs about 40 numpy calls whatever its width, so a wide one pays them
-# over more draws; the width changes no output bit (see _thinning_rows).
+# Raw draws per row and draw-on pass in fault_block, at most (_pass_draws).
+# A pass costs about 40 numpy calls whatever its width, so a wide one pays
+# them over more draws; the width changes no output bit (see _draw_on).
 _CHUNK = 1 << 15
+# A row a keep map leaves short after this many fault samples, with odds of
+# keeping one below _MIN_ACCEPTANCE, is starved (StarvedWindow).
+_STARVATION_DRAWS = 524_288
+_MIN_ACCEPTANCE = 1e-4
 
 _U64 = np.uint64
 _V_GOLDEN = _U64(GOLDEN)
@@ -379,7 +382,13 @@ def fault_label(model: FaultModel) -> str:
     return f"low_thinning(c={model.c:g}, q={model.q:g})"
 
 
-def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, grid: bool = True):
+class StarvedWindow(RuntimeError):
+    """Raised when a keep map (the window) has kept fewer than
+    ``_MIN_ACCEPTANCE`` of a short row's ``_STARVATION_DRAWS`` or more fault samples."""
+
+
+def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, grid: bool = True,
+                keep=None):
     """``n`` samples through ``model`` plus raw-draw and rejection accounting.
 
     Returns ``(samples, at_draw, new_state, rejected)`` where ``at_draw[i]``
@@ -390,85 +399,109 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, gri
     (rows x n) grids and ``rejected`` holds one count per row.  A single
     stream is the one-row case.
 
-    Only a caller that reads a draw count per sample asks for that grid.
-    With ``grid=False`` none is built, and ``at_draw`` is each row's draw
-    count after its last sample instead, which is ``new_state``'s (for a
-    single stream an ``int``).  The thinning passes of the simulators and of
-    the window read the grid; the A/B and fix tiles do not, and neither do
-    the passes over ``Ideal`` and ``PowerBias`` draws, where each sample is
-    one raw draw and its count follows from its row's start and column.
+    Only a caller that reads a draw count per sample asks for that grid
+    (the simulators' thinning and window passes).  With ``grid=False`` none
+    is built, and ``at_draw`` is each row's draw count after its last
+    sample, ``new_state``'s (for a single stream an ``int``).
+
+    ``keep`` is a keep map (the draw pipeline's transform and window):
+    called on a pass's (rows x width) grid of fault samples, it returns
+    their values and a mask of those to keep.  The samples are then each
+    row's first ``n`` kept values, the counts and state those after the
+    ``n``-th, and a fifth item counts per row the fault samples the map
+    dropped on the way.  Its ``cost``, fault samples per kept one, sizes a
+    row's first pass, and its ``str`` names it in :class:`StarvedWindow`.
+    ``Ideal`` and ``PowerBias`` without one take a raw draw a sample, in one
+    block; all else runs in :func:`_draw_on`'s passes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not isinstance(model, (Ideal, PowerBias, LowThinning)):
+        raise TypeError(f"unknown fault model: {model!r}")
     rows, single = as_rows(gs)
-    if isinstance(model, (Ideal, PowerBias)):
+    if keep is None and not isinstance(model, LowThinning):
         u, new = unit_block(rows, n)
         if isinstance(model, PowerBias):
-            np.power(u, 1.0 / model.gamma, out=u)
-            u[u >= 1.0] = _SNAP_BELOW_ONE
-            u[u <= 0.0] = _TINY
+            _power_bias(u, model.gamma)
         at_draw = rows.draw_count[:, None] + np.arange(1, n + 1, dtype=np.int64) if grid else None
-        rejected = np.zeros(len(rows), dtype=np.int64)
-    elif isinstance(model, LowThinning):
-        u, at_draw, new = _thinning_rows(model, rows, n, grid)
-        # a row ends right after its last sample: fault_rejections' count over all of them
-        spent = new.draw_count - rows.draw_count - n - np.count_nonzero(u < model.c, axis=1)
-        rejected = spent >> 1
+        out = (u, at_draw, new, np.zeros(len(rows), dtype=np.int64))
     else:
-        raise TypeError(f"unknown fault model: {model!r}")
-    out = (u, new.draw_count if at_draw is None else at_draw, new, rejected)
+        out = _draw_on(model, rows, n, grid, keep)[:4 if keep is None else 5]
+    if not grid:
+        out = (out[0], out[2].draw_count) + out[2:]
     return one_row(out) if single else out
 
 
-def _thinning_rows(
-    model: LowThinning, rows: RowStates, n: int, grid: bool = True
-) -> tuple[np.ndarray, "np.ndarray | None", RowStates]:
-    """``n`` LowThinning samples per row, the grid of their draw counts
-    (``None`` unless ``grid``: :func:`fault_block` asks for it only for a
-    caller that reads it) and the rows' states right after their last
-    samples."""
+def _power_bias(u: np.ndarray, gamma: float) -> None:
+    np.power(u, 1.0 / gamma, out=u)
+    u[u >= 1.0] = _SNAP_BELOW_ONE
+    u[u <= 0.0] = _TINY
+
+
+def _draw_on(model: FaultModel, rows: RowStates, n: int, grid: bool, keep):
+    """:func:`fault_block`'s draw-on kernel, the rejection method (draw on,
+    keep some draws, count the rest): ``n`` kept samples per row, their
+    draw counts (``None`` unless ``grid``), the rows' states right after
+    their ``n``-th, and per row the candidates the fault model rejected and
+    the fault samples ``keep`` dropped.
+
+    A pass draws raw words for the rows still short, finds the fault
+    samples by the thinning masks (``Ideal`` and ``PowerBias`` run as
+    thinning at ``c = 0``, where every draw is one), ANDs them with the keep
+    mask, compacts the kept draws once, and moves each row to just past its
+    ``n``-th kept sample or to the pass end, short of a pending auxiliary
+    draw.  A row's rejections follow from its end: the draws it spanned,
+    less its fault samples and those below ``c`` (each took an auxiliary
+    draw), are two a rejected candidate, and its fault samples less ``n``
+    were dropped.  The pass sizes (:func:`_pass_draws`) change no bit.
+    """
     # A raw draw is a candidate unless it is the auxiliary draw of a
-    # candidate below c.  So a draw right after one at or above c is always a
-    # candidate, and inside a run of draws below c the candidates alternate
-    # from the start of the run; _candidates finds them on the packed mask.
-    # Each pass draws a chunk for every row that still needs samples and
-    # ends each row on a candidate boundary (past a pending auxiliary draw),
-    # so the next chunk starts on a candidate, as every row of the mask
-    # does, and the result does not depend on the chunk width.  The kept
-    # draws are found once a pass (flatnonzero) and cut at each row's need:
-    # a single row writes them by slice from its fill; several rows gather
-    # them as a (rows x k) grid, written in one copy when every row takes k
-    # from the same fill, through a mask otherwise.  A kept draw's count is
-    # the row's count before the chunk, plus its column and one, plus one
-    # for its auxiliary draw when it lies below c.
-    c, q = model.c, model.q
+    # candidate below c; _candidates finds them on the packed mask.  Every
+    # pass ends each row on a candidate boundary, as every row of the mask
+    # starts.  The kept draws are cut at each row's need: a single row
+    # writes them by slice from its fill; several rows gather them as a
+    # (rows x k) grid, written in one copy when every row takes k from the
+    # same fill, through a mask otherwise.  A kept draw's count is the
+    # row's count before the pass, plus its column and one, plus one for
+    # the auxiliary draw of a candidate below c.
+    c, q = (model.c, model.q) if isinstance(model, LowThinning) else (0.0, 1.0)
     out = np.empty((len(rows), n), dtype=np.float64)
     at_draw = np.empty((len(rows), n), dtype=np.int64) if grid else None
-    filled = np.zeros(len(rows), dtype=np.int64)
+    filled = np.zeros(len(rows), dtype=np.int64)  # kept samples
+    faults = np.zeros(len(rows), dtype=np.int64)  # fault samples spanned
+    lows = np.zeros(len(rows), dtype=np.int64)  # those below c
     state, count = rows.state.copy(), rows.draw_count.copy()
+    prior = (1.0 + c) / (1.0 - c * q) * (1.0 if keep is None else keep.cost)
     live = np.arange(len(rows)) if n else np.empty(0, dtype=np.int64)
-    spend = 1.25 * (1.0 + c) / (1.0 - c * q)  # raw draws per sample, with a margin
     while live.size:
-        need = n - filled[live]
-        width = min(_CHUNK, max(256, MAX_PASS_CELLS // live.size), int(need.max() * spend) + 32)
-        u, _ = unit_block(RowStates(state[live], count[live]), width)
+        width = _pass_draws(n - filled[live], filled[live], count[live] - rows.draw_count[live],
+                            prior)
+        part = live[:max(1, MAX_PASS_CELLS // width)]
+        need = n - filled[part]
+        u, _ = unit_block(RowStates(state[part], count[part]), width)
+        if isinstance(model, PowerBias):
+            _power_bias(u, model.gamma)
         below = u < c
         candidate = _candidates(below)
-        kept = candidate & ~below
-        kept[:, :-1] |= candidate[:, :-1] & below[:, :-1] & (u[:, 1:] >= q)
+        fault = candidate & ~below
+        fault[:, :-1] |= candidate[:, :-1] & below[:, :-1] & (u[:, 1:] >= q)
         step = width - (candidate[:, -1] & below[:, -1])  # a short row keeps a pending aux draw
-        del candidate, below
-        if live.size == 1:  # one row: its kept draws by slice
-            r = live[0]
+        del candidate
+        values, kept = (u, fault) if keep is None else keep(u)
+        if keep is not None:
+            kept &= fault
+        if part.size == 1:  # one row: its kept draws by slice
+            r = part[0]
             cols = np.flatnonzero(kept[0])[:need[0]]
             lo, hi = filled[r], filled[r] + cols.size
             # mode "clip" clips nothing here and, unlike "raise", writes unbuffered
-            values = np.take(u[0], cols, out=out[r, lo:hi], mode="clip")
+            np.take(values[0], cols, out=out[r, lo:hi], mode="clip")
+            aux = np.take(below[0], cols)
             if grid:
-                draws = np.add(cols, values < c, out=at_draw[r, lo:hi])
+                draws = np.add(cols, aux, out=at_draw[r, lo:hi])
                 draws += count[r] + 1
             if hi == n:
-                step[0] = cols[-1] + 1 + (values[-1] < c)
+                step[0] = cols[-1] + 1 + aux[-1]
             filled[r] = hi
         else:
             # the flat positions of each row's first kept draws, up to its
@@ -481,29 +514,56 @@ def _thinning_rows(
             del kept
             at = flat[np.minimum((np.cumsum(counts) - counts)[:, None] + np.arange(k), flat.size - 1)]
             del flat
-            values = np.take(u, at)
-            at -= (np.arange(live.size) * width)[:, None]  # their columns
+            taken, aux = np.take(values, at), np.take(below, at)
+            at -= (np.arange(part.size) * width)[:, None]  # their columns
             done = np.flatnonzero(got == need)
             ends = got[done] - 1
-            step[done] = at[done, ends] + 1 + (values[done, ends] < c)
-            at += values < c  # now their draw counts
-            at += count[live, None] + 1
-            fill = filled[live[0]]
-            if (got == k).all() and (filled[live] == fill).all():  # one copy
-                out[live, fill:fill + k] = values
+            step[done] = at[done, ends] + 1 + aux[done, ends]
+            at += aux  # now their draw counts
+            at += count[part, None] + 1
+            fill = filled[part[0]]
+            if (got == k).all() and (filled[part] == fill).all():  # one copy
+                out[part, fill:fill + k] = taken
                 if grid:
-                    at_draw[live, fill:fill + k] = at
+                    at_draw[part, fill:fill + k] = at
             else:
                 ok = np.arange(k) < got[:, None]
-                cells = ((live * n + filled[live])[:, None] + np.arange(k))[ok]
-                out.ravel()[cells] = values[ok]
+                cells = ((part * n + filled[part])[:, None] + np.arange(k))[ok]
+                out.ravel()[cells] = taken[ok]
                 if grid:
                     at_draw.ravel()[cells] = at[ok]
-            filled[live] += got
-        state[live] += step.astype(np.uint64) * _V_GOLDEN
-        count[live] += step
+            filled[part] += got
+        fault &= np.arange(width) < step[:, None]  # the fault samples each row spanned
+        faults[part] += np.count_nonzero(fault, axis=1)
+        lows[part] += np.count_nonzero(fault & below, axis=1)
+        state[part] += step.astype(np.uint64) * _V_GOLDEN
+        count[part] += step
+        short = part[filled[part] < n]  # only a keep map keeps fewer than its fault samples
+        starved = short[(faults[short] >= _STARVATION_DRAWS)
+                        & (filled[short] < _MIN_ACCEPTANCE * faults[short])]
+        if starved.size:
+            r = starved[0]
+            raise StarvedWindow(
+                f"{keep} accepted {filled[r]} of {faults[r]} pipeline draws: the pipeline "
+                f"never lands inside it, or with odds below {_MIN_ACCEPTANCE:g}, which is "
+                "not supported")
         live = live[filled[live] < n]
-    return out, at_draw, RowStates(state, count)
+    rejected = (count - rows.draw_count - faults - lows) >> 1
+    return out, at_draw, RowStates(state, count), rejected, faults - n
+
+
+def _pass_draws(need: np.ndarray, got: np.ndarray, drawn: np.ndarray, prior: float) -> int:
+    """Raw draws the next pass asks of each of its rows: the most that a row
+    needs for the ``need`` kept samples it lacks at the raw draws per kept
+    sample it has shown (``drawn`` for ``got``), or ``prior`` before its
+    first pass, plus five standard deviations of that negative-binomial
+    count, ``sqrt(need cost (cost - 1))``, and 32; a row that has drawn but
+    kept nothing doubles its draws.  At least 1, at most ``_CHUNK`` and
+    ``MAX_PASS_CELLS``."""
+    cost = np.where(got > 0, drawn / np.maximum(got, 1), prior)
+    want = need * cost + 5.0 * np.sqrt(need * cost * (cost - 1.0)) + 32.0
+    want = np.where((got == 0) & (drawn > 0), drawn, want)
+    return max(1, int(min(want.max(), _CHUNK, MAX_PASS_CELLS)))
 
 
 def _candidates(below: np.ndarray) -> np.ndarray:
@@ -532,29 +592,3 @@ def _candidates(below: np.ndarray) -> np.ndarray:
     flat = np.unpackbits(np.frombuffer(cand.to_bytes(packed.size, "little"), dtype=np.uint8),
                          count=bits.size, bitorder="little")
     return flat.view(bool).reshape(rows, width + 1)[:, :width]
-
-
-def fault_rejections(at_draw: np.ndarray, below: np.ndarray, start, upto=None):
-    """Candidates rejected on the way to samples whose draw counts are ``at_draw``.
-
-    A delivered sample takes one raw draw, or two when it lies below ``c``
-    (``below``) and an auxiliary draw kept it, and each rejection burns a
-    candidate plus its auxiliary draw: so the draws a row spans from
-    ``start``, less its samples and those below ``c``, are twice its
-    rejections.  A (rows x n) ``at_draw`` with one ``start`` per row gives
-    one count per row; ``upto`` then counts only each row's first
-    ``upto[r]`` samples.
-    """
-    start = np.asarray(start, dtype=np.int64)
-    n = at_draw.shape[-1]
-    if upto is None:
-        taken = np.full(start.shape, n, dtype=np.int64)
-    else:
-        taken = np.asarray(upto, dtype=np.int64)
-        below = below & (np.arange(n) < taken[..., None])
-    span = np.zeros_like(start)
-    if n:  # to each row's last counted sample
-        last = np.take_along_axis(at_draw, np.maximum(taken - 1, 0)[..., None], axis=-1)[..., 0]
-        span = np.where(taken > 0, last - start, span)
-    per_row = (span - taken - np.count_nonzero(below, axis=-1)) >> 1
-    return int(per_row) if per_row.ndim == 0 else per_row

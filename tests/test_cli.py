@@ -313,6 +313,35 @@ def test_bank_below_the_comparison_floor_is_a_config_error(capsys, tmp_path, com
     assert not (out / "report.json").exists()
 
 
+_STARVED = {
+    # the thinning leaves only (0.5, 1), which the reflection moves out of the window
+    "thinning": "[fault]\nkind = low_thinning\nc = 0.5\nq = 1\n[transform]\nnames = reflect\n"
+                "[fix]\na = 0.5\nb = 1\n",
+    "narrow": "[fix]\na = 0.5\nb = 0.50001\n",  # odds of 1e-5 on the ideal source
+}
+
+
+@pytest.mark.parametrize("command, case", [("detect", "thinning"), ("detect", "narrow"),
+                                           ("fix-demo", "narrow")])
+def test_starved_window_is_a_config_error(tmp_path, command, case):
+    # Known only once the window is drawn; one line on stderr, no traceback
+    # and no report.
+    config = tmp_path / "starved.ini"
+    config.write_text("[experiment]\nn_clocks = 4\nhorizon = 10\n" + _STARVED[case],
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "clockcheck", command, "--config", str(config), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert re.fullmatch(r"config error: \[fix\] a/b: window \(0\.5, (1\.0|0\.50001)\) accepted "
+                        r"\d+ of \d+ pipeline draws: the pipeline never lands inside it, or "
+                        r"with odds below 0\.0001, which is not supported\n", run.stderr)
+    assert not (out / "report.json").exists()
+
+
 def test_only_the_event_shortfall_becomes_a_config_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("some other defect")

@@ -125,14 +125,14 @@ def test_ab_in_tiles_equals_the_ab_of_one_block(monkeypatch, fault, transform):
     assert detector.transform_ab_test(fault, transform, n, alpha=0.01, seed=seed) == expected
 
 
-@pytest.mark.parametrize("stage, held", [("fix", 18), ("ab", 16)])
+@pytest.mark.parametrize("stage, held", [("fix", 16), ("ab", 16)])
 def test_ab_and_fix_stages_hold_their_buffers_and_a_few_tiles(stage, held):
     # numpy reports its buffers to tracemalloc.  At n = 2^20 the A/B holds
     # its pooled keys (16 bytes a sample pair).  A fix phase holds its
     # uniform part and, while its one-sample KS runs, the sorted copy (16
     # bytes a sample; the cdf comes a chunk at a time), then its keys and
-    # the window tile drawn into them: 19.02 MiB at the peak, 17.0 bytes a
-    # sample beyond the 2 MiB tiles term, so 18 bytes a sample bounds them
+    # the window tile drawn into them: 17.54 MiB at the peak, 15.5 bytes a
+    # sample beyond the 2 MiB tiles term, so 16 bytes a sample bounds them
     # all.  Beside those, each stage may hold eight tiles (2 MiB).  Drawn in
     # one block, the stages peaked at 48 and 363 MiB on these calls.
     n = 1 << 20

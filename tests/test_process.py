@@ -371,50 +371,54 @@ def test_pipeline_block_rows_equal_one_call_per_row(fault, transform, window):
         assert (fault_rejected[r], window_rejected[r]) == one[2:]
 
 
-def _counting_fault_block(monkeypatch, shapes):
-    real = process.fault_block
+def _counting_unit_blocks(monkeypatch, shapes):
+    # the (rows, raw draws a row) of each rng.unit_block call: one a draw-on pass
+    real = rng.unit_block
 
-    def counted(model, gs, n, **kw):
+    def counted(gs, n):
         shapes.append((len(gs), n))
-        return real(model, gs, n, **kw)
+        return real(gs, n)
 
-    monkeypatch.setattr(process, "fault_block", counted)
+    monkeypatch.setattr(rng, "unit_block", counted)
 
 
 def test_window_draws_rows_in_capped_passes(monkeypatch):
-    # A 0.05-wide window first asks 1.5 / 0.05 = 30 pipeline draws per kept
-    # sample, 2400 for 80, plus five sigmas and 32: m = 2676, and a cap of
-    # 6000 cells takes two rows a pass.  Under PowerBias(2) the window holds
-    # 3.25% of the mass, so a third of the rows fall short; they draw on
-    # together from where each stopped, at the acceptance each has shown,
-    # instead of drawing 2m again from the start.
-    window = RescaleWindow(0.3, 0.35)
+    # A 0.05-wide window first assumes 1.5 / 0.05 = 30 draws per kept
+    # sample, 2400 for 80, plus five negative-binomial sigmas and 32: 3751,
+    # and a cap of 8000 cells takes two rows a pass.  Under PowerBias(2) the
+    # window (0.1, 0.15) holds 1.25% of the mass, so the rows fall short;
+    # each draws on from where it stopped, at the acceptance it has shown,
+    # in passes of at most 8000 draws.
+    window = RescaleWindow(0.1, 0.15)
     starts = RowStates.of([substream(6, i) for i in range(30)])
     uncapped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
     shapes = []
-    monkeypatch.setattr(process, "MAX_PASS_CELLS", 6000)
-    _counting_fault_block(monkeypatch, shapes)
+    monkeypatch.setattr(rng, "MAX_PASS_CELLS", 8000)
+    _counting_unit_blocks(monkeypatch, shapes)
     capped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
     for got, want in zip(capped, uncapped):
         assert np.array_equal(got, want)
-    assert process._ticks_to_pass(80, 30.0, 6000) == 2676
-    assert shapes[:15] == [(2, 2676)] * 15
-    assert len(shapes) > 15 and all(m < 2676 for _, m in shapes[15:])
-    assert all(rows * m <= 6000 for rows, m in shapes)
+    assert rng._pass_draws(np.array([80]), np.array([0]), np.array([0]), 30.0) == 3751
+    # two rows of 3751 draws first; 30 rows at two a pass would take 15
+    assert shapes[0] == (2, 3751)
+    assert len(shapes) > 15 and any(m > 3751 for _, m in shapes)
+    assert all(rows * m <= 8000 for rows, m in shapes)
 
 
 # (fault, window, n, passes of the single row): under Reflect, PowerBias(2)
 # has the density 2(1 - y) and LowThinning(0.5, 0.5) 4/3 on (0, 0.5) and 2/3
-# on (0.5, 1), against a first pass sized for an acceptance of width / 1.5.
+# on (0.5, 1), against a first pass sized for an acceptance of width / 1.5
+# of the fault samples, each one raw draw, or two under the thinning.
 _DRAW_ON = [
     (PowerBias(2.0), RescaleWindow(0.0, 0.5), 200, 1),  # 0.75 against 1/3
-    (PowerBias(2.0), RescaleWindow(0.6, 0.8), 200, 2),  # 0.12 against 0.133
-    (PowerBias(2.0), RescaleWindow(0.9, 0.95), 60, 3),  # 0.0075 against 0.033
-    (PowerBias(2.0), RescaleWindow(0.99, 0.995), 1, 5),  # 0.000075 against 0.0033: doubling
+    (PowerBias(2.0), RescaleWindow(0.6, 0.8), 200, 1),  # 0.12 against 0.133
+    (PowerBias(2.0), RescaleWindow(0.9, 0.95), 60, 2),  # 0.0075 against 0.033
+    (PowerBias(2.0), RescaleWindow(0.99, 0.995), 1, 3),  # 0.000075 against 0.0033: doubling
     (LowThinning(0.5, 0.5), RescaleWindow(0.1, 0.4), 200, 1),  # 0.4 against 0.2
-    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 60, 2),  # 4500 draws, 4000 a pass
-    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 120, 3),  # 9000 draws
-    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 170, 4),  # 12750 draws
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 60, 3),  # 9000 draws, 4000 a pass
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 120, 5),  # 18000 draws
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 170, 7),  # 25500 draws
+    (LowThinning(0.5, 0.5), RescaleWindow(0.6, 0.62), 90, 4),  # 13500 draws
 ]
 
 
@@ -428,8 +432,8 @@ def test_window_rows_draw_on_in_capped_passes(monkeypatch, fault, window, n, pas
     single, grid = substream(1, 0), substream_rows(1, np.arange(6))
     uncapped = process.pipeline_block(fault, Reflect(), window, grid, n)
     shapes = []
-    monkeypatch.setattr(process, "MAX_PASS_CELLS", 4000)
-    _counting_fault_block(monkeypatch, shapes)
+    monkeypatch.setattr(rng, "MAX_PASS_CELLS", 4000)
+    _counting_unit_blocks(monkeypatch, shapes)
     one = process.pipeline_block(fault, Reflect(), window, single, n)
     assert len(shapes) == passes
     rows = process.pipeline_block(fault, Reflect(), window, grid, n)
@@ -451,17 +455,18 @@ def test_window_rows_draw_on_in_capped_passes(monkeypatch, fault, window, n, pas
 
 def test_short_window_row_draws_on_for_its_negative_binomial_spread(monkeypatch):
     # LowThinning(0.5, 0.5) under Reflect lands in (0.6, 0.62) with odds of
-    # about 1/75.  The first pass of 4000 draws leaves the row a few samples
-    # short; the draws those take spread as a negative binomial, sqrt(k (1 -
-    # p)) / p, about sqrt(1/p) times the Poisson sqrt(k / p), so a pass
-    # sized with the Poisson margin (140 draws, then 144) fell short again.
+    # about 1/75 a fault sample, 1/150 a raw draw.  The first pass of 8000
+    # draws leaves the row a few samples short; the draws those take spread
+    # as a negative binomial, sqrt(k (1 - p)) / p, about sqrt(1/p) times the
+    # Poisson sqrt(k / p), so the next pass is sized with that spread, not
+    # the Poisson one, and ends the row.
     window = RescaleWindow(0.6, 0.62)
     shapes = []
-    monkeypatch.setattr(process, "MAX_PASS_CELLS", 4000)
-    _counting_fault_block(monkeypatch, shapes)
+    monkeypatch.setattr(rng, "MAX_PASS_CELLS", 8000)
+    _counting_unit_blocks(monkeypatch, shapes)
     samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
         LowThinning(0.5, 0.5), Reflect(), window, substream(0, 0), 60)
-    assert shapes[0] == (1, 4000) and len(shapes) == 2
+    assert shapes == [(1, 8000), (1, 843)]
     pipe = oracle.PipelineSource(0, 0, LowThinning(0.5, 0.5), Reflect(), window)
     expected, counts = [], []
     for _ in range(60):
@@ -472,13 +477,29 @@ def test_short_window_row_draws_on_for_its_negative_binomial_spread(monkeypatch)
     assert (fault_rejected, window_rejected) == (pipe.fault_discards, pipe.window_discards)
 
 
+def test_a_row_that_keeps_nothing_doubles_its_draws(monkeypatch):
+    # PowerBias(2) under Reflect lands in (0.99, 0.995) with odds of
+    # 7.5e-5.  The first pass, sized for an acceptance of width / 1.5, keeps
+    # nothing; a row that has kept nothing draws as many again as it has
+    # drawn, so its passes are 1829, 1829 and 3658 draws, not 1829 each.
+    window = RescaleWindow(0.99, 0.995)
+    shapes = []
+    _counting_unit_blocks(monkeypatch, shapes)
+    samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
+        PowerBias(2.0), Reflect(), window, substream(1, 0), 1)
+    assert shapes == [(1, 1829), (1, 1829), (1, 3658)]
+    pipe = oracle.PipelineSource(1, 0, PowerBias(2.0), Reflect(), window)
+    assert samples.tolist() == [pipe.next()] and at_draw.tolist() == [pipe.raw_draws]
+    assert (fault_rejected, window_rejected) == (pipe.fault_discards, pipe.window_discards)
+
+
 @pytest.mark.parametrize("fault", [IDEAL, PowerBias(2.0), LowThinning(0.5, 0.5)])
 @pytest.mark.parametrize("window", [None, RescaleWindow(0.6, 0.62), RescaleWindow(0.3, 0.9)])
 def test_pipeline_without_the_grid_equals_the_grid_call(monkeypatch, fault, window):
     # Without the grid, the second item is each row's draw count after its
     # n-th sample; samples and rejections stay those of the grid call, on
     # one row (the slice path) and on six rows, in capped passes too.
-    monkeypatch.setattr(process, "MAX_PASS_CELLS", 4000)
+    monkeypatch.setattr(rng, "MAX_PASS_CELLS", 4000)
     single, grid = substream(2, 0).advanced(7), substream_rows(2, np.arange(6))
     for n in (0, 1, 60):
         for gs in (single, grid):
@@ -753,7 +774,8 @@ def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):
     )
     shapes = []
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 30_000)
-    _counting_fault_block(monkeypatch, shapes)
+    monkeypatch.setattr(rng, "MAX_PASS_CELLS", 30_000)
+    _counting_unit_blocks(monkeypatch, shapes)
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
     assert max(rows for rows, _ in shapes) > 1
     assert all(rows * m <= 30_000 for rows, m in shapes)
@@ -784,17 +806,18 @@ def test_per_worker_epochs_cap_their_draws(monkeypatch):
 
 
 def test_per_worker_epochs_count_their_window_draws(monkeypatch):
-    # A 0.1-wide window first draws 15 pipeline samples per kept one, so a
-    # cap of 3000 cells gives passes of at most 200 samples (40 rounds of 5
-    # clocks), and every window pass, a single row's too, holds at most 3000
-    # draws.
+    # A 0.1-wide window first assumes 15 pipeline samples per kept one, so
+    # a cap of 3000 cells gives passes of at most 200 samples (40 rounds of
+    # 5 clocks), and every draw-on pass, a single row's too, holds at most
+    # 3000 draws.
     cfg = ParallelConfig(
         n_clocks=5, horizon=60.0, seed=8, fault=PowerBias(2.0),
         fix_window=RescaleWindow(0.5, 0.6), stream_mode=StreamMode.PER_WORKER,
     )
     shapes = []
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 3000)
-    _counting_fault_block(monkeypatch, shapes)
+    monkeypatch.setattr(rng, "MAX_PASS_CELLS", 3000)
+    _counting_unit_blocks(monkeypatch, shapes)
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
     assert max(rows * m for rows, m in shapes) <= 3000
     assert len(shapes) > 1
@@ -852,6 +875,33 @@ def test_pipeline_block_reports_oracle_discards(fault, transform, window):
     assert at_draw.tolist() == counts
     assert fault_rejections == pipe.fault_discards
     assert window_rejections == pipe.window_discards
+
+
+@pytest.mark.parametrize("window", [None, RescaleWindow(0.2, 0.9)])
+@pytest.mark.parametrize("c,q", [(0.5, 0.5), (0.25, 0.9), (0.99, 0.5), (0.5, 0.0), (0.7, 1.0)])
+def test_rejection_counts_equal_the_oracle(c, q, window):
+    # Both rejection counts come from each row's end: the draws it spanned,
+    # less its fault samples and those below c, are two a rejected
+    # candidate, and its fault samples less n are the window's rejections.
+    # Six rows from different mid-stream starts, and each of them alone,
+    # give the one-draw twin's samples, draw counts and both counts.
+    fault = LowThinning(c, q)
+    starts = [substream(9, i).advanced(i) for i in range(6)]
+    n = 300
+    rows = process.pipeline_block(fault, Reflect(), window, RowStates.of(starts), n)
+    for r, gs in enumerate(starts):
+        pipe = oracle.PipelineSource(9, r, fault, Reflect(), window)
+        pipe.gs = gs
+        expected, counts = [], []
+        for _ in range(n):
+            expected.append(pipe.next())
+            counts.append(pipe.raw_draws)
+        assert rows[0][r].tolist() == expected
+        assert rows[1][r].tolist() == counts
+        assert (rows[2][r], rows[3][r]) == (pipe.fault_discards, pipe.window_discards)
+        one = process.pipeline_block(fault, Reflect(), window, gs, n)
+        assert one[0].tolist() == expected and one[1].tolist() == counts
+        assert one[2:] == (pipe.fault_discards, pipe.window_discards)
 
 
 def test_starved_window_raises_instead_of_spinning():
@@ -1194,6 +1244,10 @@ def test_config_validation():
             ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2, mapping=bad)
     with pytest.raises(ValueError, match=r"workers must lie in \[1, 2147483647\]"):
         ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2 ** 31)
+    # a float or bool mapping is not truncated to worker ids
+    for bad in (np.array([0.5, 1.9, 0.0, 1.2]), np.array([False, True, False, True])):
+        with pytest.raises(ValueError, match=r"^mapping worker ids must be integers, got dtype"):
+            ParallelConfig(n_clocks=4, horizon=10.0, seed=0, workers=2, mapping=bad)
     assert StreamMode("per_worker") is StreamMode.PER_WORKER
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from clockcheck import rng, stats
+from clockcheck import process, rng, stats
 from clockcheck.rng import (
     GOLDEN,
     IDEAL,
@@ -32,6 +32,7 @@ from clockcheck.rng import (
     worker_stream,
 )
 from clockcheck.stats import uniform_cdf
+from clockcheck.transforms import Reflect, RescaleWindow
 from oracle import mix64
 
 # Independently computed: outputs of the recurrence stepped from state 0.
@@ -412,15 +413,39 @@ def test_low_thinning_block_matches_oracle_across_chunks(monkeypatch, c, q, n):
         assert n == 0 or gs.draw_count - gs0.draw_count > 2 * chunk
 
 
+def _assert_window_matches_oracle(model, stream, n):
+    # the pipeline through Reflect and a window, one row alone and as row 0
+    # of three from different mid-stream starts, against the one-draw twin
+    window = RescaleWindow(0.2, 0.9)
+    starts = [substream(8, stream)] + [substream(8, stream + i).advanced(i) for i in (1, 2)]
+    rows = process.pipeline_block(model, Reflect(), window, rng.RowStates.of(starts), n)
+    one = process.pipeline_block(model, Reflect(), window, starts[0], n)
+    for r, gs in enumerate(starts):
+        pipe = oracle.PipelineSource(8, stream, model, Reflect(), window)
+        pipe.gs = gs
+        values, counts = [], []
+        for _ in range(n):
+            values.append(pipe.next())
+            counts.append(pipe.raw_draws)
+        assert rows[0][r].tolist() == values, fault_label(model)
+        assert rows[1][r].tolist() == counts, fault_label(model)
+        assert (rows[2][r], rows[3][r]) == (pipe.fault_discards, pipe.window_discards)
+        if r == 0:
+            assert one[0].tolist() == values and one[1].tolist() == counts
+            assert one[2:] == (pipe.fault_discards, pipe.window_discards)
+
+
 @pytest.mark.parametrize("chunk", [2, 3, 17, 8190, 8191])
 def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
     # Tiny chunks put a chunk boundary between almost every candidate and its
     # auxiliary draw.  Full passes of 8190 draws leave a pad bit after the
     # row and its 0 bit; at 8191 they fill whole bytes, so the last draw's
-    # shifted bit is the packed int's top bit.
+    # shifted bit is the packed int's top bit.  With a window set, such a
+    # pass ends between a candidate and its auxiliary draw too.
     monkeypatch.setattr(rng, "_CHUNK", chunk)
     for c, q in [(0.5, 0.5), (0.99, 0.5), (0.5, 1.0), (0.5, 0.0)]:
         _assert_matches_oracle(LowThinning(c, q), substream(8, chunk), max(300, chunk))
+        _assert_window_matches_oracle(LowThinning(c, q), chunk, max(300, chunk))
 
 
 def _count_unit_blocks(monkeypatch):
@@ -508,16 +533,19 @@ def _gap_rejections(at_draw, start, upto):
 
 @pytest.mark.parametrize("c,q", [(0.5, 0.5), (0.25, 0.9), (0.99, 0.5), (0.5, 0.0), (0.7, 1.0)])
 def test_fault_rejections_equal_the_gap_count_and_the_scalar_walk(c, q):
+    # fault_block counts a row's rejections from its end state; they equal
+    # the count gap by gap over its draw counts and the one-draw walk's, for
+    # all n samples of six rows and for each row's first upto[r] alone.
     model = LowThinning(c, q)
     starts = [substream(9, i).advanced(i) for i in range(6)]
     n = 300
     samples, at_draw, _, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
     start = np.array([gs.draw_count for gs in starts])
     upto = np.array([0, 1, 7, 150, n - 1, n])
-    counted = rng.fault_rejections(at_draw, samples < c, start, upto=upto)
-    assert counted.tolist() == _gap_rejections(at_draw, start, upto)
     assert rejected.tolist() == _gap_rejections(at_draw, start, np.full(len(starts), n))
+    counted = _gap_rejections(at_draw, start, upto)
     for r, gs in enumerate(starts):
+        assert rng.fault_block(model, gs, upto[r])[3] == counted[r]
         assert counted[r] == _oracle_walk(model, gs, upto[r])[3]
 
 
