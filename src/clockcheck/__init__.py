@@ -3,17 +3,19 @@ clock against its parallel twin, and repair them by window rejection-rescale.
 
 The public surface is re-exported here; the modules stay importable on their
 own (``clockcheck.rng``, ``.transforms``, ``.process``, ``.stats``,
-``.detector``, ``.config``, ``.report``, ``.cli``).
+``.detector``, ``.config``, ``.report``, ``.cli``).  The draw layer takes and
+returns rows only: ``substream_rows(seed, ids)`` gives the states of one
+stream per row, and ``unit_block`` a (rows x n) grid of samples plus the
+advanced states; a single stream is a one-row grid.
 """
 
 from .rng import (
-    GeneratorState,
     Ideal,
     IDEAL,
     LowThinning,
     PowerBias,
     derived_seeds,
-    substream,
+    substream_rows,
     unit_block,
 )
 from .transforms import Compose, Reflect, RescaleWindow, RotateHalf
@@ -50,8 +52,8 @@ from .report import write_report_bundle
 __version__ = "0.1.0"
 
 __all__ = [
-    "GeneratorState", "Ideal", "IDEAL", "LowThinning", "PowerBias",
-    "derived_seeds", "substream", "unit_block",
+    "Ideal", "IDEAL", "LowThinning", "PowerBias",
+    "derived_seeds", "substream_rows", "unit_block",
     "Compose", "Reflect", "RescaleWindow", "RotateHalf",
     "ParallelConfig", "SerialConfig", "StreamMode", "Trajectory",
     "make_mapping", "simulate_parallel", "simulate_serial",

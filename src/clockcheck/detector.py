@@ -15,6 +15,9 @@ source:
 * ``fix_evaluation`` — a window rejection-rescale repair must turn a stream
   that fails uniformity into one that passes, at a predictable discard rate.
 
+The A/B and fix stages draw stream 0 as a one-row grid of the draw layer
+(``substream_rows(seed, [0])``), in tiles that ask for no draw-count grid.
+
 A ``Verdict`` is divergence iff some evidence p-value falls below alpha or a
 bit-equality breach occurred; evidence rows without a p-value (reported
 means, bit-match indicators) never trip a verdict by themselves.
@@ -62,9 +65,9 @@ from .rng import (
     SERIAL_STREAM,
     TILE_CELLS,
     FaultModel,
-    GeneratorState,
+    RowStates,
     fault_label,
-    substream,
+    substream_rows,
 )
 from .stats import (
     DriftReport,
@@ -183,42 +186,42 @@ def transform_ab_test(
     """
     if n < _MIN_AB_SAMPLES:
         raise ValueError(f"transform_ab_test requires n >= {_MIN_AB_SAMPLES}, got {n}")
-    keys, _ = _ab_keys(fault, None, transform, substream(seed, SERIAL_STREAM), n)
+    keys, _ = _ab_keys(fault, None, transform, substream_rows(seed, [SERIAL_STREAM]), n)
     return _ab_verdict(keys, n, alpha)
 
 
 def _draw_into(out: np.ndarray, fault: FaultModel, window: Optional[RescaleWindow],
-               gs: GeneratorState, transform: Optional[Transform] = None,
-               log: bool = True) -> tuple[GeneratorState, int]:
-    """Write the next ``out.size`` pipeline samples of ``gs`` into ``out``,
-    each mapped by ``transform`` and then, with ``log``, to ``-log(x)``;
-    return the state after the last one and the candidates the fault model
-    and the window threw away on the way.
+               gs: RowStates, transform: Optional[Transform] = None,
+               log: bool = True) -> tuple[RowStates, int]:
+    """Write the next ``out.size`` pipeline samples of the one-row ``gs``
+    into ``out``, each mapped by ``transform`` and then, with ``log``, to
+    ``-log(x)``; return the state after the last one and the candidates the
+    fault model and the window threw away on the way.
 
     The samples come in tiles of at most ``TILE_CELLS``, one
-    :func:`pipeline_block` call each, from the state after the last tile's
-    last sample.  A stream's samples do not depend on how many are asked
-    for, and the rejections of consecutive tiles add up, so the tiles
-    change no bit and no count.
+    :func:`pipeline_block` call each without the draw-count grid, from the
+    state after the last tile's last sample.  A stream's samples do not
+    depend on how many are asked for, and the rejections of consecutive
+    tiles add up, so the tiles change no bit and no count.
     """
     discards = 0
     for lo in range(0, out.size, TILE_CELLS):
         samples, last, fault_rejected, window_rejected = pipeline_block(
             fault, None, window, gs, min(TILE_CELLS, out.size - lo), grid=False)
         gs = gs.advanced(last - gs.draw_count)
-        discards += fault_rejected + window_rejected
+        discards += int(fault_rejected[0] + window_rejected[0])
         tile = out[lo:lo + samples.size]
-        tile[...] = samples if transform is None else transform_block(transform, samples)
+        tile[...] = samples[0] if transform is None else transform_block(transform, samples[0])
         if log:
             np.negative(np.log(tile, out=tile), out=tile)
     return gs, discards
 
 
 def _ab_keys(fault: FaultModel, window: Optional[RescaleWindow], transform: Transform,
-             gs: GeneratorState, n: int) -> tuple[np.ndarray, int]:
+             gs: RowStates, n: int) -> tuple[np.ndarray, int]:
     """The pooled key buffer of an A/B on the next ``2n`` pipeline samples
-    of ``gs``, and the candidates thrown away on the way: through its
-    float64 view, ``-log(y)`` of the first ``n`` samples, then
+    of the one-row ``gs``, and the candidates thrown away on the way:
+    through its float64 view, ``-log(y)`` of the first ``n`` samples, then
     ``-log(transform(y))`` of the next ``n``."""
     keys = np.empty(2 * n, dtype=np.uint64)
     values = keys.view(np.float64)
@@ -445,7 +448,8 @@ def _fix_phase(
     seed: int,
 ) -> tuple[Verdict, float]:
     uniform = np.empty(n)
-    gs, discards = _draw_into(uniform, fault, window, substream(seed, SERIAL_STREAM), log=False)
+    gs, discards = _draw_into(uniform, fault, window, substream_rows(seed, [SERIAL_STREAM]),
+                              log=False)
     ks = ks_one_sample(uniform, uniform_cdf)
     del uniform
     keys, ab_discards = _ab_keys(fault, window, Reflect(), gs, n)
@@ -506,8 +510,7 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be drawn from {list(allowed)}, got {unknown[0]!r}")
         # a str equals its mode but is not it, and the simulators test identity
         object.__setattr__(self, "stream_modes", tuple(map(StreamMode, self.stream_modes)))
-        for seed in self.seeds:
-            _validate_common(self.n_clocks, self.horizon, seed)
+        _validate_common(self.n_clocks, self.horizon, self.seeds)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if min(self.worker_counts) < 1:

@@ -18,17 +18,16 @@ the two sides differently.
 Draws pass through a three-stage pipeline: fault model (the injected
 defect), optional measure-preserving transform, optional window
 rejection-rescale repair.  ``pipeline_block`` is the one implementation of
-that pipeline, in numpy blocks of one stream or of a grid of streams, one
-per row; every simulator and detector stage draws through it.  A window
-is a keep map in the fault model's draw-on kernel
+that pipeline, in numpy blocks over a grid of streams, one per row (a
+single stream is a one-row grid); every simulator and detector stage draws
+through it.  A window is a keep map in the fault model's draw-on kernel
 (:func:`~clockcheck.rng.fault_block`): each pass keeps the fault samples
 that land inside it and moves each row on from where it stopped, under the
-kernel's one pass rule, so no pass holds more than ``MAX_PASS_CELLS`` draws
-and none builds a draw-count grid no caller reads.  The grid is built only
-for the simulators' thinning and window passes; the A/B and fix tiles read
-only each row's count after its last sample, and the simulators' passes of
-one raw draw a sample count each kept event's draws from its row's start
-and its column.
+kernel's one pass rule, so no pass holds more than ``MAX_PASS_CELLS`` draws.
+The simulators read each kept event's draw count from the per-sample grid,
+in one form for every fault and window; only the A/B and fix tiles, which
+read no per-sample count, ask for each row's count after its last sample
+instead.
 
 The serial, per-clock and per-worker runs are one loop, ``_run_to_horizon``,
 over stream rows, each a row of clock lanes that tick one sample each per
@@ -58,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,16 +69,12 @@ from .rng import (
     _SNAP_BELOW_ONE,
     _TINY,
     FaultModel,
-    GeneratorState,
     IDEAL,
     LowThinning,
     RowStates,
     TILE_CELLS,
-    as_rows,
     clock_stream,
     fault_block,
-    one_row,
-    substream,
     substream_rows,
     unit_block,
     worker_stream,
@@ -155,7 +150,9 @@ class StreamMode(str, Enum):
     PER_WORKER = "per_worker"
 
 
-def _validate_common(n_clocks: int, horizon: float, seed: int) -> None:
+def _validate_common(n_clocks: int, horizon: float, seeds: Sequence[int]) -> None:
+    """Check a bank's size and horizon once, and its ``seeds`` (one run's,
+    or a plan's) in one pass; each message starts with the field it names."""
     if n_clocks < 1:
         raise ValueError(f"n_clocks must be >= 1, got {n_clocks}")
     if n_clocks > _MAX_CLOCKS:
@@ -163,7 +160,8 @@ def _validate_common(n_clocks: int, horizon: float, seed: int) -> None:
                          f"got {n_clocks}")
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not 0 <= seed <= MASK64:
+    if min(seeds) < 0 or max(seeds) > MASK64:
+        seed = next(seed for seed in seeds if not 0 <= seed <= MASK64)
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
@@ -179,7 +177,7 @@ class SerialConfig:
     fix_window: Optional[RescaleWindow] = None
 
     def __post_init__(self) -> None:
-        _validate_common(self.n_clocks, self.horizon, self.seed)
+        _validate_common(self.n_clocks, self.horizon, (self.seed,))
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         # a str equals its mode but is not it, and simulate_parallel tests identity
         object.__setattr__(self, "stream_mode", StreamMode(self.stream_mode))
-        _validate_common(self.n_clocks, self.horizon, self.seed)
+        _validate_common(self.n_clocks, self.horizon, (self.seed,))
         if not 1 <= self.workers <= _MAX_CLOCKS:
             raise ValueError(f"workers must lie in [1, {_MAX_CLOCKS}], got {self.workers}")
         mapping = np.asarray(make_mapping("blocks", self.n_clocks, self.workers, self.seed)
@@ -231,27 +229,24 @@ def pipeline_block(
     fault: FaultModel,
     transform: Optional[Transform],
     window: Optional[RescaleWindow],
-    gs: GeneratorState | RowStates,
+    rows: RowStates,
     n: int,
     grid: bool = True,
 ):
-    """First ``n`` pipeline samples from ``gs`` with their draw accounting.
+    """First ``n`` pipeline samples of each of ``rows`` with their draw accounting.
 
     Returns ``(samples, at_draw, fault_rejections, window_rejections)``:
-    ``at_draw[i]`` is the absolute raw-draw count right after sample ``i``,
-    and the two counts are the candidates the fault model and the window
-    threw away on the way to the ``n``-th sample.  The window keeps samples
-    strictly inside ``(a, b)`` and maps them to ``(x - a) / (b - a)``.
-    Given :class:`RowStates`, each row runs the pipeline on its own stream:
-    the samples and draw counts are (rows x n) grids and the rejections are
-    counted per row.  A single stream is the one-row case.
+    each row runs the pipeline on its own stream, the samples and draw
+    counts are (rows x n) grids, ``at_draw[r, i]`` is row ``r``'s absolute
+    raw-draw count right after sample ``i``, and the two counts are, per
+    row, the candidates the fault model and the window threw away on the
+    way to the ``n``-th sample.  The window keeps samples strictly inside
+    ``(a, b)`` and maps them to ``(x - a) / (b - a)``.
 
-    As with :func:`~clockcheck.rng.fault_block`, only a caller that reads a
-    draw count per sample asks for that grid: with ``grid=False``,
-    ``at_draw`` is each row's draw count after its ``n``-th sample (for a
-    single stream an ``int``), and no grid is built.  The simulators'
-    thinning and window passes read the grid; the A/B and fix tiles and the
-    simulators' passes of one raw draw a sample do not.
+    As with :func:`~clockcheck.rng.fault_block`, ``grid=False`` builds no
+    grid: ``at_draw`` is then each row's draw count after its ``n``-th
+    sample.  Only the A/B and fix tiles ask for that; the simulators read
+    the grid.
 
     A window is a keep map in the fault model's draw-on passes
     (:class:`_WindowKeep`): each pass maps its fault samples through the
@@ -265,21 +260,18 @@ def pipeline_block(
     524,288 pipeline draws, instead of drawing on until its stream runs
     out.
     """
-    rows, single = as_rows(gs)
     if window is None:
         samples, at_draw, _, rejected = fault_block(fault, rows, n, grid=grid)
         if transform is not None:
             samples = transform_block(transform, samples)
-        dropped = np.zeros(len(rows), dtype=np.int64)
-    else:
-        samples, at_draw, _, rejected, dropped = fault_block(
-            fault, rows, n, grid=grid, keep=_WindowKeep(transform, window))
-        samples -= window.a
-        samples /= window.width
-        samples[samples >= 1.0] = _SNAP_BELOW_ONE
-        samples[samples <= 0.0] = _TINY
-    out = (samples, at_draw, rejected, dropped)
-    return one_row(out) if single else out
+        return samples, at_draw, rejected, np.zeros(len(rows), dtype=np.int64)
+    samples, at_draw, _, rejected, dropped = fault_block(
+        fault, rows, n, grid=grid, keep=_WindowKeep(transform, window))
+    samples -= window.a
+    samples /= window.width
+    samples[samples >= 1.0] = _SNAP_BELOW_ONE
+    samples[samples <= 0.0] = _TINY
+    return samples, at_draw, rejected, dropped
 
 
 @dataclass(frozen=True)
@@ -334,17 +326,16 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
                 align: int = 1):
     """A pass of ``n`` pipeline samples per row, as tiles that each hold a
     stretch of columns of the live rows: yields ``(live, samples,
-    at_draw)``, :func:`pipeline_block`'s samples and draw counts for the
-    rows ``live`` lists.  Those are the rows still set in ``alive``, which
-    the caller clears as its rows finish; the pass ends when no row is left.
+    at_draw)``, :func:`pipeline_block`'s samples and (rows x columns) grid
+    of draw counts for the rows ``live`` lists.  Those are the rows still
+    set in ``alive``, which the caller clears as its rows finish; the pass
+    ends when no row is left.
 
     When every sample is one raw draw (:func:`_per_draw`), a tile is a block
     of about ``TILE_CELLS`` cells (columns a multiple of ``align``, but the
     last), and its column ``j`` is sample ``c + j`` of a row: the pipeline
-    from the row's state ``c`` draws on.  Such a tile comes without a grid:
-    ``at_draw`` holds each row's draw count after the tile, and sample ``j``
-    of a tile of ``w`` columns is draw ``at_draw - w + j + 1``.  Any other
-    pass is one tile, with the grid.  The caller may overwrite a tile.
+    from the row's state ``c`` draws on.  Any other pass is one tile.  The
+    caller may overwrite a tile.
     """
     per_draw = _per_draw(fault, window)
     c = 0
@@ -354,8 +345,7 @@ def _pass_tiles(fault, transform, window, rows: RowStates, n: int, alive: np.nda
             return
         w = min(n - c, max(align, TILE_CELLS // live.size // align * align)) if per_draw else n
         samples, at_draw, _, _ = pipeline_block(fault, transform, window,
-                                                rows.take(live).advanced(c), w,
-                                                grid=not per_draw)
+                                                rows.take(live).advanced(c), w)
         yield live, samples, at_draw
         c += w
 
@@ -479,7 +469,8 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
     N`` and its mark ``min(floor(u2*N), N-1)``.  A kept event's draw count
     is the draw after its tick's last sample; a row's consumed draws end
     after the time sample of its last tick past the horizon, whose mark
-    sample, if any, is not drawn.
+    sample, if any, is not drawn.  Both are read from the tile's grid of
+    draw counts, the one form for every fault and window.
 
     The rounds come in passes, the same number for every live row, sized to
     the lane ticks the earliest live row still needs, plus a margin
@@ -510,18 +501,15 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
         alive = np.ones(len(rows), dtype=bool)  # rows that have not passed the horizon
         for live, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
                                                   rows, step * k * width, alive, step * k):
-            w = samples.shape[1]
-            grid = at_draw.ndim == 2  # else each row's count after the tile (_pass_tiles)
             if now.shape[1] > 1:  # one row of lanes
-                row = at_draw[0] if grid else np.arange(at_draw[0] - w + 1, at_draw[0] + 1)
-                read, ticks, times, lanes = _epochs(samples[0], row, now[0], lanes[0],
+                read, ticks, times, lanes = _epochs(samples[0], at_draw[0], now[0], lanes[0],
                                                     horizon, events)
                 now, lanes, done = times[None], lanes[None], done + ticks
                 if not lanes.size:
-                    consumed += int(row[read - 1])
+                    consumed += int(at_draw[0, read - 1])
                     alive[0] = False
-                elif read < w:  # no whole round left: the row goes on next pass
-                    at_draw = row[None, :read]
+                elif read < samples.shape[1]:  # no whole round left: the row goes on next pass
+                    at_draw = at_draw[:, :read]
                     break
                 continue
             if lanes is not None:
@@ -533,17 +521,12 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
             times = np.cumsum(gaps, axis=1, out=gaps)
             now[live, 0] = times[:, -1]
             done += times.shape[1]
-            # the draw count after each tick's last sample
-            marked = (at_draw[:, step - 1::step] if grid
-                      else (at_draw - w)[:, None] + np.arange(step, w + 1, step))
             out = np.flatnonzero(times[:, -1] > horizon)  # rows past the horizon
             ticks, kept = times.shape[1], slice(None)  # all, but for rows past the horizon
             if out.size:
                 kept = times <= horizon
                 ticks = np.count_nonzero(kept, axis=1)
-                # to its time sample
-                consumed += int(at_draw[out, step * ticks[out]].sum() if grid
-                                else (at_draw[out] - w + step * ticks[out] + 1).sum())
+                consumed += int(at_draw[out, step * ticks[out]].sum())  # to its time sample
                 alive[live[out]] = False
                 kept = kept.ravel()
             # made in column order: a tile's marks made before its times left
@@ -551,11 +534,11 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
             events.put(times.ravel()[kept],
                        np.repeat(lanes[live, 0], ticks) if lanes is not None
                        else np.minimum((samples[:, 1::2] * n).astype(np.int32), n - 1).ravel()[kept],
-                       marked.ravel()[kept])
+                       at_draw[:, step - 1::step].ravel()[kept])  # after each tick's last sample
         if not alive.any():
             return consumed
         # the last tile holds every row still alive, at the end of its pass
-        end = at_draw[alive[live], -1] if at_draw.ndim == 2 else at_draw[alive[live]]
+        end = at_draw[alive[live], -1]
         rows = rows.take(alive).advanced(end - rows.draw_count[alive])
         now = now[alive]
         if lanes is not None:
@@ -686,9 +669,9 @@ def make_mapping(kind: str, n_clocks: int, workers: int, seed: int) -> np.ndarra
 def _clock_order(n_clocks: int, seed: int) -> np.ndarray:
     """The clocks, Fisher–Yates shuffled by the mapping stream's uniforms:
     ``u`` swaps positions ``i`` and ``floor(u (i+1))``, ``i`` = N-1 down to 1."""
-    u, _ = unit_block(substream(seed, MAPPING_STREAM), n_clocks - 1)
+    u, _ = unit_block(substream_rows(seed, [MAPPING_STREAM]), n_clocks - 1)
     bound = np.arange(n_clocks, 1, -1)  # i + 1
-    swaps = np.minimum((u * bound).astype(np.int64), bound - 1)
+    swaps = np.minimum((u[0] * bound).astype(np.int64), bound - 1)
     order = list(range(n_clocks))
     for i, j in zip(range(n_clocks - 1, 0, -1), swaps.tolist()):
         order[i], order[j] = order[j], order[i]

@@ -9,9 +9,9 @@ vectorised call, bit-identical to stepping one word at a time (the tests
 keep that one-draw form as an oracle), and a block consumer can stop
 anywhere and resume from the advanced state.  A stream's starting state is
 likewise a pure function of ``(seed, stream_id)``.  The block functions take
-one :class:`GeneratorState` or :class:`RowStates`, a grid with one stream
-per row; the single stream is the one-row case of the same kernel, and each
-row equals the single-stream call from its own state.
+and return rows only: a :class:`RowStates` holds one stream per row, a
+single stream is a one-row grid (``substream_rows(seed, [id])``), and each
+row's output depends on its own state alone.
 
 The kernel makes a block in tiles of about ``TILE_CELLS`` = 2**15 cells
 (counter-based generation, as in Salmon et al., "Parallel Random Numbers: As
@@ -48,11 +48,11 @@ Three sample defects ("fault models") can be wired in front of a consumer:
   ``q`` (one auxiliary raw draw decides), so the output density on ``(0, c)``
   is suppressed by the factor ``(1-q)`` and renormalised.
 
-``draw_count`` on :class:`GeneratorState` counts *raw* draws, including
-candidates a fault model rejected, so consumers can account for every word
-pulled off a stream; :func:`fault_block` reports the rejections as well.
-The grid of each sample's draw count is built only for callers that read
-it; the others get each row's count after its last sample.
+``draw_count`` on :class:`RowStates` counts each row's *raw* draws,
+including candidates a fault model rejected, so consumers can account for
+every word pulled off a stream; :func:`fault_block` reports the rejections
+as well.  The grid of each sample's draw count is built for every caller
+but the A/B and fix tiles, which get each row's count after its last sample.
 
 Drawing on is one kernel, with no per-sample loop: ``LowThinning`` and a
 keep map (the draw pipeline's window, in ``clockcheck.process``) run in
@@ -70,7 +70,7 @@ generates, never a sample, a draw count or an end state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -79,18 +79,14 @@ __all__ = [
     "MASK64",
     "SERIAL_STREAM",
     "MAPPING_STREAM",
-    "GeneratorState",
     "RowStates",
     "Ideal",
     "PowerBias",
     "LowThinning",
     "FaultModel",
     "IDEAL",
-    "substream",
     "substream_rows",
     "unit_block",
-    "as_rows",
-    "one_row",
     "fault_block",
     "StarvedWindow",
     "derived_seeds",
@@ -149,42 +145,20 @@ def _check_u64(value: int, name: str) -> None:
         raise ValueError(f"{name} must fit in 64 bits, got {value}")
 
 
-@dataclass(frozen=True)
-class GeneratorState:
-    """Immutable stream position plus the number of raw draws taken so far."""
-
-    state: int
-    draw_count: int = 0
-
-    def advanced(self, draws: int) -> "GeneratorState":
-        """State after ``draws`` further raw draws (counter-based advance)."""
-        return GeneratorState((self.state + draws * GOLDEN) & MASK64, self.draw_count + draws)
-
-
 @dataclass(frozen=True, eq=False)
 class RowStates:
-    """The generator states of a grid's rows, one stream per row.
+    """The generator states of a grid's rows, one stream per row: the one
+    state type of the block functions.
 
-    Row ``r`` stands at ``state[r]`` after ``draw_count[r]`` raw draws, just
-    as a :class:`GeneratorState` does for a single stream.  The block
-    functions take either; rows advance independently.
+    Row ``r`` stands at ``state[r]`` after ``draw_count[r]`` raw draws; rows
+    advance independently, and a single stream is a one-row grid.
     """
 
     state: np.ndarray  # uint64, one per row
     draw_count: np.ndarray  # int64, one per row
 
-    @staticmethod
-    def of(states: Sequence[GeneratorState]) -> "RowStates":
-        return RowStates(
-            np.array([gs.state for gs in states], dtype=np.uint64),
-            np.array([gs.draw_count for gs in states], dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return int(self.state.size)
-
-    def row(self, r: int) -> GeneratorState:
-        return GeneratorState(int(self.state[r]), int(self.draw_count[r]))
 
     def take(self, rows) -> "RowStates":
         """The states of the selected rows (an index array or a mask)."""
@@ -218,20 +192,13 @@ def _mix_words(z: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def substream(seed: int, stream_id: int) -> GeneratorState:
-    """Starting state for stream ``stream_id`` of ``seed``: the one-row case
-    of :func:`substream_rows`."""
-    _check_u64(stream_id, "stream_id")
-    return substream_rows(seed, [stream_id]).row(0)
-
-
 def substream_rows(seed: int, stream_ids: np.ndarray) -> RowStates:
     """Starting states for many streams of ``seed``, one row per id.
 
     A row's state is one generator step from ``seed ^ w``, where ``w`` is one
     step from the stream id.  Distinct ids decorrelate streams of one seed;
     equal ``(seed, id)`` pairs always produce the identical stream.  Every id
-    must be an integer in ``[0, 2**64)``, as :func:`substream` demands.
+    must be an integer in ``[0, 2**64)``; a single stream is the one-id case.
     """
     _check_u64(seed, "seed")
     ids = np.asarray(stream_ids)
@@ -260,34 +227,15 @@ def derived_seeds(count: int) -> tuple[int, ...]:
     return tuple(_mix_words(np.arange(count, dtype=np.uint64) + _V_GOLDEN).tolist())
 
 
-def as_rows(gs: "GeneratorState | RowStates") -> tuple["RowStates", bool]:
-    """``gs`` as a grid of rows, and whether it was a single stream."""
-    if isinstance(gs, GeneratorState):
-        return RowStates.of([gs]), True
-    return gs, False
-
-
-def one_row(result: tuple) -> tuple:
-    """A row-form result as the single stream's: row 0 of every grid, the
-    state of row 0, and the count of row 0 as an ``int``."""
-    return tuple(
-        v.row(0) if isinstance(v, RowStates) else v[0].item() if v.ndim == 1 else v[0]
-        for v in result
-    )
-
-
-def unit_block(gs: "GeneratorState | RowStates", n: int):
-    """``n`` unit samples per row plus the advanced state.
+def unit_block(rows: RowStates, n: int) -> tuple[np.ndarray, RowStates]:
+    """The (rows x n) grid of unit samples plus the advanced states.
 
     Each sample lies strictly inside (0, 1) and is never exactly 0.5, so
     ``-log(u)`` is always finite and positive.  Bit-identical to ``n``
     one-at-a-time draws (a generator step, then the lattice map) from the
-    same state, row by row.  A single stream is the one-row case: it
-    gives a vector and a :class:`GeneratorState`.
+    same state, row by row.
     """
-    rows, single = as_rows(gs)
-    out = (_tiled(rows, n), rows.advanced(n))
-    return one_row(out) if single else out
+    return _tiled(rows, n), rows.advanced(n)
 
 
 def _tiled(rows: RowStates, n: int) -> np.ndarray:
@@ -387,22 +335,19 @@ class StarvedWindow(RuntimeError):
     ``_MIN_ACCEPTANCE`` of a short row's ``_STARVATION_DRAWS`` or more fault samples."""
 
 
-def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, grid: bool = True,
-                keep=None):
-    """``n`` samples through ``model`` plus raw-draw and rejection accounting.
+def fault_block(model: FaultModel, rows: RowStates, n: int, grid: bool = True, keep=None):
+    """``n`` samples per row through ``model`` plus raw-draw and rejection accounting.
 
-    Returns ``(samples, at_draw, new_state, rejected)`` where ``at_draw[i]``
-    is the stream's absolute ``draw_count`` immediately after sample ``i``
-    was produced and ``rejected`` counts the candidates the model threw away
-    on the way to sample ``n``.  Given :class:`RowStates`, every row delivers
-    ``n`` samples from its own stream: ``samples`` and ``at_draw`` are
-    (rows x n) grids and ``rejected`` holds one count per row.  A single
-    stream is the one-row case.
+    Returns ``(samples, at_draw, new_state, rejected)``: every row delivers
+    ``n`` samples from its own stream, ``samples`` and ``at_draw`` are
+    (rows x n) grids, ``at_draw[r, i]`` is row ``r``'s absolute
+    ``draw_count`` immediately after sample ``i`` was produced, and
+    ``rejected`` counts per row the candidates the model threw away on the
+    way to sample ``n``.
 
-    Only a caller that reads a draw count per sample asks for that grid
-    (the simulators' thinning and window passes).  With ``grid=False`` none
-    is built, and ``at_draw`` is each row's draw count after its last
-    sample, ``new_state``'s (for a single stream an ``int``).
+    With ``grid=False`` (the A/B and fix tiles, which read no per-sample
+    count) no grid is built, and ``at_draw`` is each row's draw count after
+    its last sample, ``new_state``'s.
 
     ``keep`` is a keep map (the draw pipeline's transform and window):
     called on a pass's (rows x width) grid of fault samples, it returns
@@ -418,7 +363,6 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, gri
         raise ValueError("n must be >= 0")
     if not isinstance(model, (Ideal, PowerBias, LowThinning)):
         raise TypeError(f"unknown fault model: {model!r}")
-    rows, single = as_rows(gs)
     if keep is None and not isinstance(model, LowThinning):
         u, new = unit_block(rows, n)
         if isinstance(model, PowerBias):
@@ -427,9 +371,7 @@ def fault_block(model: FaultModel, gs: "GeneratorState | RowStates", n: int, gri
         out = (u, at_draw, new, np.zeros(len(rows), dtype=np.int64))
     else:
         out = _draw_on(model, rows, n, grid, keep)[:4 if keep is None else 5]
-    if not grid:
-        out = (out[0], out[2].draw_count) + out[2:]
-    return one_row(out) if single else out
+    return out if grid else (out[0], out[2].draw_count) + out[2:]
 
 
 def _power_bias(u: np.ndarray, gamma: float) -> None:

@@ -15,12 +15,17 @@ Every simulator here also takes a hand-made draw source (any object with
 ``next()`` and ``raw_draws``): the seam for degenerate, hand-checkable
 streams.
 
+The twin steps its own scalar stream state (:class:`State`, two Python
+ints), apart from the package's draw layer, which takes and returns rows
+only; :func:`rows` and :func:`row` carry states across.
+
 Only modules are imported from ``clockcheck``, never its layer functions by
 name, so that the benchmark tracer's binding check stays clean.
 """
 
 import csv
 import io
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +37,35 @@ _TOP = 1.0 - 2.0**-53
 _ABOVE_HALF = 0.5 + 2.0**-53
 _TINY = 5e-324
 _MAX_CONSECUTIVE_REJECTS = 1_000_000
+
+
+@dataclass(frozen=True)
+class State:
+    """One stream's position plus the number of raw draws taken so far."""
+
+    state: int
+    draw_count: int = 0
+
+    def advanced(self, draws):
+        """State after ``draws`` further raw draws (counter-based advance)."""
+        return State((self.state + draws * rng.GOLDEN) & rng.MASK64, self.draw_count + draws)
+
+
+def substream(seed, stream_id):
+    """The starting :class:`State` of stream ``stream_id`` of ``seed``: the
+    one row of ``rng.substream_rows(seed, [stream_id])``."""
+    return row(rng.substream_rows(seed, [stream_id]))
+
+
+def rows(states):
+    """``states`` as an ``rng.RowStates``, one row each, in order."""
+    return rng.RowStates(np.array([s.state for s in states], dtype=np.uint64),
+                         np.array([s.draw_count for s in states], dtype=np.int64))
+
+
+def row(grid, r=0):
+    """Row ``r`` of an ``rng.RowStates`` as a :class:`State`."""
+    return State(int(grid.state[r]), int(grid.draw_count[r]))
 
 
 def mix64(z):
@@ -195,7 +229,7 @@ class SourceStream:
 
     def __init__(self, seed, stream_id, model=rng.IDEAL):
         self.model = model
-        self.gs = rng.substream(seed, stream_id)
+        self.gs = substream(seed, stream_id)
         self.fault_discards = 0
 
     def next(self):
@@ -340,7 +374,7 @@ def simulate_parallel(cfg, source_factory=None):
 def shuffle_mapping(n_clocks, workers, seed):
     """Blocks over a Fisher–Yates permutation, one mapping-stream draw per swap."""
     perm = list(range(n_clocks))
-    gs = rng.substream(seed, rng.MAPPING_STREAM)
+    gs = substream(seed, rng.MAPPING_STREAM)
     for i in range(n_clocks - 1, 0, -1):
         u, gs = next_unit(gs)
         j = min(int(u * (i + 1)), i)

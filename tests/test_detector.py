@@ -38,7 +38,14 @@ from clockcheck.process import (
     StreamMode,
     make_mapping,
 )
-from clockcheck.rng import IDEAL, MAPPING_STREAM, TILE_CELLS, LowThinning, PowerBias, substream
+from clockcheck.rng import (
+    IDEAL,
+    MAPPING_STREAM,
+    TILE_CELLS,
+    LowThinning,
+    PowerBias,
+    substream_rows,
+)
 from clockcheck.transforms import Compose, Reflect, RescaleWindow, RotateHalf, transform_label
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -118,7 +125,8 @@ def test_ab_in_tiles_equals_the_ab_of_one_block(monkeypatch, fault, transform):
     # Tiles of 777 samples cut each arm into 7 tiles and a short one; the
     # verdict must be the one of a single pipeline_block call for both arms.
     n, seed = 6000, 9
-    samples, _, _, _ = process.pipeline_block(fault, None, None, substream(seed, 0), 2 * n)
+    (samples,), _, _, _ = process.pipeline_block(fault, None, None, substream_rows(seed, [0]),
+                                                 2 * n)
     arms = -np.log(samples[:n]), -np.log(transforms.transform_block(transform, samples[n:]))
     expected = detector._ab_verdict(*oracle.pooled(*arms), 0.01)
     monkeypatch.setattr(detector, "TILE_CELLS", 777)
@@ -754,9 +762,9 @@ def test_compare_shuffles_the_clocks_once_a_seed(monkeypatch):
     # read one Fisher–Yates order: the swap loop runs once a seed, and every
     # cell's mapping is the oracle's.
     shuffled = []  # the seed of each Fisher–Yates run: each opens the mapping stream once
-    real_substream = process.substream
-    monkeypatch.setattr(process, "substream", lambda seed, stream_id: shuffled.append(
-        (seed, stream_id)) or real_substream(seed, stream_id))
+    real_rows = process.substream_rows
+    monkeypatch.setattr(process, "substream_rows", lambda seed, ids: shuffled.extend(
+        seed for i in ids if i == MAPPING_STREAM) or real_rows(seed, ids))
     process._clock_order.cache_clear()
     mappings = []
     real = process.simulate_parallel
@@ -765,7 +773,7 @@ def test_compare_shuffles_the_clocks_once_a_seed(monkeypatch):
     plan = _small_plan(seeds=(0, 1, 2), worker_counts=(1, 2, 4), mappings=("shuffle",),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
     detector.run_experiment(dataclasses.replace(plan, stages=("compare",)))
-    assert shuffled == [(seed, MAPPING_STREAM) for seed in (0, 1, 2)]
+    assert shuffled == [0, 1, 2]
     assert len(mappings) == 18
     for seed, workers, mapping in mappings:
         assert mapping == list(oracle.shuffle_mapping(plan.n_clocks, workers, seed))
@@ -879,6 +887,22 @@ def test_plan_validation():
         _small_plan(fix_samples=10)
     with pytest.raises(ValueError):
         _small_plan(worker_counts=())
+
+
+def test_plan_checks_its_bank_once_and_its_seeds_in_one_pass(monkeypatch):
+    # A plan of 2^20 seeds checks n_clocks and horizon once, not once a
+    # seed, and still names its first bad seed, with the message config
+    # maps to [experiment] seed.
+    checked = []
+    real = detector._validate_common
+    monkeypatch.setattr(detector, "_validate_common", lambda n_clocks, horizon, seeds: (
+        checked.append((n_clocks, horizon)) or real(n_clocks, horizon, seeds)))
+    seeds = tuple(range(1 << 20))
+    assert _small_plan(seeds=seeds).seeds == seeds
+    assert checked == [(8, 150.0)]
+    for bad, first in (((7, -1, 1 << 64), -1), ((7, 1 << 64, -1), 1 << 64)):
+        with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, got {first}$"):
+            _small_plan(seeds=seeds[:5] + bad)
 
 
 def test_plan_rejects_duplicate_entries():

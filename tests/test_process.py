@@ -25,9 +25,7 @@ from clockcheck.rng import (
     IDEAL,
     LowThinning,
     PowerBias,
-    RowStates,
     clock_stream,
-    substream,
     substream_rows,
     worker_stream,
 )
@@ -359,16 +357,16 @@ def test_per_clock_grid_cap_splits_rows_and_passes(monkeypatch, cells):
 def test_pipeline_block_rows_equal_one_call_per_row(fault, transform, window):
     # Rows start at different stream positions and finish their fault and
     # window passes at different points.
-    starts = [substream(5, i).advanced(3 * i) for i in range(7)]
+    starts = [oracle.substream(5, i).advanced(3 * i) for i in range(7)]
     samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
-        fault, transform, window, RowStates.of(starts), 700
+        fault, transform, window, oracle.rows(starts), 700
     )
     assert samples.shape == at_draw.shape == (7, 700)
     for r, gs in enumerate(starts):
-        one = process.pipeline_block(fault, transform, window, gs, 700)
-        assert samples[r].tolist() == one[0].tolist()
-        assert at_draw[r].tolist() == one[1].tolist()
-        assert (fault_rejected[r], window_rejected[r]) == one[2:]
+        one = process.pipeline_block(fault, transform, window, oracle.rows([gs]), 700)
+        assert samples[r].tolist() == one[0][0].tolist()
+        assert at_draw[r].tolist() == one[1][0].tolist()
+        assert (fault_rejected[r], window_rejected[r]) == (one[2][0], one[3][0])
 
 
 def _counting_unit_blocks(monkeypatch, shapes):
@@ -390,7 +388,7 @@ def test_window_draws_rows_in_capped_passes(monkeypatch):
     # each draws on from where it stopped, at the acceptance it has shown,
     # in passes of at most 8000 draws.
     window = RescaleWindow(0.1, 0.15)
-    starts = RowStates.of([substream(6, i) for i in range(30)])
+    starts = substream_rows(6, np.arange(30))
     uncapped = process.pipeline_block(PowerBias(2.0), None, window, starts, 80)
     shapes = []
     monkeypatch.setattr(rng, "MAX_PASS_CELLS", 8000)
@@ -429,7 +427,7 @@ def test_window_rows_draw_on_in_capped_passes(monkeypatch, fault, window, n, pas
     # a single row and a grid of six give the one-draw twin's samples, draw
     # counts and rejections, and those of the uncapped call, in any number
     # of passes.
-    single, grid = substream(1, 0), substream_rows(1, np.arange(6))
+    single, grid = substream_rows(1, [0]), substream_rows(1, np.arange(6))
     uncapped = process.pipeline_block(fault, Reflect(), window, grid, n)
     shapes = []
     monkeypatch.setattr(rng, "MAX_PASS_CELLS", 4000)
@@ -441,7 +439,7 @@ def test_window_rows_draw_on_in_capped_passes(monkeypatch, fault, window, n, pas
     for got, want in zip(rows, uncapped):
         assert np.array_equal(got, want)
     for got, want in zip(one, rows):
-        assert np.array_equal(got, want[0])
+        assert np.array_equal(got, want[:1])
     for r in range(6):
         pipe = oracle.PipelineSource(1, r, fault, Reflect(), window)
         expected, counts = [], []
@@ -464,8 +462,8 @@ def test_short_window_row_draws_on_for_its_negative_binomial_spread(monkeypatch)
     shapes = []
     monkeypatch.setattr(rng, "MAX_PASS_CELLS", 8000)
     _counting_unit_blocks(monkeypatch, shapes)
-    samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
-        LowThinning(0.5, 0.5), Reflect(), window, substream(0, 0), 60)
+    (samples,), (at_draw,), (fault_rejected,), (window_rejected,) = process.pipeline_block(
+        LowThinning(0.5, 0.5), Reflect(), window, substream_rows(0, [0]), 60)
     assert shapes == [(1, 8000), (1, 843)]
     pipe = oracle.PipelineSource(0, 0, LowThinning(0.5, 0.5), Reflect(), window)
     expected, counts = [], []
@@ -485,8 +483,8 @@ def test_a_row_that_keeps_nothing_doubles_its_draws(monkeypatch):
     window = RescaleWindow(0.99, 0.995)
     shapes = []
     _counting_unit_blocks(monkeypatch, shapes)
-    samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
-        PowerBias(2.0), Reflect(), window, substream(1, 0), 1)
+    (samples,), (at_draw,), (fault_rejected,), (window_rejected,) = process.pipeline_block(
+        PowerBias(2.0), Reflect(), window, substream_rows(1, [0]), 1)
     assert shapes == [(1, 1829), (1, 1829), (1, 3658)]
     pipe = oracle.PipelineSource(1, 0, PowerBias(2.0), Reflect(), window)
     assert samples.tolist() == [pipe.next()] and at_draw.tolist() == [pipe.raw_draws]
@@ -497,31 +495,24 @@ def test_a_row_that_keeps_nothing_doubles_its_draws(monkeypatch):
 @pytest.mark.parametrize("window", [None, RescaleWindow(0.6, 0.62), RescaleWindow(0.3, 0.9)])
 def test_pipeline_without_the_grid_equals_the_grid_call(monkeypatch, fault, window):
     # Without the grid, the second item is each row's draw count after its
-    # n-th sample; samples and rejections stay those of the grid call, on
-    # one row (the slice path) and on six rows, in capped passes too.
+    # n-th sample; samples and rejections stay those of the grid call, on a
+    # one-row grid (the slice path) and on six rows, in capped passes too.
     monkeypatch.setattr(rng, "MAX_PASS_CELLS", 4000)
-    single, grid = substream(2, 0).advanced(7), substream_rows(2, np.arange(6))
+    single, grid = substream_rows(2, [0]).advanced(7), substream_rows(2, np.arange(6))
     for n in (0, 1, 60):
         for gs in (single, grid):
             samples, at_draw, fault_rejected, window_rejected = process.pipeline_block(
                 fault, Reflect(), window, gs, n)
             bare = process.pipeline_block(fault, Reflect(), window, gs, n, grid=False)
             assert np.array_equal(bare[0], samples)
-            if gs is single:
-                assert bare[1] == (at_draw[-1] if n else gs.draw_count)
-            else:
-                assert np.array_equal(bare[1], at_draw[:, -1] if n else gs.draw_count)
+            assert np.array_equal(bare[1], at_draw[:, -1] if n else gs.draw_count)
             assert np.array_equal(bare[2], fault_rejected)
             assert np.array_equal(bare[3], window_rejected)
 
 
-@pytest.mark.parametrize("fault", [IDEAL, PowerBias(2.0)])
-def test_per_draw_runs_count_their_draws_without_a_grid(monkeypatch, fault):
-    # With one raw draw a sample, the serial, per-clock and per-worker runs
-    # take each event's draw count from its row's start and its column, not
-    # from a grid: in tiny passes and tiles, they equal the runs that read
-    # the grid (the one-tile pass that thinning and windows take) and the
-    # one-draw oracle.
+def _tiny_tile_runs(monkeypatch, fault):
+    # serial, per-clock and per-worker configs of five clocks, their
+    # simulators in tiny passes and tiles, and the one-draw oracle's runs
     common = dict(n_clocks=5, horizon=30.0, seed=19, fault=fault, transform=Reflect())
     cfgs = [SerialConfig(**common),
             ParallelConfig(**common, workers=2, mapping=make_mapping("round_robin", 5, 2, seed=0)),
@@ -532,12 +523,41 @@ def test_per_draw_runs_count_their_draws_without_a_grid(monkeypatch, fault):
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 60)
     monkeypatch.setattr(process, "TILE_CELLS", 8)
     monkeypatch.setattr(rng, "TILE_CELLS", 8)
-    fast = [f(cfg) for f, cfg in zip(run, cfgs)]
-    monkeypatch.setattr(process, "_per_draw", lambda fault, window: False)
-    with_grid = [f(cfg) for f, cfg in zip(run, cfgs)]
-    for arithmetic, read, want in zip(fast, with_grid, slow):
-        _assert_same(arithmetic, want)
-        _assert_same(read, want)
+    return cfgs, run, slow
+
+
+@pytest.mark.parametrize("fault", [IDEAL, PowerBias(2.0)])
+def test_per_draw_runs_equal_the_oracle_in_tiny_tiles(monkeypatch, fault):
+    # With one raw draw a sample, the serial, per-clock and per-worker runs
+    # draw in tiles of a few columns; in tiny passes and tiles they read
+    # each event's draw count from the tile's grid and equal the one-draw
+    # oracle.
+    cfgs, run, slow = _tiny_tile_runs(monkeypatch, fault)
+    for f, cfg, want in zip(run, cfgs, slow):
+        _assert_same(f(cfg), want)
+
+
+@pytest.mark.parametrize("fault", [IDEAL, PowerBias(2.0), LowThinning(0.5, 0.5)])
+def test_every_tile_carries_a_draw_count_grid(monkeypatch, fault):
+    # The run loop reads draw counts in one form: every tile _pass_tiles
+    # yields holds the (rows x columns) grid of its samples' draw counts,
+    # whether a sample is one raw draw (many tiles a pass) or not (one).
+    cfgs, run, slow = _tiny_tile_runs(monkeypatch, fault)
+    shapes = []
+    real = process._pass_tiles
+
+    def recorded(*args):
+        for live, samples, at_draw in real(*args):
+            shapes.append((live.size, samples.shape, at_draw.shape, at_draw.dtype))
+            yield live, samples, at_draw
+
+    monkeypatch.setattr(process, "_pass_tiles", recorded)
+    for f, cfg, want in zip(run, cfgs, slow):
+        del shapes[:]
+        _assert_same(f(cfg), want)
+        assert shapes
+        for rows, (height, width), grid, dtype in shapes:
+            assert height == rows and grid == (rows, width) and dtype == np.int64
 
 
 def _record_tiles(monkeypatch, tile):
@@ -863,8 +883,8 @@ def test_per_worker_passes_go_on_mid_run(monkeypatch, cells):
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_pipeline_block_reports_oracle_discards(fault, transform, window):
     n = 3000
-    samples, at_draw, fault_rejections, window_rejections = process.pipeline_block(
-        fault, transform, window, substream(5, 0), n
+    (samples,), (at_draw,), (fault_rejections,), (window_rejections,) = process.pipeline_block(
+        fault, transform, window, substream_rows(5, [0]), n
     )
     pipe = oracle.PipelineSource(5, 0, fault, transform, window)
     expected, counts = [], []
@@ -886,9 +906,9 @@ def test_rejection_counts_equal_the_oracle(c, q, window):
     # Six rows from different mid-stream starts, and each of them alone,
     # give the one-draw twin's samples, draw counts and both counts.
     fault = LowThinning(c, q)
-    starts = [substream(9, i).advanced(i) for i in range(6)]
+    starts = [oracle.substream(9, i).advanced(i) for i in range(6)]
     n = 300
-    rows = process.pipeline_block(fault, Reflect(), window, RowStates.of(starts), n)
+    grid = process.pipeline_block(fault, Reflect(), window, oracle.rows(starts), n)
     for r, gs in enumerate(starts):
         pipe = oracle.PipelineSource(9, r, fault, Reflect(), window)
         pipe.gs = gs
@@ -896,12 +916,13 @@ def test_rejection_counts_equal_the_oracle(c, q, window):
         for _ in range(n):
             expected.append(pipe.next())
             counts.append(pipe.raw_draws)
-        assert rows[0][r].tolist() == expected
-        assert rows[1][r].tolist() == counts
-        assert (rows[2][r], rows[3][r]) == (pipe.fault_discards, pipe.window_discards)
-        one = process.pipeline_block(fault, Reflect(), window, gs, n)
-        assert one[0].tolist() == expected and one[1].tolist() == counts
-        assert one[2:] == (pipe.fault_discards, pipe.window_discards)
+        assert grid[0][r].tolist() == expected
+        assert grid[1][r].tolist() == counts
+        assert (grid[2][r], grid[3][r]) == (pipe.fault_discards, pipe.window_discards)
+        one = process.pipeline_block(fault, Reflect(), window, oracle.rows([gs]), n)
+        assert one[0].tolist() == [expected] and one[1].tolist() == [counts]
+        assert (one[2].tolist(), one[3].tolist()) == ([pipe.fault_discards],
+                                                      [pipe.window_discards])
 
 
 def test_starved_window_raises_instead_of_spinning():
@@ -924,7 +945,7 @@ def test_narrow_window_raises_instead_of_allocating():
     # guard looks; doubling on would need ~1e10 draws for 16 samples.
     window = RescaleWindow(0.5, 0.5 + 1e-5)
     with pytest.raises(RuntimeError, match="odds below 0.0001"):
-        process.pipeline_block(IDEAL, None, window, substream(1, 0), 16)
+        process.pipeline_block(IDEAL, None, window, substream_rows(1, [0]), 16)
 
 
 def test_per_worker_default_equals_explicit_factory():

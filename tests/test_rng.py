@@ -21,19 +21,18 @@ from clockcheck.rng import (
     IDEAL,
     MASK64,
     MAPPING_STREAM,
-    GeneratorState,
     Ideal,
     LowThinning,
     PowerBias,
     clock_stream,
     derived_seeds,
     fault_label,
-    substream,
+    substream_rows,
     worker_stream,
 )
 from clockcheck.stats import uniform_cdf
 from clockcheck.transforms import Reflect, RescaleWindow
-from oracle import mix64
+from oracle import mix64, substream
 
 # Independently computed: outputs of the recurrence stepped from state 0.
 _FROZEN_SEQUENCE = (
@@ -55,7 +54,7 @@ def test_mix64_frozen_first_output():
 
 
 def test_sequence_from_state_zero_matches_frozen_vectors():
-    gs = GeneratorState(0)
+    gs = oracle.State(0)
     words = []
     for _ in range(3):
         words.append(mix64(gs.state))
@@ -64,12 +63,12 @@ def test_sequence_from_state_zero_matches_frozen_vectors():
 
 
 def test_unit_block_matches_frozen_vectors():
-    units, after = rng.unit_block(GeneratorState(0), 3)
+    (units,), after = rng.unit_block(oracle.rows([oracle.State(0)]), 3)
     assert units.tolist() == [oracle.unit_from_word(w) for w in _FROZEN_SEQUENCE]
     # unit_block consumes its draws; stepping the state by hand must land on
     # the same third word.
-    assert after == GeneratorState(0).advanced(3)
-    assert mix64(GeneratorState(0).advanced(2).state) == _FROZEN_SEQUENCE[2]
+    assert oracle.row(after) == oracle.State(0).advanced(3)
+    assert mix64(oracle.State(0).advanced(2).state) == _FROZEN_SEQUENCE[2]
 
 
 def test_mix64_is_pure():
@@ -84,11 +83,11 @@ def test_mix64_rejects_out_of_range():
 
 
 def test_advanced_jump_equals_sequential_draws():
-    gs = GeneratorState(991)
+    gs = oracle.State(991, 4)
     stepped = gs
     for _ in range(17):
         _, stepped = oracle.next_unit(stepped)
-    assert gs.advanced(17) == stepped
+    assert oracle.row(oracle.rows([gs]).advanced(17)) == stepped
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +96,8 @@ def test_advanced_jump_equals_sequential_draws():
 
 
 def test_substream_frozen_states():
-    assert substream(0, 0).state == _FROZEN_SUBSTREAM_0_0
-    assert substream(0, 1).state == _FROZEN_SUBSTREAM_0_1
+    assert substream_rows(0, [0, 1]).state.tolist() == [_FROZEN_SUBSTREAM_0_0,
+                                                        _FROZEN_SUBSTREAM_0_1]
 
 
 def test_substream_definition():
@@ -112,11 +111,13 @@ def test_substream_definition():
 
 @pytest.mark.parametrize("seed, sid, error", [
     (-1, 0, ValueError), (1 << 64, 0, ValueError), (0, -1, ValueError), (0, 1 << 64, ValueError),
-    (0.5, 0, TypeError), (0, 1.5, TypeError), ("1", 0, TypeError), (0, None, TypeError),
+    (0.5, 0, TypeError), (0, 1.5, ValueError), ("1", 0, TypeError), (0, None, ValueError),
 ])
 def test_substream_rejects_bad_input(seed, sid, error):
+    # a bad seed is a TypeError or ValueError by its type; every bad id is
+    # a ValueError, as test_substream_rows_rejects_bad_ids has it
     with pytest.raises(error):
-        substream(seed, sid)
+        substream_rows(seed, [sid])
 
 
 def test_substream_is_pure_and_ids_are_distinct():
@@ -183,8 +184,8 @@ def _state_before_word(word):
 
 def _block_unit(word):
     # the sample rng.unit_block makes from `word`
-    block, _ = rng.unit_block(GeneratorState(_state_before_word(word)), 1)
-    return float(block[0])
+    block, _ = rng.unit_block(oracle.rows([oracle.State(_state_before_word(word))]), 1)
+    return float(block[0, 0])
 
 
 def test_unit_mapping_bottom_cell():
@@ -224,19 +225,19 @@ def test_unit_mapping_is_interior_and_never_half(word):
 
 
 def test_unit_block_matches_scalar_path():
-    gs0 = GeneratorState(substream(9, 3).state)
-    block, gs_b = rng.unit_block(gs0, 257)
+    gs0 = oracle.State(substream(9, 3).state)
+    (block,), gs_b = rng.unit_block(oracle.rows([gs0]), 257)
     gs_s = gs0
     scalars = []
     for _ in range(257):
         u, gs_s = oracle.next_unit(gs_s)
         scalars.append(u)
     assert block.tolist() == scalars
-    assert gs_b == gs_s
+    assert oracle.row(gs_b) == gs_s
 
 
 def test_seed_42_sample_mean_is_centered():
-    block, _ = rng.unit_block(substream(42, 0), 1_000_000)
+    (block,), _ = rng.unit_block(substream_rows(42, [0]), 1_000_000)
     assert abs(float(block.mean()) - 0.5) < 2e-3
 
 
@@ -245,7 +246,7 @@ def test_ideal_uniformity_across_preregistered_seeds():
     # independent seeds; allow binomial slack down to 90.
     passes = 0
     for seed in derived_seeds(100):
-        block, _ = rng.unit_block(substream(seed, 0), 20_000)
+        (block,), _ = rng.unit_block(substream_rows(seed, [0]), 20_000)
         res = stats.ks_one_sample(block, uniform_cdf)
         passes += res.p_value > 0.05
     assert passes >= 90
@@ -284,17 +285,17 @@ def test_power_bias_exact_quarter_root():
 
 
 def test_power_bias_gamma_one_is_identity_on_draws():
-    gs = substream(7, 0)
+    gs = substream_rows(7, [0])
     ideal, _ = rng.unit_block(gs, 4096)
     biased, at_draw, _, _ = rng.fault_block(PowerBias(1.0), gs, 4096)
     assert np.array_equal(ideal, biased)
-    assert at_draw.tolist() == list(range(1, 4097))
+    assert at_draw.tolist() == [list(range(1, 4097))]
 
 
 def test_power_bias_never_rejects():
-    samples, at_draw, gs, rejected = rng.fault_block(PowerBias(3.0), substream(11, 2), 50)
-    assert rejected == 0
-    assert at_draw.tolist() == list(range(1, 51))
+    samples, at_draw, gs, rejected = rng.fault_block(PowerBias(3.0), substream_rows(11, [2]), 50)
+    assert rejected.tolist() == [0]
+    assert at_draw.tolist() == [list(range(1, 51))]
     assert ((samples > 0.0) & (samples < 1.0)).all()
 
 
@@ -314,7 +315,7 @@ def test_power_bias_is_monotone_and_interior(j, k):
 
 def test_power_bias_two_stretches_exponential_mean():
     # -log(U ** 0.5) has mean 0.5 instead of 1.
-    samples, _, _, _ = rng.fault_block(PowerBias(2.0), substream(5, 0), 100_000)
+    samples, _, _, _ = rng.fault_block(PowerBias(2.0), substream_rows(5, [0]), 100_000)
     mean = float(np.mean(-np.log(samples)))
     assert abs(mean - 0.5) < 0.01
 
@@ -322,14 +323,15 @@ def test_power_bias_two_stretches_exponential_mean():
 def test_low_thinning_zero_probability_keeps_uniform_law():
     # q = 0 never rejects, so the accepted stream stays uniform even though
     # the auxiliary draw below the cutoff consumes extra raw words.
-    samples, at_draw, _, _ = rng.fault_block(LowThinning(0.5, 0.0), substream(3, 0), 50_000)
+    (samples,), (at_draw,), _, _ = rng.fault_block(LowThinning(0.5, 0.0), substream_rows(3, [0]),
+                                                   50_000)
     assert stats.ks_one_sample(samples, uniform_cdf).p_value > 0.01
     assert int(at_draw[-1]) > 50_000  # auxiliary draws were consumed
 
 
 def test_low_thinning_full_rejection_matches_truncated_uniform():
     fault = LowThinning(0.5, 1.0)
-    samples, _, _, _ = rng.fault_block(fault, substream(13, 0), 100_000)
+    samples, _, _, _ = rng.fault_block(fault, substream_rows(13, [0]), 100_000)
     assert float(samples.min()) >= 0.5
     res = stats.ks_one_sample(samples, lambda x: np.clip((x - 0.5) / 0.5, 0.0, 1.0))
     assert res.statistic < 0.01
@@ -344,7 +346,7 @@ def test_low_thinning_partial_matches_piecewise_cdf():
         hi = (x - c * q) / (1.0 - c * q)
         return np.clip(np.where(x < c, lo, hi), 0.0, 1.0)
 
-    samples, _, _, _ = rng.fault_block(LowThinning(c, q), substream(17, 0), 100_000)
+    (samples,), _, _, _ = rng.fault_block(LowThinning(c, q), substream_rows(17, [0]), 100_000)
     assert stats.ks_one_sample(samples, cdf).p_value > 0.001
 
 
@@ -352,12 +354,12 @@ def test_low_thinning_counts_raw_and_rejected_draws():
     # With c=0.5, q=1 each rejection burns a candidate plus its auxiliary
     # draw, so raw usage is about 3 words per accepted sample.
     n = 20_000
-    samples, at_draw, gs, rejected = rng.fault_block(
-        LowThinning(0.5, 1.0), substream(21, 0), n
+    samples, (at_draw,), gs, (rejected,) = rng.fault_block(
+        LowThinning(0.5, 1.0), substream_rows(21, [0]), n
     )
     assert (samples >= 0.5).all()
-    assert gs.draw_count == at_draw[-1]
-    per_accept = gs.draw_count / n
+    assert gs.draw_count.tolist() == [at_draw[-1]]
+    per_accept = gs.draw_count[0] / n
     assert abs(per_accept - 3.0) < 0.1
     assert abs(rejected / n - 1.0) < 0.05
 
@@ -373,13 +375,14 @@ def _oracle_walk(model, gs, n):
 
 
 def _assert_matches_oracle(model, gs0, n):
-    block, at_draw, gs_b, rejected = rng.fault_block(model, gs0, n)
+    # the one-row grid from the scalar state gs0 against the one-draw walk
+    (block,), (at_draw,), gs_b, (rejected,) = rng.fault_block(model, oracle.rows([gs0]), n)
     values, counts, gs_s, rejected_s = _oracle_walk(model, gs0, n)
     assert block.tolist() == values, fault_label(model)
     assert at_draw.tolist() == counts, fault_label(model)
-    assert gs_b == gs_s, fault_label(model)
+    assert oracle.row(gs_b) == gs_s, fault_label(model)
     assert rejected == rejected_s, fault_label(model)
-    return gs_b
+    return oracle.row(gs_b)
 
 
 def test_fault_block_matches_scalar_walk():
@@ -418,8 +421,8 @@ def _assert_window_matches_oracle(model, stream, n):
     # of three from different mid-stream starts, against the one-draw twin
     window = RescaleWindow(0.2, 0.9)
     starts = [substream(8, stream)] + [substream(8, stream + i).advanced(i) for i in (1, 2)]
-    rows = process.pipeline_block(model, Reflect(), window, rng.RowStates.of(starts), n)
-    one = process.pipeline_block(model, Reflect(), window, starts[0], n)
+    grid = process.pipeline_block(model, Reflect(), window, oracle.rows(starts), n)
+    one = process.pipeline_block(model, Reflect(), window, oracle.rows(starts[:1]), n)
     for r, gs in enumerate(starts):
         pipe = oracle.PipelineSource(8, stream, model, Reflect(), window)
         pipe.gs = gs
@@ -427,12 +430,13 @@ def _assert_window_matches_oracle(model, stream, n):
         for _ in range(n):
             values.append(pipe.next())
             counts.append(pipe.raw_draws)
-        assert rows[0][r].tolist() == values, fault_label(model)
-        assert rows[1][r].tolist() == counts, fault_label(model)
-        assert (rows[2][r], rows[3][r]) == (pipe.fault_discards, pipe.window_discards)
+        assert grid[0][r].tolist() == values, fault_label(model)
+        assert grid[1][r].tolist() == counts, fault_label(model)
+        assert (grid[2][r], grid[3][r]) == (pipe.fault_discards, pipe.window_discards)
         if r == 0:
-            assert one[0].tolist() == values and one[1].tolist() == counts
-            assert one[2:] == (pipe.fault_discards, pipe.window_discards)
+            assert one[0].tolist() == [values] and one[1].tolist() == [counts]
+            assert (one[2].tolist(), one[3].tolist()) == ([pipe.fault_discards],
+                                                          [pipe.window_discards])
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 17, 8190, 8191])
@@ -450,15 +454,15 @@ def test_low_thinning_block_matches_oracle_on_tiny_chunks(monkeypatch, chunk):
 
 def _count_unit_blocks(monkeypatch):
     # the rows of each unit_block call: one call a LowThinning pass
-    rows = []
+    calls = []
     real = rng.unit_block
 
     def counted(gs, n):
-        rows.append(len(gs))
+        calls.append(len(gs))
         return real(gs, n)
 
     monkeypatch.setattr(rng, "unit_block", counted)
-    return rows
+    return calls
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 17, None])
@@ -469,7 +473,8 @@ def test_thinning_slice_paths_equal_the_oracle(monkeypatch, chunk, c, q):
     # same fill, and go in one copy; a tiny chunk leaves them at different
     # fills, written through a mask.  Every row equals the one-draw oracle
     # (samples, draw counts, end state, rejections), and a call without the
-    # grid gives the same samples, end states and rejections.
+    # grid gives the same samples, end states and rejections, on four rows
+    # and on a one-row grid.
     if chunk is not None:
         monkeypatch.setattr(rng, "_CHUNK", chunk)
     model = LowThinning(c, q)
@@ -477,7 +482,7 @@ def test_thinning_slice_paths_equal_the_oracle(monkeypatch, chunk, c, q):
     n = 150
     _assert_matches_oracle(model, starts[0], n)
     passes = _count_unit_blocks(monkeypatch)
-    samples, at_draw, new, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
+    samples, at_draw, new, rejected = rng.fault_block(model, oracle.rows(starts), n)
     if chunk is None:
         assert passes == [4]
     else:  # rows leave the passes at different times
@@ -486,17 +491,18 @@ def test_thinning_slice_paths_equal_the_oracle(monkeypatch, chunk, c, q):
         values, counts, end, rejected_s = _oracle_walk(model, gs, n)
         assert samples[r].tolist() == values
         assert at_draw[r].tolist() == counts
-        assert new.row(r) == end
+        assert oracle.row(new, r) == end
         assert rejected[r] == rejected_s
-    bare = rng.fault_block(model, rng.RowStates.of(starts), n, grid=False)
+    bare = rng.fault_block(model, oracle.rows(starts), n, grid=False)
     assert np.array_equal(bare[0], samples)
     assert np.array_equal(bare[1], new.draw_count)
     assert np.array_equal(bare[2].state, new.state)
     assert np.array_equal(bare[2].draw_count, new.draw_count)
     assert np.array_equal(bare[3], rejected)
-    one = rng.fault_block(model, starts[1], n, grid=False)
-    assert one[0].tolist() == samples[1].tolist()
-    assert one[1:] == (new.row(1).draw_count, new.row(1), rejected[1])
+    one = rng.fault_block(model, oracle.rows(starts[1:2]), n, grid=False)
+    assert one[0].tolist() == [samples[1].tolist()]
+    assert one[1].tolist() == [new.draw_count[1]] and one[3].tolist() == [rejected[1]]
+    assert oracle.row(one[2]) == oracle.row(new, 1)
 
 
 @pytest.mark.parametrize("rows,n,bound", [
@@ -539,13 +545,13 @@ def test_fault_rejections_equal_the_gap_count_and_the_scalar_walk(c, q):
     model = LowThinning(c, q)
     starts = [substream(9, i).advanced(i) for i in range(6)]
     n = 300
-    samples, at_draw, _, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
+    samples, at_draw, _, rejected = rng.fault_block(model, oracle.rows(starts), n)
     start = np.array([gs.draw_count for gs in starts])
     upto = np.array([0, 1, 7, 150, n - 1, n])
     assert rejected.tolist() == _gap_rejections(at_draw, start, np.full(len(starts), n))
     counted = _gap_rejections(at_draw, start, upto)
     for r, gs in enumerate(starts):
-        assert rng.fault_block(model, gs, upto[r])[3] == counted[r]
+        assert rng.fault_block(model, oracle.rows([gs]), upto[r])[3].tolist() == [counted[r]]
         assert counted[r] == _oracle_walk(model, gs, upto[r])[3]
 
 
@@ -581,19 +587,22 @@ def test_candidates_equal_scalar_walk(below):
 
 
 def test_substream_rows_equal_substreams():
+    # each row of a grid is its id's one-row grid, which is the definition
+    # test_substream_definition checks
     ids = np.array([0, 1, 7, worker_stream(3), MAPPING_STREAM], dtype=np.int64)
     for seed in (0, 42, MASK64):
-        rows = rng.substream_rows(seed, ids)
-        assert [rows.row(r) for r in range(len(rows))] == [substream(seed, int(i)) for i in ids]
+        grid = rng.substream_rows(seed, ids)
+        got = [oracle.row(grid, r) for r in range(len(grid))]
+        assert got == [substream(seed, int(i)) for i in ids]
+        assert got == [oracle.State(mix64(seed ^ mix64(int(i)))) for i in ids]
     top = rng.substream_rows(3, np.array([MASK64], dtype=np.uint64))
-    assert top.row(0) == substream(3, MASK64)
+    assert oracle.row(top) == oracle.State(mix64(3 ^ mix64(MASK64)))
 
 
 @pytest.mark.parametrize("ids", [[-1], [0.5], [2**64], [4, -1], np.array([2, -7])],
                          ids=["negative", "fraction", "2**64", "list-tail", "int64-array"])
 def test_substream_rows_rejects_bad_ids(ids):
-    # substream(0, -1) and substream(0, 0.5) raise; the row form must not
-    # wrap -1 to 2**64 - 1 or truncate 0.5 to stream 0.
+    # an id must not wrap -1 to 2**64 - 1 or truncate 0.5 to stream 0
     with pytest.raises(ValueError, match="stream ids"):
         rng.substream_rows(0, ids)
 
@@ -609,45 +618,46 @@ def test_fault_block_rows_equal_one_call_per_row(monkeypatch, model, chunk):
     monkeypatch.setattr(rng, "_CHUNK", chunk)
     starts = [substream(9, i).advanced(i) for i in range(5)]
     n = 40 if model == LowThinning(0.99, 1.0) else 300
-    samples, at_draw, new, rejected = rng.fault_block(model, rng.RowStates.of(starts), n)
+    samples, at_draw, new, rejected = rng.fault_block(model, oracle.rows(starts), n)
     assert samples.shape == at_draw.shape == (5, n)
     for r, gs in enumerate(starts):
-        one = rng.fault_block(model, gs, n)
-        assert samples[r].tolist() == one[0].tolist()
-        assert at_draw[r].tolist() == one[1].tolist()
-        assert new.row(r) == one[2]
-        assert rejected[r] == one[3]
+        one = rng.fault_block(model, oracle.rows([gs]), n)
+        assert samples[r].tolist() == one[0][0].tolist()
+        assert at_draw[r].tolist() == one[1][0].tolist()
+        assert oracle.row(new, r) == oracle.row(one[2])
+        assert rejected[r] == one[3][0]
 
 
 @pytest.mark.parametrize("model", _ROW_MODELS, ids=fault_label)
 def test_no_grid_call_equals_the_grid_call(model):
     # Without the grid, the second item is each row's draw count after its
     # last sample, which is its end state's; n = 0 leaves every row where it
-    # started.
-    starts = rng.RowStates.of([substream(3, i).advanced(i) for i in range(3)])
-    for n in (0, 1, 257):
-        samples, at_draw, new, rejected = rng.fault_block(model, starts, n)
-        bare = rng.fault_block(model, starts, n, grid=False)
-        assert np.array_equal(bare[0], samples)
-        assert np.array_equal(bare[1], new.draw_count)
-        if n:
-            assert np.array_equal(at_draw[:, -1], new.draw_count)
-        else:
-            assert np.array_equal(new.draw_count, starts.draw_count)
-        assert np.array_equal(bare[2].state, new.state)
-        assert np.array_equal(bare[3], rejected)
+    # started.  Three rows and a one-row grid.
+    states = [substream(3, i).advanced(i) for i in range(3)]
+    for starts in (oracle.rows(states), oracle.rows(states[1:2])):
+        for n in (0, 1, 257):
+            samples, at_draw, new, rejected = rng.fault_block(model, starts, n)
+            bare = rng.fault_block(model, starts, n, grid=False)
+            assert np.array_equal(bare[0], samples)
+            assert np.array_equal(bare[1], new.draw_count)
+            if n:
+                assert np.array_equal(at_draw[:, -1], new.draw_count)
+            else:
+                assert np.array_equal(new.draw_count, starts.draw_count)
+            assert np.array_equal(bare[2].state, new.state)
+            assert np.array_equal(bare[3], rejected)
 
 
 def test_unit_block_rows_equal_one_call_per_row():
     starts = [substream(4, i).advanced(2 * i) for i in range(3)]
-    grid, new = rng.unit_block(rng.RowStates.of(starts), 50)
+    grid, new = rng.unit_block(oracle.rows(starts), 50)
     for r, gs in enumerate(starts):
-        u, gs_after = rng.unit_block(gs, 50)
+        (u,), gs_after = rng.unit_block(oracle.rows([gs]), 50)
         assert grid[r].tolist() == u.tolist()
-        assert new.row(r) == gs_after
-    empty, same = rng.fault_block(IDEAL, rng.RowStates.of(starts), 0)[::2]
+        assert oracle.row(new, r) == oracle.row(gs_after)
+    empty, same = rng.fault_block(IDEAL, oracle.rows(starts), 0)[::2]
     assert empty.shape == (3, 0)
-    assert [same.row(r) for r in range(3)] == starts
+    assert [oracle.row(same, r) for r in range(3)] == starts
 
 
 # The kernels make a grid in tiles of rng.TILE_CELLS cells: a run of whole
@@ -690,13 +700,13 @@ def _check_grid_against_oracle(rows, n):
 def test_tiled_kernels_match_the_one_draw_oracle_across_tile_edges(shape, states, counts):
     # rows stand at unequal states after unequal draw counts
     n_rows, n = shape
-    rows = rng.RowStates(np.array(states[:n_rows], dtype=np.uint64),
+    grid = rng.RowStates(np.array(states[:n_rows], dtype=np.uint64),
                          np.array(counts[:n_rows], dtype=np.int64))
-    units, _ = _check_grid_against_oracle(rows, n)
-    one = rows.row(0)  # a single stream is the one-row case of the same tiles
-    u, after = _unit_block_in_t_tiles(one, n)
+    units, _ = _check_grid_against_oracle(grid, n)
+    one = oracle.row(grid)  # a single stream is a one-row grid of the same tiles
+    (u,), after = _unit_block_in_t_tiles(oracle.rows([one]), n)
     assert u.tolist() == units[0].tolist()
-    assert after == one.advanced(n)
+    assert oracle.row(after) == one.advanced(n)
 
 
 @pytest.mark.parametrize("word", [2**52 << 11, (2**53 - 1) << 11], ids=["half", "one"])
@@ -711,8 +721,8 @@ def test_snap_words_on_tile_edges(word, n_rows, n, row, col):
     # wherever a tile puts them
     states = [substream(6, i).state for i in range(n_rows)]
     states[row] = (_state_before_word(word) - col * GOLDEN) & MASK64
-    rows = rng.RowStates(np.array(states, dtype=np.uint64), np.arange(n_rows, dtype=np.int64))
-    units, words = _check_grid_against_oracle(rows, n)
+    grid = rng.RowStates(np.array(states, dtype=np.uint64), np.arange(n_rows, dtype=np.int64))
+    units, words = _check_grid_against_oracle(grid, n)
     assert words[row][col] == word
     assert units[row, col] == oracle.unit_from_word(word)
     assert units[row, col] not in (0.5, 1.0)
@@ -726,12 +736,12 @@ def test_snap_words_on_tile_edges(word, n_rows, n, row, col):
 )
 def test_block_and_scalar_paths_agree_for_any_stream(seed, sid, n):
     gs0 = substream(seed, sid)
-    block, gs_b = rng.unit_block(gs0, n)
+    (block,), gs_b = rng.unit_block(oracle.rows([gs0]), n)
     gs_s = gs0
     for i in range(n):
         u, gs_s = oracle.next_unit(gs_s)
         assert u == block[i]
-    assert gs_b == gs_s
+    assert oracle.row(gs_b) == gs_s
 
 
 def test_source_stream_is_reproducible():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracle
 from clockcheck import rng, stats
-from clockcheck.rng import LowThinning, substream
+from clockcheck.rng import LowThinning, substream_rows
 from clockcheck.stats import (
     DriftReport,
     SampleSummary,
@@ -54,7 +54,7 @@ def test_summarize_empty_is_an_error():
 
 
 def test_summarize_agrees_with_numpy():
-    xs, _ = rng.unit_block(substream(1, 0), 10_000)
+    (xs,), _ = rng.unit_block(substream_rows(1, [0]), 10_000)
     logs = -np.log(xs)
     s = stats.summarize(logs)
     assert s.mean == pytest.approx(float(logs.mean()), rel=1e-12)
@@ -68,7 +68,7 @@ def test_summarize_is_bit_equal_to_one_value_welford(n):
     # memoryview of one contiguous float64 array, whatever it was given: the
     # bits must be those of the plain per-value loop over the same floats,
     # for a strided view, a float32 array (widened exactly) and a list too.
-    u, _ = rng.unit_block(substream(9, 0), 2 * n)
+    (u,), _ = rng.unit_block(substream_rows(9, [0]), 2 * n)
     strided = (-np.log(u))[::2]
     assert not strided.flags.c_contiguous or n == 1
     for xs in (-np.log(u[:n]), np.full(n, 0.1), u[:n].tolist(), strided,
@@ -129,7 +129,7 @@ def test_ks_one_sample_quantile_grid():
 
 
 def test_ks_one_sample_statistic_matches_scipy():
-    xs, _ = rng.unit_block(substream(6, 0), 1000)
+    (xs,), _ = rng.unit_block(substream_rows(6, [0]), 1000)
     res = stats.ks_one_sample(xs, uniform_cdf)
     ref = scipy.stats.kstest(np.asarray(xs), "uniform")
     assert res.statistic == pytest.approx(float(ref.statistic), abs=1e-14)
@@ -183,7 +183,7 @@ def test_ks_one_sample_rejects_a_cdf_that_steps_down_across_a_chunk_edge(monkeyp
 
 
 def test_ks_one_sample_flags_thinned_stream():
-    samples, _, _, _ = rng.fault_block(LowThinning(0.5, 1.0), substream(2, 0), 10_000)
+    (samples,), _, _, _ = rng.fault_block(LowThinning(0.5, 1.0), substream_rows(2, [0]), 10_000)
     res = stats.ks_one_sample(samples, uniform_cdf)
     assert res.p_value < 1e-6
 
@@ -321,8 +321,8 @@ def test_ks_two_sample_needs_eight_per_side():
 
 
 def test_ks_two_sample_statistic_matches_scipy():
-    a, _ = rng.unit_block(substream(8, 0), 400)
-    b, _ = rng.unit_block(substream(8, 1), 300)
+    (a,), _ = rng.unit_block(substream_rows(8, [0]), 400)
+    (b,), _ = rng.unit_block(substream_rows(8, [1]), 300)
     res = stats.ks_two_sample(*oracle.pooled(a, b))
     ref = scipy.stats.ks_2samp(np.asarray(a), np.asarray(b))
     assert res.statistic == pytest.approx(float(ref.statistic), abs=1e-14)
@@ -331,8 +331,8 @@ def test_ks_two_sample_statistic_matches_scipy():
 @given(st.integers(0, 2**31))
 @settings(max_examples=20, deadline=None)
 def test_ks_two_sample_invariant_under_monotone_maps(seed):
-    a, _ = rng.unit_block(substream(seed, 0), 64)
-    b, _ = rng.unit_block(substream(seed, 1), 64)
+    (a,), _ = rng.unit_block(substream_rows(seed, [0]), 64)
+    (b,), _ = rng.unit_block(substream_rows(seed, [1]), 64)
     d_raw = stats.ks_two_sample(*oracle.pooled(a, b)).statistic
     d_log = stats.ks_two_sample(*oracle.pooled(-np.log(a), -np.log(b))).statistic
     assert d_raw == pytest.approx(d_log, abs=1e-15)
@@ -391,8 +391,8 @@ def test_welch_requires_two_points_per_side():
 
 
 def test_welch_matches_scipy():
-    a, _ = rng.unit_block(substream(3, 0), 500)
-    b, _ = rng.unit_block(substream(3, 1), 700)
+    (a,), _ = rng.unit_block(substream_rows(3, [0]), 500)
+    (b,), _ = rng.unit_block(substream_rows(3, [1]), 700)
     a, b = -np.log(a), -np.log(np.asarray(b)) * 1.02
     p = stats.welch_t(stats.summarize(a), stats.summarize(b))
     ref = scipy.stats.ttest_ind(np.asarray(a), np.asarray(b), equal_var=False)
@@ -400,8 +400,8 @@ def test_welch_matches_scipy():
 
 
 def test_welch_detects_strong_shift():
-    a, _ = rng.unit_block(substream(4, 0), 20_000)
-    b, _ = rng.unit_block(substream(4, 1), 20_000)
+    (a,), _ = rng.unit_block(substream_rows(4, [0]), 20_000)
+    (b,), _ = rng.unit_block(substream_rows(4, [1]), 20_000)
     p = stats.welch_t(stats.summarize(-np.log(a)), stats.summarize(-0.5 * np.log(b)))
     assert p < 1e-12
 

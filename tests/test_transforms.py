@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracle
 from clockcheck import process, rng, stats, transforms
-from clockcheck.rng import IDEAL, LowThinning, substream
+from clockcheck.rng import IDEAL, LowThinning, substream_rows
 from clockcheck.stats import uniform_cdf
 from clockcheck.transforms import (
     Compose,
@@ -119,7 +119,7 @@ def test_rotate_is_involution_on_grid(j):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=400))
 def test_block_path_matches_scalar_path(seed, n):
-    xs, _ = rng.unit_block(substream(seed, 0), n)
+    (xs,), _ = rng.unit_block(substream_rows(seed, [0]), n)
     for transform in (Reflect(), RotateHalf(), Compose([RotateHalf(), Reflect()])):
         block = transforms.transform_block(transform, xs)
         scalars = [oracle.transform_scalar(transform, float(x)) for x in xs]
@@ -145,8 +145,8 @@ def test_block_path_rejects_half_and_out_of_range():
 )
 def test_uniform_law_is_preserved_across_seeds(transform):
     passes = 0
-    for i in range(100):
-        xs, _ = rng.unit_block(substream(substream(0, 500 + i).state, 0), 20_000)
+    for seed in substream_rows(0, 500 + np.arange(100)).state.tolist():
+        (xs,), _ = rng.unit_block(substream_rows(seed, [0]), 20_000)
         ys = transforms.transform_block(transform, xs)
         passes += stats.ks_one_sample(ys, uniform_cdf).p_value > 0.05
     assert passes >= 90
@@ -197,8 +197,8 @@ def test_endpoint_draws_are_rejected_not_rescaled():
 def test_rescaled_stream_counts_discards_and_stays_uniform():
     window = RescaleWindow(0.2, 0.7)
     n = 20_000
-    ys, _, fault_discards, window_discards = process.pipeline_block(
-        IDEAL, None, window, substream(99, 0), n
+    (ys,), _, (fault_discards,), (window_discards,) = process.pipeline_block(
+        IDEAL, None, window, substream_rows(99, [0]), n
     )
     assert fault_discards == 0
     assert stats.ks_one_sample(ys, uniform_cdf).p_value > 0.01
@@ -217,8 +217,8 @@ def test_unreachable_window_raises_instead_of_spinning():
 def test_window_exactly_undoes_matching_thinning_fault():
     # low_thinning leaves the law flat above the cutoff, so a window at the
     # cutoff restores an exactly uniform output stream.
-    ys, _, _, _ = process.pipeline_block(
-        LowThinning(0.5, 0.7), None, RescaleWindow(0.5, 1.0), substream(4, 0), 20_000
+    (ys,), _, _, _ = process.pipeline_block(
+        LowThinning(0.5, 0.7), None, RescaleWindow(0.5, 1.0), substream_rows(4, [0]), 20_000
     )
     res = stats.ks_one_sample(ys, uniform_cdf)
     assert res.p_value > 0.01
