@@ -6,7 +6,9 @@ own (``clockcheck.rng``, ``.transforms``, ``.process``, ``.stats``,
 ``.detector``, ``.config``, ``.report``, ``.cli``).  The draw layer takes and
 returns rows only: ``substream_rows(seed, ids)`` gives the states of one
 stream per row, and ``unit_block`` a (rows x n) grid of samples plus the
-advanced states; a single stream is a one-row grid.
+advanced states; a single stream is a one-row grid.  A ``Bank`` (clocks,
+horizon, seed and draw pipeline) is run by ``simulate_serial(bank)`` and, as
+a ``ParallelConfig(bank, mapping, stream_mode)``, by ``simulate_parallel``.
 """
 
 from .rng import (
@@ -20,8 +22,8 @@ from .rng import (
 )
 from .transforms import Compose, Reflect, RescaleWindow, RotateHalf
 from .process import (
+    Bank,
     ParallelConfig,
-    SerialConfig,
     StreamMode,
     Trajectory,
     make_mapping,
@@ -55,7 +57,7 @@ __all__ = [
     "Ideal", "IDEAL", "LowThinning", "PowerBias",
     "derived_seeds", "substream_rows", "unit_block",
     "Compose", "Reflect", "RescaleWindow", "RotateHalf",
-    "ParallelConfig", "SerialConfig", "StreamMode", "Trajectory",
+    "Bank", "ParallelConfig", "StreamMode", "Trajectory",
     "make_mapping", "simulate_parallel", "simulate_serial",
     "chi_square_uniform", "clock_drift", "ks_one_sample", "ks_two_sample",
     "summarize", "welch_t",

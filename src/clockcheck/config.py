@@ -33,7 +33,7 @@ import configparser
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .detector import ExperimentPlan
 from .rng import IDEAL, MASK64, FaultModel, LowThinning, PowerBias, derived_seeds
@@ -95,9 +95,9 @@ def _split_list(raw: str) -> list[str]:
     return [tok for tok in re.split(r"[,\s]+", raw.strip()) if tok]
 
 
-def _parse_ints(key: str, raw: str) -> tuple[int, ...]:
+def _parse_ints(key: str, tokens: Sequence[str]) -> tuple[int, ...]:
     values = []
-    for tok in _split_list(raw):
+    for tok in tokens:
         try:
             values.append(int(tok))
         except ValueError:
@@ -118,7 +118,7 @@ class _Section:
     def raw(self, key: str) -> Optional[str]:
         return self.items.get(key)
 
-    def typed(self, key: str, kind, default):
+    def typed(self, key: str, kind, default=None):
         raw = self.items.get(key)
         if raw is None:
             return default
@@ -127,10 +127,10 @@ class _Section:
         except ValueError:
             raise self._fail(key, f"expected {kind.__name__}, got {raw!r}") from None
 
-    def boolean(self, key: str, default: bool) -> bool:
+    def boolean(self, key: str) -> Optional[bool]:
         raw = self.items.get(key)
         if raw is None:
-            return default
+            return None
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
@@ -171,7 +171,7 @@ def _parse_seeds(section: _Section, seed_override: Optional[int]) -> tuple[int, 
     if raw_seed is not None and raw_count is not None:
         raise ConfigError("[experiment] seed and seed_count are mutually exclusive")
     if raw_seed is not None:
-        return _parse_ints("[experiment] seed", raw_seed)
+        return _parse_ints("[experiment] seed", _split_list(raw_seed))
     count = section.typed("seed_count", int, DEFAULT_SEED_COUNT)
     if count < 1:
         raise ConfigError(f"[experiment] seed_count: must be >= 1, got {count}")
@@ -181,8 +181,10 @@ def _parse_seeds(section: _Section, seed_override: Optional[int]) -> tuple[int, 
     return derived_seeds(count)
 
 
-def _parse_fault(section: _Section) -> FaultModel:
-    kind = (section.raw("kind") or "ideal").strip().lower()
+def _parse_fault(section: _Section) -> Optional[FaultModel]:
+    if not section.items:
+        return None
+    kind = section.items.get("kind", "ideal").strip().lower()
     if kind not in _FAULT_KINDS:
         raise ConfigError(f"[fault] kind: unknown kind {kind!r} "
                           f"(expected one of {tuple(_FAULT_KINDS)})")
@@ -230,40 +232,50 @@ def _parse_fix(section: _Section) -> Optional[RescaleWindow]:
 
 
 def _parse_output(section: _Section) -> OutputConfig:
-    directory = section.raw("directory") or "reports"
-    formats = tuple(_split_list(section.raw("formats") or "json csv"))
-    if not formats:
-        raise ConfigError("[output] formats: must be nonempty")
-    for fmt in formats:
+    given = dict(section.items)  # directory, formats
+    if "formats" in given:
+        given["formats"] = tuple(_split_list(given["formats"]))
+    for key, value in given.items():
+        if not value:
+            raise ConfigError(f"[output] {key}: must be nonempty")
+    for fmt in given.get("formats", ()):
         if fmt not in ("json", "csv"):
             raise ConfigError(f"[output] formats: unknown format {fmt!r} "
                               "(expected json and/or csv)")
-    return OutputConfig(directory=directory, formats=formats)
+    return OutputConfig(**given)
 
 
 def load_config(
     path: Union[str, Path], seed_override: Optional[int] = None
 ) -> tuple[ExperimentPlan, OutputConfig]:
-    """Parse and validate ``path``; raise :class:`ConfigError` on any defect."""
+    """Parse and validate ``path``; raise :class:`ConfigError` on any defect.
+
+    Only the keys the file sets reach the plan and the output config, so
+    each default is stated once, as a field default of ``ExperimentPlan``
+    or :class:`OutputConfig`, and a key set to nothing is an error."""
     sections = _read_sections(path)
-    experiment, parallel = sections["experiment"], sections["parallel"]
+    experiment = sections["experiment"]
+    lists = {key: tuple(_split_list(raw)) for key, raw in sections["parallel"].items.items()}
+    modes = lists.get("stream_modes")
     try:
-        plan = ExperimentPlan(
+        given = dict(
             seeds=_parse_seeds(experiment, seed_override),
-            n_clocks=experiment.typed("n_clocks", int, 16),
-            horizon=experiment.typed("horizon", float, 250.0),
+            n_clocks=experiment.typed("n_clocks", int),
+            horizon=experiment.typed("horizon", float),
             fault=_parse_fault(sections["fault"]),
             transform=_parse_transform(sections["transform"]),
             fix_window=_parse_fix(sections["fix"]),
-            worker_counts=_parse_ints("[parallel] workers", parallel.raw("workers") or "1"),
-            mappings=tuple(_split_list(parallel.raw("mappings") or "blocks")),
-            stream_modes=tuple(tok.lower() for tok in
-                               _split_list(parallel.raw("stream_modes") or "per_clock")),
-            alpha=experiment.typed("alpha", float, 0.01),
-            ab_samples=experiment.typed("ab_samples", int, 100_000),
-            fix_samples=experiment.typed("fix_samples", int, 10_000),
-            debug_corrupt_per_clock=sections["debug"].boolean("corrupt_per_clock_run", False),
+            worker_counts=lists.get("workers") and _parse_ints("[parallel] workers",
+                                                               lists["workers"]),
+            mappings=lists.get("mappings"),
+            stream_modes=modes and tuple(mode.lower() for mode in modes),
+            alpha=experiment.typed("alpha", float),
+            ab_samples=experiment.typed("ab_samples", int),
+            fix_samples=experiment.typed("fix_samples", int),
+            debug_corrupt_per_clock=sections["debug"].boolean("corrupt_per_clock_run"),
         )
+        # a field the file leaves unset (None) keeps the plan's default
+        plan = ExperimentPlan(**{name: value for name, value in given.items() if value is not None})
     except ConfigError:
         raise
     except ValueError as exc:

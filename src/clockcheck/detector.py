@@ -24,6 +24,8 @@ means, bit-match indicators) never trip a verdict by themselves.
 
 ``run_experiment`` composes all of the above over seed x workers x mapping
 x stream-mode and returns a report that is a pure function of its plan.
+A seed's serial run and its cells run one ``process.Bank``, each cell as a
+``ParallelConfig(bank, mapping, mode)``, and equal cells run once.
 Every subcommand is one such call; the plan's ``stages`` pick what runs
 (``"compare"``: the serial/parallel runs and their pairings; ``"ab"``;
 ``"fix"``), and ``ComparisonReport.flag_counts`` alone counts the flags.
@@ -48,8 +50,8 @@ import numpy as np
 
 from .process import (
     MAPPING_KINDS,
+    Bank,
     ParallelConfig,
-    SerialConfig,
     StreamMode,
     Trajectory,
     _MAX_CLOCKS,
@@ -380,15 +382,8 @@ def cross_parallel_compare(
     """
     if len(runs) < 2:
         raise ValueError("cross_parallel_compare requires at least 2 runs")
-    basis = None
-    for cfg, _ in runs:
-        key = (cfg.n_clocks, cfg.horizon, cfg.seed, cfg.fault, cfg.transform,
-               cfg.fix_window)
-        if basis is None:
-            basis = key
-        elif key != basis:
-            raise ValueError("cross_parallel_compare runs must share "
-                             "(n_clocks, horizon, seed, fault, transform, fix_window)")
+    if len({cfg.bank for cfg, _ in runs}) != 1:
+        raise ValueError("cross_parallel_compare runs must share one bank")
     evidence: list[Evidence] = []
     breach = False
 
@@ -478,8 +473,8 @@ class ExperimentPlan:
     """
 
     seeds: tuple[int, ...]
-    n_clocks: int
-    horizon: float
+    n_clocks: int = 16
+    horizon: float = 250.0
     fault: FaultModel = IDEAL
     transform: Optional[Transform] = None
     fix_window: Optional[RescaleWindow] = None
@@ -684,11 +679,13 @@ def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]
     """The compare stage of one seed: its ``(label, trajectory)`` runs,
     serial first, and the pairings that compare them.
 
-    Each distinct cell is simulated once: cells with equal configs (every
-    mapping at P = 1; ``blocks`` and ``round_robin`` at P = N) share one
-    trajectory through the seed's memo.  Here alone is it decided which runs
-    are one trajectory: a cell ``_bit_equal`` to an earlier run of the seed
-    is replaced by that run, in the memo too, so equal cells are held once.
+    The seed's one :class:`~clockcheck.process.Bank` is run serially and
+    in every cell.  Each distinct cell is simulated once: cells with equal
+    configs (every mapping at P = 1; ``blocks`` and ``round_robin`` at P =
+    N; ``round_robin`` at every P >= N) share one trajectory through the
+    seed's memo.  Here alone is it decided which runs are one trajectory: a
+    cell ``_bit_equal`` to an earlier run of the seed is replaced by that
+    run, in the memo too, so equal cells are held once.
     Under ``debug_corrupt_per_clock`` the corrupted first per-clock cell is
     shared with no one and never enters the memo, so an equal-config twin
     is compared with the uncorrupted run and breaches.
@@ -698,10 +695,8 @@ def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]
     usually draws in one pass.  The pace only sizes passes: it changes no
     bit of any run and is no part of the memo key.
     """
-    serial = simulate_serial(
-        SerialConfig(plan.n_clocks, plan.horizon, seed, plan.fault,
-                     plan.transform, plan.fix_window)
-    )
+    bank = Bank(plan.n_clocks, plan.horizon, seed, plan.fault, plan.transform, plan.fix_window)
+    serial = simulate_serial(bank)
     pace = len(serial) / (plan.n_clocks * plan.horizon)
     runs = [("serial", serial)]
     pairings: list[PairingRecord] = []
@@ -712,17 +707,8 @@ def _compare(plan: ExperimentPlan, seed: int) -> tuple[list, list[PairingRecord]
     for mode in plan.stream_modes:
         for workers in plan.worker_counts:
             for mapping_name in plan.mappings:
-                cfg = ParallelConfig(
-                    n_clocks=plan.n_clocks,
-                    horizon=plan.horizon,
-                    seed=seed,
-                    fault=plan.fault,
-                    transform=plan.transform,
-                    fix_window=plan.fix_window,
-                    workers=workers,
-                    mapping=make_mapping(mapping_name, plan.n_clocks, workers, seed),
-                    stream_mode=mode,
-                )
+                cfg = ParallelConfig(bank, make_mapping(mapping_name, plan.n_clocks, workers, seed),
+                                     mode)
                 traj = simulate_parallel(cfg, memo, pace=pace)
                 if corrupt and mode is StreamMode.PER_CLOCK:
                     traj, corrupt = _corrupted(traj), False

@@ -1,14 +1,17 @@
-"""Marked Poisson-clock simulation, run two distributionally identical ways.
+"""Marked Poisson-clock simulation: one bank, run two distributionally
+identical ways.
 
-The *serial* run drives one merged clock of rate N from a single sample
-stream: each event costs two pipeline draws (one exponential time increment
-at rate N, one uniform mark pick).  The *parallel* run hosts the N rate-1
-clocks on workers and merges the workers' event lists afterwards.  In
-per-clock stream mode each clock owns a stream, and a worker draws all of
-its clocks at once as the rows of one grid: the mapping decides which grid
-a clock is drawn in, not its numbers, so every worker count and mapping
-must give the same bits.  In per-worker mode each worker owns a stream that
-its clocks share round-robin.
+A :class:`Bank` is N rate-1 clocks, a horizon, a seed and the draw pipeline.
+The *serial* run (:func:`simulate_serial`) drives the bank as one merged
+clock of rate N from a single sample stream: each event costs two pipeline
+draws (one exponential time increment at rate N, one uniform mark pick).
+A *parallel* run (a :class:`ParallelConfig`: the bank, a clock -> worker
+mapping and a stream mode) hosts the N rate-1 clocks on workers and merges
+the workers' event lists afterwards.  In per-clock stream mode each clock
+owns a stream, and a worker draws all of its clocks at once as the rows of
+one grid: the mapping decides which grid a clock is drawn in, not its
+numbers, so every worker count and mapping must give the same bits.  In
+per-worker mode each worker owns a stream that its clocks share round-robin.
 Superposition makes the two processes the same in law whenever the sample
 source is actually uniform — so any statistical daylight between them is
 evidence against the source, and that asymmetry (two draws per serial event
@@ -84,7 +87,7 @@ from .transforms import RescaleWindow, Transform, transform_block
 __all__ = [
     "Trajectory",
     "StreamMode",
-    "SerialConfig",
+    "Bank",
     "ParallelConfig",
     "simulate_serial",
     "simulate_parallel",
@@ -166,8 +169,10 @@ def _validate_common(n_clocks: int, horizon: float, seeds: Sequence[int]) -> Non
 
 
 @dataclass(frozen=True)
-class SerialConfig:
-    """Merged-clock run: N clocks folded into one rate-N stream (id 0)."""
+class Bank:
+    """One bank of ``n_clocks`` rate-1 Poisson clocks run to ``horizon``: the
+    seed and the draw pipeline (fault, transform, window) that the serial run
+    and every parallel cell share.  Checked once, when it is built."""
 
     n_clocks: int
     horizon: float
@@ -182,40 +187,31 @@ class SerialConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Per-clock run: N independent rate-1 clocks hosted by ``workers`` workers.
+    """A parallel run of ``bank``: its clocks hosted by workers.
 
-    ``mapping[i]`` is the worker hosting clock ``i``: a read-only int32 copy
-    (``blocks`` by default), by whose bytes configs compare and hash.  In
-    per-clock mode each clock owns stream ``1 + i`` and the mapping only
+    ``mapping[i]`` is the worker hosting clock ``i``, an id in ``[0, 2^31 - 1)``
+    (:func:`make_mapping`): a read-only int32 copy, by whose bytes configs
+    compare and hash, so equal mappings at any worker count are one config.
+    In per-clock mode each clock owns stream ``1 + i`` and the mapping only
     decides in which worker's grid the clock is drawn, so it must not change
     the result; in per-worker mode clocks draw round-robin from their worker's
     stream (id ``10**6 + w``): the mapping changes the numbers, not the law."""
 
-    n_clocks: int
-    horizon: float
-    seed: int
-    fault: FaultModel = IDEAL
-    transform: Optional[Transform] = None
-    fix_window: Optional[RescaleWindow] = None
-    workers: int = 1
-    mapping: Optional[np.ndarray] = field(default=None, compare=False)
+    bank: Bank
+    mapping: np.ndarray = field(compare=False)
     stream_mode: StreamMode = StreamMode.PER_CLOCK
     _mapping_bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # a str equals its mode but is not it, and simulate_parallel tests identity
         object.__setattr__(self, "stream_mode", StreamMode(self.stream_mode))
-        _validate_common(self.n_clocks, self.horizon, (self.seed,))
-        if not 1 <= self.workers <= _MAX_CLOCKS:
-            raise ValueError(f"workers must lie in [1, {_MAX_CLOCKS}], got {self.workers}")
-        mapping = np.asarray(make_mapping("blocks", self.n_clocks, self.workers, self.seed)
-                             if self.mapping is None else self.mapping)
-        if mapping.shape != (self.n_clocks,):
+        mapping = np.asarray(self.mapping)
+        if mapping.shape != (self.bank.n_clocks,):
             raise ValueError("mapping must assign every clock a worker")
         if mapping.dtype.kind not in "iu":
             raise ValueError(f"mapping worker ids must be integers, got dtype {mapping.dtype}")
-        if mapping.min() < 0 or mapping.max() >= self.workers:
-            raise ValueError(f"mapping worker ids must lie in [0, {self.workers})")
+        if mapping.min() < 0 or mapping.max() >= _MAX_CLOCKS:
+            raise ValueError(f"mapping worker ids must lie in [0, {_MAX_CLOCKS})")
         content = mapping.astype(np.int32, copy=False).tobytes()
         object.__setattr__(self, "_mapping_bytes", content)
         object.__setattr__(self, "mapping", np.frombuffer(content, dtype=np.int32))
@@ -391,9 +387,9 @@ class _Events:
 # simulators
 
 
-def simulate_serial(cfg: SerialConfig) -> Trajectory:
-    """Run the merged clock to the horizon: the one-row, rate-N case of
-    :func:`_run_to_horizon`.
+def simulate_serial(bank: Bank) -> Trajectory:
+    """Run the bank as one merged clock to the horizon: the one-row, rate-N
+    case of :func:`_run_to_horizon`.
 
     Each event consumes two pipeline draws: u1 sets the time increment
     ``-log(u1) / N``, u2 sets the mark ``min(floor(u2*N), N-1)``.  The run
@@ -402,15 +398,15 @@ def simulate_serial(cfg: SerialConfig) -> Trajectory:
     event per clock per unit time, and the event columns are reserved for
     it.
     """
-    n = cfg.n_clocks
+    n = bank.n_clocks
     events = _Events()
-    events.reserve(_ticks_to_pass(cfg.horizon, n, _pass_cap(cfg.fix_window) // 2))
-    total = _run_to_horizon(cfg, substream_rows(cfg.seed, [SERIAL_STREAM]), None, n, events)
+    events.reserve(_ticks_to_pass(bank.horizon, n, _pass_cap(bank.fix_window) // 2))
+    total = _run_to_horizon(bank, substream_rows(bank.seed, [SERIAL_STREAM]), None, n, events)
     return Trajectory(*events.take(), total_draws=total, n_clocks=n)
 
 
 def simulate_parallel(cfg: ParallelConfig, memo: dict, pace: float) -> Trajectory:
-    """Run N independent rate-1 clocks and merge their event lists.
+    """Run the bank's N independent rate-1 clocks and merge their event lists.
 
     ``memo`` is a dict from configs to the trajectories returned for them,
     kept by the caller: a config equal to one in it is not run again, and a
@@ -432,17 +428,17 @@ def _simulate_bank(cfg: ParallelConfig, pace: float) -> Trajectory:
     at ``pace``, in per-worker mode as the lanes of the worker's row.  One
     stable argsort groups them, and a worker without clocks costs nothing.
     The event columns are reserved once for the whole bank."""
-    per_worker = cfg.stream_mode is StreamMode.PER_WORKER
+    bank, per_worker = cfg.bank, cfg.stream_mode is StreamMode.PER_WORKER
     order = np.argsort(cfg.mapping, kind="stable").astype(np.int32)  # by worker: the marks
     hosts = cfg.mapping[order]
     starts = np.flatnonzero(np.r_[True, hosts[1:] != hosts[:-1]])  # each hosting worker's first
-    streams = substream_rows(cfg.seed, worker_stream(hosts[starts].astype(np.int64)) if per_worker
-                             else clock_stream(np.arange(cfg.n_clocks)))
-    cap = _pass_cap(cfg.fix_window)
-    width = _ticks_to_pass(cfg.horizon, pace, cap)
+    streams = substream_rows(bank.seed, worker_stream(hosts[starts].astype(np.int64)) if per_worker
+                             else clock_stream(np.arange(bank.n_clocks)))
+    cap = _pass_cap(bank.fix_window)
+    width = _ticks_to_pass(bank.horizon, pace, cap)
     batch = max(1, cap // width)
     events = _Events()  # room for the bank's events at pace, plus a margin
-    events.reserve(_ticks_to_pass(cfg.horizon, cfg.n_clocks * pace, cfg.n_clocks * width))
+    events.reserve(_ticks_to_pass(bank.horizon, bank.n_clocks * pace, bank.n_clocks * width))
     total = 0
     for k, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], order.size))):
         step = hi - lo if per_worker else batch
@@ -450,11 +446,11 @@ def _simulate_bank(cfg: ParallelConfig, pace: float) -> Trajectory:
             part = order[at:min(at + step, hi)]
             rows, lanes = ((streams.take([k]), part[None]) if per_worker
                            else (streams.take(part), part[:, None]))
-            total += _run_to_horizon(cfg, rows, lanes, pace, events)
-    return _merge_arrays(events, n_clocks=cfg.n_clocks, total_draws=total)
+            total += _run_to_horizon(bank, rows, lanes, pace, events)
+    return _merge_arrays(events, n_clocks=bank.n_clocks, total_draws=total)
 
 
-def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: float,
+def _run_to_horizon(bank: Bank, rows: RowStates, lanes: Optional[np.ndarray], pace: float,
                     events: _Events) -> int:
     """Run each of ``rows`` to the horizon, write its kept events into
     ``events`` and return the raw draws the rows consumed.
@@ -465,7 +461,7 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
     gap ``-log(u)`` and its mark the lane's clock id; a lane leaves its row
     in the round that takes it past the horizon (:func:`_epochs`).  Without
     ``lanes``, the one row is the serial sweep's merged clock of rate N =
-    ``cfg.n_clocks``: a tick is a pair ``(u1, u2)``, its gap ``-log(u1) /
+    ``bank.n_clocks``: a tick is a pair ``(u1, u2)``, its gap ``-log(u1) /
     N`` and its mark ``min(floor(u2*N), N-1)``.  A kept event's draw count
     is the draw after its tick's last sample; a row's consumed draws end
     after the time sample of its last tick past the horizon, whose mark
@@ -487,19 +483,19 @@ def _run_to_horizon(cfg, rows: RowStates, lanes: Optional[np.ndarray], pace: flo
     samples do not depend on how many are asked for, so the pass sizes
     change no bit of the result.
     """
-    n, horizon = cfg.n_clocks, cfg.horizon
+    n, horizon = bank.n_clocks, bank.horizon
     step = 2 if lanes is None else 1  # samples a lane's tick
     now = np.zeros((len(rows), 1 if lanes is None else lanes.shape[1]))  # each lane's time
     consumed = done = 0  # done: the ticks each live lane has taken
     lo, rate = 0.0, pace  # the earliest row's mean lane time, the ticks a lane took per unit of it
     while True:
         k = now.shape[1]
-        cap = _pass_cap(cfg.fix_window) // (step * k * len(rows))
+        cap = _pass_cap(bank.fix_window) // (step * k * len(rows))
         width = -(-_ticks_to_pass(horizon - lo, k * rate, k * cap) // k)
         if done:
             events.reserve(len(rows) * k * width)
         alive = np.ones(len(rows), dtype=bool)  # rows that have not passed the horizon
-        for live, samples, at_draw in _pass_tiles(cfg.fault, cfg.transform, cfg.fix_window,
+        for live, samples, at_draw in _pass_tiles(bank.fault, bank.transform, bank.fix_window,
                                                   rows, step * k * width, alive, step * k):
             if now.shape[1] > 1:  # one row of lanes
                 read, ticks, times, lanes = _epochs(samples[0], at_draw[0], now[0], lanes[0],
@@ -657,6 +653,8 @@ def make_mapping(kind: str, n_clocks: int, workers: int, seed: int) -> np.ndarra
     the ``k``-th clock of the seed's Fisher–Yates order (:func:`_clock_order`) on ``k*P//N``."""
     if kind not in MAPPING_KINDS:
         raise ValueError(f"unknown mapping name: {kind!r} (expected one of {MAPPING_KINDS})")
+    if not 1 <= workers <= _MAX_CLOCKS:
+        raise ValueError(f"workers must lie in [1, {_MAX_CLOCKS}], got {workers}")
     i = np.arange(n_clocks, dtype=np.int64)
     mapping = (i % workers if kind == "round_robin" else i * workers // n_clocks).astype(np.int32)
     if kind == "shuffle":

@@ -316,15 +316,15 @@ def merge(parts, *, n_clocks=None, total_draws=None):
     return _trajectory(events, n_clocks, total_draws)
 
 
-def simulate_serial(cfg, source=None):
+def simulate_serial(bank, source=None):
     if source is None:
-        source = PipelineSource(cfg.seed, rng.SERIAL_STREAM, cfg.fault, cfg.transform,
-                                cfg.fix_window)
-    n = cfg.n_clocks
+        source = PipelineSource(bank.seed, rng.SERIAL_STREAM, bank.fault, bank.transform,
+                                bank.fix_window)
+    n = bank.n_clocks
     events, t = [], 0.0
     while True:
         t_next = t + exp_increment(source.next(), float(n))
-        if t_next > cfg.horizon:
+        if t_next > bank.horizon:
             return _trajectory(events, n, source.raw_draws)
         mark = min(int(source.next() * n), n - 1)
         events.append(Event(t_next, mark, source.raw_draws))
@@ -338,20 +338,20 @@ def simulate_parallel(cfg, source_factory=None):
     ``source_factory`` maps the stream owner (clock or worker index) to a
     draw source.
     """
-    per_worker = cfg.stream_mode is StreamMode.PER_WORKER
+    bank, per_worker = cfg.bank, cfg.stream_mode is StreamMode.PER_WORKER
     if source_factory is None:
         stream_id = rng.worker_stream if per_worker else rng.clock_stream
 
         def source_factory(owner):
-            return PipelineSource(cfg.seed, stream_id(owner), cfg.fault, cfg.transform,
-                                  cfg.fix_window)
+            return PipelineSource(bank.seed, stream_id(owner), bank.fault, bank.transform,
+                                  bank.fix_window)
 
     if per_worker:
-        owners = [[i for i in range(cfg.n_clocks) if cfg.mapping[i] == w]
-                  for w in range(cfg.workers)]
+        owners = [[i for i in range(bank.n_clocks) if cfg.mapping[i] == w]
+                  for w in range(int(cfg.mapping.max()) + 1)]
     else:
-        owners = [[i] for i in range(cfg.n_clocks)]
-    parts = [[] for _ in range(cfg.n_clocks)]
+        owners = [[i] for i in range(bank.n_clocks)]
+    parts = [[] for _ in range(bank.n_clocks)]
     total = 0
     for owner, clocks in enumerate(owners):
         if not clocks:
@@ -362,13 +362,13 @@ def simulate_parallel(cfg, source_factory=None):
         while alive:
             for i in tuple(alive):
                 t_next = now[i] + exp_increment(source.next(), 1.0)
-                if t_next > cfg.horizon:
+                if t_next > bank.horizon:
                     alive.remove(i)
                     continue
                 now[i] = t_next
                 parts[i].append(Event(t_next, i, source.raw_draws))
         total += source.raw_draws
-    return merge(parts, n_clocks=cfg.n_clocks, total_draws=total)
+    return merge(parts, n_clocks=bank.n_clocks, total_draws=total)
 
 
 def shuffle_mapping(n_clocks, workers, seed):

@@ -24,8 +24,8 @@ from clockcheck import cli, detector, process, stats
 from clockcheck.detector import CONSISTENT
 from clockcheck.process import (
     MAPPING_KINDS,
+    Bank,
     ParallelConfig,
-    SerialConfig,
     Trajectory,
     make_mapping,
 )
@@ -35,6 +35,7 @@ from clockcheck.transforms import Reflect, RescaleWindow
 
 _PB2 = PowerBias(2.0)
 _SEEDS_100 = derived_seeds(100)
+_ONE_WORKER = np.zeros(16, dtype=int)  # every clock on worker 0
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -49,13 +50,8 @@ def test_criterion_01_bit_identical_under_remapping():
     runs = 0
     for workers in (1, 2, 4, 8):
         for kind in MAPPING_KINDS:
-            cfg = ParallelConfig(
-                n_clocks=64,
-                horizon=100.0,
-                seed=_SEEDS_100[0],
-                workers=workers,
-                mapping=make_mapping(kind, 64, workers, seed=_SEEDS_100[0]),
-            )
+            cfg = ParallelConfig(Bank(n_clocks=64, horizon=100.0, seed=_SEEDS_100[0]),
+                                 make_mapping(kind, 64, workers, seed=_SEEDS_100[0]))
             traj = process.simulate_parallel(cfg, {}, pace=1.0)
             runs += 1
             if base is None:
@@ -77,8 +73,9 @@ def test_criterion_02_type_one_calibration():
     flags = {}
     ab_flags = 0
     for seed in _SEEDS_100:
-        serial = process.simulate_serial(SerialConfig(16, 100.0, seed))
-        parallel = process.simulate_parallel(ParallelConfig(16, 100.0, seed), {}, pace=1.0)
+        bank = Bank(16, 100.0, seed)
+        serial = process.simulate_serial(bank)
+        parallel = process.simulate_parallel(ParallelConfig(bank, _ONE_WORKER), {}, pace=1.0)
         verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01,
                                                    gap_stats=detector.GapMemo())
         for e in verdict.evidence:
@@ -102,8 +99,9 @@ def test_criterion_03_detection_power():
     start = time.perf_counter()
     detected = 0
     for seed in _SEEDS_100:
-        serial = process.simulate_serial(SerialConfig(16, 3200.0, seed, _PB2))
-        parallel = process.simulate_parallel(ParallelConfig(16, 3200.0, seed, _PB2), {}, pace=1.0)
+        bank = Bank(16, 3200.0, seed, _PB2)
+        serial = process.simulate_serial(bank)
+        parallel = process.simulate_parallel(ParallelConfig(bank, _ONE_WORKER), {}, pace=1.0)
         assert len(serial) >= 100_000 and len(parallel) >= 100_000
         verdict = detector.serial_parallel_compare(serial, parallel, alpha=0.01,
                                                    gap_stats=detector.GapMemo())
@@ -121,7 +119,7 @@ def test_criterion_04_slow_clock_law():
     k = 100_000
     passes = 0
     for seed in _SEEDS_100:
-        traj = process.simulate_serial(SerialConfig(1, 51_000.0, seed, _PB2))
+        traj = process.simulate_serial(Bank(1, 51_000.0, seed, _PB2))
         if len(traj) < k:
             continue
 
@@ -186,7 +184,8 @@ def test_criterion_06_exact_fix():
 def test_criterion_07_serial_mark_skew():
     """power_bias(2), N=4: mark law {1,3,5,7}/16 at 3 SE; parallel marks clean."""
     n = 100_000
-    serial = process.simulate_serial(SerialConfig(4, 13_000.0, _SEEDS_100[0], _PB2))
+    bank = Bank(4, 13_000.0, _SEEDS_100[0], _PB2)
+    serial = process.simulate_serial(bank)
     assert len(serial) >= n
     marks = serial.marks[:n]
     counts = np.bincount(marks, minlength=4)
@@ -194,8 +193,7 @@ def test_criterion_07_serial_mark_skew():
         p = (2 * k + 1) / 16.0
         se = math.sqrt(n * p * (1.0 - p))
         assert abs(counts[k] - n * p) <= 3.0 * se, (k, counts[k], n * p)
-    parallel = process.simulate_parallel(ParallelConfig(4, 13_000.0, _SEEDS_100[0], _PB2), {},
-                                         pace=1.0)
+    parallel = process.simulate_parallel(ParallelConfig(bank, np.zeros(4, dtype=int)), {}, pace=1.0)
     chi = stats.chi_square_uniform(parallel.per_clock_ticks)
     assert chi.p_value > 0.01
     freqs = ", ".join(f"{c / n:.4f}" for c in counts)
@@ -206,7 +204,7 @@ def test_criterion_08_serial_blind_spot():
     """power_bias(2) serial alone passes its own fitted-exponential KS >=90/100."""
     passes = 0
     for seed in _SEEDS_100:
-        traj = process.simulate_serial(SerialConfig(16, 100.0, seed, _PB2))
+        traj = process.simulate_serial(Bank(16, 100.0, seed, _PB2))
         verdict = oracle.fitted_exponential_check(traj, alpha=0.01)
         passes += verdict.outcome == CONSISTENT
     assert passes >= 90, f"passed {passes}/100"

@@ -4,6 +4,7 @@ import pytest
 
 from clockcheck import config
 from clockcheck.config import ConfigError
+from clockcheck.detector import ExperimentPlan
 from clockcheck.process import StreamMode
 from clockcheck.rng import Ideal, LowThinning, PowerBias, derived_seeds
 from clockcheck.transforms import Compose, Reflect, RotateHalf
@@ -29,6 +30,9 @@ def test_empty_config_gets_full_defaults(tmp_path):
     assert plan.stream_modes == (StreamMode.PER_CLOCK,)
     assert out.directory == "reports"
     assert out.formats == ("json", "csv")
+    # the defaults are the records' own
+    assert plan == ExperimentPlan(seeds=derived_seeds(20))
+    assert out == config.OutputConfig()
 
 
 def test_full_config_round_trip(tmp_path):
@@ -159,6 +163,28 @@ def test_alpha_out_of_range_carries_name(tmp_path):
 def test_plan_level_errors_name_section_and_key(tmp_path, text, message):
     # ExperimentPlan checks these; the error still reads "[section] key: ..."
     # like every error the parser raises itself.
+    with pytest.raises(ConfigError) as info:
+        config.load_config(_write(tmp_path, text))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nseed =\n", "[experiment] seed: must be nonempty"),
+    ("[experiment]\nn_clocks =\n", "[experiment] n_clocks: expected int, got ''"),
+    ("[experiment]\nalpha =\n", "[experiment] alpha: expected float, got ''"),
+    ("[fault]\nkind =\n",
+     "[fault] kind: unknown kind '' (expected one of ('ideal', 'power_bias', 'low_thinning'))"),
+    ("[transform]\nnames =\n", "[transform] names: empty list"),
+    ("[parallel]\nworkers =\n", "[parallel] workers: must be nonempty"),
+    ("[parallel]\nmappings =\n", "[parallel] mappings: must be nonempty"),
+    ("[parallel]\nstream_modes =\n", "[parallel] stream_modes: must be nonempty"),
+    ("[output]\ndirectory =\n", "[output] directory: must be nonempty"),
+    ("[output]\nformats =\n", "[output] formats: must be nonempty"),
+    ("[debug]\ncorrupt_per_clock_run =\n",
+     "[debug] corrupt_per_clock_run: expected a boolean, got ''"),
+])
+def test_an_empty_value_is_an_error_that_names_its_key(tmp_path, text, message):
+    # a key that is set is never read as its default
     with pytest.raises(ConfigError) as info:
         config.load_config(_write(tmp_path, text))
     assert str(info.value) == message

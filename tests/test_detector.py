@@ -33,8 +33,8 @@ from clockcheck.detector import (
     _corrupted,
 )
 from clockcheck.process import (
+    Bank,
     ParallelConfig,
-    SerialConfig,
     StreamMode,
     make_mapping,
 )
@@ -164,8 +164,9 @@ def test_ab_and_fix_stages_hold_their_buffers_and_a_few_tiles(stage, held):
 
 
 def _pair(fault, seed=0, n_clocks=8, horizon=250.0):
-    serial = process.simulate_serial(SerialConfig(n_clocks, horizon, seed, fault))
-    parallel = process.simulate_parallel(ParallelConfig(n_clocks, horizon, seed, fault), {},
+    bank = Bank(n_clocks, horizon, seed, fault)
+    serial = process.simulate_serial(bank)
+    parallel = process.simulate_parallel(ParallelConfig(bank, np.zeros(n_clocks, dtype=int)), {},
                                          pace=1.0)
     return serial, parallel
 
@@ -262,14 +263,8 @@ def test_the_same_object_is_equal_without_a_compare(monkeypatch):
 
 
 def _cell(workers, mapping, mode, seed=0, n_clocks=8, horizon=250.0):
-    cfg = ParallelConfig(
-        n_clocks=n_clocks,
-        horizon=horizon,
-        seed=seed,
-        workers=workers,
-        mapping=make_mapping(mapping, n_clocks, workers, seed),
-        stream_mode=mode,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=n_clocks, horizon=horizon, seed=seed),
+                         make_mapping(mapping, n_clocks, workers, seed), mode)
     return cfg, process.simulate_parallel(cfg, {}, pace=1.0)
 
 
@@ -332,12 +327,16 @@ def test_cross_parallel_validates_basis_and_arity():
     with pytest.raises(ValueError, match="at least 2"):
         detector.cross_parallel_compare([_cell(1, "blocks", StreamMode.PER_CLOCK)], alpha=0.01,
                                         gap_stats=GapMemo())
-    mixed = [
-        _cell(1, "blocks", StreamMode.PER_CLOCK, seed=0),
-        _cell(1, "blocks", StreamMode.PER_CLOCK, seed=1),
-    ]
-    with pytest.raises(ValueError, match="share"):
-        detector.cross_parallel_compare(mixed, alpha=0.01, gap_stats=GapMemo())
+    first = _cell(1, "blocks", StreamMode.PER_CLOCK, seed=0)
+    biased = (ParallelConfig(Bank(8, 250.0, 0, PowerBias(2.0)), first[0].mapping), first[1])
+    for other in (_cell(1, "blocks", StreamMode.PER_CLOCK, seed=1), biased):
+        with pytest.raises(ValueError, match="^cross_parallel_compare runs must share one bank$"):
+            detector.cross_parallel_compare([first, other], alpha=0.01, gap_stats=GapMemo())
+    # banks built apart with equal fields are one bank
+    twin = _cell(2, "blocks", StreamMode.PER_CLOCK, seed=0)
+    assert twin[0].bank is not first[0].bank
+    assert not detector.cross_parallel_compare([first, twin], alpha=0.01,
+                                               gap_stats=GapMemo()).determinism_breach
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +625,9 @@ def test_per_clock_ticks_are_counted_once_per_trajectory(monkeypatch):
 def _cells(plan, seed):
     # the configs run_experiment builds, in its order
     return [
-        ParallelConfig(n_clocks=plan.n_clocks, horizon=plan.horizon, seed=seed,
-                       fault=plan.fault, workers=workers,
-                       mapping=make_mapping(mapping, plan.n_clocks, workers, seed),
-                       stream_mode=mode)
+        ParallelConfig(Bank(plan.n_clocks, plan.horizon, seed, plan.fault, plan.transform,
+                            plan.fix_window),
+                       make_mapping(mapping, plan.n_clocks, workers, seed), mode)
         for mode in plan.stream_modes
         for workers in plan.worker_counts
         for mapping in plan.mappings
@@ -733,6 +731,19 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     # are those of a fresh simulation per cell, run at the default pace.
     plan = _small_plan(seeds=(0,), mappings=("blocks", "round_robin"),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    _assert_simulated_once(monkeypatch, plan, 6)
+
+
+def test_equal_mappings_at_different_worker_counts_are_one_cell(monkeypatch):
+    # round_robin puts clock i on worker i at P = N and at P = 2N: in each
+    # stream mode the two cells are one config, 4 cells and 2 simulations.
+    plan = _small_plan(seeds=(0,), n_clocks=4, horizon=400.0, worker_counts=(4, 8),
+                       mappings=("round_robin",),
+                       stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
+    _assert_simulated_once(monkeypatch, plan, 2)
+
+
+def _assert_simulated_once(monkeypatch, plan, simulations):
     cells = _cells(plan, 0)
     fresh = [process.simulate_parallel(cfg, {}, pace=1.0) for cfg in cells]
     simulated = []
@@ -740,14 +751,14 @@ def test_equal_config_cells_are_simulated_once(monkeypatch):
     monkeypatch.setattr(process, "_simulate_bank",
                         lambda cfg, pace: simulated.append((cfg, pace)) or real(cfg, pace))
     report = detector.run_experiment(plan)
-    assert len(simulated) == len(set(simulated)) == 6
+    assert len(simulated) == len(set(simulated)) == simulations
 
     sr = report.seed_reports[0]
     labels = [f"P{workers}-{mapping}-{mode.value}" for mode in plan.stream_modes
               for workers in plan.worker_counts for mapping in plan.mappings]
     assert sr.runs[1:] == tuple(detector.RunRecord.of(label, "parallel", traj)
                                 for label, traj in zip(labels, fresh))
-    serial = process.simulate_serial(SerialConfig(plan.n_clocks, plan.horizon, 0))
+    serial = process.simulate_serial(Bank(plan.n_clocks, plan.horizon, 0))
     assert {pace for _, pace in simulated} == {len(serial) / (plan.n_clocks * plan.horizon)}
     assert len(serial) != plan.n_clocks * plan.horizon  # the pace is measured, not 1
     expected = [detector.serial_parallel_compare(serial, traj, plan.alpha, gap_stats=GapMemo())
@@ -769,13 +780,15 @@ def test_compare_shuffles_the_clocks_once_a_seed(monkeypatch):
     mappings = []
     real = process.simulate_parallel
     monkeypatch.setattr(detector, "simulate_parallel", lambda cfg, memo, pace: mappings.append(
-        (cfg.seed, cfg.workers, cfg.mapping.tolist())) or real(cfg, memo, pace))
+        (cfg.bank.seed, cfg.mapping.tolist())) or real(cfg, memo, pace))
     plan = _small_plan(seeds=(0, 1, 2), worker_counts=(1, 2, 4), mappings=("shuffle",),
                        stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
     detector.run_experiment(dataclasses.replace(plan, stages=("compare",)))
     assert shuffled == [0, 1, 2]
-    assert len(mappings) == 18
-    for seed, workers, mapping in mappings:
+    cells = [(seed, workers) for seed in plan.seeds for _ in plan.stream_modes
+             for workers in plan.worker_counts]  # the cell order
+    assert [seed for seed, _ in mappings] == [seed for seed, _ in cells]
+    for (seed, workers), (_, mapping) in zip(cells, mappings):
         assert mapping == list(oracle.shuffle_mapping(plan.n_clocks, workers, seed))
 
 
@@ -931,13 +944,14 @@ def test_str_stream_modes_run_as_the_enum():
     enum_plan = _small_plan(seeds=(0,), stream_modes=(StreamMode.PER_CLOCK, StreamMode.PER_WORKER))
     assert detector.run_experiment(plan) == detector.run_experiment(enum_plan)
     for mode in StreamMode:
-        by_str = ParallelConfig(8, 150.0, 0, workers=2, stream_mode=mode.value)
+        bank, mapping = Bank(8, 150.0, 0), make_mapping("blocks", 8, 2, 0)
+        by_str = ParallelConfig(bank, mapping, mode.value)
         assert by_str.stream_mode is mode
         assert detector._bit_equal(process.simulate_parallel(by_str, {}, pace=1.0),
-                                   process.simulate_parallel(ParallelConfig(
-                                       8, 150.0, 0, workers=2, stream_mode=mode), {}, pace=1.0))
+                                   process.simulate_parallel(ParallelConfig(bank, mapping, mode),
+                                                             {}, pace=1.0))
     with pytest.raises(ValueError):
-        ParallelConfig(8, 150.0, 0, stream_mode="bogus")
+        ParallelConfig(bank, mapping, "bogus")
 
 
 def test_plan_accepts_sample_counts_up_to_the_cap():

@@ -15,8 +15,8 @@ import oracle
 from clockcheck import process, rng
 from clockcheck.process import (
     MAPPING_KINDS,
+    Bank,
     ParallelConfig,
-    SerialConfig,
     StreamMode,
     Trajectory,
     make_mapping,
@@ -79,7 +79,7 @@ def test_exp_increment_domain_errors():
 def test_serial_constant_stream_single_clock():
     # Every increment is exactly 1; the event at t=4 overruns the horizon
     # and is suppressed after its time draw, hence 2K+1 draws for K events.
-    cfg = SerialConfig(n_clocks=1, horizon=3.5, seed=0)
+    cfg = Bank(n_clocks=1, horizon=3.5, seed=0)
     traj = oracle.simulate_serial(cfg, source=_FeedSource([_INV_E]))
     assert traj.times.tolist() == [1.0, 2.0, 3.0]
     assert traj.marks.tolist() == [0, 0, 0]
@@ -90,7 +90,7 @@ def test_serial_constant_stream_single_clock():
 
 
 def test_serial_constant_stream_marks_scale_with_clock_count():
-    cfg = SerialConfig(n_clocks=4, horizon=0.6, seed=0)
+    cfg = Bank(n_clocks=4, horizon=0.6, seed=0)
     traj = oracle.simulate_serial(cfg, source=_FeedSource([_INV_E, 0.9]))
     # rate N=4 quarters every gap; mark = min(floor(0.9 * 4), 3) = 3
     assert traj.times.tolist() == [0.25, 0.5]
@@ -99,7 +99,7 @@ def test_serial_constant_stream_marks_scale_with_clock_count():
 
 
 def test_parallel_constant_stream_interleaves_clocks():
-    cfg = ParallelConfig(n_clocks=2, horizon=2.5, seed=0)
+    cfg = ParallelConfig(Bank(n_clocks=2, horizon=2.5, seed=0), (0, 0))
     traj = oracle.simulate_parallel(cfg, source_factory=lambda clock: _FeedSource([_INV_E]))
     assert traj.times.tolist() == [1.0, 1.0, 2.0, 2.0]
     assert traj.marks.tolist() == [0, 1, 0, 1]  # ties break by ascending mark
@@ -107,13 +107,7 @@ def test_parallel_constant_stream_interleaves_clocks():
 
 
 def test_per_worker_round_robin_hand_check():
-    cfg = ParallelConfig(
-        n_clocks=2,
-        horizon=1.5,
-        seed=0,
-        workers=1,
-        stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=2, horizon=1.5, seed=0), (0, 0), StreamMode.PER_WORKER)
     feeds = []
 
     def factory(worker):
@@ -131,9 +125,7 @@ def test_per_worker_round_robin_hand_check():
 
 def test_per_worker_unequal_feeds_follow_rotation_order():
     # Distinct gaps per draw expose the strict c0, c1, c0, c1 rotation.
-    cfg = ParallelConfig(
-        n_clocks=2, horizon=1.0, seed=0, workers=1, stream_mode=StreamMode.PER_WORKER
-    )
+    cfg = ParallelConfig(Bank(n_clocks=2, horizon=1.0, seed=0), (0, 0), StreamMode.PER_WORKER)
     feed = _FeedSource([math.exp(-0.3), math.exp(-0.7)])
 
     traj = oracle.simulate_parallel(cfg, source_factory=lambda worker: feed)
@@ -168,7 +160,7 @@ def _assert_same(fast, slow):
 
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_serial_block_path_equals_scalar_path(fault, transform, window):
-    cfg = SerialConfig(
+    cfg = Bank(
         n_clocks=6, horizon=40.0, seed=1234, fault=fault, transform=transform,
         fix_window=window,
     )
@@ -208,7 +200,7 @@ def test_serial_passes_equal_one_pass(monkeypatch, fault, transform, window, cel
     # 800 to 2400 events at N=6, H=200, by pipeline: a cap of 64 takes
     # dozens of passes and a cap of 1000 two or more, each going on from the
     # last one's stream state and time.
-    cfg = SerialConfig(
+    cfg = Bank(
         n_clocks=6, horizon=200.0, seed=4321, fault=fault, transform=transform,
         fix_window=window,
     )
@@ -226,7 +218,7 @@ def test_serial_run_outrunning_its_estimate_takes_another_pass(monkeypatch):
     # + 32 the first pass is sized for at one event per clock per unit time;
     # the second pass, sized at the pace the first one showed, goes on where
     # the first stopped and reaches the horizon.
-    cfg = SerialConfig(n_clocks=4, horizon=100.0, seed=9, fault=PowerBias(4.0))
+    cfg = Bank(n_clocks=4, horizon=100.0, seed=9, fault=PowerBias(4.0))
     passes = _count_passes(monkeypatch)
     fast = process.simulate_serial(cfg)
     first = int(4 * 100.0 + 5 * math.sqrt(4 * 100.0)) + 32
@@ -247,15 +239,16 @@ def test_first_passes_draw_what_the_horizon_needs(monkeypatch):
     # and one more pass at most.
     n, h = 256, 250.0
     passes = _count_passes(monkeypatch)
-    process.simulate_serial(SerialConfig(n, h, seed=3))
+    bank = Bank(n, h, seed=3)
+    process.simulate_serial(bank)
     assert passes == [(1, passes[0][1])]
     assert passes[0][1] <= 2 * (n * h + 5 * math.sqrt(n * h) + 32)
     del passes[:]
-    process.simulate_parallel(ParallelConfig(n, h, seed=3), {}, pace=1.0)
+    process.simulate_parallel(ParallelConfig(bank, np.zeros(n, dtype=int)), {}, pace=1.0)
     assert passes == [(n, passes[0][1])] and passes[0][1] <= h + 5 * math.sqrt(h) + 32
     calls = _count_pipeline_calls(monkeypatch)  # the serial and per-clock tiles call it too
     process.simulate_parallel(
-        ParallelConfig(n, h, seed=3, workers=4, stream_mode=StreamMode.PER_WORKER), {}, pace=1.0)
+        ParallelConfig(bank, make_mapping("blocks", n, 4, 3), StreamMode.PER_WORKER), {}, pace=1.0)
     lanes = n // 4
     assert 4 <= len(calls) <= 8
     assert max(calls) <= lanes * h + 5 * math.sqrt(lanes * h) + 32 + lanes - 1
@@ -271,11 +264,10 @@ def test_pass_sizes_change_no_bit(monkeypatch, fault, transform, window):
     # samples it uses.  Every run equals the scalar oracle.
     common = dict(n_clocks=6, horizon=200.0, seed=31, fault=fault, transform=transform,
                   fix_window=window)
-    cells = {f"P{p}": ParallelConfig(**common, workers=p,
-                                     mapping=make_mapping("round_robin", 6, p, seed=0))
+    serial_cfg = Bank(**common)
+    cells = {f"P{p}": ParallelConfig(serial_cfg, make_mapping("round_robin", 6, p, seed=0))
              for p in (1, 3)}
-    cells["per_worker"] = ParallelConfig(**common, stream_mode=StreamMode.PER_WORKER)
-    serial_cfg = SerialConfig(**common)
+    cells["per_worker"] = ParallelConfig(serial_cfg, np.zeros(6, dtype=int), StreamMode.PER_WORKER)
     slow = {"serial": oracle.simulate_serial(serial_cfg)}
     slow.update({name: oracle.simulate_parallel(cfg) for name, cfg in cells.items()})
     most = 1 + slow["P1"].per_clock_ticks.max()  # samples of the longest clock
@@ -319,17 +311,12 @@ def test_parallel_block_path_equals_scalar_path(fault, transform, window):
     # Per-clock runs draw each worker's clocks as one grid, so every worker
     # count and mapping splits the clocks differently; 6 clocks on 8 workers
     # leaves some workers empty.
-    slow = oracle.simulate_parallel(ParallelConfig(
-        n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
-        fix_window=window,
-    ))
+    bank = Bank(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
+                fix_window=window)
+    slow = oracle.simulate_parallel(ParallelConfig(bank, np.zeros(6, dtype=int)))
     for workers in (1, 3, 8):
         for kind in MAPPING_KINDS:
-            cfg = ParallelConfig(
-                n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
-                fix_window=window, workers=workers,
-                mapping=make_mapping(kind, 6, workers, seed=77),
-            )
+            cfg = ParallelConfig(bank, make_mapping(kind, 6, workers, seed=77))
             _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), slow)
 
 
@@ -339,10 +326,8 @@ def test_per_clock_grid_cap_splits_rows_and_passes(monkeypatch, cells):
     # one row at a time in 5-sample passes; a cap of 200 takes two rows a
     # pass, and at four ticks per unit time some rows outrun 82 samples and
     # need a second pass.
-    cfg = ParallelConfig(
-        n_clocks=5, horizon=20.0, seed=12, fault=PowerBias(4.0), workers=2,
-        mapping=(0, 0, 0, 0, 1),
-    )
+    cfg = ParallelConfig(Bank(n_clocks=5, horizon=20.0, seed=12, fault=PowerBias(4.0)),
+                         (0, 0, 0, 0, 1))
     uncapped = process.simulate_parallel(cfg, {}, pace=1.0)
     monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
     passes = _count_passes(monkeypatch)
@@ -514,10 +499,10 @@ def _tiny_tile_runs(monkeypatch, fault):
     # serial, per-clock and per-worker configs of five clocks, their
     # simulators in tiny passes and tiles, and the one-draw oracle's runs
     common = dict(n_clocks=5, horizon=30.0, seed=19, fault=fault, transform=Reflect())
-    cfgs = [SerialConfig(**common),
-            ParallelConfig(**common, workers=2, mapping=make_mapping("round_robin", 5, 2, seed=0)),
-            ParallelConfig(**common, workers=2, mapping=make_mapping("blocks", 5, 2, seed=0),
-                           stream_mode=StreamMode.PER_WORKER)]
+    cfgs = [Bank(**common),
+            ParallelConfig(Bank(**common), make_mapping("round_robin", 5, 2, seed=0)),
+            ParallelConfig(Bank(**common), make_mapping("blocks", 5, 2, seed=0),
+                           StreamMode.PER_WORKER)]
     run = [process.simulate_serial] + [lambda cfg: process.simulate_parallel(cfg, {}, 1.0)] * 2
     slow = [oracle.simulate_serial(cfgs[0])] + [oracle.simulate_parallel(c) for c in cfgs[1:]]
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 60)
@@ -606,11 +591,11 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
     # a tile, and the last one reads on in the pass's next tiles.  Every run equals the scalar oracle, and the
     # edge cases the runs are meant to cover occur.
     common = dict(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform)
-    serial_cfg = SerialConfig(**common)
-    cells = [ParallelConfig(**common, workers=p, mapping=make_mapping("round_robin", 6, p, seed=0))
+    serial_cfg = Bank(**common)
+    cells = [ParallelConfig(serial_cfg, make_mapping("round_robin", 6, p, seed=0))
              for p in (1, 3)]
-    workers = {p: ParallelConfig(**common, workers=p, mapping=make_mapping("blocks", 6, p, seed=0),
-                                 stream_mode=StreamMode.PER_WORKER) for p in (1, 2, 6)}
+    workers = {p: ParallelConfig(serial_cfg, make_mapping("blocks", 6, p, seed=0),
+                                 StreamMode.PER_WORKER) for p in (1, 2, 6)}
     slow_serial = oracle.simulate_serial(serial_cfg)
     slow = oracle.simulate_parallel(cells[0])
     slow_workers = {p: oracle.simulate_parallel(cfg) for p, cfg in workers.items()}
@@ -646,7 +631,7 @@ def test_tile_edges_change_no_bit(monkeypatch, fault, transform):
                         seen.add("edge inside a row")
                     if _short_last_tile(tiles):
                         seen.add("short last tile")
-                    if cfg.workers == 1 and all(n == tiles[0][0] for n, _, _, _ in tiles):
+                    if cfg is cells[0] and all(n == tiles[0][0] for n, _, _, _ in tiles):
                         # one pass over one grid, whose row r is clock r: a
                         # row's first suppressed tick is its tick count
                         for _, c, w, live in tiles:
@@ -674,9 +659,9 @@ def test_thinning_and_window_passes_ignore_the_tile_size(monkeypatch, fault, tra
     common = dict(n_clocks=6, horizon=40.0, seed=77, fault=fault, transform=transform,
                   fix_window=window)
     tiles = _record_tiles(monkeypatch, 7)
-    _assert_same(process.simulate_serial(SerialConfig(**common)),
-                 oracle.simulate_serial(SerialConfig(**common)))
-    cfg = ParallelConfig(**common, workers=3)
+    bank = Bank(**common)
+    _assert_same(process.simulate_serial(bank), oracle.simulate_serial(bank))
+    cfg = ParallelConfig(bank, make_mapping("blocks", 6, 3, seed=77))
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
     assert tiles and all(c == 0 and w == n for n, c, w, _ in tiles)
 
@@ -686,16 +671,16 @@ def test_per_clock_pass_memory_stays_near_its_output():
     # each) into columns sized for the bank.  Tile by tile it holds about
     # six tile-sized arrays on top of them; one full grid of samples (1024 x
     # 361 floats) would pass the allowance of eight.
-    cfg = ParallelConfig(1024, 250.0, seed=5)
-    clocks = np.arange(cfg.n_clocks)
-    width = process._ticks_to_pass(cfg.horizon, 1.0, process.MAX_PASS_CELLS)
+    bank = Bank(1024, 250.0, seed=5)
+    clocks = np.arange(bank.n_clocks)
+    width = process._ticks_to_pass(bank.horizon, 1.0, process.MAX_PASS_CELLS)
     allowance = 8 * 8 * process.TILE_CELLS
-    assert 8 * cfg.n_clocks * width > allowance
+    assert 8 * bank.n_clocks * width > allowance
     tracemalloc.start()
     try:
         events = process._Events()
-        events.reserve(process._ticks_to_pass(cfg.horizon, cfg.n_clocks, cfg.n_clocks * width))
-        process._run_to_horizon(cfg, substream_rows(cfg.seed, clock_stream(clocks)),
+        events.reserve(process._ticks_to_pass(bank.horizon, bank.n_clocks, bank.n_clocks * width))
+        process._run_to_horizon(bank, substream_rows(bank.seed, clock_stream(clocks)),
                                 clocks[:, None], 1.0, events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -709,7 +694,7 @@ def test_serial_run_memory_stays_near_its_output():
     # columns reserved for its one pass, and stays within the per-clock
     # pass's allowance of eight float64 tiles above them; the pass's
     # samples as one block (2 x 258,562 floats) would pass it.
-    cfg = SerialConfig(1024, 250.0, seed=5)
+    cfg = Bank(1024, 250.0, seed=5)
     reserved = process._ticks_to_pass(cfg.horizon, cfg.n_clocks, process.MAX_PASS_CELLS // 2)
     allowance = 8 * 8 * process.TILE_CELLS
     assert 8 * 2 * reserved > allowance
@@ -743,10 +728,10 @@ def test_per_clock_cell_at_the_serial_pace_makes_its_columns_once(monkeypatch, w
     # A bank of 1024 power_bias(2) clocks at the serial run's pace: the cell
     # reserves its columns once for the whole bank, and neither a second
     # worker nor a later pass for a few slow rows makes them again.
-    serial = process.simulate_serial(SerialConfig(1024, 250.0, seed=1, fault=PowerBias(2.0)))
+    serial = process.simulate_serial(Bank(1024, 250.0, seed=1, fault=PowerBias(2.0)))
     pace = len(serial) / (1024 * 250.0)
-    cfg = ParallelConfig(1024, 250.0, seed=1, fault=PowerBias(2.0), workers=workers,
-                         mapping=make_mapping("shuffle", 1024, workers, seed=1))
+    cfg = ParallelConfig(Bank(1024, 250.0, seed=1, fault=PowerBias(2.0)),
+                         make_mapping("shuffle", 1024, workers, seed=1))
     made = _count_column_allocations(monkeypatch)
     traj = process.simulate_parallel(cfg, {}, pace=pace)
     assert len(made) == 1 and made[0] >= len(traj)
@@ -762,11 +747,11 @@ def test_per_worker_cell_at_the_serial_pace_makes_its_columns_once(monkeypatch, 
     # for the whole bank, as a per-clock cell does, instead of growing them
     # as its epochs overflow them, each time a copy of all events so far.
     pipeline = dict(fault=fault, transform=Reflect())
-    serial = process.simulate_serial(SerialConfig(n_clocks, 250.0, seed=1, **pipeline))
+    serial = process.simulate_serial(Bank(n_clocks, 250.0, seed=1, **pipeline))
     pace = len(serial) / (n_clocks * 250.0)
-    cfg = ParallelConfig(n_clocks, 250.0, seed=1, **pipeline, workers=workers,
-                         mapping=make_mapping("round_robin", n_clocks, workers, seed=1),
-                         stream_mode=StreamMode.PER_WORKER)
+    cfg = ParallelConfig(Bank(n_clocks, 250.0, seed=1, **pipeline),
+                         make_mapping("round_robin", n_clocks, workers, seed=1),
+                         StreamMode.PER_WORKER)
     made = _count_column_allocations(monkeypatch)
     traj = process.simulate_parallel(cfg, {}, pace=pace)
     assert len(made) == 1 and made[0] >= len(traj)
@@ -776,7 +761,7 @@ def test_serial_run_makes_its_columns_at_most_once_a_pass(monkeypatch):
     # power_bias(2) runs the merged clock at about twice the pace its first
     # pass is sized for: a later pass reserves what it can write at the
     # pace shown, so the columns are not grown a quarter at a time.
-    cfg = SerialConfig(256, 250.0, seed=4, fault=PowerBias(2.0))
+    cfg = Bank(256, 250.0, seed=4, fault=PowerBias(2.0))
     passes = _count_passes(monkeypatch)
     made = _count_column_allocations(monkeypatch)
     traj = process.simulate_serial(cfg)
@@ -787,11 +772,9 @@ def test_serial_run_makes_its_columns_at_most_once_a_pass(monkeypatch):
 def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):
     # 40 clocks with a 0.02-wide window: every pass, delivered samples and
     # window draws alike, stays under the cap, and the run equals the oracle.
-    cfg = ParallelConfig(
-        n_clocks=40, horizon=10.0, seed=21, fault=LowThinning(0.5, 0.5),
-        fix_window=RescaleWindow(0.6, 0.62), workers=3,
-        mapping=make_mapping("shuffle", 40, 3, seed=21),
-    )
+    cfg = ParallelConfig(Bank(n_clocks=40, horizon=10.0, seed=21, fault=LowThinning(0.5, 0.5),
+                              fix_window=RescaleWindow(0.6, 0.62)),
+                         make_mapping("shuffle", 40, 3, seed=21))
     shapes = []
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 30_000)
     monkeypatch.setattr(rng, "MAX_PASS_CELLS", 30_000)
@@ -806,22 +789,17 @@ def test_per_clock_window_grid_holds_at_most_the_cell_cap(monkeypatch):
 @pytest.mark.parametrize("fault,transform,window", _PIPELINES)
 def test_per_worker_block_path_equals_scalar_path(fault, transform, window, workers, kind):
     # 10 clocks on 8 workers leaves some workers empty and others with two.
-    cfg = ParallelConfig(
-        n_clocks=10, horizon=30.0, seed=4242, fault=fault, transform=transform,
-        fix_window=window, workers=workers,
-        mapping=make_mapping(kind, 10, workers, seed=4242),
-        stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=10, horizon=30.0, seed=4242, fault=fault,
+                              transform=transform, fix_window=window),
+                         make_mapping(kind, 10, workers, seed=4242), StreamMode.PER_WORKER)
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
 
 
 def test_per_worker_epochs_cap_their_draws(monkeypatch):
     # One round a pass: every epoch ends early and the next pass resumes it.
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 1)
-    cfg = ParallelConfig(
-        n_clocks=5, horizon=20.0, seed=3, fault=LowThinning(0.5, 0.5), workers=2,
-        stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=5, horizon=20.0, seed=3, fault=LowThinning(0.5, 0.5)),
+                         make_mapping("blocks", 5, 2, seed=3), StreamMode.PER_WORKER)
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
 
 
@@ -830,10 +808,9 @@ def test_per_worker_epochs_count_their_window_draws(monkeypatch):
     # a cap of 3000 cells gives passes of at most 200 samples (40 rounds of
     # 5 clocks), and every draw-on pass, a single row's too, holds at most
     # 3000 draws.
-    cfg = ParallelConfig(
-        n_clocks=5, horizon=60.0, seed=8, fault=PowerBias(2.0),
-        fix_window=RescaleWindow(0.5, 0.6), stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=5, horizon=60.0, seed=8, fault=PowerBias(2.0),
+                              fix_window=RescaleWindow(0.5, 0.6)),
+                         np.zeros(5, dtype=int), StreamMode.PER_WORKER)
     shapes = []
     monkeypatch.setattr(process, "MAX_PASS_CELLS", 3000)
     monkeypatch.setattr(rng, "MAX_PASS_CELLS", 3000)
@@ -849,11 +826,9 @@ def test_per_worker_run_draws_its_stream_once_or_twice(monkeypatch, seed):
     # asks for 4000 ticks plus five sigmas and 32 in whole rounds, 16 x 272,
     # and a second covers the clocks that outrun it.  Drawing after every
     # epoch cut took about 14 calls.
-    cfg = ParallelConfig(
-        n_clocks=16, horizon=250.0, seed=seed, fault=LowThinning(0.5, 0.5),
-        transform=Reflect(), fix_window=RescaleWindow(0.5, 1.0),
-        stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=16, horizon=250.0, seed=seed, fault=LowThinning(0.5, 0.5),
+                              transform=Reflect(), fix_window=RescaleWindow(0.5, 1.0)),
+                         np.zeros(16, dtype=int), StreamMode.PER_WORKER)
     calls = _count_pipeline_calls(monkeypatch)
     fast = process.simulate_parallel(cfg, {}, pace=1.0)
     assert calls[0] == 16 * 272 and 1 <= len(calls) <= 2
@@ -866,11 +841,9 @@ def test_per_worker_passes_go_on_mid_run(monkeypatch, cells):
     # most 100 or 400 samples: 6 clocks over horizon 60 need about 366 per
     # worker, so passes end mid-epoch, each next one going on from the
     # sample after the last one read.
-    cfg = ParallelConfig(
-        n_clocks=12, horizon=60.0, seed=17, fault=LowThinning(0.5, 0.5),
-        fix_window=RescaleWindow(0.5, 1.0), workers=2,
-        mapping=make_mapping("round_robin", 12, 2, seed=0), stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=12, horizon=60.0, seed=17, fault=LowThinning(0.5, 0.5),
+                              fix_window=RescaleWindow(0.5, 1.0)),
+                         make_mapping("round_robin", 12, 2, seed=0), StreamMode.PER_WORKER)
     uncapped = process.simulate_parallel(cfg, {}, pace=1.0)
     monkeypatch.setattr(process, "MAX_PASS_CELLS", cells)
     calls = _count_pipeline_calls(monkeypatch)
@@ -928,7 +901,7 @@ def test_rejection_counts_equal_the_oracle(c, q, window):
 def test_starved_window_raises_instead_of_spinning():
     # The thinning fault leaves only (0.5, 1); reflecting moves that mass to
     # (0, 0.5); a window still aimed at (0.5, 1) can then never accept.
-    cfg = SerialConfig(
+    cfg = Bank(
         n_clocks=4,
         horizon=10.0,
         seed=0,
@@ -949,13 +922,11 @@ def test_narrow_window_raises_instead_of_allocating():
 
 
 def test_per_worker_default_equals_explicit_factory():
-    cfg = ParallelConfig(
-        n_clocks=5, horizon=30.0, seed=9, workers=2,
-        stream_mode=StreamMode.PER_WORKER,
-    )
+    cfg = ParallelConfig(Bank(n_clocks=5, horizon=30.0, seed=9),
+                         make_mapping("blocks", 5, 2, seed=9), StreamMode.PER_WORKER)
     fast = process.simulate_parallel(cfg, {}, pace=1.0)
     slow = oracle.simulate_parallel(
-        cfg, source_factory=lambda w: oracle.PipelineSource(cfg.seed, worker_stream(w))
+        cfg, source_factory=lambda w: oracle.PipelineSource(cfg.bank.seed, worker_stream(w))
     )
     _assert_same(fast, slow)
 
@@ -969,13 +940,8 @@ def test_per_clock_result_ignores_worker_count_and_mapping():
     base = None
     for workers in (1, 3, 4, 12):
         for kind in MAPPING_KINDS:
-            cfg = ParallelConfig(
-                n_clocks=12,
-                horizon=50.0,
-                seed=31,
-                workers=workers,
-                mapping=make_mapping(kind, 12, workers, seed=31),
-            )
+            cfg = ParallelConfig(Bank(n_clocks=12, horizon=50.0, seed=31),
+                                 make_mapping(kind, 12, workers, seed=31))
             traj = process.simulate_parallel(cfg, {}, pace=1.0)
             if base is None:
                 base = traj
@@ -991,11 +957,8 @@ def test_per_worker_labels_move_with_mapping_but_law_holds():
     # each worker realises the same tick times — but on differently labelled
     # clocks.  The merged law stays Poisson(N*T) either way.
     cfgs = [
-        ParallelConfig(
-            n_clocks=8, horizon=100.0, seed=5, workers=4,
-            mapping=make_mapping(kind, 8, 4, seed=5),
-            stream_mode=StreamMode.PER_WORKER,
-        )
+        ParallelConfig(Bank(n_clocks=8, horizon=100.0, seed=5), make_mapping(kind, 8, 4, seed=5),
+                       StreamMode.PER_WORKER)
         for kind in ("blocks", "round_robin")
     ]
     a, b = (process.simulate_parallel(c, {}, pace=1.0) for c in cfgs)
@@ -1007,8 +970,9 @@ def test_per_worker_labels_move_with_mapping_but_law_holds():
 
 def test_event_volume_matches_poisson_band():
     # N*T = 1600 expected events, checked at 4 sigma on both paths.
-    serial = process.simulate_serial(SerialConfig(n_clocks=16, horizon=100.0, seed=11))
-    parallel = process.simulate_parallel(ParallelConfig(n_clocks=16, horizon=100.0, seed=11), {},
+    bank = Bank(n_clocks=16, horizon=100.0, seed=11)
+    serial = process.simulate_serial(bank)
+    parallel = process.simulate_parallel(ParallelConfig(bank, np.zeros(16, dtype=int)), {},
                                          pace=1.0)
     mean, sd = 1600.0, math.sqrt(1600.0)
     assert abs(len(serial) - mean) < 4.0 * sd
@@ -1057,7 +1021,7 @@ def test_merge_respects_explicit_totals():
 
 
 def test_trajectory_gaps_and_tick_counts():
-    traj = process.simulate_serial(SerialConfig(n_clocks=3, horizon=5.0, seed=2))
+    traj = process.simulate_serial(Bank(n_clocks=3, horizon=5.0, seed=2))
     assert np.array_equal(traj.inter_event_times(), np.diff(traj.times, prepend=0.0))
     ticks = traj.per_clock_ticks
     assert ticks is traj.per_clock_ticks  # counted once per trajectory object
@@ -1084,9 +1048,9 @@ def test_worker_row_events_let_the_merge_see_a_clock_out_of_order():
     # with clock 0's ticks side by side, and the merge's order check, which
     # compares neighbours only, sees two of them swapped.  Written round by
     # round, the epoch's events would alternate between the clocks.
-    cfg = ParallelConfig(n_clocks=2, horizon=30.0, seed=5, stream_mode=StreamMode.PER_WORKER)
+    cfg = ParallelConfig(Bank(n_clocks=2, horizon=30.0, seed=5), (0, 0), StreamMode.PER_WORKER)
     events = process._Events()
-    total = process._run_to_horizon(cfg, substream_rows(cfg.seed, [worker_stream(0)]),
+    total = process._run_to_horizon(cfg.bank, substream_rows(cfg.bank.seed, [worker_stream(0)]),
                                     np.array([[0, 1]]), 1.0, events)
     times, marks, draws = (column[:events.size].copy() for column in events.columns)
     _assert_same(process._merge_arrays(events, n_clocks=2, total_draws=total),
@@ -1180,7 +1144,7 @@ def test_trajectory_rejects_unsorted_times():
 
 
 def test_trajectory_event_iteration_round_trips():
-    traj = process.simulate_serial(SerialConfig(n_clocks=3, horizon=5.0, seed=2))
+    traj = process.simulate_serial(Bank(n_clocks=3, horizon=5.0, seed=2))
     gaps = traj.inter_event_times()
     assert gaps[0] == traj.times[0]
     assert np.allclose(np.cumsum(gaps), traj.times)
@@ -1246,54 +1210,69 @@ def test_make_mapping_rejects_unknown_kind():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SerialConfig(n_clocks=0, horizon=10.0, seed=0)
+        Bank(n_clocks=0, horizon=10.0, seed=0)
     with pytest.raises(ValueError, match=r"n_clocks must be <= 2147483647 \(2\^31 - 1"):
-        SerialConfig(n_clocks=2 ** 31, horizon=1e-9, seed=0)  # marks are int32
-    SerialConfig(n_clocks=2 ** 31 - 1, horizon=1e-9, seed=0)
+        Bank(n_clocks=2 ** 31, horizon=1e-9, seed=0)  # marks are int32
+    Bank(n_clocks=2 ** 31 - 1, horizon=1e-9, seed=0)
     with pytest.raises(ValueError):
-        SerialConfig(n_clocks=4, horizon=0.0, seed=0)
+        Bank(n_clocks=4, horizon=0.0, seed=0)
     with pytest.raises(ValueError):
-        SerialConfig(n_clocks=4, horizon=10.0, seed=-1)
-    with pytest.raises(ValueError):
-        ParallelConfig(n_clocks=4, horizon=10.0, seed=0, workers=0)
+        Bank(n_clocks=4, horizon=10.0, seed=-1)
+    bank2, bank4 = Bank(n_clocks=2, horizon=10.0, seed=0), Bank(n_clocks=4, horizon=10.0, seed=0)
     with pytest.raises(ValueError, match=r"^mapping must assign every clock a worker$"):
-        ParallelConfig(n_clocks=4, horizon=10.0, seed=0, workers=2, mapping=(0, 1))
+        ParallelConfig(bank4, (0, 1))
     with pytest.raises(ValueError, match=r"^mapping must assign every clock a worker$"):
-        ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2, mapping=[[0, 1]])
-    for bad in ((0, 5), (0, 2), (-1, 0)):
-        with pytest.raises(ValueError, match=r"^mapping worker ids must lie in \[0, 2\)$"):
-            ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2, mapping=bad)
-    with pytest.raises(ValueError, match=r"workers must lie in \[1, 2147483647\]"):
-        ParallelConfig(n_clocks=2, horizon=10.0, seed=0, workers=2 ** 31)
+        ParallelConfig(bank2, [[0, 1]])
+    # a worker id is below the largest worker count, 2^31 - 1
+    for bad in ((-1, 0), (0, 2 ** 31 - 1), np.array([0, 2 ** 40]),
+                np.array([0, 2 ** 63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"^mapping worker ids must lie in \[0, 2147483647\)$"):
+            ParallelConfig(bank2, bad)
+    assert ParallelConfig(bank2, (0, 2 ** 31 - 2)).mapping.tolist() == [0, 2 ** 31 - 2]
     # a float or bool mapping is not truncated to worker ids
     for bad in (np.array([0.5, 1.9, 0.0, 1.2]), np.array([False, True, False, True])):
         with pytest.raises(ValueError, match=r"^mapping worker ids must be integers, got dtype"):
-            ParallelConfig(n_clocks=4, horizon=10.0, seed=0, workers=2, mapping=bad)
+            ParallelConfig(bank4, bad)
     assert StreamMode("per_worker") is StreamMode.PER_WORKER
 
 
+@pytest.mark.parametrize("kind", MAPPING_KINDS)
+def test_make_mapping_checks_its_worker_count(kind):
+    for workers in (0, -1, 2 ** 31, 2 ** 40):
+        with pytest.raises(ValueError, match=rf"^workers must lie in \[1, 2147483647\], "
+                                             rf"got {workers}$"):
+            make_mapping(kind, 8, workers, seed=0)
+    top = make_mapping(kind, 8, 2 ** 31 - 1, seed=0)
+    assert top.min() >= 0 and top.max() < 2 ** 31 - 1
+
+
 def test_configs_compare_and_hash_by_mapping_content():
-    # blocks and round_robin at P = N are one mapping, whatever form it is
-    # given in: one memo key.  The config holds it as a read-only int32 copy.
-    common = dict(n_clocks=6, horizon=10.0, seed=3, workers=6)
-    blocks = ParallelConfig(**common, mapping=make_mapping("blocks", 6, 6, seed=3))
-    same = [ParallelConfig(**common, mapping=m)
-            for m in (make_mapping("round_robin", 6, 6, seed=3), tuple(range(6)),
+    # An equal mapping at any worker count, in any form, is one memo key:
+    # blocks and round_robin at P = N, and round_robin at P = N and 2N.  The
+    # config holds it as a read-only int32 copy; a bank equal in its fields
+    # is the same bank.
+    bank = Bank(n_clocks=6, horizon=10.0, seed=3)
+    blocks = ParallelConfig(bank, make_mapping("blocks", 6, 6, seed=3))
+    same = [ParallelConfig(Bank(6, 10.0, 3), m)
+            for m in (make_mapping("round_robin", 6, 6, seed=3),
+                      make_mapping("round_robin", 6, 12, seed=3), tuple(range(6)),
                       np.arange(6, dtype=np.int64))]
     for cfg in same:
         assert cfg == blocks and hash(cfg) == hash(blocks)
         assert cfg.mapping.dtype == np.int32 and not cfg.mapping.flags.writeable
     assert len({blocks, *same}) == 1
-    assert ParallelConfig(**common, mapping=make_mapping("shuffle", 6, 6, seed=3)) != blocks
-    assert ParallelConfig(**dict(common, workers=7), mapping=tuple(range(6))) != blocks
+    assert ParallelConfig(bank, make_mapping("shuffle", 6, 6, seed=3)) != blocks
+    assert ParallelConfig(bank, make_mapping("blocks", 6, 6, seed=3), "per_worker") != blocks
+    assert ParallelConfig(Bank(6, 10.0, 4), tuple(range(6))) != blocks
+    assert ParallelConfig(Bank(6, 10.0, 3, PowerBias(2.0)), tuple(range(6))) != blocks
 
 
 @pytest.mark.parametrize("mode", list(StreamMode))
 @pytest.mark.parametrize("kind", MAPPING_KINDS)
 def test_idle_workers_change_no_bit(kind, mode):
     # 3N workers host N clocks: at least two of every three workers are idle
-    cfg = ParallelConfig(n_clocks=7, horizon=30.0, seed=8, fault=PowerBias(2.0), workers=21,
-                         mapping=make_mapping(kind, 7, 21, seed=8), stream_mode=mode)
+    cfg = ParallelConfig(Bank(n_clocks=7, horizon=30.0, seed=8, fault=PowerBias(2.0)),
+                         make_mapping(kind, 7, 21, seed=8), mode)
     assert np.unique(cfg.mapping).size == 7
     _assert_same(process.simulate_parallel(cfg, {}, pace=1.0), oracle.simulate_parallel(cfg))
 
@@ -1306,9 +1285,8 @@ def test_a_cell_allocates_nothing_the_size_of_its_worker_count(kind):
     workers = 10 ** 6
     tracemalloc.start()
     try:
-        cfg = ParallelConfig(n_clocks=16, horizon=10.0, seed=2, workers=workers,
-                             mapping=make_mapping(kind, 16, workers, seed=2),
-                             stream_mode=StreamMode.PER_WORKER)
+        cfg = ParallelConfig(Bank(n_clocks=16, horizon=10.0, seed=2),
+                             make_mapping(kind, 16, workers, seed=2), StreamMode.PER_WORKER)
         traj = process.simulate_parallel(cfg, {}, pace=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1325,8 +1303,8 @@ def test_cell_configs_hold_four_bytes_a_clock():
     process._clock_order.cache_clear()
     tracemalloc.start()
     try:
-        cells = [ParallelConfig(n_clocks=n, horizon=1.0, seed=1, workers=p,
-                                mapping=make_mapping(kind, n, p, seed=1))
+        cells = [ParallelConfig(Bank(n_clocks=n, horizon=1.0, seed=1),
+                                make_mapping(kind, n, p, seed=1))
                  for kind in MAPPING_KINDS for p in (1, 2)]
         held = tracemalloc.get_traced_memory()[0]
     finally:

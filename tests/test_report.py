@@ -480,11 +480,11 @@ def test_values_left_to_repr(value, to_repr):
 def test_kernel_formats_nearly_every_simulated_time(mode):
     # Without this bound, a kernel that left every value to repr would pass.
     if mode is None:
-        traj = process.simulate_serial(process.SerialConfig(256, 250.0, 3, IDEAL))
+        traj = process.simulate_serial(process.Bank(256, 250.0, 3, IDEAL))
     else:
         traj = process.simulate_parallel(
-            process.ParallelConfig(256, 250.0, 3, IDEAL, workers=2, stream_mode=mode), {},
-            pace=1.0)
+            process.ParallelConfig(process.Bank(256, 250.0, 3, IDEAL),
+                                   process.make_mapping("blocks", 256, 2, 3), mode), {}, pace=1.0)
     assert len(traj) > 60_000
     assert report._shortest_decimal(traj.times)[3].mean() < 0.01
     _assert_rows_equal_repr(traj.times, traj.marks, traj.draw_indices)
